@@ -151,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
          "normalized per-pixel counts")
 
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
-    _opt(s, "workload", str, "all", "ingest, mcts, forward, match, or all")
+    _opt(s, "workload", str, "all",
+         "ingest, mcts, classical, forward, match, or all")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
@@ -422,7 +423,8 @@ def cmd_bench(opts, args) -> int:
     if opts["iterations"] < 1:
         raise UsageError("iterations must be at least 1")
     wanted = opts["workload"]
-    if wanted not in ("ingest", "mcts", "forward", "match", "all"):
+    if wanted not in ("ingest", "mcts", "classical", "forward", "match",
+                      "all"):
         raise UsageError(f"unknown workload {wanted!r}")
     rng = np.random.default_rng(opts["seed"])
     rows = []
@@ -455,6 +457,27 @@ def cmd_bench(opts, args) -> int:
                 "mcts", size,
                 *_time_us(lambda: surface.mcts(grid, ring, tau, spec),
                           opts["iterations"])))
+
+    if wanted in ("classical", "all"):
+        # the acceptance corner grid, velocity jittered by the seed; n is
+        # the sensor's pixel count
+        config = pipeline.PipelineConfig()
+        spec = config.window_spec
+        velocity = tuple(v * rng.uniform(0.99, 1.01) for v in (-56.0, -42.0))
+        motion = events.MotionSpec("grid-of-corners", velocity, 0.5,
+                                   grid_pitch=48, square_side=16)
+        for width, height in ((128, 128), (240, 180)):
+            geometry = events.SensorGeometry(width, height)
+            grid = surface.TimestampGrid.create(geometry)
+            ring = surface.EventCountRing(spec.ring_capacity(geometry))
+            surface.apply_events(grid, ring,
+                                 events.synthesize(motion, geometry))
+            tensor = surface.mcts(grid, ring, grid.latest_time, spec)
+            rows.append((
+                "classical", geometry.pixel_count,
+                *_time_us(lambda: detect.classical_detect(
+                    tensor, 3, config.nms_radius, config.nms_threshold,
+                    config.nms_max_k), opts["iterations"])))
 
     if wanted in ("forward", "all"):
         weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter
 
 from .surface import MctsTensor
 
@@ -277,16 +276,39 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     if radius < 1:
         raise ValueError("radius must be at least 1")
     size = 2 * radius + 1
-    footprint = np.ones((size, size), dtype=bool)
-    footprint[radius, radius] = False
-    neighbor_max = maximum_filter(heatmap, footprint=footprint,
-                                  mode="constant", cval=-np.inf)
-    cand = (heatmap > neighbor_max) & (heatmap >= threshold)
-    ys, xs = np.nonzero(cand)  # row-major, the tie order
+    h, w = heatmap.shape
+    padded = np.full((h + 2 * radius, w + 2 * radius), -np.inf,
+                     dtype=heatmap.dtype)
+    padded[radius:radius + h, radius:radius + w] = heatmap
+    # a strict maximum is a maximum of its full square whose value occurs
+    # there once; only the few full-square maxima need the tie check
+    full_max = _window_max(padded, size)
+    ys, xs = np.nonzero((heatmap == full_max) & (heatmap >= threshold))
+    span = np.arange(size)
+    windows = padded[(ys[:, None] + span)[:, :, None],
+                     (xs[:, None] + span)[:, None, :]]
+    once = (windows == heatmap[ys, xs][:, None, None]).sum(axis=(1, 2)) == 1
+    ys, xs = ys[once], xs[once]  # row-major, the tie order
     scores = heatmap[ys, xs]
     order = np.argsort(-scores, kind="stable")[:max_k]
     xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
     return KeypointSet(xy, scores[order])
+
+
+def _window_max(x: np.ndarray, size: int) -> np.ndarray:
+    """Maximum of every size x size window of ``x``, one axis at a time.
+
+    Each step merges two running maxima, doubling the span they cover;
+    max is exact, so the grouping does not change any value.
+    """
+    for _ in range(2):  # along rows, then along rows of the transpose
+        span = 1
+        while span < size:
+            step = min(span, size - span)
+            x = np.maximum(x[:, :-step], x[:, step:])
+            span += step
+        x = x.T
+    return x
 
 
 def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
@@ -366,20 +388,28 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
                                       np.zeros(0, dtype=bool))
 
     # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated
-    pad = PATCH
-    padded = np.pad(merged, pad, mode="edge")
-    patches = np.empty((len(keypoints), PATCH * PATCH), dtype=np.float32)
-    for i, (x, y) in enumerate(keypoints.xy.astype(int)):
-        y0 = y - PATCH // 2 + 1 + pad
-        x0 = x - PATCH // 2 + 1 + pad
-        patches[i] = padded[y0:y0 + PATCH, x0:x0 + PATCH].ravel()
+    h, w = merged.shape
+    cols, rows = keypoints.xy.astype(np.intp).T
+    span = np.arange(PATCH) - (PATCH // 2 - 1)
+    rows = np.clip(rows[:, None] + span, 0, h - 1)
+    cols = np.clip(cols[:, None] + span, 0, w - 1)
+    patches = merged[rows[:, :, None], cols[:, None, :]] \
+        .reshape(len(keypoints), PATCH * PATCH)
     patches -= patches.mean(axis=1, keepdims=True)
     return keypoints, _normalize_rows(patches)
 
 
 def _boxsum3(x: np.ndarray) -> np.ndarray:
-    padded = np.pad(x, 1)
-    return sliding_window_view(padded, (3, 3)).sum(axis=(-1, -2))
+    # rows first, each sum taken left to right: this order reproduces the
+    # bits of a 3x3 sliding-window sum; columns first is off by an ulp
+    h, w = x.shape
+    p = np.zeros((h + 2, w + 2), dtype=x.dtype)
+    p[1:h + 1, 1:w + 1] = x
+    rows = p[:, 0:w] + p[:, 1:w + 1]
+    rows += p[:, 2:w + 2]
+    out = rows[0:h] + rows[1:h + 1]
+    out += rows[2:h + 2]
+    return out
 
 
 def keypoints_to_jsonl(keypoints: KeypointSet, descriptors: Descriptors) -> str:

@@ -17,7 +17,9 @@ is how snapshot consistency is validated end to end.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,7 +57,7 @@ class PipelineConfig:
     match_max_distance: float = DEFAULT_MAX_DISTANCE
     watermark_lag: int = 0
     quant_scheme: QuantizationScheme = field(default_factory=QuantizationScheme)
-    metrics_interval: int = 60 * US_PER_S      # wall-clock bucket for the CSV
+    metrics_interval: int = 60 * US_PER_S      # event-time bucket for the CSV
     step_delay_us: int = 0                     # test hook: slow the detector
 
     def __post_init__(self) -> None:
@@ -299,12 +301,39 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     """
     if mode not in ("threaded", "serial"):
         raise ValueError(f"unknown mode {mode!r}")
+    _keep_freed_memory()
     geometry = source.batch.geometry
     capacity = config.window_spec.ring_capacity(geometry)
     state = SharedSurfaceState(geometry, capacity)
     if mode == "serial":
         return _run_serial(source, config, state, snapshot_schedule)
     return _run_threaded(source, config, state)
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc reuse the frontend's freed arrays instead of unmapping them.
+
+    A frame allocates and frees a few dozen arrays of 64 KB to 1.5 MB.
+    glibc maps each block at or above its mmap threshold afresh and unmaps
+    it on free, and trims the heap top past twice that threshold; the
+    threshold starts at 128 KB and rises only when the process frees a
+    larger mapped block. So whether a frame faults in hundreds of fresh
+    pages (0 to ~450 per frame at 128x128, up to half its time) depends on
+    what the process freed before. Fixing both thresholds at the ceiling
+    glibc's own rule can reach makes every frame reuse heap memory.
+    Skipped when MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ is set,
+    and where the C library has no ``mallopt``.
+    """
+    if {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & set(os.environ):
+        return
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD, glibc's dynamic ceiling
+    mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD, twice that, as glibc sets
 
 
 def _run_serial(source, config, state, schedule):

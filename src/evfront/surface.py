@@ -228,12 +228,24 @@ def time_surface(grid: TimestampGrid, tau: int, dt: int,
         raise ValueError("window duration must be positive")
     if polarity not in (-1, 1):
         raise ValueError("polarity must be -1 or +1")
-    chan = 1 if polarity > 0 else 0
-    age = tau - grid.last_t[chan].astype(np.int64)
-    in_window = grid.valid[chan] & (age >= 0) & (age <= dt)
+    age, live = _ages(grid, tau, 1 if polarity > 0 else 0)
     out = np.zeros(age.shape, dtype=np.float32)
-    out[in_window] = (1.0 - age[in_window] / dt).astype(np.float32)
+    _decay_into(out, age, live, dt)
     return out
+
+
+def _ages(grid: TimestampGrid, tau: int,
+          chan: int) -> tuple[np.ndarray, np.ndarray]:
+    # age of each pixel's newest event, and where that event is not
+    # after tau; shared by every window of one polarity
+    age = tau - grid.last_t[chan].astype(np.int64)
+    return age, grid.valid[chan] & (age >= 0)
+
+
+def _decay_into(out: np.ndarray, age: np.ndarray, live: np.ndarray,
+                dt: int) -> None:
+    in_window = live & (age <= dt)
+    out[in_window] = (1.0 - age[in_window] / dt).astype(np.float32)
 
 
 def normalized_counts_to_absolute(spec: WindowSpec,
@@ -308,9 +320,13 @@ def mcts(grid: TimestampGrid, ring: EventCountRing, tau: int,
         durations = adaptive_windows(ring, tau, counts, grid.first_time)
     else:
         durations = list(spec.durations)
-    planes = [time_surface(grid, tau, dt, -1) for dt in durations]
-    planes += [time_surface(grid, tau, dt, +1) for dt in durations]
-    return MctsTensor(np.stack(planes), tau, tuple(durations))
+    k = len(durations)
+    channels = np.zeros((2 * k, *grid.last_t.shape[1:]), dtype=np.float32)
+    for chan in (0, 1):  # polarity -1 fills 0..K-1, +1 fills K..2K-1
+        age, live = _ages(grid, tau, chan)
+        for i, dt in enumerate(durations):
+            _decay_into(channels[chan * k + i], age, live, dt)
+    return MctsTensor(channels, tau, tuple(durations))
 
 
 # ---------------------------------------------------------------------------

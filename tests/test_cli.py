@@ -194,6 +194,15 @@ class TestBench:
         assert all(line.startswith("match,") for line in lines[1:])
         assert capsys.readouterr().out.splitlines()[0] == lines[0]
 
+    def test_classical_workload_rows(self, capsys):
+        rc = cli.main(["bench", "--workload", "classical",
+                       "--iterations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "workload,n,mean_us,p99_us"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["classical", "16384"], ["classical", "43200"]]
+
     def test_unknown_workload(self):
         assert cli.main(["bench", "--workload", "warp"]) == 2
 

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import maximum_filter
 
 from evfront.detect import (
+    HARRIS_K,
+    PATCH,
     Descriptors,
+    KeypointSet,
     NetworkSpec,
+    _boxsum3,
+    _normalize_rows,
     classical_detect,
     forward,
     interpolate_descriptors,
@@ -32,6 +39,74 @@ from evfront.surface import (
 
 
 SPEC = NetworkSpec()
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the straightforward forms the fast paths in
+# evfront.detect replace, kept as bitwise oracles
+
+
+def boxsum3_reference(x):
+    return sliding_window_view(np.pad(x, 1), (3, 3)).sum(axis=(-1, -2))
+
+
+def nms_reference(heatmap, radius, threshold, max_k):
+    # strict maximum via a holed footprint: the centre must beat every
+    # other pixel of its square
+    size = 2 * radius + 1
+    footprint = np.ones((size, size), dtype=bool)
+    footprint[radius, radius] = False
+    neighbor_max = maximum_filter(heatmap, footprint=footprint,
+                                  mode="constant", cval=-np.inf)
+    ys, xs = np.nonzero((heatmap > neighbor_max) & (heatmap >= threshold))
+    scores = heatmap[ys, xs]
+    order = np.argsort(-scores, kind="stable")[:max_k]
+    xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
+    return KeypointSet(xy, scores[order])
+
+
+def patches_reference(merged, xy):
+    pad = PATCH
+    padded = np.pad(merged, pad, mode="edge")
+    patches = np.empty((len(xy), PATCH * PATCH), dtype=np.float32)
+    for i, (x, y) in enumerate(xy.astype(int)):
+        y0 = y - PATCH // 2 + 1 + pad
+        x0 = x - PATCH // 2 + 1 + pad
+        patches[i] = padded[y0:y0 + PATCH, x0:x0 + PATCH].ravel()
+    return patches
+
+
+def classical_reference(tensor, channel_pair, radius, threshold, max_k):
+    k_pairs = tensor.K
+    merged = np.maximum(tensor.channels[channel_pair],
+                        tensor.channels[k_pairs + channel_pair])
+    gy, gx = np.gradient(merged.astype(np.float64))
+    sxx = boxsum3_reference(gx * gx)
+    syy = boxsum3_reference(gy * gy)
+    sxy = boxsum3_reference(gx * gy)
+    response = sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
+    keypoints = nms_reference(response, radius, threshold, max_k)
+    patches = patches_reference(merged, keypoints.xy)
+    patches -= patches.mean(axis=1, keepdims=True)
+    return keypoints, _normalize_rows(patches)
+
+
+def assert_same_keypoints(got, want):
+    assert got.xy.dtype == want.xy.dtype
+    assert got.scores.dtype == want.scores.dtype
+    assert np.array_equal(got.xy, want.xy)
+    assert np.array_equal(got.scores, want.scores)
+
+
+def corner_tensor(geo, spec, velocity=(40.0, 30.0), duration=1.0,
+                  pitch=16, side=6):
+    motion = MotionSpec("grid-of-corners", velocity, duration,
+                        grid_pitch=pitch, square_side=side)
+    batch = synthesize(motion, geo)
+    grid = TimestampGrid.create(geo)
+    ring = EventCountRing(spec.ring_capacity(geo))
+    apply_events(grid, ring, batch)
+    return motion, mcts(grid, ring, grid.latest_time, spec)
 
 
 class TestNetworkSpec:
@@ -118,9 +193,9 @@ class TestNms:
             radius = int(rng.integers(1, 6))
             kps = nms(heat, radius, 0.0, 200)
             pts = kps.xy
-            for i in range(len(pts)):
-                d = np.abs(pts[i + 1:] - pts[i]).max(axis=1, initial=radius)
-                assert (d >= radius).all()
+            for i in range(len(pts) - 1):
+                d = np.abs(pts[i + 1:] - pts[i]).max(axis=1)
+                assert (d > radius).all()
 
     def test_strict_local_maxima_only(self):
         heat = np.zeros((9, 9), dtype=np.float32)
@@ -150,20 +225,88 @@ class TestNms:
         kps = nms(heat, 3, 0.1, 10)
         assert (kps.xy == [0.0, 0.0]).all()
 
+    def test_ties_at_radius_suppress_and_beyond_keep(self):
+        for dtype in (np.float32, np.float64):
+            for r in (1, 2, 3):
+                for step in ((0, 1), (1, 0), (1, 1)):
+                    for gap, kept in ((r, 0), (r + 1, 2)):
+                        heat = np.zeros((20, 20), dtype=dtype)
+                        heat[5, 5] = 1.0
+                        heat[5 + gap * step[0], 5 + gap * step[1]] = 1.0
+                        kps = nms(heat, r, 0.5, 10)
+                        assert len(kps) == kept
+                        assert_same_keypoints(
+                            kps, nms_reference(heat, r, 0.5, 10))
+
+    @staticmethod
+    def _hand_built(dtype):
+        maps = []
+        plateau = np.zeros((16, 16), dtype=dtype)
+        plateau[3:6, 3:6] = 0.8             # flat top: no strict maximum
+        plateau[10:12, 9:13] = 0.6
+        plateau[10, 14] = 0.7               # beside a plateau edge
+        maps.append(plateau)
+        bump = plateau.copy()
+        bump[4, 4] = 0.9                    # peak rising out of a plateau
+        maps.append(bump)
+        border = np.zeros((9, 13), dtype=dtype)
+        border[0, 0] = border[0, 12] = border[8, 6] = border[4, 0] = 0.5
+        border[8, 12] = border[8, 11] = 0.4  # tie on the border
+        maps.append(border)
+        maps.append(border - 1)             # negative: outside must lose
+        maps.append(np.full((9, 11), 0.3, dtype=dtype))
+        maps.append(np.full((1, 1), 0.3, dtype=dtype))
+        maps.append(np.array([[0.2, 0.1, 0.2]], dtype=dtype))
+        neg = np.full((12, 12), -np.inf, dtype=dtype)
+        maps.append(neg)
+        neg = neg.copy()
+        neg[2, 2] = 0.5
+        neg[2, 5] = -1.0
+        neg[9, 9] = neg[9, 11] = 0.25
+        maps.append(neg)
+        rng = np.random.default_rng(21)
+        for levels in (2, 4, 16):           # dense ties everywhere
+            maps.append(rng.integers(0, levels, (30, 24)).astype(dtype))
+        return maps
+
+    def test_matches_reference_on_hand_built_maps(self):
+        for dtype in (np.float32, np.float64):
+            for heat in self._hand_built(dtype):
+                for r in (1, 2, 3):
+                    for threshold in (-np.inf, 0.0, 0.5):
+                        for max_k in (3, 1000):
+                            got = nms(heat, r, threshold, max_k)
+                            want = nms_reference(heat, r, threshold, max_k)
+                            assert got.scores.dtype == dtype
+                            assert_same_keypoints(got, want)
+
+    def test_matches_reference_on_learned_heatmaps(self):
+        rng = np.random.default_rng(22)
+        geo = SensorGeometry(64, 64)
+        _, tensor = corner_tensor(geo, WindowSpec.default_constant_count())
+        for seed in (0, 1, 2):
+            w = random_weights(SPEC, seed)
+            for x in (tensor.channels,
+                      rng.random((8, 48, 64), dtype=np.float32)):
+                heat, _ = forward(w, x)
+                for r in (1, 2, 4):
+                    for threshold in (0.0, 1e-4, float(np.median(heat))):
+                        assert_same_keypoints(
+                            nms(heat, r, threshold, 256),
+                            nms_reference(heat, r, threshold, 256))
+
 
 class TestInterpolateDescriptors:
     def test_cell_center_returns_cell_vector(self):
         rng = np.random.default_rng(10)
         dmap = rng.standard_normal((64, 4, 4)).astype(np.float32)
         # center of cell (1, 2): x = 2*16 + 7.5, y = 1*16 + 7.5
-        from evfront.detect import KeypointSet
         kps = KeypointSet(np.array([[39.5, 23.5]]), np.array([1.0]))
         d = interpolate_descriptors(dmap, kps, 16)
         want = dmap[:, 1, 2] / np.linalg.norm(dmap[:, 1, 2])
         assert np.allclose(d.vectors[0], want, atol=1e-6)
 
     def test_midpoint_blends_equally(self):
-        from evfront.detect import KeypointSet
         dmap = np.zeros((64, 1, 2), dtype=np.float32)
         u = np.zeros(64); u[0] = 1.0
         v = np.zeros(64); v[1] = 1.0
@@ -178,7 +321,6 @@ class TestInterpolateDescriptors:
     def test_unit_norm_outputs(self):
         rng = np.random.default_rng(11)
         dmap = rng.standard_normal((64, 3, 5)).astype(np.float32)
-        from evfront.detect import KeypointSet
         xy = np.column_stack([rng.uniform(0, 80, 50), rng.uniform(0, 48, 50)])
         kps = KeypointSet(xy, np.ones(50))
         d = interpolate_descriptors(dmap, kps, 16)
@@ -188,7 +330,6 @@ class TestInterpolateDescriptors:
     def test_edge_keypoints_clamp(self):
         rng = np.random.default_rng(12)
         dmap = rng.standard_normal((64, 2, 2)).astype(np.float32)
-        from evfront.detect import KeypointSet
         kps = KeypointSet(np.array([[0.0, 0.0], [31.0, 31.0]]),
                           np.ones(2))
         d = interpolate_descriptors(dmap, kps, 16)
@@ -250,17 +391,6 @@ class TestWeights:
 
 
 class TestClassicalDetect:
-    @staticmethod
-    def _tensor(geo, spec, velocity=(40.0, 30.0), duration=1.0,
-                pitch=16, side=6):
-        motion = MotionSpec("grid-of-corners", velocity, duration,
-                            grid_pitch=pitch, square_side=side)
-        batch = synthesize(motion, geo)
-        grid = TimestampGrid.create(geo)
-        ring = EventCountRing(spec.ring_capacity(geo))
-        apply_events(grid, ring, batch)
-        return motion, batch, mcts(grid, ring, grid.latest_time, spec)
-
     def test_flat_surface_yields_nothing(self):
         from evfront.surface import MctsTensor
         t = MctsTensor(np.zeros((8, 32, 32), dtype=np.float32), 100,
@@ -275,7 +405,7 @@ class TestClassicalDetect:
         # as segment ends of the emitting vertical edges
         geo = SensorGeometry(128, 128)
         wspec = WindowSpec.default_constant_count()
-        motion, _, tensor = self._tensor(geo, wspec, velocity=(50.0, 0.0))
+        motion, tensor = corner_tensor(geo, wspec, velocity=(50.0, 0.0))
         kps, _ = classical_detect(tensor, 2, 2, 1e-8, 1024)
         truth = corner_positions(motion, geo, tensor.tau)
         hits = 0
@@ -287,7 +417,7 @@ class TestClassicalDetect:
     def test_descriptors_unit_norm_64d(self):
         geo = SensorGeometry(64, 64)
         wspec = WindowSpec.default_constant_count()
-        _, _, tensor = self._tensor(geo, wspec)
+        _, tensor = corner_tensor(geo, wspec)
         _, desc = classical_detect(tensor, 1, 4, 1e-4, 256)
         assert desc.vectors.shape[1] == 64
         norms = np.linalg.norm(desc.vectors[desc.valid], axis=1)
@@ -297,15 +427,39 @@ class TestClassicalDetect:
         # same-type corners on the rigid lattice look identical
         geo = SensorGeometry(64, 64)
         wspec = WindowSpec.default_constant_count()
-        _, _, tensor = self._tensor(geo, wspec)
+        _, tensor = corner_tensor(geo, wspec)
         _, desc = classical_detect(tensor, 1, 4, 1e-4, 256)
         distinct = np.unique(np.round(desc.vectors, 5), axis=0)
         assert len(distinct) < len(desc.vectors)
 
+    def test_matches_reference_on_corner_grids(self):
+        rng = np.random.default_rng(23)
+        wspec = WindowSpec.default_constant_count()
+        for w, h in ((64, 64), (128, 128), (240, 180)):
+            velocity = tuple(rng.uniform(-60.0, 60.0, 2))
+            _, tensor = corner_tensor(SensorGeometry(w, h), wspec,
+                                      velocity=velocity, pitch=24, side=8)
+            for pair in range(tensor.K):
+                for params in ((4, 1e-4, 256), (2, 1e-8, 1024)):
+                    kps, desc = classical_detect(tensor, pair, *params)
+                    want_kps, want_desc = classical_reference(tensor, pair,
+                                                              *params)
+                    assert_same_keypoints(kps, want_kps)
+                    assert np.array_equal(desc.vectors, want_desc.vectors)
+                    assert np.array_equal(desc.valid, want_desc.valid)
+
+    def test_boxsum_matches_reference_bitwise(self):
+        rng = np.random.default_rng(24)
+        for shape in ((128, 128), (180, 240), (7, 5), (1, 1), (3, 64),
+                      (64, 3)):
+            for scale in (1e-15, 1.0, 1e15):
+                x = rng.standard_normal(shape) * scale
+                assert np.array_equal(_boxsum3(x), boxsum3_reference(x))
+
     def test_channel_pair_bounds_checked(self):
         geo = SensorGeometry(32, 32)
         wspec = WindowSpec.default_constant_count()
-        _, _, tensor = self._tensor(geo, wspec)
+        _, tensor = corner_tensor(geo, wspec)
         with pytest.raises(ValueError):
             classical_detect(tensor, 4, 4, 1e-4, 100)
 
@@ -313,7 +467,6 @@ class TestClassicalDetect:
 class TestKeypointExport:
     def test_jsonl_lines_parse(self):
         import json
-        from evfront.detect import KeypointSet
         kps = KeypointSet(np.array([[1.0, 2.0], [3.0, 4.0]]),
                           np.array([0.9, 0.5]))
         desc = Descriptors(np.eye(2, 64, dtype=np.float32),

@@ -1,6 +1,8 @@
 """Shared state, watermark ticks, snapshots, and the run loops."""
 
 import json
+import platform
+import resource
 import threading
 
 import numpy as np
@@ -171,6 +173,22 @@ class TestSerialRun:
             ref = next(r for r in all_results if r.version == got.version)
             assert got.tau == ref.tau
             assert np.array_equal(got.keypoints.xy, ref.keypoints.xy)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="sets glibc's malloc thresholds")
+    def test_repeat_run_reuses_freed_memory(self):
+        """Per-frame arrays come from freed heap memory, not fresh pages,
+        whatever the process freed before; unmapped and trimmed, the
+        128x128 frames below fault in 200 to 450 pages each."""
+        source = _grid_source(duration=0.5, size=128, vel=(-56.0, -42.0),
+                              pitch=48, side=16)
+        config = PipelineConfig(tick=10_000, channel_pair=3)
+        run_pipeline(source, config, mode="serial")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        results, _ = run_pipeline(source, config, mode="serial")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert len(results) > 20
+        assert faults < 16 * len(results)
 
     def test_watermark_lag_holds_back_recent_events(self):
         geo = SensorGeometry(16, 16)

@@ -328,6 +328,26 @@ class TestMcts:
         assert np.array_equal(tensor.channels[3],
                               time_surface(grid, tau, 40_000, 1))
 
+    def test_equals_stacked_time_surfaces(self):
+        # mcts fills its planes in place; each must equal the standalone
+        # surface bitwise, including taus before the newest event
+        geo = SensorGeometry(24, 16)
+        rng = np.random.default_rng(15)
+        b = _random_batch(rng, 3_000, geo, 200_000)
+        grid = TimestampGrid.create(geo)
+        specs = (WindowSpec.default_constant_count(),
+                 WindowSpec("fixed-duration", durations=(7, 3_000, 90_000)))
+        ring = EventCountRing(specs[0].ring_capacity(geo))
+        apply_events(grid, ring, b)
+        for spec in specs:
+            for tau in (grid.latest_time, grid.latest_time - 50_000):
+                tensor = mcts(grid, ring, tau, spec)
+                want = np.stack(
+                    [time_surface(grid, tau, dt, p)
+                     for p in (-1, 1) for dt in tensor.window_durations])
+                assert tensor.channels.dtype == want.dtype
+                assert np.array_equal(tensor.channels, want)
+
 
 class TestMctsDump:
     def test_round_trip(self):
