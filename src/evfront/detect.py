@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .surface import MctsTensor
 
@@ -171,26 +170,37 @@ def zero_weights(spec: NetworkSpec) -> WeightBundle:
 
 
 def _conv3x3(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # im2col + one gemm; stride 1, zero padding 1, so H and W are kept
+    # stride 1, zero padding 1, so H and W are kept; the im2col buffer is
+    # channel-major (cin, 3, 3, h, w), so one gemm yields (cout, h*w)
     cout, cin = kernel.shape[:2]
     h, w = x.shape[1:]
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, cin * 9)
-    out = cols @ kernel.reshape(cout, cin * 9).T
-    return out.T.reshape(cout, h, w)
+    padded = np.zeros((cin, h + 2, w + 2), dtype=x.dtype)
+    padded[:, 1:h + 1, 1:w + 1] = x
+    cols = np.empty((cin, 3, 3, h, w), dtype=x.dtype)
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
+    out = kernel.reshape(cout, cin * 9) @ cols.reshape(cin * 9, h * w)
+    return out.reshape(cout, h, w)
 
 
 def _batchnorm(x: np.ndarray, scale, shift, mean, var, eps: float) -> np.ndarray:
-    # inference form only; running statistics come with the weights
+    # inference form only; running statistics come with the weights.
+    # Overwrites x; folding into the kernels would change the rounding.
     inv = 1.0 / np.sqrt(var + np.float32(eps))
-    return ((x - mean[:, None, None]) * inv[:, None, None]
-            * scale[:, None, None] + shift[:, None, None])
+    x -= mean[:, None, None]
+    x *= inv[:, None, None]
+    x *= scale[:, None, None]
+    x += shift[:, None, None]
+    return x
 
 
 def _maxpool2(x: np.ndarray) -> np.ndarray:
+    # row pairs first, as contiguous half rows, then column pairs
     c, h, w = x.shape
-    return x.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    pairs = x.reshape(c, h // 2, 2 * w)
+    rows = np.maximum(pairs[:, :, :w], pairs[:, :, w:])
+    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
 def _softmax_channels(x: np.ndarray) -> np.ndarray:
@@ -215,9 +225,12 @@ def _encode(weights: WeightBundle, x: np.ndarray) -> np.ndarray:
         feat = _batchnorm(feat, weights.bn_scale[i], weights.bn_shift[i],
                           weights.bn_mean[i], weights.bn_var[i],
                           weights.bn_epsilon)
-        feat = np.maximum(feat, np.float32(0))
         feat = _maxpool2(feat)
-    return feat
+        # ReLU after the pool: max commutes exactly with max(., 0)
+        np.maximum(feat, np.float32(0), out=feat)
+    # the heads' gemms round differently by operand layout; they have
+    # always read the features pixel-major, (h, w, c) in memory
+    return np.ascontiguousarray(feat.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _detector_head(weights: WeightBundle, feat: np.ndarray) -> np.ndarray:

@@ -2,8 +2,12 @@
 
 Descriptors are mapped to signed 8-bit integers with a symmetric scale;
 the scale cancels out of cosine distances, so matching never needs to
-undo the quantization. All dot products and squared norms stay in 64-bit
-integers; one real division produces each distance.
+undo the quantization. Dot products and squared norms run as one float64
+BLAS GEMM, which is exact: every partial sum is an integer of at most
+D*127^2, far below 2^53, and each square of a dot and product of two
+norms is then one correctly rounded multiplication of exact integers,
+the same value a 64-bit integer product would round to. One real
+division produces each distance.
 """
 
 from __future__ import annotations
@@ -76,39 +80,38 @@ def quantize(desc: Descriptors,
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - dot(a,b)/(|a|*|b|) on integer vectors.
+    """1 - dot(a,b)/(|a|*|b|) on two int8-range integer vectors.
 
-    Computed as 1 - sign(dot)*sqrt(dot^2/(aa*bb)) so the integer products
-    cancel a common scale exactly before the single division. A zero-norm
-    operand yields the maximal distance 2.
+    One element of ``distance_matrix``, so both share one arithmetic. A
+    zero-norm operand yields the maximal distance 2.
     """
-    av = np.asarray(a, dtype=np.int64)
-    bv = np.asarray(b, dtype=np.int64)
-    dot = int(av @ bv)
-    aa = int(av @ av)
-    bb = int(bv @ bv)
-    if aa == 0 or bb == 0:
-        return 2.0
-    ratio = np.sqrt(np.float64(dot * dot) / np.float64(aa * bb))
-    return float(1.0 - np.copysign(ratio, dot))
+    pair = [np.asarray(v) for v in (a, b)]
+    for v in pair:
+        if v.dtype.kind not in "iu":
+            raise TypeError(f"integer vectors required, got {v.dtype}")
+        if v.size and (v.min() < -128 or v.max() > 127):
+            raise ValueError("component outside the int8 range")
+    return float(distance_matrix(pair[0][None], pair[1][None])[0, 0])
 
 
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances between int8 descriptor sets.
 
-    Same arithmetic as ``cosine_distance``, vectorized; rows or columns
-    with zero norm read 2 everywhere.
+    1 - sign(dot)*sqrt(dot^2/(aa*bb)) per pair, so a common scale of the
+    integer vectors cancels exactly before the single division; rows or
+    columns with zero norm read 2 everywhere.
     """
-    av = a.astype(np.int64)
-    bv = b.astype(np.int64)
-    dots = av @ bv.T
-    aa = (av * av).sum(axis=1)
-    bb = (bv * bv).sum(axis=1)
-    denom = (aa[:, None] * bb[None, :]).astype(np.float64)
-    good = denom > 0
-    dist = np.full(dots.shape, 2.0)
-    ratio = np.sqrt((dots[good].astype(np.float64) ** 2) / denom[good])
-    dist[good] = 1.0 - np.copysign(ratio, dots[good])
+    af = a.astype(np.float64)
+    bf = b.astype(np.float64)
+    dots = af @ bf.T
+    denom = np.multiply.outer((af * af).sum(axis=1), (bf * bf).sum(axis=1))
+    dist = dots * dots
+    with np.errstate(invalid="ignore"):
+        dist /= denom  # 0/0 where a norm is zero, overwritten below
+    np.sqrt(dist, out=dist)
+    np.copysign(dist, dots, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    dist[denom == 0] = 2.0
     return dist
 
 
@@ -129,11 +132,12 @@ def match_mutual_nn(a: QuantizedDescriptors, b: QuantizedDescriptors,
     dist = distance_matrix(a.vectors, b.vectors)
     best_b = dist.argmin(axis=1)   # first minimum = lowest index
     best_a = dist.argmin(axis=0)
-    out = []
-    for i, j in enumerate(best_b):
-        if best_a[j] == i and dist[i, j] <= max_distance:
-            out.append(Match(int(i), int(j), float(dist[i, j])))
-    return out
+    rows = np.arange(len(a))
+    nearest = dist[rows, best_b]
+    keep = (best_a[best_b] == rows) & (nearest <= max_distance)
+    return [Match(i, j, d) for i, j, d in zip(rows[keep].tolist(),
+                                              best_b[keep].tolist(),
+                                              nearest[keep].tolist())]
 
 
 def verify_matches(matches: list[Match], kps_a: KeypointSet,

@@ -22,7 +22,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -129,21 +129,7 @@ class Metrics:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "results_emitted": self.results_emitted,
-            "versions_applied": self.versions_applied,
-            "events_applied": self.events_applied,
-            "mean_stage_us": self.mean_stage_us,
-            "max_stage_us": self.max_stage_us,
-            "iteration_rate_hz": self.iteration_rate_hz,
-            "mean_staleness_us": self.mean_staleness_us,
-            "max_staleness_us": self.max_staleness_us,
-            "writer_stall_us": self.writer_stall_us,
-            "snapshot_copy_mean_us": self.snapshot_copy_mean_us,
-            "snapshot_copy_max_us": self.snapshot_copy_max_us,
-            "intervals": self.intervals,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
@@ -370,12 +356,13 @@ def _run_threaded(source, config, state):
     writer = _WriterLoop(source, state, config)
     progress = threading.Condition()
     done = threading.Event()
+    stop = threading.Event()  # set when the frontend loop leaves, even on error
     failure: list[str] = []
 
     def writer_main():
         try:
             next_deadline = time.perf_counter()
-            while not writer.exhausted:
+            while not writer.exhausted and not stop.is_set():
                 if source.paced:
                     next_deadline += config.tick / US_PER_S
                     lag = next_deadline - time.perf_counter()
@@ -398,19 +385,22 @@ def _run_threaded(source, config, state):
     copy_times: list[int] = []
     started = _now_us()
     thread.start()
-    last_version = 0
-    while True:
-        with progress:
-            while state.version == last_version and not done.is_set():
-                progress.wait(timeout=0.05)
-        if state.version == last_version and done.is_set():
-            break
-        copy_from = _now_us()
-        snap = freeze_snapshot(state)
-        copy_times.append(_now_us() - copy_from)
-        last_version = snap.version
-        _step_if_fresh(snap, results, config, staleness)
-    thread.join()
+    try:
+        last_version = 0
+        while True:
+            with progress:
+                while state.version == last_version and not done.is_set():
+                    progress.wait(timeout=0.05)
+            if state.version == last_version and done.is_set():
+                break
+            copy_from = _now_us()
+            snap = freeze_snapshot(state)
+            copy_times.append(_now_us() - copy_from)
+            last_version = snap.version
+            _step_if_fresh(snap, results, config, staleness)
+    finally:
+        stop.set()
+        thread.join()
     metrics = _collect_metrics(results, staleness, copy_times, state, started,
                                _now_us(), config)
     if failure:

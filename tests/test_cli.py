@@ -2,7 +2,7 @@
 
 import json
 
-from evfront import cli
+from evfront import cli, pipeline
 from evfront.events import SensorGeometry, parse_events
 from evfront.surface import read_mcts
 
@@ -131,6 +131,32 @@ class TestRun:
         header = timings.read_text().splitlines()[0]
         assert header == ("interval_start_us,mcts_preparation,"
                           "keypoint_detection,matching,total")
+
+    def test_metrics_json_fields_in_declared_order(self, tmp_path,
+                                                  monkeypatch):
+        real_run = pipeline.run_pipeline
+        runs = []
+
+        def recording_run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
+        src = _synth(tmp_path)
+        metrics = tmp_path / "m.json"
+        rc = cli.main(["run", "-i", str(src), "--mode", "serial",
+                       "--channel-pair", "3", "--metrics", str(metrics),
+                       "--metrics-interval", "100000"])
+        assert rc == 0
+        m = runs[0][1]
+        want = {name: getattr(m, name) for name in (
+            "results_emitted", "versions_applied", "events_applied",
+            "mean_stage_us", "max_stage_us", "iteration_rate_hz",
+            "mean_staleness_us", "max_staleness_us", "writer_stall_us",
+            "snapshot_copy_mean_us", "snapshot_copy_max_us", "intervals",
+            "error")}
+        assert m.intervals and m.mean_stage_us
+        assert metrics.read_text() == json.dumps(want, indent=2) + "\n"
 
     def test_no_descriptors_flag(self, tmp_path):
         src = _synth(tmp_path)

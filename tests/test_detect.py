@@ -1,10 +1,13 @@
 """Network forward pass, NMS, descriptors, weights, classical detector."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter
 
+from evfront import detect
 from evfront.detect import (
     HARRIS_K,
     PATCH,
@@ -14,6 +17,7 @@ from evfront.detect import (
     _boxsum3,
     _normalize_rows,
     classical_detect,
+    detector_probabilities,
     forward,
     interpolate_descriptors,
     keypoints_to_jsonl,
@@ -44,6 +48,33 @@ SPEC = NetworkSpec()
 # ---------------------------------------------------------------------------
 # reference implementations: the straightforward forms the fast paths in
 # evfront.detect replace, kept as bitwise oracles
+
+
+def conv3x3_reference(x, kernel):
+    # pixel-major im2col + one gemm
+    cout, cin = kernel.shape[:2]
+    h, w = x.shape[1:]
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
+    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, cin * 9)
+    out = cols @ kernel.reshape(cout, cin * 9).T
+    return out.T.reshape(cout, h, w)
+
+
+def encode_reference(weights, x):
+    # conv, batchnorm, ReLU, then a 2x2 max-pool per stage, each op on a
+    # fresh array
+    feat = x.astype(np.float32, copy=False)
+    for i in range(len(weights.spec.encoder_widths)):
+        feat = conv3x3_reference(feat, weights.conv_kernels[i])
+        inv = 1.0 / np.sqrt(weights.bn_var[i] + np.float32(weights.bn_epsilon))
+        feat = ((feat - weights.bn_mean[i][:, None, None])
+                * inv[:, None, None] * weights.bn_scale[i][:, None, None]
+                + weights.bn_shift[i][:, None, None])
+        feat = np.maximum(feat, np.float32(0))
+        c, h, w = feat.shape
+        feat = feat.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
+    return feat
 
 
 def boxsum3_reference(x):
@@ -183,6 +214,38 @@ class TestForwardNumerics:
         heat, desc = forward(w, x)
         assert np.allclose(heat, 1.0 / SPEC.detector_head_channels)
         assert np.array_equal(desc, np.zeros_like(desc))
+
+    def test_matches_reference_encoder_bitwise(self, monkeypatch):
+        # heads run unchanged on top of the reference encoder; batchnorm
+        # with negative scales and nonzero statistics exercises the
+        # ReLU/pool reordering and the in-place op order
+        rng = np.random.default_rng(9)
+        bundles = [random_weights(SPEC, seed) for seed in (0, 1, 2)]
+        base = bundles[0]
+
+        def stats(arrays, lo, hi):
+            return tuple(rng.uniform(lo, hi, a.shape).astype(np.float32)
+                         for a in arrays)
+
+        bundles.append(replace(
+            base, bn_scale=stats(base.bn_scale, -2.0, 2.0),
+            bn_shift=stats(base.bn_shift, -1.0, 1.0),
+            bn_mean=stats(base.bn_mean, -0.5, 0.5),
+            bn_var=stats(base.bn_var, 0.1, 2.0)))
+        inputs = []
+        for h, wd in ((16, 16), (64, 64), (128, 128), (176, 240)):
+            x = rng.random((8, h, wd), dtype=np.float32)
+            x[rng.random(x.shape) < 0.5] = 0  # surfaces are mostly empty
+            inputs.append(x)
+        got = [(forward(w, x), detector_probabilities(w, x))
+               for w in bundles for x in inputs]
+        monkeypatch.setattr(detect, "_encode", encode_reference)
+        want = [(forward(w, x), detector_probabilities(w, x))
+                for w in bundles for x in inputs]
+        for ((heat, desc), probs), ((heat0, desc0), probs0) in zip(got, want):
+            assert np.array_equal(heat, heat0)
+            assert np.array_equal(desc, desc0)
+            assert np.array_equal(probs, probs0)
 
 
 class TestNms:

@@ -5,6 +5,7 @@ import pytest
 
 from evfront.detect import Descriptors, KeypointSet
 from evfront.matching import (
+    DEFAULT_MAX_DISTANCE,
     DEFAULT_SCALE,
     QMAX,
     Match,
@@ -31,6 +32,51 @@ def float_cosine(a, b):
     if na == 0 or nb == 0:
         return 2.0
     return 1.0 - float(a @ b) / (na * nb)
+
+
+def distance_matrix_reference(a, b):
+    # 64-bit integer dot products and norms, one real division per pair
+    av = a.astype(np.int64)
+    bv = b.astype(np.int64)
+    dots = av @ bv.T
+    aa = (av * av).sum(axis=1)
+    bb = (bv * bv).sum(axis=1)
+    denom = (aa[:, None] * bb[None, :]).astype(np.float64)
+    good = denom > 0
+    dist = np.full(dots.shape, 2.0)
+    ratio = np.sqrt((dots[good].astype(np.float64) ** 2) / denom[good])
+    dist[good] = 1.0 - np.copysign(ratio, dots[good])
+    return dist
+
+
+def match_mutual_nn_reference(dist, max_distance):
+    # over a precomputed reference distance matrix
+    best_b = dist.argmin(axis=1)
+    best_a = dist.argmin(axis=0)
+    out = []
+    for i, j in enumerate(best_b):
+        if best_a[j] == i and dist[i, j] <= max_distance:
+            out.append(Match(int(i), int(j), float(dist[i, j])))
+    return out
+
+
+def _hard_int8_sets(rng, n, d):
+    """Random rows mixed with all-zero rows, rows of +-127 only, duplicated
+    rows and near copies of the other side's rows."""
+    a = rng.integers(-127, 128, (n, d)).astype(np.int8)
+    b = rng.integers(-127, 128, (n + 7, d)).astype(np.int8)
+    for v in (a, b):
+        rows = len(v)
+        v[rng.random(rows) < 0.1] = 0
+        extreme = rng.random(rows) < 0.1
+        v[extreme] = rng.choice(np.array([-127, 127], np.int8),
+                                (int(extreme.sum()), d))
+        dup = rng.random(rows) < 0.2
+        v[dup] = v[rng.integers(0, rows, int(dup.sum()))]
+    near = rng.random(n) < 0.5
+    noise = rng.integers(-3, 4, (int(near.sum()), d))
+    b[:n][near] = np.clip(a[near] + noise, -127, 127).astype(np.int8)
+    return a, b
 
 
 class TestQuantize:
@@ -122,6 +168,35 @@ class TestCosineDistance:
             for j in (0, 13, 29):
                 assert m[i, j] == cosine_distance(a[i], b[j])
 
+    def test_extreme_rows_bitwise(self):
+        # every component +-127: the largest possible dots and norms
+        rng = np.random.default_rng(12)
+        for d in (1, 64, 2048):
+            a = rng.choice(np.array([-127, 127], np.int8), (30, d))
+            b = np.concatenate([a[:10], -a[10:20],
+                                rng.choice(np.array([-127, 127], np.int8),
+                                           (10, d))])
+            assert np.array_equal(distance_matrix(a, b),
+                                  distance_matrix_reference(a, b))
+
+    def test_scalar_is_matrix_element(self):
+        rng = np.random.default_rng(13)
+        a = rng.integers(-127, 128, (25, 64)).astype(np.int8)
+        b = rng.integers(-127, 128, (30, 64)).astype(np.int8)
+        a[[0, 9]] = 0
+        b[[4, 29]] = 0
+        m = distance_matrix(a, b)
+        got = np.array([[cosine_distance(u, v) for v in b] for u in a])
+        assert np.array_equal(got, m)
+        assert all(type(cosine_distance(u, b[0])) is float for u in a[:3])
+
+    def test_scalar_rejects_non_int8_values(self):
+        with pytest.raises(TypeError):
+            cosine_distance(np.ones(4), np.ones(4, np.int8))
+        with pytest.raises(ValueError):
+            cosine_distance(np.array([128, 0]), np.array([1, 0]))
+        assert cosine_distance(np.array([-128, 0]), np.array([1, 0])) == 2.0
+
 
 class TestMutualNn:
     def test_identity_sets_match_by_index(self):
@@ -184,6 +259,28 @@ class TestMutualNn:
         ib = [m.index_b for m in matches]
         assert len(ia) == len(set(ia))
         assert len(ib) == len(set(ib))
+
+    def test_matches_integer_and_loop_references(self):
+        rng = np.random.default_rng(14)
+        scheme = QuantizationScheme()
+        for n in (1, 40, 210, 1000):
+            for d in (1, 64, 2048):
+                a, b = _hard_int8_sets(rng, n, d)
+                want = distance_matrix_reference(a, b)
+                assert np.array_equal(distance_matrix(a, b), want)
+                qa = QuantizedDescriptors(a, scheme)
+                qb = QuantizedDescriptors(b, scheme)
+                # the reference is symmetric bit for bit: integer dots
+                # and norm products commute exactly
+                for x, y, dist in ((qa, qb, want), (qb, qa, want.T)):
+                    for ceiling in (DEFAULT_MAX_DISTANCE, 2.0):
+                        got = match_mutual_nn(x, y, ceiling)
+                        assert got == match_mutual_nn_reference(dist,
+                                                                ceiling)
+                        assert all(type(m.index_a) is int
+                                   and type(m.index_b) is int
+                                   and type(m.distance) is float
+                                   for m in got)
 
 
 class TestVerifyMatches:

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from evfront import pipeline
 from evfront.events import (
     EventBatch,
     MotionSpec,
@@ -238,6 +239,26 @@ class TestThreadedRun:
         assert metrics.error is None
         taus = [r.tau for r in results]
         assert all(b > a for a, b in zip(taus, taus[1:]))
+
+    def test_frontend_failure_stops_writer(self, monkeypatch):
+        # a paced one-second stream keeps the writer ticking long after
+        # the frontend's second step fails
+        source = ReplaySource(_grid_source(duration=1.0).batch, paced=True)
+        real_step = pipeline.frontend_step
+        calls = []
+
+        def failing_step(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("detector failed")
+            return real_step(*args)
+
+        monkeypatch.setattr(pipeline, "frontend_step", failing_step)
+        with pytest.raises(RuntimeError, match="detector failed"):
+            run_pipeline(source, PipelineConfig(), mode="threaded")
+        assert len(calls) == 2
+        assert not [t for t in threading.enumerate()
+                    if t.name == "preprocess-writer" and t.is_alive()]
 
     def test_staleness_metrics_populated(self):
         source = _grid_source(duration=0.5)
