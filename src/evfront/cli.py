@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
-         "ingest, mcts, classical, forward, match, or all")
+         "ingest, mcts, classical, nms, forward, match, or all")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
@@ -423,9 +423,12 @@ def cmd_bench(opts, args) -> int:
     if opts["iterations"] < 1:
         raise UsageError("iterations must be at least 1")
     wanted = opts["workload"]
-    if wanted not in ("ingest", "mcts", "classical", "forward", "match",
-                      "all"):
+    if wanted not in ("ingest", "mcts", "classical", "nms", "forward",
+                      "match", "all"):
         raise UsageError(f"unknown workload {wanted!r}")
+    # time the layers with the allocator settings run_pipeline uses, not
+    # with fresh pages faulted in by every large temporary
+    pipeline._keep_freed_memory()
     rng = np.random.default_rng(opts["seed"])
     rows = []
 
@@ -458,9 +461,9 @@ def cmd_bench(opts, args) -> int:
                 *_time_us(lambda: surface.mcts(grid, ring, tau, spec),
                           opts["iterations"])))
 
-    if wanted in ("classical", "all"):
+    if wanted in ("classical", "nms", "all"):
         # the acceptance corner grid, velocity jittered by the seed; n is
-        # the sensor's pixel count
+        # the sensor's pixel count. nms runs on the grid's Harris response
         config = pipeline.PipelineConfig()
         spec = config.window_spec
         velocity = tuple(v * rng.uniform(0.99, 1.01) for v in (-56.0, -42.0))
@@ -473,11 +476,19 @@ def cmd_bench(opts, args) -> int:
             surface.apply_events(grid, ring,
                                  events.synthesize(motion, geometry))
             tensor = surface.mcts(grid, ring, grid.latest_time, spec)
-            rows.append((
-                "classical", geometry.pixel_count,
-                *_time_us(lambda: detect.classical_detect(
-                    tensor, 3, config.nms_radius, config.nms_threshold,
-                    config.nms_max_k), opts["iterations"])))
+            if wanted != "nms":
+                rows.append((
+                    "classical", geometry.pixel_count,
+                    *_time_us(lambda: detect.classical_detect(
+                        tensor, 3, config.nms_radius, config.nms_threshold,
+                        config.nms_max_k), opts["iterations"])))
+            if wanted != "classical":
+                _, response = detect._harris(tensor, 3)
+                rows.append((
+                    "nms", geometry.pixel_count,
+                    *_time_us(lambda: detect.nms(
+                        response, config.nms_radius, config.nms_threshold,
+                        config.nms_max_k), opts["iterations"])))
 
     if wanted in ("forward", "all"):
         weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])

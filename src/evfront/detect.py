@@ -20,6 +20,9 @@ WEIGHTS_VERSION = 1
 
 HARRIS_K = 0.04
 PATCH = 8  # classical descriptor patch side; 8*8 = 64 = learned D
+# zero border of the Harris buffers: the box sums read one cell past a
+# one-pixel border
+_RING = 2
 
 
 @dataclass(frozen=True)
@@ -288,39 +291,68 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    size = 2 * radius + 1
     h, w = heatmap.shape
-    padded = np.full((h + 2 * radius, w + 2 * radius), -np.inf,
-                     dtype=heatmap.dtype)
-    padded[radius:radius + h, radius:radius + w] = heatmap
+    stride = w + 2 * radius
+    flat, plane = _ringed(h, w, radius, -np.inf, heatmap.dtype)
+    plane[...] = heatmap
+    # pixel (y, x) sits at first + y*stride + x, and the window centred
+    # on it has its top-left cell at y*stride + x
+    first = radius * stride + radius
+    n = (h - 1) * stride + w
+    values = flat[first:first + n]
+    full_max = _window_max(flat, 2 * radius + 1, stride)[:n]
+    at = first + np.flatnonzero((values == full_max) & (values >= threshold))
     # a strict maximum is a maximum of its full square whose value occurs
-    # there once; only the few full-square maxima need the tie check
-    full_max = _window_max(padded, size)
-    ys, xs = np.nonzero((heatmap == full_max) & (heatmap >= threshold))
-    span = np.arange(size)
-    windows = padded[(ys[:, None] + span)[:, :, None],
-                     (xs[:, None] + span)[:, None, :]]
-    once = (windows == heatmap[ys, xs][:, None, None]).sum(axis=(1, 2)) == 1
-    ys, xs = ys[once], xs[once]  # row-major, the tie order
-    scores = heatmap[ys, xs]
+    # there once. Its value occurs once in its 3x3 square too: checking
+    # that first drops plateaus, and any border cell (its neighbours on
+    # the border are -inf as well), before the costlier whole windows
+    span = np.arange(-radius, radius + 1)
+    window = span[:, None] * stride + span
+    for offsets in (window[radius - 1:radius + 2, radius - 1:radius + 2],
+                    window):
+        # one row per offset, so every op runs along the candidates
+        ties = flat[offsets.reshape(-1, 1) + at] == flat[at]
+        at = at[ties.sum(axis=0) == 1]  # ascending: row-major order
+    scores = flat[at]
+    ys, xs = np.divmod(at - first, stride)
     order = np.argsort(-scores, kind="stable")[:max_k]
     xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
     return KeypointSet(xy, scores[order])
 
 
-def _window_max(x: np.ndarray, size: int) -> np.ndarray:
-    """Maximum of every size x size window of ``x``, one axis at a time.
+def _ringed(h: int, w: int, ring: int, fill: float,
+            dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A flat buffer holding an h x w plane inside a ``ring``-wide border.
 
-    Each step merges two running maxima, doubling the span they cover;
-    max is exact, so the grouping does not change any value.
+    The row stride is ``w + 2*ring``, so a shift by one row or column is
+    a shift of a contiguous slice. Returns the buffer, its border set to
+    ``fill``, and the (h, w) view of the plane inside it, left for the
+    caller to write.
     """
-    for _ in range(2):  # along rows, then along rows of the transpose
+    stride = w + 2 * ring
+    flat = np.empty((h + 2 * ring) * stride, dtype=dtype)
+    rows = flat.reshape(-1, stride)
+    rows[:ring] = rows[ring + h:] = fill
+    rows[ring:ring + h, :ring] = rows[ring:ring + h, ring + w:] = fill
+    return flat, rows[ring:ring + h, ring:ring + w]
+
+
+def _window_max(flat: np.ndarray, size: int, stride: int) -> np.ndarray:
+    """Maximum of every size x size window of a flat plane of row stride
+    ``stride``, indexed by the window's top-left cell.
+
+    Along rows and then along columns, each step merges two running
+    maxima, doubling the span they cover; max is exact, so the grouping
+    does not change any value. Windows that wrap past a row end are
+    computed too; callers read only the ones that do not.
+    """
+    x = flat
+    for unit in (1, stride):
         span = 1
         while span < size:
             step = min(span, size - span)
-            x = np.maximum(x[:, :-step], x[:, step:])
+            x = np.maximum(x[:-step * unit], x[step * unit:])
             span += step
-        x = x.T
     return x
 
 
@@ -382,46 +414,102 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
     flattened 8x8 patch around each keypoint, mean-subtracted and
     L2-normalized, making them 64-dim like the learned path.
     """
-    k_pairs = tensor.K
-    if not 0 <= channel_pair < k_pairs:
-        raise ValueError(f"channel pair {channel_pair} outside 0..{k_pairs - 1}")
-    merged = np.maximum(tensor.channels[channel_pair],
-                        tensor.channels[k_pairs + channel_pair])
-
-    gy, gx = np.gradient(merged.astype(np.float64))
-    sxx = _boxsum3(gx * gx)
-    syy = _boxsum3(gy * gy)
-    sxy = _boxsum3(gx * gy)
-    response = sxx * syy - sxy * sxy - HARRIS_K * (sxx + syy) ** 2
-
+    flat, response = _harris(tensor, channel_pair)
     keypoints = nms(response, radius, threshold, max_k)
     if len(keypoints) == 0:
         return keypoints, Descriptors(np.zeros((0, PATCH * PATCH),
                                                dtype=np.float32),
                                       np.zeros(0, dtype=bool))
 
-    # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated
-    h, w = merged.shape
+    # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated,
+    # read from the merged plane in ``flat``
+    h, w = response.shape
+    stride = w + 2 * _RING
     cols, rows = keypoints.xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
-    rows = np.clip(rows[:, None] + span, 0, h - 1)
-    cols = np.clip(cols[:, None] + span, 0, w - 1)
-    patches = merged[rows[:, :, None], cols[:, None, :]] \
-        .reshape(len(keypoints), PATCH * PATCH)
+    rows = np.clip(rows[:, None] + span, 0, h - 1) + _RING
+    cols = np.clip(cols[:, None] + span, 0, w - 1) + _RING
+    patches = flat[rows[:, :, None] * stride + cols[:, None, :]] \
+        .reshape(len(keypoints), PATCH * PATCH).astype(np.float32)
     patches -= patches.mean(axis=1, keepdims=True)
     return keypoints, _normalize_rows(patches)
 
 
-def _boxsum3(x: np.ndarray) -> np.ndarray:
-    # rows first, each sum taken left to right: this order reproduces the
-    # bits of a 3x3 sliding-window sum; columns first is off by an ulp
-    h, w = x.shape
-    p = np.zeros((h + 2, w + 2), dtype=x.dtype)
-    p[1:h + 1, 1:w + 1] = x
-    rows = p[:, 0:w] + p[:, 1:w + 1]
-    rows += p[:, 2:w + 2]
-    out = rows[0:h] + rows[1:h + 1]
-    out += rows[2:h + 2]
+def _harris(tensor: MctsTensor,
+            channel_pair: int) -> tuple[np.ndarray, np.ndarray]:
+    """The merged plane of a channel pair and its Harris response.
+
+    Returns a flat buffer holding the merged plane as float64 inside a
+    zero border ``_RING`` wide, and the (h, w) response (a view). Every
+    step is a 1D op on contiguous slices of whole plane rows, shifted by
+    one cell or one row, in the operation order of the 2D forms:
+    ``np.gradient``, then the products, their 3x3 box sums and
+    det - k*trace^2.
+    """
+    k_pairs = tensor.K
+    if not 0 <= channel_pair < k_pairs:
+        raise ValueError(f"channel pair {channel_pair} outside 0..{k_pairs - 1}")
+    h, w = tensor.channels.shape[1:]
+    if h < 2 or w < 2:
+        raise ValueError(f"a {h}x{w} plane is too small for a gradient: "
+                         "each side needs at least 2 pixels")
+    flat, plane = _ringed(h, w, _RING, 0.0, np.float64)
+    # max and the widening to float64 are exact
+    np.maximum(tensor.channels[channel_pair],
+               tensor.channels[k_pairs + channel_pair], out=plane)
+
+    stride = w + 2 * _RING
+    lo, n = _RING * stride, h * stride  # the plane's rows, ring included
+    grad = np.empty((2, n))
+    gx, gy = grad
+    np.subtract(flat[lo + 1:lo + n + 1], flat[lo - 1:lo + n - 1], out=gx)
+    np.subtract(flat[lo + stride:lo + n + stride],
+                flat[lo - stride:lo + n - stride], out=gy)
+    grad *= 0.5  # rounds the same real number as np.gradient's / 2.0
+    # one-sided differences on the edges, as np.gradient takes them
+    rows = flat[lo:lo + n].reshape(h, stride)
+    gx2, gy2 = grad.reshape(2, h, stride)
+    c0, c1 = _RING, _RING + w - 1
+    np.subtract(rows[:, c0 + 1], rows[:, c0], out=gx2[:, c0])
+    np.subtract(rows[:, c1], rows[:, c1 - 1], out=gx2[:, c1])
+    np.subtract(rows[1], rows[0], out=gy2[0])
+    np.subtract(rows[h - 1], rows[h - 2], out=gy2[h - 1])
+    gx2[:, :c0] = 0.0  # the ring: gy is already zero there, gx is not
+    gx2[:, c1 + 1:] = 0.0
+
+    products = np.empty((3, flat.size))
+    products[:, :lo] = 0.0
+    products[:, lo + n:] = 0.0
+    np.multiply(gx, gx, out=products[0, lo:lo + n])
+    np.multiply(gy, gy, out=products[1, lo:lo + n])
+    np.multiply(gx, gy, out=products[2, lo:lo + n])
+    sxx, syy, sxy = _boxsum3(products, lo, n, stride)
+
+    # sxx*syy - sxy*sxy - HARRIS_K*(sxx + syy)**2, in that order
+    response = np.multiply(sxx, syy, out=gx)
+    sxy *= sxy
+    response -= sxy
+    sxx += syy
+    sxx *= sxx
+    sxx *= HARRIS_K
+    response -= sxx
+    return flat, response.reshape(h, stride)[:, _RING:_RING + w]
+
+
+def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int) -> np.ndarray:
+    """3x3 box sums of the cells lo..lo+n of each row of ``x``.
+
+    ``x`` stacks flat planes of row stride ``stride``; the cells a box
+    reaches outside the plane must be zero, and one more cell must exist
+    before and after those. Rows first, each sum taken left to right:
+    this order reproduces the bits of a 3x3 sliding-window sum; columns
+    first is off by an ulp.
+    """
+    a, b = lo - stride, lo + n + stride
+    rows = x[:, a - 1:b - 1] + x[:, a:b]
+    rows += x[:, a + 1:b + 1]
+    out = rows[:, :n] + rows[:, stride:stride + n]
+    out += rows[:, 2 * stride:]
     return out
 
 

@@ -69,6 +69,9 @@ class PipelineConfig:
             raise ValueError("learned detector needs weights")
         if self.watermark_lag < 0:
             raise ValueError("watermark lag cannot be negative")
+        self.window_spec.pair_window(self.channel_pair)  # pair in 0..K-1
+        if self.nms_radius < 1:
+            raise ValueError("NMS radius must be at least 1")
 
 
 class SharedSurfaceState:
@@ -165,13 +168,17 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
     """One frontend iteration over a frozen snapshot.
 
     tau is the snapshot's newest applied event time (the latest possible
-    event state). Matching runs current-against-previous descriptors.
+    event state). The classical detector gets a tensor of its channel
+    pair alone. Matching runs current-against-previous descriptors.
     """
     t0 = _now_us()
     tau = snapshot.grid.latest_time
     if tau is None:
         raise ValueError("snapshot holds no events")
-    tensor = mcts(snapshot.grid, snapshot.ring, tau, config.window_spec)
+    spec = config.window_spec
+    if config.detector == "classical":  # it reads one pair: build only that
+        spec = spec.pair_window(config.channel_pair)
+    tensor = mcts(snapshot.grid, snapshot.ring, tau, spec)
     t1 = _now_us()
 
     if config.detector == "learned":
@@ -182,7 +189,7 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
                                               config.weights.spec.cell)
     else:
         keypoints, descriptors = classical_detect(
-            tensor, config.channel_pair, config.nms_radius,
+            tensor, 0, config.nms_radius,
             config.nms_threshold, config.nms_max_k)
     if config.step_delay_us:
         time.sleep(config.step_delay_us / US_PER_S)
@@ -346,7 +353,7 @@ def _run_serial(source, config, state, schedule):
         snap = freeze_snapshot(state)
         copy_times.append(_now_us() - copy_from)
         last_snapped = snap.version
-        _step_if_fresh(snap, results, config, staleness)
+        _step_if_fresh(snap, state, results, config, staleness)
     metrics = _collect_metrics(results, staleness, copy_times, state, started,
                                _now_us(), config)
     return results, metrics
@@ -397,7 +404,7 @@ def _run_threaded(source, config, state):
             snap = freeze_snapshot(state)
             copy_times.append(_now_us() - copy_from)
             last_version = snap.version
-            _step_if_fresh(snap, results, config, staleness)
+            _step_if_fresh(snap, state, results, config, staleness)
     finally:
         stop.set()
         thread.join()
@@ -408,12 +415,15 @@ def _run_threaded(source, config, state):
     return results, metrics
 
 
-def _step_if_fresh(snap: Snapshot, results: list[FrameResult],
-                   config: PipelineConfig, staleness: list[int]) -> bool:
+def _step_if_fresh(snap: Snapshot, state: SharedSurfaceState,
+                   results: list[FrameResult], config: PipelineConfig,
+                   staleness: list[int]) -> bool:
     """Run a frontend step unless the snapshot cannot advance tau.
 
     Batches of identical timestamps can bump the version without moving
-    latest_time; skipping them preserves strict tau monotonicity.
+    latest_time; skipping them preserves strict tau monotonicity. A
+    result's staleness is taken when it is emitted: how far the writer's
+    newest ingested event is then ahead of the result's tau.
     """
     if snap.grid.latest_time is None:
         return False
@@ -422,8 +432,9 @@ def _step_if_fresh(snap: Snapshot, results: list[FrameResult],
     previous = results[-1] if results else None
     result = frontend_step(snap, previous, config)
     results.append(result)
-    if snap.newest_ingested is not None:
-        staleness.append(snap.newest_ingested - result.tau)
+    newest = state.newest_ingested  # one read; the writer sets it whole
+    if newest is not None:
+        staleness.append(newest - result.tau)
     return True
 
 

@@ -73,6 +73,20 @@ class WindowSpec:
     def default_constant_count(cls) -> "WindowSpec":
         return cls("constant-count", normalized_counts=DEFAULT_NORMALIZED_COUNTS)
 
+    def pair_window(self, pair: int) -> "WindowSpec":
+        """One-window spec of channel pair ``pair``.
+
+        ``mcts`` with it builds planes ``pair`` and ``K + pair`` of the
+        full tensor, bit for bit: the window count (or duration) and so
+        the realized duration are the pair's own.
+        """
+        if not 0 <= pair < self.K:
+            raise ValueError(f"channel pair {pair} outside 0..{self.K - 1}")
+        if self.mode == "fixed-duration":
+            return WindowSpec(self.mode, durations=(self.durations[pair],))
+        return WindowSpec(self.mode,
+                          normalized_counts=(self.normalized_counts[pair],))
+
     def ring_capacity(self, geometry: SensorGeometry) -> int:
         """Minimum ring size for the largest window, plus the newest slot."""
         if self.mode != "constant-count":

@@ -323,8 +323,13 @@ def test_ingest_scales_linearly():
             apply_events(grid, ring, batch.slice(lo, lo + 10_000))
         return time.perf_counter_ns() - start
 
-    single = np.median([ingest_time(streams[n]) for _ in range(5)])
-    double = np.median([ingest_time(streams[2 * n]) for _ in range(5)])
+    # the two sizes alternate, so host load hits both alike; the fastest
+    # repeat of each is the one least disturbed
+    times = {m: [] for m in streams}
+    for _ in range(5):
+        for m, batch in streams.items():
+            times[m].append(ingest_time(batch))
+    single, double = min(times[n]), min(times[2 * n])
     assert double <= 2.5 * single, (single, double)
 
 

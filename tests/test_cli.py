@@ -132,6 +132,15 @@ class TestRun:
         assert header == ("interval_start_us,mcts_preparation,"
                           "keypoint_detection,matching,total")
 
+    def test_out_of_range_options_are_usage_errors(self, tmp_path, capsys):
+        src = _synth(tmp_path)
+        for option in (["--channel-pair", "7"], ["--channel-pair=-1"],
+                       ["--nms-radius", "0"]):
+            rc = cli.main(["run", "-i", str(src), "--mode", "serial",
+                           *option])
+            assert rc == 2, option
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_metrics_json_fields_in_declared_order(self, tmp_path,
                                                   monkeypatch):
         real_run = pipeline.run_pipeline
@@ -228,6 +237,14 @@ class TestBench:
         assert lines[0] == "workload,n,mean_us,p99_us"
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["classical", "16384"], ["classical", "43200"]]
+
+    def test_nms_workload_rows(self, capsys):
+        rc = cli.main(["bench", "--workload", "nms", "--iterations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "workload,n,mean_us,p99_us"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["nms", "16384"], ["nms", "43200"]]
 
     def test_unknown_workload(self):
         assert cli.main(["bench", "--workload", "warp"]) == 2

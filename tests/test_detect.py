@@ -14,8 +14,10 @@ from evfront.detect import (
     Descriptors,
     KeypointSet,
     NetworkSpec,
+    _RING,
     _boxsum3,
     _normalize_rows,
+    _ringed,
     classical_detect,
     detector_probabilities,
     forward,
@@ -35,6 +37,7 @@ from evfront.events import (
 )
 from evfront.surface import (
     EventCountRing,
+    MctsTensor,
     TimestampGrid,
     WindowSpec,
     apply_events,
@@ -330,18 +333,50 @@ class TestNms:
         rng = np.random.default_rng(21)
         for levels in (2, 4, 16):           # dense ties everywhere
             maps.append(rng.integers(0, levels, (30, 24)).astype(dtype))
+        # holes and edges of -inf: with threshold -inf they, and the -inf
+        # border nms puts around a map, pass the threshold
+        holes = rng.random((23, 31)).astype(dtype)
+        holes[rng.random(holes.shape) < 0.6] = -np.inf
+        holes[:, :3] = holes[-2:] = -np.inf
+        maps.append(holes)
+        sparse = np.full((20, 20), -np.inf, dtype=dtype)
+        sparse[0, 0] = sparse[19, 19] = sparse[10, 4] = 1.0
+        sparse[0, 19] = -1.0
+        maps.append(sparse)
+        # every pixel a full-square maximum and none strict: the uniform
+        # heatmap of zero weights, above the default threshold
+        maps.append(np.full((180, 240), 1 / 257, dtype=dtype))
         return maps
 
     def test_matches_reference_on_hand_built_maps(self):
         for dtype in (np.float32, np.float64):
             for heat in self._hand_built(dtype):
-                for r in (1, 2, 3):
+                for r in (1, 2, 3, 4):
                     for threshold in (-np.inf, 0.0, 0.5):
                         for max_k in (3, 1000):
                             got = nms(heat, r, threshold, max_k)
                             want = nms_reference(heat, r, threshold, max_k)
                             assert got.scores.dtype == dtype
                             assert_same_keypoints(got, want)
+
+    def test_matches_reference_on_equal_peak_lattices(self):
+        # equal isolated peaks are strictly above their 3x3 rings, so only
+        # the whole-window tie check can suppress them: spacing 2..r ties,
+        # r + 1 does not
+        rng = np.random.default_rng(26)
+        for dtype in (np.float32, np.float64):
+            for r in (2, 3, 4):
+                for spacing in range(2, r + 2):
+                    heat = (rng.random((37, 45)) * 0.5).astype(dtype)
+                    heat[1::spacing, 2::spacing] = 0.9
+                    got = nms(heat, r, 0.1, 1000)
+                    assert_same_keypoints(got,
+                                          nms_reference(heat, r, 0.1, 1000))
+                    if spacing <= r:
+                        assert not (got.scores == dtype(0.9)).any()
+                    else:
+                        assert (got.scores == dtype(0.9)).sum() == \
+                            (heat == dtype(0.9)).sum()
 
     def test_matches_reference_on_learned_heatmaps(self):
         rng = np.random.default_rng(22)
@@ -455,7 +490,6 @@ class TestWeights:
 
 class TestClassicalDetect:
     def test_flat_surface_yields_nothing(self):
-        from evfront.surface import MctsTensor
         t = MctsTensor(np.zeros((8, 32, 32), dtype=np.float32), 100,
                        (1, 2, 3, 4))
         kps, desc = classical_detect(t, 1, 4, 1e-4, 100)
@@ -512,12 +546,52 @@ class TestClassicalDetect:
                     assert np.array_equal(desc.valid, want_desc.valid)
 
     def test_boxsum_matches_reference_bitwise(self):
+        # the flat box sum on the Harris buffer layout: planes stacked in
+        # zero-ringed buffers, summed over their rows
         rng = np.random.default_rng(24)
         for shape in ((128, 128), (180, 240), (7, 5), (1, 1), (3, 64),
                       (64, 3)):
-            for scale in (1e-15, 1.0, 1e15):
-                x = rng.standard_normal(shape) * scale
-                assert np.array_equal(_boxsum3(x), boxsum3_reference(x))
+            h, w = shape
+            stride = w + 2 * _RING
+            xs = [rng.standard_normal(shape) * scale
+                  for scale in (1e-15, 1.0, 1e15)]
+            stack = []
+            for x in xs:
+                flat, plane = _ringed(h, w, _RING, 0.0, np.float64)
+                plane[...] = x
+                stack.append(flat)
+            sums = _boxsum3(np.stack(stack), _RING * stride, h * stride,
+                            stride)
+            for x, got in zip(xs, sums):
+                got = got.reshape(h, stride)[:, _RING:_RING + w]
+                assert np.array_equal(got, boxsum3_reference(x))
+
+    def test_matches_reference_on_narrow_planes(self):
+        # 2- and 3-pixel sides put both one-sided gradient edges, or one
+        # central column, next to the border
+        rng = np.random.default_rng(25)
+        for h, w in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 17), (19, 3),
+                     (3, 40)):
+            ch = rng.random((4, h, w), dtype=np.float32)
+            ch[ch < 0.3] = 0.0
+            tensor = MctsTensor(ch, 1_000, (10, 20))
+            for pair in (0, 1):
+                for params in ((1, -np.inf, 100), (2, 0.0, 100),
+                               (1, 1e-4, 2)):
+                    kps, desc = classical_detect(tensor, pair, *params)
+                    want_kps, want_desc = classical_reference(tensor, pair,
+                                                              *params)
+                    assert_same_keypoints(kps, want_kps)
+                    assert np.array_equal(desc.vectors, want_desc.vectors)
+
+    def test_one_pixel_side_rejected_like_np_gradient(self):
+        for h, w in ((1, 5), (6, 1), (1, 1)):
+            tensor = MctsTensor(np.ones((2, h, w), dtype=np.float32), 1,
+                                (10,))
+            with pytest.raises(ValueError):
+                classical_reference(tensor, 0, 1, 0.0, 10)
+            with pytest.raises(ValueError):
+                classical_detect(tensor, 0, 1, 0.0, 10)
 
     def test_channel_pair_bounds_checked(self):
         geo = SensorGeometry(32, 32)

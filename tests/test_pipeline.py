@@ -17,11 +17,14 @@ from evfront.events import (
     empty_batch,
     synthesize,
 )
+from evfront.detect import classical_detect
+from evfront.matching import match_mutual_nn, quantize
 from evfront.pipeline import (
     FrameResult,
     PipelineConfig,
     ReplaySource,
     SharedSurfaceState,
+    StageTimings,
     freeze_snapshot,
     frontend_step,
     metrics_to_csv,
@@ -29,7 +32,7 @@ from evfront.pipeline import (
     result_to_json,
     run_pipeline,
 )
-from evfront.surface import WindowSpec
+from evfront.surface import WindowSpec, mcts
 
 
 def _batch(geo, t, x, y, p):
@@ -44,6 +47,21 @@ def _grid_source(duration=1.0, size=64, vel=(-40.0, -30.0), pitch=32,
     spec = MotionSpec("grid-of-corners", vel, duration,
                       grid_pitch=pitch, square_side=side)
     return ReplaySource(synthesize(spec, geo))
+
+
+def frontend_step_reference(snapshot, previous, config):
+    # the classical frontend this one replaced: build every plane of the
+    # tensor, then let the detector pick the configured pair
+    tau = snapshot.grid.latest_time
+    tensor = mcts(snapshot.grid, snapshot.ring, tau, config.window_spec)
+    keypoints, descriptors = classical_detect(
+        tensor, config.channel_pair, config.nms_radius,
+        config.nms_threshold, config.nms_max_k)
+    quantized = quantize(descriptors, config.quant_scheme)
+    matches = [] if previous is None else match_mutual_nn(
+        quantized, previous.descriptors, config.match_max_distance)
+    return FrameResult(tau, snapshot.version, keypoints, quantized, matches,
+                       StageTimings(0, 0, 0, 0))
 
 
 class TestPreprocessTick:
@@ -135,6 +153,38 @@ class TestFrontendStep:
         for m in cur.matches_to_previous:
             assert 0 <= m.index_a < len(cur.keypoints.xy)
             assert 0 <= m.index_b < len(prev.keypoints.xy)
+
+
+    def test_classical_equals_full_tensor_path(self, monkeypatch):
+        # seeded streams; the ring is still filling in the early frames
+        rng = np.random.default_rng(41)
+        specs = (WindowSpec.default_constant_count(),
+                 WindowSpec("fixed-duration",
+                            durations=(2_000, 10_000, 40_000, 150_000)))
+        for spec in specs:
+            for pair in range(spec.K):
+                vel = tuple(rng.uniform(30.0, 60.0, 2)
+                            * rng.choice([-1.0, 1.0], 2))
+                source = _grid_source(duration=0.4, size=64, vel=vel,
+                                      pitch=24, side=8)
+                config = PipelineConfig(tick=2_000, window_spec=spec,
+                                        channel_pair=pair,
+                                        nms_radius=int(rng.integers(1, 5)))
+                got, _ = run_pipeline(source, config, mode="serial")
+                with monkeypatch.context() as m:
+                    m.setattr(pipeline, "frontend_step",
+                              frontend_step_reference)
+                    want, _ = run_pipeline(source, config, mode="serial")
+                assert len(got) == len(want) > 10
+                assert sum(len(r.matches_to_previous) for r in got) > 0
+                for a, b in zip(got, want):
+                    assert (a.tau, a.version) == (b.tau, b.version)
+                    assert np.array_equal(a.keypoints.xy, b.keypoints.xy)
+                    assert np.array_equal(a.keypoints.scores,
+                                          b.keypoints.scores)
+                    assert np.array_equal(a.descriptors.vectors,
+                                          b.descriptors.vectors)
+                    assert a.matches_to_previous == b.matches_to_previous
 
 
 class TestSerialRun:
@@ -269,7 +319,35 @@ class TestThreadedRun:
         assert metrics.snapshot_copy_max_us >= 0
 
 
+    def test_staleness_taken_at_emission(self):
+        # no watermark lag, so every snapshot holds all it ingested; a
+        # slow frontend still emits results the writer has moved past
+        source = ReplaySource(_grid_source(duration=0.3).batch, paced=True)
+        config = PipelineConfig(step_delay_us=20_000)
+        assert config.watermark_lag == 0
+        results, metrics = run_pipeline(source, config, mode="threaded")
+        assert metrics.error is None
+        assert len(results) > 1
+        assert metrics.max_staleness_us > 0
+        assert metrics.mean_staleness_us > 0
+
+
 class TestConfigValidation:
+    def test_channel_pair_names_a_window(self):
+        for pair in (-1, 4):
+            with pytest.raises(ValueError, match="channel pair"):
+                PipelineConfig(channel_pair=pair)
+        one = WindowSpec("fixed-duration", durations=(5_000,))
+        assert PipelineConfig(window_spec=one, channel_pair=0)
+        with pytest.raises(ValueError, match="channel pair"):
+            PipelineConfig(window_spec=one, channel_pair=-1)
+
+    def test_nms_radius_at_least_one(self):
+        assert PipelineConfig(nms_radius=1)
+        for radius in (0, -2):
+            with pytest.raises(ValueError, match="radius"):
+                PipelineConfig(nms_radius=radius)
+
     def test_learned_needs_weights(self):
         with pytest.raises(ValueError):
             PipelineConfig(detector="learned")

@@ -349,6 +349,48 @@ class TestMcts:
                 assert np.array_equal(tensor.channels, want)
 
 
+    def test_pair_window_builds_that_pairs_planes(self):
+        # bitwise planes p and K + p of the full tensor, with the pair's
+        # realized duration: fed part by part, so the ring is first short
+        # of the largest counts (warm-up), and at taus before the newest
+        # event
+        geo = SensorGeometry(24, 16)
+        rng = np.random.default_rng(16)
+        b = _random_batch(rng, 3_000, geo, 200_000)
+        specs = (WindowSpec.default_constant_count(),
+                 WindowSpec("constant-count", normalized_counts=(0.5, 4.0)),
+                 WindowSpec("fixed-duration", durations=(7, 3_000, 90_000)))
+        for spec in specs:
+            grid = TimestampGrid.create(geo)
+            ring = EventCountRing(spec.ring_capacity(geo))
+            warm = set()
+            for lo in range(0, len(b), 250):
+                apply_events(grid, ring, b.slice(lo, lo + 250))
+                for tau in (grid.latest_time, grid.latest_time - 20_000,
+                            grid.first_time):
+                    full = mcts(grid, ring, tau, spec)
+                    for p in range(spec.K):
+                        one = mcts(grid, ring, tau, spec.pair_window(p))
+                        assert one.K == 1
+                        assert one.window_durations == \
+                            (full.window_durations[p],)
+                        assert np.array_equal(
+                            one.channels,
+                            full.channels[[p, spec.K + p]])
+                        if spec.mode == "constant-count":
+                            n_p = normalized_counts_to_absolute(
+                                spec.pair_window(p), geo)[0]
+                            warm.add(ring.timestamp_back(n_p) is None)
+            if spec.mode == "constant-count":
+                assert warm == {True, False}
+
+    def test_pair_window_rejects_unknown_pairs(self):
+        spec = WindowSpec.default_constant_count()
+        for p in (-1, spec.K):
+            with pytest.raises(ValueError, match="channel pair"):
+                spec.pair_window(p)
+
+
 class TestMctsDump:
     def test_round_trip(self):
         rng = np.random.default_rng(15)
