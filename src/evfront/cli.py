@@ -152,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
-         "ingest, mcts, classical, nms, forward, match, or all")
+         "ingest (with the writer), mcts, classical, nms, forward, match, "
+         "or all")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
@@ -433,7 +434,12 @@ def cmd_bench(opts, args) -> int:
     rows = []
 
     if wanted in ("ingest", "all"):
+        # ingest: apply_events in 10k-event batches; writer: the pipeline's
+        # tick loop drained over the same stream, 10 ms ticks
         geometry = events.SensorGeometry(240, 180)
+        config = pipeline.PipelineConfig()
+        capacity = config.window_spec.ring_capacity(geometry)
+        writer_rows = []
         for n in (opts["events-n"], 2 * opts["events-n"]):
             batch = _random_stream(rng, n, geometry)
 
@@ -445,7 +451,17 @@ def cmd_bench(opts, args) -> int:
                     surface.apply_events(grid, ring,
                                          batch.slice(lo, lo + step))
 
+            def drain():
+                writer = pipeline._WriterLoop(
+                    pipeline.ReplaySource(batch),
+                    pipeline.SharedSurfaceState(geometry, capacity), config)
+                while not writer.exhausted:
+                    writer.one_tick()
+
             rows.append(("ingest", n, *_time_us(ingest, opts["iterations"])))
+            writer_rows.append(("writer", n,
+                                *_time_us(drain, opts["iterations"])))
+        rows += writer_rows
 
     if wanted in ("mcts", "all"):
         for size in (64, 128, 256):

@@ -115,12 +115,22 @@ class EventBatch:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
+            if i.step in (None, 1):
+                return self._trusted(self.events[i])
             return EventBatch(self.events[i], self.geometry)
         rec = self.events[i]
         return Event(int(rec["t"]), int(rec["x"]), int(rec["y"]), int(rec["p"]))
 
     def slice(self, start: int, stop: int) -> "EventBatch":
-        return EventBatch(self.events[start:stop], self.geometry)
+        """Events ``start:stop``, a view; not re-validated."""
+        return self._trusted(self.events[start:stop])
+
+    def _trusted(self, events: np.ndarray) -> "EventBatch":
+        # a contiguous run of a validated batch is valid as it stands
+        batch = object.__new__(EventBatch)
+        object.__setattr__(batch, "events", events)
+        object.__setattr__(batch, "geometry", self.geometry)
+        return batch
 
 
 def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:

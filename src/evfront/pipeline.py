@@ -28,7 +28,7 @@ import numpy as np
 
 from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
                      interpolate_descriptors, nms)
-from .events import EventBatch, SensorGeometry, empty_batch
+from .events import EventBatch, SensorGeometry
 from .matching import (DEFAULT_MAX_DISTANCE, Match, QuantizationScheme,
                        QuantizedDescriptors, match_mutual_nn, quantize)
 from .surface import (EventCountRing, TimestampGrid, WindowSpec, apply_events,
@@ -140,20 +140,50 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
     """Apply the pending events at or below the watermark.
 
     Returns (applied count, retained batch). The version advances once
-    iff anything was applied. Blocks while a snapshot holds the gate.
+    iff anything was applied; ``newest_ingested`` moves up to the newest
+    pending event in the same hold of the gate. Blocks while a snapshot
+    holds the gate.
     """
-    t = pending.events["t"]
-    cut = int(np.searchsorted(t, watermark, side="right"))
-    if cut == 0:
+    if len(pending) == 0:
         return 0, pending
-    ready = pending.slice(0, cut)
-    retained = pending.slice(cut, len(pending))
+    t = pending.events["t"]
+    cut = _count_through(t, watermark)
+    newest = int(t[-1])
     waited_from = _now_us()
     with state.gate:
         state.writer_stall_us += _now_us() - waited_from
-        apply_events(state.grid, state.ring, ready)
-        state.version += 1
-    return cut, retained
+        if cut:
+            apply_events(state.grid, state.ring, pending.slice(0, cut))
+            state.version += 1
+        if state.newest_ingested is None or newest > state.newest_ingested:
+            state.newest_ingested = newest
+    return cut, pending.slice(cut, len(pending))
+
+
+def _count_through(t: np.ndarray, value: int, lo: int = 0) -> int:
+    """How many of the sorted stamps ``t`` are at or below ``value``.
+
+    The first ``lo`` are known to be. Gallops from ``lo``, probing
+    ``t[lo + step - 1]`` with the step doubling, then binary-searches a
+    contiguous copy of the one window left: O(log k) probes and a copy of
+    at most k + 1 stamps, k the answer minus ``lo``, however long ``t``
+    is. Searching the packed field itself would copy all of it.
+    """
+    if value < 0:
+        return lo
+    needle = np.uint64(value)
+    n = len(t)
+    if n == lo or t[n - 1] <= needle:  # the usual cut with no lag
+        return n
+    base, step, end = lo, 1, lo
+    while end < n:
+        end = min(base + step, n)
+        if t[end - 1] > needle:
+            break
+        lo = end
+        step *= 2
+    window = np.ascontiguousarray(t[lo:end])
+    return lo + int(np.searchsorted(window, needle, side="right"))
 
 
 def freeze_snapshot(state: SharedSurfaceState) -> Snapshot:
@@ -228,54 +258,44 @@ class ReplaySource:
 
 
 class _WriterLoop:
-    """Fixed-tick ingestion shared by the threaded and serial modes."""
+    """Fixed-tick ingestion shared by the threaded and serial modes.
+
+    Events arrive in stream order, and the watermark holds back only the
+    newest of them, so the pending events are always one contiguous run
+    of the source, ``applied:cursor``: a view, never a copy. A tick
+    costs O(events it passes), not O(stream length).
+    """
 
     def __init__(self, source: ReplaySource, state: SharedSurfaceState,
                  config: PipelineConfig):
-        self.source = source
+        self.batch = source.batch
         self.state = state
         self.config = config
-        ev = source.batch.events
-        self.t_stream = ev["t"]
-        self.cursor = 0
-        self.retained = empty_batch(source.batch.geometry)
-        self.virtual_now = int(ev["t"][0]) if len(ev) else 0
-        self.exhausted = len(ev) == 0
+        self.t_stream = self.batch.events["t"]  # a view of the packed field
+        self.cursor = 0   # events arrived
+        self.applied = 0  # events applied; the rest of 0:cursor is pending
+        n = len(self.batch)
+        self.virtual_now = int(self.t_stream[0]) if n else 0
+        self.exhausted = n == 0
 
     def one_tick(self) -> int:
         """Ingest arrivals for one tick; returns events applied."""
-        batch = self.source.batch
-        n = len(batch)
+        n = len(self.batch)
         self.virtual_now += self.config.tick
-        new_cursor = int(np.searchsorted(self.t_stream, self.virtual_now,
-                                         side="right"))
-        arrivals = batch.slice(self.cursor, new_cursor)
-        self.cursor = new_cursor
-        if len(self.retained) and len(arrivals):
-            pending = EventBatch(
-                np.concatenate([self.retained.events, arrivals.events]),
-                batch.geometry)
-        elif len(arrivals):
-            pending = arrivals
-        else:
-            pending = self.retained
-
+        self.cursor = _count_through(self.t_stream, self.virtual_now,
+                                     self.cursor)
         drained = self.cursor >= n
-        if len(pending) == 0:
+        if self.applied == self.cursor:
             self.exhausted = drained
             return 0
-        if drained:
-            watermark = int(pending.events["t"][-1])  # final drain ignores lag
-        else:
-            watermark = int(pending.events["t"][-1]) - self.config.watermark_lag
-        with_state = self.state
-        applied, self.retained = preprocess_tick(with_state, pending, watermark)
-        with with_state.gate:
-            newest = int(pending.events["t"][-1])
-            if with_state.newest_ingested is None \
-                    or newest > with_state.newest_ingested:
-                with_state.newest_ingested = newest
-        self.exhausted = drained and len(self.retained) == 0
+        watermark = int(self.t_stream[self.cursor - 1])
+        if not drained:  # the final drain ignores the lag
+            watermark -= self.config.watermark_lag
+        applied, _ = preprocess_tick(
+            self.state, self.batch.slice(self.applied, self.cursor),
+            watermark)
+        self.applied += applied
+        self.exhausted = self.applied == n
         return applied
 
 

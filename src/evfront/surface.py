@@ -148,17 +148,13 @@ class EventCountRing:
         if n == 0:
             return
         cap = self.capacity
-        if n >= cap:
-            new_head = (self._head + n) % cap
-            slots = (new_head + np.arange(cap)) % cap
-            self._buf[slots] = timestamps[-cap:]
-            self._head = new_head
-            self._count = cap
-        else:
-            slots = (self._head + np.arange(n)) % cap
-            self._buf[slots] = timestamps
-            self._head = (self._head + n) % cap
-            self._count = min(self._count + n, cap)
+        kept = min(n, cap)  # only the newest ``cap`` stamps survive
+        start = (self._head + n - kept) % cap
+        first = min(kept, cap - start)  # up to the end of the buffer
+        self._buf[start:start + first] = timestamps[n - kept:n - kept + first]
+        self._buf[:kept - first] = timestamps[n - kept + first:]
+        self._head = (start + kept) % cap
+        self._count = min(self._count + n, cap)
 
     def timestamp_back(self, n: int) -> int | None:
         """Timestamp n positions before the most recent entry, or None."""
@@ -191,15 +187,15 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
     """Fold a batch into the grid and ring; returns the number applied.
 
     The feed must be monotone: the batch may not start before
-    ``grid.latest_time``. Within the batch, later events overwrite earlier
-    ones at the same pixel/polarity (the batch is time-sorted, so the
-    newest wins). Cost is O(1) per event.
+    ``grid.latest_time``. Where the batch hits one pixel and polarity
+    more than once, its largest stamp, which is its newest, wins, in
+    whatever order numpy writes. Cost is O(1) per event.
     """
     n = len(batch)
     if n == 0:
         return 0
     ev = batch.events
-    t = ev["t"]
+    t = np.ascontiguousarray(ev["t"])  # read three times below
     if grid.latest_time is not None and int(t[0]) < grid.latest_time:
         bad = int(np.argmax(t.astype(np.int64) < grid.latest_time))
         raise ValueError(
@@ -207,9 +203,14 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
             f"(t={int(t[bad])}) is older than latest applied time "
             f"{grid.latest_time}")
 
-    ch = (ev["p"] > 0).astype(np.intp)
-    grid.last_t[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = t
-    grid.valid[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = True
+    height, width = grid.last_t.shape[1:]
+    flat = (ev["p"] > 0).astype(np.intp)  # (channel, y, x) -> flat offset
+    flat *= height
+    flat += ev["y"]
+    flat *= width
+    flat += ev["x"]
+    _write_newest(grid.last_t.reshape(-1), flat, t)
+    grid.valid.reshape(-1)[flat] = True
     last = int(t[-1])
     grid.latest_time = last if grid.latest_time is None \
         else max(grid.latest_time, last)
@@ -218,6 +219,20 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
     grid.applied_count += n
     ring.push_many(t)
     return n
+
+
+def _write_newest(last_t: np.ndarray, flat: np.ndarray,
+                  t: np.ndarray) -> None:
+    """``last_t[flat] = t``, an index given twice keeping its largest stamp.
+
+    numpy does not say which of several writes to one element lands, so a
+    maximum over the stamps that did not land follows. ``np.maximum.at``
+    over every stamp is exact too and a little faster alone, but with the
+    writer running it on its thread the frontend's frames ran slower.
+    """
+    last_t[flat] = t
+    lost = np.flatnonzero(last_t[flat] < t)  # usually empty
+    np.maximum.at(last_t, flat[lost], t[lost])
 
 
 def time_surface(grid: TimestampGrid, tau: int, dt: int,

@@ -246,6 +246,16 @@ class TestBench:
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["nms", "16384"], ["nms", "43200"]]
 
+    def test_ingest_workload_rows(self, capsys):
+        rc = cli.main(["bench", "--workload", "ingest", "--events-n", "3000",
+                       "--iterations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "workload,n,mean_us,p99_us"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["ingest", "3000"], ["ingest", "6000"],
+             ["writer", "3000"], ["writer", "6000"]]
+
     def test_unknown_workload(self):
         assert cli.main(["bench", "--workload", "warp"]) == 2
 

@@ -72,6 +72,30 @@ class TestEventBatch:
         first = next(iter(b))
         assert first.t == int(b.events["t"][0])
 
+    def test_trusted_slices_carry_events_and_geometry(self):
+        rng = np.random.default_rng(5)
+        geo = SensorGeometry(9, 7)
+        b = _random_batch(rng, 50, geo)
+        for sub, want in ((b.slice(3, 40), b.events[3:40]),
+                          (b[10:], b.events[10:]), (b[::1], b.events),
+                          (b[-5:-1], b.events[-5:-1]),
+                          (b.slice(30, 30), b.events[:0])):
+            assert isinstance(sub, EventBatch)
+            assert sub.geometry == geo
+            assert np.array_equal(sub.events, want)
+            assert sub.events.dtype == b.events.dtype
+            assert np.shares_memory(sub.events, b.events) or not len(sub)
+
+    def test_reversed_and_strided_slices_still_validated(self):
+        rng = np.random.default_rng(6)
+        geo = SensorGeometry(8, 8)
+        b = _random_batch(rng, 30, geo)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            b[::-1]
+        with pytest.raises(ValueError, match="non-decreasing"):
+            b[20:5:-2]
+        assert np.array_equal(b[::3].events, b.events[::3])
+
 
 class TestBinaryFormat:
     def test_round_trip_random(self):

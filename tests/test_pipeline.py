@@ -3,7 +3,9 @@
 import json
 import platform
 import resource
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from evfront.pipeline import (
     ReplaySource,
     SharedSurfaceState,
     StageTimings,
+    _WriterLoop,
     freeze_snapshot,
     frontend_step,
     metrics_to_csv,
@@ -64,6 +67,117 @@ def frontend_step_reference(snapshot, previous, config):
                        StageTimings(0, 0, 0, 0))
 
 
+# The writer the linear-time one replaced, kept as an oracle. Every tick
+# it searched the whole stream's stamps, concatenated the retained events
+# with the arrivals, validated every slice, wrote the grid by fancy
+# assignment (last write wins) and took the gate a second time to set
+# newest_ingested.
+
+
+def _apply_events_reference(grid, ring, batch):
+    ev = batch.events
+    t = ev["t"]
+    ch = (ev["p"] > 0).astype(np.intp)
+    grid.last_t[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = t
+    grid.valid[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = True
+    last = int(t[-1])
+    grid.latest_time = last if grid.latest_time is None \
+        else max(grid.latest_time, last)
+    if grid.first_time is None:
+        grid.first_time = int(t[0])
+    grid.applied_count += len(batch)
+    ring.push_many(t)  # pinned to the old push in test_surface.py
+
+
+def _preprocess_tick_reference(state, pending, watermark):
+    cut = int(np.searchsorted(pending.events["t"], watermark, side="right"))
+    if cut == 0:
+        return 0, pending
+    with state.gate:
+        _apply_events_reference(
+            state.grid, state.ring,
+            EventBatch(pending.events[:cut], pending.geometry))
+        state.version += 1
+    return cut, EventBatch(pending.events[cut:], pending.geometry)
+
+
+class WriterLoopReference:
+    def __init__(self, source, state, config):
+        self.source = source
+        self.state = state
+        self.config = config
+        ev = source.batch.events
+        self.t_stream = ev["t"]
+        self.cursor = 0
+        self.retained = empty_batch(source.batch.geometry)
+        self.virtual_now = int(ev["t"][0]) if len(ev) else 0
+        self.exhausted = len(ev) == 0
+
+    def one_tick(self):
+        batch = self.source.batch
+        n = len(batch)
+        self.virtual_now += self.config.tick
+        new_cursor = int(np.searchsorted(self.t_stream, self.virtual_now,
+                                         side="right"))
+        arrivals = EventBatch(batch.events[self.cursor:new_cursor],
+                              batch.geometry)
+        self.cursor = new_cursor
+        if len(self.retained) and len(arrivals):
+            pending = EventBatch(
+                np.concatenate([self.retained.events, arrivals.events]),
+                batch.geometry)
+        elif len(arrivals):
+            pending = arrivals
+        else:
+            pending = self.retained
+        drained = self.cursor >= n
+        if len(pending) == 0:
+            self.exhausted = drained
+            return 0
+        if drained:
+            watermark = int(pending.events["t"][-1])
+        else:
+            watermark = int(pending.events["t"][-1]) - self.config.watermark_lag
+        applied, self.retained = _preprocess_tick_reference(
+            self.state, pending, watermark)
+        with self.state.gate:
+            newest = int(pending.events["t"][-1])
+            if self.state.newest_ingested is None \
+                    or newest > self.state.newest_ingested:
+                self.state.newest_ingested = newest
+        self.exhausted = drained and len(self.retained) == 0
+        return applied
+
+
+def _assert_writers_agree(batch, config, capacity):
+    """Tick the writer and the oracle side by side over ``batch``; after
+    every tick their states must be equal byte for byte. Returns the
+    number of ticks and of ticks that applied nothing."""
+    got = SharedSurfaceState(batch.geometry, capacity)
+    want = SharedSurfaceState(batch.geometry, capacity)
+    writer = _WriterLoop(ReplaySource(batch), got, config)
+    oracle = WriterLoopReference(ReplaySource(batch), want, config)
+    ticks = idle = 0
+    while not oracle.exhausted:
+        assert not writer.exhausted
+        applied = writer.one_tick()
+        assert applied == oracle.one_tick()
+        ticks += 1
+        idle += applied == 0
+        assert got.version == want.version
+        assert got.newest_ingested == want.newest_ingested
+        assert got.grid.last_t.tobytes() == want.grid.last_t.tobytes()
+        assert got.grid.valid.tobytes() == want.grid.valid.tobytes()
+        assert (got.grid.latest_time, got.grid.first_time,
+                got.grid.applied_count) == \
+            (want.grid.latest_time, want.grid.first_time,
+             want.grid.applied_count)
+        assert got.ring.state_bytes() == want.ring.state_bytes()
+    assert writer.exhausted
+    assert got.grid.applied_count == len(batch)
+    return ticks, idle
+
+
 class TestPreprocessTick:
     def test_applies_only_up_to_watermark(self):
         geo = SensorGeometry(8, 8)
@@ -99,6 +213,158 @@ class TestPreprocessTick:
         preprocess_tick(state, pending, watermark=100)
         assert state.version == 1
         assert state.grid.applied_count == 4
+
+
+    def test_newest_ingested_moves_with_nothing_ready(self):
+        geo = SensorGeometry(8, 8)
+        state = SharedSurfaceState(geo, 16)
+        pending = _batch(geo, [100, 120], [0, 1], [0, 0], [1, 1])
+        applied, retained = preprocess_tick(state, pending, watermark=50)
+        assert (applied, len(retained), state.version) == (0, 2, 0)
+        assert state.newest_ingested == 120
+        preprocess_tick(state, pending.slice(0, 1), watermark=100)
+        assert state.newest_ingested == 120  # never moves back
+
+
+class _CountingGate:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.holds = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.holds += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def _stream(rng, geo, t):
+    n = len(t)
+    return batch_from_columns(
+        np.asarray(t, np.uint64),
+        rng.integers(0, geo.width, n).astype(np.uint16),
+        rng.integers(0, geo.height, n).astype(np.uint16),
+        rng.choice(np.array([-1, 1], np.int8), n), geo)
+
+
+class TestWriterLoop:
+    # a small sensor, so pixels repeat within one tick
+    GEO = SensorGeometry(12, 9)
+
+    def test_matches_reference_with_and_without_lag(self):
+        rng = np.random.default_rng(23)
+        batch = _stream(rng, self.GEO,
+                        np.sort(rng.integers(1_000, 400_000, 6_000)))
+        for lag in (0, 1, 3_000, 10_000, 25_000):
+            for capacity in (1, 37, 4_096, 10_000):
+                config = PipelineConfig(tick=10_000, watermark_lag=lag)
+                _assert_writers_agree(batch, config, capacity)
+
+    def test_matches_reference_across_gaps(self):
+        # bursts 35 to 120 ms apart: most 10 ms ticks see no arrivals
+        rng = np.random.default_rng(27)
+        starts = np.cumsum(rng.integers(35_000, 120_000, 12))
+        t = np.sort(np.concatenate(
+            [s + rng.integers(0, 3_000, 200) for s in starts]))
+        batch = _stream(rng, self.GEO, t)
+        for lag in (0, 5_000, 50_000):
+            config = PipelineConfig(tick=10_000, watermark_lag=lag)
+            ticks, idle = _assert_writers_agree(batch, config, 64)
+            assert idle > ticks // 2
+
+    def test_matches_reference_on_equal_stamp_bursts(self):
+        # bursts of one stamp on, one before and one after the tick
+        # boundaries: virtual time is the first stamp plus k ticks
+        rng = np.random.default_rng(29)
+        first = 5_000
+        t = [first]
+        for k in range(1, 30):
+            stamp = first + k * 10_000 + int(rng.integers(-1, 2))
+            t += [stamp] * int(rng.integers(1, 400))
+        batch = _stream(rng, self.GEO, t)
+        for tick in (10_000, 2_500):
+            for lag in (0, 1, 10_000):
+                config = PipelineConfig(tick=tick, watermark_lag=lag)
+                _assert_writers_agree(batch, config, 128)
+
+    def test_one_event_and_empty_streams(self):
+        rng = np.random.default_rng(31)
+        one = _stream(rng, self.GEO, [7_777])
+        for lag in (0, 10_000):
+            config = PipelineConfig(watermark_lag=lag)
+            assert _assert_writers_agree(one, config, 4) == (1, 0)
+        empty = empty_batch(self.GEO)
+        writer = _WriterLoop(ReplaySource(empty),
+                             SharedSurfaceState(self.GEO, 4), PipelineConfig())
+        assert writer.exhausted
+
+    def test_final_drain_ignores_lag(self):
+        # a lag longer than the stream holds everything back until the
+        # tick that drains the source
+        rng = np.random.default_rng(37)
+        batch = _stream(rng, self.GEO, np.arange(0, 50_000, 100))
+        config = PipelineConfig(tick=10_000, watermark_lag=1_000_000)
+        ticks, idle = _assert_writers_agree(batch, config, 64)
+        assert idle == ticks - 1
+
+    def test_pending_is_a_view_of_the_source(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        batch = _stream(rng, self.GEO, np.sort(rng.integers(0, 200_000, 3_000)))
+        views = []
+        real_tick = pipeline.preprocess_tick
+
+        def spy(state, pending, watermark):
+            views.append(np.shares_memory(pending.events, batch.events))
+            return real_tick(state, pending, watermark)
+
+        monkeypatch.setattr(pipeline, "preprocess_tick", spy)
+        run_pipeline(ReplaySource(batch), PipelineConfig(watermark_lag=3_000),
+                     mode="serial")
+        assert len(views) > 10 and all(views)
+
+    def test_one_gate_hold_per_tick(self):
+        rng = np.random.default_rng(43)
+        batch = _stream(rng, self.GEO, np.sort(np.concatenate(
+            [rng.integers(0, 30_000, 500), rng.integers(80_000, 99_000, 500)])))
+        for lag in (0, 2_000):
+            state = SharedSurfaceState(self.GEO, 64)
+            state.gate = _CountingGate()
+            writer = _WriterLoop(ReplaySource(batch), state,
+                                 PipelineConfig(watermark_lag=lag))
+            holds = []
+            while not writer.exhausted:
+                before = state.gate.holds
+                writer.one_tick()
+                holds.append(state.gate.holds - before)
+            # with no lag the gap's ticks have nothing pending; with one,
+            # the held-back events stay pending through the gap
+            assert set(holds) == ({0, 1} if lag == 0 else {1})
+
+    def test_tick_memory_independent_of_stream_length(self):
+        # 2M events one microsecond apart, so a 10 ms tick passes 10k of
+        # them; the stream's stamp column alone is 16 MB. Searching the
+        # packed stamp field copies all of it on every tick
+        geo = SensorGeometry(64, 64)
+        n = 2_000_000
+        rng = np.random.default_rng(47)
+        batch = batch_from_columns(
+            np.arange(n, dtype=np.uint64),
+            rng.integers(0, 64, n, dtype=np.uint16),
+            rng.integers(0, 64, n, dtype=np.uint16),
+            rng.integers(0, 2, n, dtype=np.int8) * 2 - 1, geo)
+        writer = _WriterLoop(ReplaySource(batch), SharedSurfaceState(geo, 1024),
+                             PipelineConfig(tick=10_000))
+        writer.one_tick()
+        tracemalloc.start()
+        try:
+            applied = writer.one_tick()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = 8 * n
+        assert applied == 10_000
+        assert peak < column // 16, peak
 
 
 class TestFreezeSnapshot:
@@ -428,3 +694,34 @@ class TestSnapshotConsistencyUnderRaces:
             assert np.array_equal(snap.grid.valid, ref_state.grid.valid)
             assert snap.grid.applied_count == ref_state.grid.applied_count
             assert snap.ring.state_bytes() == ref_state.ring.state_bytes()
+
+    def test_snapshot_never_ahead_of_newest_ingested(self):
+        # a tick applies its events and moves newest_ingested in one hold
+        # of the gate, so no snapshot holds an event newer than it
+        geo = SensorGeometry(16, 16)
+        rng = np.random.default_rng(7)
+        batch = _stream(rng, geo, np.sort(rng.integers(0, 2_000_000, 40_000)))
+        state = SharedSurfaceState(geo, 64)
+        writer = _WriterLoop(ReplaySource(batch), state,
+                             PipelineConfig(tick=1_000))
+
+        def drain():
+            while not writer.exhausted:
+                writer.one_tick()
+
+        snaps = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=drain)
+            thread.start()
+            while thread.is_alive():
+                snaps.append(freeze_snapshot(state))
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert state.grid.applied_count == len(batch)
+        held = [s for s in snaps if s.version]
+        assert len(held) > 10
+        assert all(s.newest_ingested >= s.grid.latest_time for s in held)

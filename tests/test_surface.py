@@ -11,6 +11,7 @@ import io
 import numpy as np
 import pytest
 
+from evfront import surface
 from evfront.events import (
     EventBatch,
     MotionSpec,
@@ -96,6 +97,86 @@ class TestTimestampGrid:
         apply_events(grid, ring, one)
         apply_events(grid, ring, one)
         assert grid.applied_count == 2
+
+    def test_repeated_pixel_in_one_batch_keeps_newest(self):
+        geo = SensorGeometry(4, 3)
+        grid = TimestampGrid.create(geo)
+        ring = EventCountRing(16)
+        apply_events(grid, ring, batch_from_columns(
+            np.array([3], np.uint64), np.array([2], np.uint16),
+            np.array([1], np.uint16), np.array([1], np.int8), geo))
+        apply_events(grid, ring, batch_from_columns(
+            np.array([4, 6, 6, 7, 7, 8, 9, 9], np.uint64),
+            np.array([2, 0, 2, 0, 2, 0, 2, 3], np.uint16),
+            np.array([1, 2, 1, 2, 1, 2, 1, 0], np.uint16),
+            np.array([1, -1, 1, -1, -1, -1, 1, 1], np.int8), geo))
+        # -1 events: (0, 2) at 6, 7, 8; (2, 1) at 7. +1 events: (2, 1) at
+        # 3 (the batch before), 4, 6, 9; (3, 0) at 9
+        assert grid.last_t[1, 1, 2] == 9
+        assert grid.last_t[0, 2, 0] == 8
+        assert grid.last_t[0, 1, 2] == 7
+        assert grid.last_t[1, 0, 3] == 9
+        want = np.zeros((2, 3, 4), bool)
+        want[1, 1, 2] = want[0, 2, 0] = want[0, 1, 2] = want[1, 0, 3] = True
+        assert np.array_equal(grid.valid, want)
+        assert grid.last_t[~want].sum() == 0
+        equal = batch_from_columns(  # one pixel five times, one stamp
+            np.full(5, 12, np.uint64), np.full(5, 1, np.uint16),
+            np.zeros(5, np.uint16), np.ones(5, np.int8), geo)
+        apply_events(grid, ring, equal)
+        assert grid.last_t[1, 0, 1] == 12 and grid.valid[1, 0, 1]
+        assert grid.applied_count == 1 + 8 + 5
+
+    def test_dense_repeats_match_event_loop(self):
+        rng = np.random.default_rng(13)
+        geo = SensorGeometry(3, 2)  # 12 cells for 2000 events per batch
+        grid = TimestampGrid.create(geo)
+        ring = EventCountRing(50)
+        want_t = np.zeros((2, 2, 3), np.uint64)
+        want_valid = np.zeros((2, 2, 3), bool)
+        batch = _random_batch(rng, 6_000, geo, t_span=3_000)
+        for lo in range(0, 6_000, 2_000):
+            part = batch.slice(lo, lo + 2_000)
+            apply_events(grid, ring, part)
+            for t, x, y, p in part:
+                want_t[int(p > 0), y, x] = t
+                want_valid[int(p > 0), y, x] = True
+        assert np.array_equal(grid.last_t, want_t)
+        assert np.array_equal(grid.valid, want_valid)
+
+    def test_largest_stamp_wins_whatever_the_write_order(self):
+        # unsorted stamps, so the last write to an index is not always
+        # its largest: the maximum over the lost writes restores it
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            flat = rng.integers(0, 10, 300)
+            t = rng.integers(0, 1_000, 300).astype(np.uint64)
+            last_t = np.zeros(12, np.uint64)
+            surface._write_newest(last_t, flat, t)
+            want = np.zeros(12, np.uint64)
+            for i, stamp in zip(flat, t):
+                want[i] = max(want[i], stamp)
+            assert np.array_equal(last_t, want)
+
+    def test_older_batch_error_names_stream_position(self):
+        geo = SensorGeometry(4, 4)
+        grid = TimestampGrid.create(geo)
+        ring = EventCountRing(8)
+        apply_events(grid, ring, batch_from_columns(
+            np.array([10, 11, 12, 12, 15], np.uint64),
+            np.arange(5, dtype=np.uint16) % 4, np.zeros(5, np.uint16),
+            np.ones(5, np.int8), geo))
+        before = (grid.last_t.copy(), grid.valid.copy(), ring.state_bytes())
+        with pytest.raises(ValueError) as err:
+            apply_events(grid, ring, batch_from_columns(
+                np.array([14, 15, 16], np.uint64), np.ones(3, np.uint16),
+                np.ones(3, np.uint16), np.ones(3, np.int8), geo))
+        assert str(err.value) == ("event at stream position 5 (t=14) is "
+                                  "older than latest applied time 15")
+        assert np.array_equal(grid.last_t, before[0])
+        assert np.array_equal(grid.valid, before[1])
+        assert ring.state_bytes() == before[2]
+        assert grid.applied_count == 5
 
     def test_copy_is_independent(self):
         geo = SensorGeometry(2, 2)
@@ -203,6 +284,38 @@ class TestEventCountRing:
             b.push_many(chunk)
         assert np.array_equal(a.to_array(), b.to_array())
         assert a.state_bytes() == b.state_bytes()
+
+    def test_push_matches_modulo_reference(self):
+        # pushes shorter than, equal to and longer than the ring, from
+        # every head position, against the old one-index-per-slot push
+        def push_reference(ring, timestamps):
+            n = len(timestamps)
+            if n == 0:
+                return
+            cap = ring.capacity
+            if n >= cap:
+                new_head = (ring._head + n) % cap
+                ring._buf[(new_head + np.arange(cap)) % cap] = \
+                    timestamps[-cap:]
+                ring._head = new_head
+                ring._count = cap
+            else:
+                ring._buf[(ring._head + np.arange(n)) % cap] = timestamps
+                ring._head = (ring._head + n) % cap
+                ring._count = min(ring._count + n, cap)
+
+        rng = np.random.default_rng(19)
+        for cap in (1, 2, 7, 64):
+            got, want = EventCountRing(cap), EventCountRing(cap)
+            stamp = 0
+            for _ in range(60):
+                n = int(rng.choice([0, 1, cap - 1, cap, cap + 1,
+                                    int(rng.integers(0, 3 * cap + 2))]))
+                t = np.arange(stamp, stamp + n, dtype=np.uint64)
+                stamp += n
+                got.push_many(t)
+                push_reference(want, t)
+                assert got.state_bytes() == want.state_bytes()
 
     def test_copy_detached(self):
         ring = EventCountRing(4)
