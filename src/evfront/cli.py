@@ -152,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
-         "ingest (with the writer), mcts, classical, nms, forward, match, "
-         "or all")
+         "ingest (with the writer), mcts, snapshot, classical, nms, "
+         "forward, match, or all")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
@@ -223,9 +223,9 @@ def cmd_synth(opts, args) -> int:
                                  opts["duration"],
                                  grid_pitch=opts["grid-pitch"],
                                  square_side=opts["square-side"])
-    except ValueError as exc:
+        batch = events.synthesize(spec, opts["geometry"], opts["start-time"])
+    except ValueError as exc:  # also a start time past the stamp range
         raise UsageError(str(exc))
-    batch = events.synthesize(spec, opts["geometry"], opts["start-time"])
     Path(args.output).write_bytes(events.write_events(batch, "binary-v1"))
     if len(batch):
         span = int(batch.events["t"][-1]) - int(batch.events["t"][0])
@@ -273,6 +273,8 @@ def cmd_surface(opts, args) -> int:
 
     t = batch.events["t"]
     tau = int(t[-1]) if opts["tau"] is None else opts["tau"]
+    if not 0 <= tau < events.TIMESTAMP_LIMIT:
+        raise UsageError(f"tau {tau} outside the stamp range [0, 2**62)")
     cut = int(np.searchsorted(t, tau, side="right"))
     if cut == 0 and spec.mode == "constant-count":
         raise UsageError(f"tau {tau} precedes the first event "
@@ -424,8 +426,8 @@ def cmd_bench(opts, args) -> int:
     if opts["iterations"] < 1:
         raise UsageError("iterations must be at least 1")
     wanted = opts["workload"]
-    if wanted not in ("ingest", "mcts", "classical", "nms", "forward",
-                      "match", "all"):
+    if wanted not in ("ingest", "mcts", "snapshot", "classical", "nms",
+                      "forward", "match", "all"):
         raise UsageError(f"unknown workload {wanted!r}")
     # time the layers with the allocator settings run_pipeline uses, not
     # with fresh pages faulted in by every large temporary
@@ -477,9 +479,10 @@ def cmd_bench(opts, args) -> int:
                 *_time_us(lambda: surface.mcts(grid, ring, tau, spec),
                           opts["iterations"])))
 
-    if wanted in ("classical", "nms", "all"):
+    if wanted in ("snapshot", "classical", "nms", "all"):
         # the acceptance corner grid, velocity jittered by the seed; n is
-        # the sensor's pixel count. nms runs on the grid's Harris response
+        # the sensor's pixel count. snapshot copies the pipeline's state
+        # holding the whole stream; nms runs on the grid's Harris response
         config = pipeline.PipelineConfig()
         spec = config.window_spec
         velocity = tuple(v * rng.uniform(0.99, 1.01) for v in (-56.0, -42.0))
@@ -487,10 +490,18 @@ def cmd_bench(opts, args) -> int:
                                    grid_pitch=48, square_side=16)
         for width, height in ((128, 128), (240, 180)):
             geometry = events.SensorGeometry(width, height)
-            grid = surface.TimestampGrid.create(geometry)
-            ring = surface.EventCountRing(spec.ring_capacity(geometry))
+            state = pipeline.SharedSurfaceState(
+                geometry, spec.ring_capacity(geometry))
+            grid, ring = state.grid, state.ring
             surface.apply_events(grid, ring,
                                  events.synthesize(motion, geometry))
+            if wanted in ("snapshot", "all"):
+                rows.append((
+                    "snapshot", geometry.pixel_count,
+                    *_time_us(lambda: pipeline.freeze_snapshot(state),
+                              opts["iterations"])))
+            if wanted == "snapshot":
+                continue
             tensor = surface.mcts(grid, ring, grid.latest_time, spec)
             if wanted != "nms":
                 rows.append((

@@ -5,6 +5,11 @@ coordinate, and a polarity of -1 (brightness decrease) or +1 (increase).
 Batches keep timestamps non-decreasing; equal timestamps are legal because
 real sensors emit bursts sharing a stamp.
 
+Timestamps lie in ``[0, TIMESTAMP_LIMIT)``, that is ``[0, 2**62)``:
+``EventBatch`` and both parsers reject a stamp outside it, at its
+position. So code behind them holds a stamp, or the difference of two, in
+int64 without overflow. The wire formats still carry stamps as u64.
+
 Wire formats
 ------------
 binary-v1   magic ``EVT1``, width and height as u16 little-endian, then
@@ -23,6 +28,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 US_PER_S = 1_000_000
+
+TIMESTAMP_LIMIT = 1 << 62  # accepted stamps: [0, TIMESTAMP_LIMIT)
 
 BINARY_MAGIC = b"EVT1"
 BINARY_HEADER_SIZE = 8
@@ -97,9 +104,10 @@ class EventBatch:
         if ev.ndim != 1:
             raise ValueError("event array must be one-dimensional")
         if len(ev):
-            t = ev["t"]
-            if np.any(np.diff(t.astype(np.int64)) < 0):
-                raise ValueError("batch timestamps must be non-decreasing")
+            fault = _first_bad_stamp(ev["t"])
+            if fault is not None:
+                i, what = fault
+                raise ValueError(f"event {i}: {what}")
             if np.any(ev["x"] >= self.geometry.width) or \
                np.any(ev["y"] >= self.geometry.height):
                 raise ValueError("event coordinates outside sensor geometry")
@@ -131,6 +139,21 @@ class EventBatch:
         object.__setattr__(batch, "events", events)
         object.__setattr__(batch, "geometry", self.geometry)
         return batch
+
+
+def _first_bad_stamp(t: np.ndarray) -> tuple[int, str] | None:
+    """Index and fault of the first stamp that decreases or lies outside
+    ``[0, TIMESTAMP_LIMIT)``, or None. Compares in uint64: up to the first
+    decrease the stamps are sorted, so that run is in range iff its last
+    stamp is."""
+    down = t[1:] < t[:-1]
+    end = int(np.argmax(down)) + 1 if down.any() else len(t)
+    if end and t[end - 1] >= TIMESTAMP_LIMIT:
+        i = int(np.argmax(t[:end] >= TIMESTAMP_LIMIT))
+        return i, f"timestamp {int(t[i])} outside [0, 2**62)"
+    if end < len(t):
+        return end, "timestamps must be non-decreasing"
+    return None
 
 
 def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:
@@ -235,12 +258,10 @@ def _parse_binary(data: bytes) -> EventBatch:
         raise StreamFormatError(
             f"coordinate ({raw['x'][i]},{raw['y'][i]}) outside {width}x{height}",
             offset=record_offset(i))
-    if n > 1:
-        dec = np.nonzero(np.diff(raw["t"].astype(np.int64)) < 0)[0]
-        if dec.size:
-            i = int(dec[0]) + 1
-            raise StreamFormatError("decreasing timestamp",
-                                    offset=record_offset(i))
+    fault = _first_bad_stamp(raw["t"])
+    if fault is not None:
+        i, what = fault
+        raise StreamFormatError(what, offset=record_offset(i))
 
     ev = np.empty(n, dtype=EVENT_DTYPE)
     ev["t"] = raw["t"]
@@ -271,8 +292,9 @@ def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
         except ValueError:
             raise StreamFormatError(f"non-integer field in {line!r}",
                                     line=lineno) from None
-        if t < 0:
-            raise StreamFormatError("negative timestamp", line=lineno)
+        if not 0 <= t < TIMESTAMP_LIMIT:
+            raise StreamFormatError(f"timestamp {t} outside [0, 2**62)",
+                                    line=lineno)
         if p not in (0, 1):
             raise StreamFormatError(f"polarity {p} not in {{0,1}}", line=lineno)
         if not (0 <= x < geometry.width and 0 <= y < geometry.height):

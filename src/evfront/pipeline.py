@@ -102,7 +102,7 @@ class StageTimings:
     total: int
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in STAGE_NAMES}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

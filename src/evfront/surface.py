@@ -21,13 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventBatch, MotionSpec, SensorGeometry, synthesize
+from .events import (TIMESTAMP_LIMIT, EventBatch, MotionSpec, SensorGeometry,
+                     synthesize)
 
 MCTS_MAGIC = b"MCTS"
 MCTS_VERSION = 1
 MCTS_HEADER_SIZE = 32  # eight little-endian 32-bit slots
 
 DEFAULT_NORMALIZED_COUNTS = (0.03, 0.1, 0.3, 1.0)
+
+# last_t of a pixel that has seen no event. Its age at tau, tau + 2**62,
+# fits in int64 for every tau in [-2**62, 2**62) and exceeds tau, the age
+# of the oldest stamp there can be.
+NEVER = -TIMESTAMP_LIMIT
 
 
 @dataclass(frozen=True)
@@ -99,14 +105,15 @@ class WindowSpec:
 class TimestampGrid:
     """Most recent event timestamp per pixel and polarity.
 
-    ``last_t`` and ``valid`` are (2, height, width); channel 0 holds
-    polarity -1, channel 1 polarity +1. ``latest_time`` / ``first_time``
-    are None until an event arrives.
+    ``last_t`` is a (2, height, width) int64 array; channel 0 holds
+    polarity -1, channel 1 polarity +1. A cell that has seen no event
+    holds ``NEVER``, so ``valid``, where an event landed, is derived from
+    ``last_t`` and stored nowhere. ``latest_time`` / ``first_time`` are
+    None until an event arrives.
     """
 
     geometry: SensorGeometry
     last_t: np.ndarray
-    valid: np.ndarray
     latest_time: int | None = None
     first_time: int | None = None
     applied_count: int = 0
@@ -114,13 +121,20 @@ class TimestampGrid:
     @classmethod
     def create(cls, geometry: SensorGeometry) -> "TimestampGrid":
         shape = (2, geometry.height, geometry.width)
-        return cls(geometry, np.zeros(shape, dtype=np.uint64),
-                   np.zeros(shape, dtype=bool))
+        return cls(geometry, np.full(shape, NEVER, dtype=np.int64))
+
+    @property
+    def valid(self) -> np.ndarray:
+        """``last_t != NEVER``: a fresh mask, read-only, as writing to it
+        would change nothing."""
+        mask = self.last_t != NEVER
+        mask.flags.writeable = False
+        return mask
 
     def copy(self) -> "TimestampGrid":
         return TimestampGrid(self.geometry, self.last_t.copy(),
-                             self.valid.copy(), self.latest_time,
-                             self.first_time, self.applied_count)
+                             self.latest_time, self.first_time,
+                             self.applied_count)
 
 
 class EventCountRing:
@@ -136,7 +150,7 @@ class EventCountRing:
         if capacity < 1:
             raise ValueError("ring capacity must be at least 1")
         self.capacity = capacity
-        self._buf = np.zeros(capacity, dtype=np.uint64)
+        self._buf = np.zeros(capacity, dtype=np.int64)
         self._head = 0          # next write slot
         self._count = 0
 
@@ -175,8 +189,9 @@ class EventCountRing:
                 + self._count.to_bytes(8, "little"))
 
     def copy(self) -> "EventCountRing":
-        dup = EventCountRing(self.capacity)
-        dup._buf[:] = self._buf
+        dup = object.__new__(EventCountRing)
+        dup.capacity = self.capacity
+        dup._buf = self._buf.copy()
         dup._head = self._head
         dup._count = self._count
         return dup
@@ -195,9 +210,11 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
     if n == 0:
         return 0
     ev = batch.events
-    t = np.ascontiguousarray(ev["t"])  # read three times below
+    # read three times below; the batch holds stamps below 2**62, so the
+    # int64 view reads the same values
+    t = np.ascontiguousarray(ev["t"]).view(np.int64)
     if grid.latest_time is not None and int(t[0]) < grid.latest_time:
-        bad = int(np.argmax(t.astype(np.int64) < grid.latest_time))
+        bad = int(np.argmax(t < grid.latest_time))
         raise ValueError(
             f"event at stream position {grid.applied_count + bad} "
             f"(t={int(t[bad])}) is older than latest applied time "
@@ -210,7 +227,6 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
     flat *= width
     flat += ev["x"]
     _write_newest(grid.last_t.reshape(-1), flat, t)
-    grid.valid.reshape(-1)[flat] = True
     last = int(t[-1])
     grid.latest_time = last if grid.latest_time is None \
         else max(grid.latest_time, last)
@@ -242,7 +258,7 @@ def time_surface(grid: TimestampGrid, tau: int, dt: int,
     Parameters
     ----------
     tau : int
-        Reference time in microseconds.
+        Reference time in microseconds, in [-2**62, 2**62).
     dt : int
         Window length in microseconds, positive.
     polarity : {-1, +1}
@@ -253,27 +269,33 @@ def time_surface(grid: TimestampGrid, tau: int, dt: int,
     newest event of this polarity lies in the closed window
     [tau - dt, tau] reads 1 - (tau - t)/dt, every other pixel reads 0.
     """
+    _check_tau(tau)
     if dt <= 0:
         raise ValueError("window duration must be positive")
     if polarity not in (-1, 1):
         raise ValueError("polarity must be -1 or +1")
-    age, live = _ages(grid, tau, 1 if polarity > 0 else 0)
+    age = tau - grid.last_t[1 if polarity > 0 else 0]
     out = np.zeros(age.shape, dtype=np.float32)
-    _decay_into(out, age, live, dt)
+    _decay_into(out, age, tau, dt)
     return out
 
 
-def _ages(grid: TimestampGrid, tau: int,
-          chan: int) -> tuple[np.ndarray, np.ndarray]:
-    # age of each pixel's newest event, and where that event is not
-    # after tau; shared by every window of one polarity
-    age = tau - grid.last_t[chan].astype(np.int64)
-    return age, grid.valid[chan] & (age >= 0)
+def _check_tau(tau: int) -> None:
+    # with stamps and NEVER, every age stays inside int64
+    if not -TIMESTAMP_LIMIT <= tau < TIMESTAMP_LIMIT:
+        raise ValueError(f"tau {tau} outside [-2**62, 2**62)")
 
 
-def _decay_into(out: np.ndarray, age: np.ndarray, live: np.ndarray,
+def _decay_into(out: np.ndarray, age: np.ndarray, tau: int,
                 dt: int) -> None:
-    in_window = live & (age <= dt)
+    # No event's age exceeds tau, as stamps are at least 0, while NEVER's,
+    # tau + 2**62, does. An event after tau has a negative age, which reads
+    # above 2**63 as uint64. So one unsigned comparison with min(dt, tau)
+    # keeps exactly the events with 0 <= age <= dt.
+    bound = min(dt, tau)
+    if bound < 0:  # tau precedes every stamp
+        return
+    in_window = age.view(np.uint64) <= bound
     out[in_window] = (1.0 - age[in_window] / dt).astype(np.float32)
 
 
@@ -343,7 +365,9 @@ class MctsTensor:
 
 def mcts(grid: TimestampGrid, ring: EventCountRing, tau: int,
          spec: WindowSpec) -> MctsTensor:
-    """Build the multi-channel time surface tensor at tau."""
+    """Build the multi-channel time surface tensor at tau, in
+    [-2**62, 2**62)."""
+    _check_tau(tau)
     if spec.mode == "constant-count":
         counts = normalized_counts_to_absolute(spec, grid.geometry)
         durations = adaptive_windows(ring, tau, counts, grid.first_time)
@@ -352,9 +376,9 @@ def mcts(grid: TimestampGrid, ring: EventCountRing, tau: int,
     k = len(durations)
     channels = np.zeros((2 * k, *grid.last_t.shape[1:]), dtype=np.float32)
     for chan in (0, 1):  # polarity -1 fills 0..K-1, +1 fills K..2K-1
-        age, live = _ages(grid, tau, chan)
+        age = tau - grid.last_t[chan]  # shared by the K windows
         for i, dt in enumerate(durations):
-            _decay_into(channels[chan * k + i], age, live, dt)
+            _decay_into(channels[chan * k + i], age, tau, dt)
     return MctsTensor(channels, tau, tuple(durations))
 
 

@@ -37,6 +37,11 @@ class TestSynth:
                        "--velocity", "0,50", "-o", str(tmp_path / "x.bin")])
         assert rc == 3
 
+    def test_start_time_past_stamp_range_is_usage_error(self, tmp_path):
+        rc = cli.main(["synth", "--duration", "0.2", "--start-time",
+                       str(2**62), "-o", str(tmp_path / "x.bin")])
+        assert rc == 2
+
     def test_negative_velocity_needs_equals_form(self, tmp_path):
         rc = cli.main(["synth", "--velocity=-100,0", "--duration", "0.2",
                        "-o", str(tmp_path / "x.bin")])
@@ -72,6 +77,16 @@ class TestConvert:
                        "--from-format", "binary-v1", "--to-format", "avro"])
         assert rc == 2
 
+    def test_stamp_past_u64_is_usage_error_at_its_line(self, tmp_path,
+                                                       capsys):
+        src = tmp_path / "big.csv"
+        src.write_text("t,x,y,p\n5,0,0,1\n18446744073709551616,0,0,1\n")
+        rc = cli.main(["convert", "-i", str(src), "-o", str(tmp_path / "o"),
+                       "--from-format", "csv", "--to-format", "binary-v1",
+                       "--geometry", "4x4"])
+        assert rc == 2
+        assert "(line 3)" in capsys.readouterr().err
+
     def test_malformed_input_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -101,6 +116,14 @@ class TestSurface:
         rc = cli.main(["surface", "-i", str(src), "-o",
                        str(tmp_path / "s"), "--tau", "500"])
         assert rc == 2
+
+    def test_tau_outside_stamp_range(self, tmp_path):
+        src = _synth(tmp_path)
+        for tau in (str(2**62), "-1"):
+            rc = cli.main(["surface", "-i", str(src), "-o",
+                           str(tmp_path / "s"), "--mode", "fixed-duration",
+                           "--durations", "1000", f"--tau={tau}"])
+            assert rc == 2
 
     def test_fixed_duration_needs_durations(self, tmp_path):
         src = _synth(tmp_path)
@@ -255,6 +278,15 @@ class TestBench:
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["ingest", "3000"], ["ingest", "6000"],
              ["writer", "3000"], ["writer", "6000"]]
+
+    def test_snapshot_workload_rows(self, capsys):
+        rc = cli.main(["bench", "--workload", "snapshot",
+                       "--iterations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "workload,n,mean_us,p99_us"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["snapshot", "16384"], ["snapshot", "43200"]]
 
     def test_unknown_workload(self):
         assert cli.main(["bench", "--workload", "warp"]) == 2

@@ -97,6 +97,87 @@ class TestEventBatch:
         assert np.array_equal(b[::3].events, b.events[::3])
 
 
+def _binary_stream(stamps, geo=SensorGeometry(4, 4)):
+    """A binary-v1 stream of events at pixel (0, 0), written by hand so
+    that it can hold stamps no batch accepts."""
+    raw = np.zeros(len(stamps), dtype=[("t", "<u8"), ("x", "<u2"),
+                                       ("y", "<u2"), ("p", "u1")])
+    raw["t"] = stamps
+    return (b"EVT1" + geo.width.to_bytes(2, "little")
+            + geo.height.to_bytes(2, "little") + raw.tobytes())
+
+
+def _csv_stream(stamps):
+    return "".join(f"{t},0,0,1\n" for t in stamps).encode()
+
+
+def _record_offset(i):
+    return BINARY_HEADER_SIZE + i * BINARY_RECORD_SIZE
+
+
+def _columns(stamps):
+    n = len(stamps)
+    return (stamps, np.zeros(n, np.uint16), np.zeros(n, np.uint16),
+            np.ones(n, np.int8), SensorGeometry(4, 4))
+
+
+class TestTimestampRange:
+    def test_stamp_past_2_63_rejected_not_wrapped_into_order(self):
+        with pytest.raises(ValueError, match="event 0: timestamp"):
+            batch_from_columns(*_columns([2**63 + 5, 3]))
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(_binary_stream([2**63 + 5, 3]), "binary-v1")
+        assert err.value.offset == 8 and "(byte offset 8)" in str(err.value)
+
+    def test_csv_stamp_past_u64_reports_its_line(self):
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(b"t,x,y,p\n5,0,0,1\n18446744073709551616,0,0,1\n",
+                         "csv", geometry=SensorGeometry(4, 4))
+        assert err.value.line == 3 and "outside [0, 2**62)" in str(err.value)
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(b"5,0,0,1\n-1,0,0,1\n", "csv",
+                         geometry=SensorGeometry(4, 4))
+        assert err.value.line == 2
+
+    def test_stamp_below_2_62_accepted_in_every_entry_point(self):
+        stamps = [0, 2**62 - 1]
+        geo = SensorGeometry(4, 4)
+        for batch in (batch_from_columns(*_columns(stamps)),
+                      parse_events(_binary_stream(stamps), "binary-v1"),
+                      parse_events(_csv_stream(stamps), "csv", geometry=geo)):
+            assert list(batch.events["t"]) == stamps
+
+    @pytest.mark.parametrize("last", [2**62, 2**64 - 1])
+    def test_stamp_at_2_62_rejected_in_every_entry_point(self, last):
+        stamps = [0, last]
+        with pytest.raises(ValueError, match="^event 1: timestamp"):
+            batch_from_columns(*_columns(stamps))
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(_binary_stream(stamps), "binary-v1")
+        assert err.value.offset == _record_offset(1)
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(_csv_stream(stamps), "csv",
+                         geometry=SensorGeometry(4, 4))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("stamps, bad", [
+        ([3, 2**62, 1], 1),       # out of range before the decrease
+        ([5, 3, 2**62], 1),       # the decrease first
+        ([1, 2, 2**63, 2**62], 2),
+        ([1, 2, 2, 2**62 - 1], None),
+    ])
+    def test_first_faulty_record_is_reported(self, stamps, bad):
+        if bad is None:
+            assert len(parse_events(_binary_stream(stamps), "binary-v1")) == 4
+            assert len(batch_from_columns(*_columns(stamps))) == 4
+            return
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(_binary_stream(stamps), "binary-v1")
+        assert err.value.offset == _record_offset(bad)
+        with pytest.raises(ValueError, match=f"^event {bad}: "):
+            batch_from_columns(*_columns(stamps))
+
+
 class TestBinaryFormat:
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)

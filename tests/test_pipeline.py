@@ -79,7 +79,6 @@ def _apply_events_reference(grid, ring, batch):
     t = ev["t"]
     ch = (ev["p"] > 0).astype(np.intp)
     grid.last_t[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = t
-    grid.valid[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = True
     last = int(t[-1])
     grid.latest_time = last if grid.latest_time is None \
         else max(grid.latest_time, last)
@@ -642,6 +641,13 @@ class TestExports:
         slim = json.loads(result_to_json(results[-1],
                                          include_descriptors=False))
         assert "descriptors" not in slim
+
+    def test_result_json_timings_in_stage_order(self):
+        results, _ = run_pipeline(_grid_source(duration=0.2),
+                                  PipelineConfig(), mode="serial")
+        row = json.loads(result_to_json(results[-1]))
+        assert tuple(row["timings"]) == pipeline.STAGE_NAMES
+        assert row["timings"]["total"] == results[-1].timings.total
 
     def test_metrics_csv_rows(self):
         source = _grid_source(duration=0.6)

@@ -21,6 +21,7 @@ from evfront.events import (
 )
 from evfront.surface import (
     DEFAULT_NORMALIZED_COUNTS,
+    NEVER,
     EventCountRing,
     TimestampGrid,
     WindowSpec,
@@ -55,6 +56,48 @@ def _random_batch(rng, n, geometry, t_span):
     y = rng.integers(0, geometry.height, n).astype(np.uint16)
     p = rng.choice(np.array([-1, 1], dtype=np.int8), n)
     return batch_from_columns(t, x, y, p, geometry)
+
+
+class _ReferenceGrid:
+    """The uint64 grid with a separate ``valid`` mask that the int64 grid
+    with an in-band NEVER replaced, filled event by event, and the
+    surfaces and constant-count windows computed from it."""
+
+    def __init__(self, geometry):
+        shape = (2, geometry.height, geometry.width)
+        self.geometry = geometry
+        self.last_t = np.zeros(shape, np.uint64)
+        self.valid = np.zeros(shape, bool)
+        self.stamps = []
+
+    def apply(self, batch):
+        for t, x, y, p in batch:
+            self.last_t[int(p > 0), y, x] = t
+            self.valid[int(p > 0), y, x] = True
+            self.stamps.append(t)
+
+    def durations(self, spec, tau):
+        if spec.mode == "fixed-duration":
+            return spec.durations
+        out = []
+        for n in normalized_counts_to_absolute(spec, self.geometry):
+            anchor = self.stamps[-1 - n] if n < len(self.stamps) \
+                else self.stamps[0]
+            out.append(max(1, tau - anchor))
+        return tuple(out)
+
+    def planes(self, tau, durations):
+        planes = []
+        for chan in (0, 1):
+            age = tau - self.last_t[chan].astype(np.int64)
+            live = self.valid[chan] & (age >= 0)
+            for dt in durations:
+                out = np.zeros(age.shape, np.float32)
+                in_window = live & (age <= dt)
+                out[in_window] = (1.0 - age[in_window] / dt).astype(
+                    np.float32)
+                planes.append(out)
+        return np.stack(planes)
 
 
 class TestTimestampGrid:
@@ -119,7 +162,8 @@ class TestTimestampGrid:
         want = np.zeros((2, 3, 4), bool)
         want[1, 1, 2] = want[0, 2, 0] = want[0, 1, 2] = want[1, 0, 3] = True
         assert np.array_equal(grid.valid, want)
-        assert grid.last_t[~want].sum() == 0
+        assert np.all(grid.last_t[~want] == NEVER)
+        assert np.array_equal(~grid.valid, ~want)
         equal = batch_from_columns(  # one pixel five times, one stamp
             np.full(5, 12, np.uint64), np.full(5, 1, np.uint16),
             np.zeros(5, np.uint16), np.ones(5, np.int8), geo)
@@ -192,6 +236,19 @@ class TestTimestampGrid:
         assert snap.applied_count == 1
         assert snap.latest_time == 1
         assert not snap.valid[0, 1, 1]
+
+    def test_valid_is_derived_and_read_only(self):
+        geo = SensorGeometry(3, 2)
+        grid = TimestampGrid.create(geo)
+        assert grid.last_t.dtype == np.int64
+        assert np.all(grid.last_t == NEVER) and not grid.valid.any()
+        apply_events(grid, EventCountRing(4), batch_from_columns(
+            np.array([0, 7], np.uint64), np.array([2, 0], np.uint16),
+            np.array([1, 0], np.uint16), np.array([-1, 1], np.int8), geo))
+        assert np.array_equal(np.argwhere(grid.valid), [[0, 1, 2], [1, 0, 0]])
+        assert grid.last_t[0, 1, 2] == 0  # a stamp of 0 is an event
+        with pytest.raises(ValueError, match="read-only"):
+            grid.valid[0, 0, 0] = True
 
 
 class TestTimeSurface:
@@ -321,7 +378,8 @@ class TestEventCountRing:
         ring = EventCountRing(4)
         ring.push_many(np.array([1, 2], dtype=np.uint64))
         dup = ring.copy()
-        ring.push_many(np.array([3], dtype=np.uint64))
+        assert dup.state_bytes() == ring.state_bytes()
+        ring.push_many(np.array([3, 4, 5], dtype=np.uint64))  # wraps
         assert list(dup.to_array()) == [1, 2]
 
 
@@ -496,6 +554,73 @@ class TestMcts:
                             warm.add(ring.timestamp_back(n_p) is None)
             if spec.mode == "constant-count":
                 assert warm == {True, False}
+
+    def test_matches_uint64_grid_with_valid_mask(self):
+        # bitwise against the grid NEVER replaced, fed part by part: both
+        # window modes, every pair, pixels that never saw an event, a
+        # window longer than 2**62, and taus at the newest event, before
+        # it, at the first event and before the stream
+        rng = np.random.default_rng(23)
+        geo = SensorGeometry(20, 14)
+        b = _random_batch(rng, 600, geo, 300_000)
+        specs = (WindowSpec.default_constant_count(),
+                 WindowSpec("constant-count", normalized_counts=(0.5, 2.0)),
+                 WindowSpec("fixed-duration",
+                            durations=(7, 3_000, 90_000, 2**62 + 1_000)))
+        for spec in specs:
+            grid = TimestampGrid.create(geo)
+            ring = EventCountRing(spec.ring_capacity(geo))
+            ref = _ReferenceGrid(geo)
+            lit = 0
+            for lo in range(0, len(b), 150):
+                part = b.slice(lo, lo + 150)
+                apply_events(grid, ring, part)
+                ref.apply(part)
+                assert (~ref.valid).any()
+                assert np.array_equal(grid.valid, ref.valid)
+                assert np.array_equal(grid.last_t[ref.valid],
+                                      ref.last_t[ref.valid].astype(np.int64))
+                for tau in (grid.latest_time, grid.latest_time - 20_000,
+                            grid.first_time, -5):
+                    durations = ref.durations(spec, tau)
+                    want = ref.planes(tau, durations)
+                    lit += want.any()
+                    full = mcts(grid, ring, tau, spec)
+                    assert full.window_durations == durations
+                    assert full.channels.tobytes() == want.tobytes()
+                    for p in range(spec.K):
+                        one = mcts(grid, ring, tau, spec.pair_window(p))
+                        assert one.channels.tobytes() == \
+                            want[[p, spec.K + p]].tobytes()
+                        for chan in (0, 1):
+                            got = time_surface(grid, tau, durations[p],
+                                               2 * chan - 1)
+                            assert got.tobytes() == \
+                                want[chan * spec.K + p].tobytes()
+            assert lit >= 8  # of 16 taus; the 4 before the stream are dark
+
+    def test_tau_outside_its_range_rejected(self):
+        geo = SensorGeometry(3, 2)
+        batch = batch_from_columns(
+            np.array([5, 2**62 - 9], np.uint64), np.array([1, 2], np.uint16),
+            np.array([1, 0], np.uint16), np.array([1, 1], np.int8), geo)
+        grid = TimestampGrid.create(geo)
+        ring = EventCountRing(4)
+        apply_events(grid, ring, batch)
+        ref = _ReferenceGrid(geo)
+        ref.apply(batch)
+        spec = WindowSpec("fixed-duration",
+                          durations=(10, 2**61, 2**62 - 1, 2**63))
+        for tau in (2**62, 2**63 + 5, -2**62 - 1):
+            with pytest.raises(ValueError, match="tau"):
+                mcts(grid, ring, tau, spec)
+            with pytest.raises(ValueError, match="tau"):
+                time_surface(grid, tau, 10, 1)
+        for tau in (2**62 - 1, -2**62):  # the ends of the range
+            want = ref.planes(tau, spec.durations)
+            assert mcts(grid, ring, tau, spec).channels.tobytes() == \
+                want.tobytes()
+        assert want.sum() == 0 and ref.planes(2**62 - 1, (10,)).sum() > 0
 
     def test_pair_window_rejects_unknown_pairs(self):
         spec = WindowSpec.default_constant_count()
