@@ -9,6 +9,10 @@ nothing, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -153,11 +157,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
          "ingest (with the writer), mcts, snapshot, classical, nms, "
-         "forward, match, or all")
+         "forward, match, synth, or all")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
     s.add_argument("--output", "-o", help="CSV out path (default: stdout only)")
+    s.add_argument("--json", help="JSON out path: each row's mean, p99 and "
+                   "iterations, with the core count, numpy and BLAS threads")
 
     return parser
 
@@ -260,16 +266,15 @@ def cmd_surface(opts, args) -> int:
     batch = _read_batch(args.input)
     if len(batch) == 0:
         raise UsageError("input stream is empty")
-    if opts["mode"] == "constant-count":
-        spec = surface.WindowSpec("constant-count",
-                                  normalized_counts=opts["counts"])
-    elif opts["mode"] == "fixed-duration":
-        if not opts["durations"]:
-            raise UsageError("fixed-duration mode needs --durations")
-        spec = surface.WindowSpec("fixed-duration",
-                                  durations=opts["durations"])
-    else:
-        raise UsageError(f"unknown mode {opts['mode']!r}")
+    try:
+        if opts["mode"] == "fixed-duration":
+            spec = surface.WindowSpec("fixed-duration",
+                                      durations=opts["durations"])
+        else:
+            spec = surface.WindowSpec(opts["mode"],
+                                      normalized_counts=opts["counts"])
+    except ValueError as exc:  # also a missing --durations
+        raise UsageError(str(exc))
 
     t = batch.events["t"]
     tau = int(t[-1]) if opts["tau"] is None else opts["tau"]
@@ -366,7 +371,6 @@ def cmd_run(opts, args) -> int:
                 fh.write(pipeline.result_to_json(
                     r, include_descriptors=not opts["no-descriptors"]) + "\n")
     if args.metrics:
-        import json
         Path(args.metrics).write_text(
             json.dumps(metrics.as_dict(), indent=2) + "\n")
     if args.timings_csv:
@@ -427,7 +431,7 @@ def cmd_bench(opts, args) -> int:
         raise UsageError("iterations must be at least 1")
     wanted = opts["workload"]
     if wanted not in ("ingest", "mcts", "snapshot", "classical", "nms",
-                      "forward", "match", "all"):
+                      "forward", "match", "synth", "all"):
         raise UsageError(f"unknown workload {wanted!r}")
     # time the layers with the allocator settings run_pipeline uses, not
     # with fresh pages faulted in by every large temporary
@@ -539,13 +543,49 @@ def cmd_bench(opts, args) -> int:
                 *_time_us(lambda: matching.match_mutual_nn(a, b),
                           opts["iterations"])))
 
+    if wanted in ("synth", "all"):
+        # the acceptance corner grid and the 240x180 flood scene of the
+        # benchmark; n is the sensor's pixel count
+        for size, velocity, pitch, side, duration in (
+                ((128, 128), (-56.0, -42.0), 48, 16, 1.0),
+                ((240, 180), (-300.0, -225.0), 12, 5, 0.5)):
+            geometry = events.SensorGeometry(*size)
+            motion = events.MotionSpec("grid-of-corners", velocity, duration,
+                                       grid_pitch=pitch, square_side=side)
+            rows.append((
+                "synth", geometry.pixel_count,
+                *_time_us(lambda: events.synthesize(motion, geometry),
+                          opts["iterations"])))
+
     lines = ["workload,n,mean_us,p99_us"]
     lines += [f"{w},{n},{m:.1f},{p:.1f}" for w, n, m, p in rows]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.output:
         Path(args.output).write_text(text)
+    if args.json:
+        environment = {"cpu_count": os.cpu_count(),
+                       "python": platform.python_version(),
+                       "numpy": np.__version__,
+                       "blas_threads": _blas_threads()}
+        table = [{"workload": w, "n": n, "mean_us": m, "p99_us": p,
+                  "iterations": opts["iterations"]} for w, n, m, p in rows]
+        Path(args.json).write_text(json.dumps(
+            {"environment": environment, "rows": table}, indent=2) + "\n")
     return 0
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy wheels bundle, or None when
+    numpy links another BLAS."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "*openblas*"):
+        get = getattr(ctypes.CDLL(str(path)),
+                      "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get()
+    return None
 
 
 _DISPATCH = {

@@ -124,21 +124,25 @@ class EventBatch:
     def __getitem__(self, i):
         if isinstance(i, slice):
             if i.step in (None, 1):
-                return self._trusted(self.events[i])
+                return self.slice(i.start, i.stop)
             return EventBatch(self.events[i], self.geometry)
         rec = self.events[i]
         return Event(int(rec["t"]), int(rec["x"]), int(rec["y"]), int(rec["p"]))
 
     def slice(self, start: int, stop: int) -> "EventBatch":
         """Events ``start:stop``, a view; not re-validated."""
-        return self._trusted(self.events[start:stop])
-
-    def _trusted(self, events: np.ndarray) -> "EventBatch":
         # a contiguous run of a validated batch is valid as it stands
-        batch = object.__new__(EventBatch)
-        object.__setattr__(batch, "events", events)
-        object.__setattr__(batch, "geometry", self.geometry)
-        return batch
+        return _trusted_batch(self.events[start:stop], self.geometry)
+
+
+def _trusted_batch(events: np.ndarray,
+                   geometry: SensorGeometry) -> EventBatch:
+    """A batch of events already checked against ``geometry``, built
+    without ``__post_init__`` validating them again."""
+    batch = object.__new__(EventBatch)
+    object.__setattr__(batch, "events", events)
+    object.__setattr__(batch, "geometry", geometry)
+    return batch
 
 
 def _first_bad_stamp(t: np.ndarray) -> tuple[int, str] | None:
@@ -268,7 +272,7 @@ def _parse_binary(data: bytes) -> EventBatch:
     ev["x"] = raw["x"]
     ev["y"] = raw["y"]
     ev["p"] = raw["p"].astype(np.int8) * 2 - 1
-    return EventBatch(ev, geometry)
+    return _trusted_batch(ev, geometry)
 
 
 def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
@@ -338,18 +342,30 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
                start_time: int = 0) -> EventBatch:
     """Generate the event stream of a rigidly translating pattern.
 
-    Crossing times come from exact linear motion and are truncated to
-    integer microseconds. Output is globally time-sorted with a canonical
-    (t, x, y, p) tie order, so the generator is deterministic.
+    Crossing times come from exact linear motion, truncated to integer
+    microseconds and sorted with a canonical (t, x, y, p) tie order. A
+    grid square costs only its swept footprint; the stream is byte for
+    byte that of evaluating every square on every pixel.
     """
     if spec.pattern == "vertical-edge":
         t, x, y, p = _edge_events(spec, geometry)
+        key = (x.astype(np.int64) * geometry.height + y) * 2 + (p > 0)
     else:
-        t, x, y, p = _grid_events(spec, geometry)
-
-    t_us = np.floor(t * US_PER_S).astype(np.int64) + start_time
-    order = np.lexsort((p, y, x, t_us))
-    return batch_from_columns(t_us[order], x[order], y[order], p[order], geometry)
+        t, key = _grid_events(spec, geometry)
+    # key orders ties as (x, y, p) do; arrays are freed once used (peak RSS)
+    t = np.floor(t * US_PER_S, out=t).astype(np.int64) + start_time
+    order = np.lexsort((key, t))
+    t = t[order]
+    key = key[order]
+    del order
+    ev = np.empty(len(t), dtype=EVENT_DTYPE)
+    ev["t"] = t
+    del t
+    ev["p"] = (key & 1) * 2 - 1
+    key >>= 1
+    ev["y"] = key % geometry.height
+    ev["x"] = key // geometry.height
+    return EventBatch(ev, geometry)
 
 
 def _edge_events(spec: MotionSpec, geometry: SensorGeometry):
@@ -400,53 +416,39 @@ def _grid_anchors(spec: MotionSpec, geometry: SensorGeometry) -> np.ndarray:
 def _axis_interval(p0: np.ndarray, v: float, a: float, s: float):
     """Times at which p0 - v*t lies inside the slab [a, a+s]."""
     if v == 0:
-        inside = (p0 >= a) & (p0 <= a + s)
-        lo = np.where(inside, -np.inf, np.inf)
-        hi = np.where(inside, np.inf, -np.inf)
-        return lo, hi
+        lo = np.where((p0 >= a) & (p0 <= a + s), -np.inf, np.inf)
+        return lo, -lo
     t0 = (p0 - a - s) / v
     t1 = (p0 - a) / v
     return np.minimum(t0, t1), np.maximum(t0, t1)
 
 
 def _grid_events(spec: MotionSpec, geometry: SensorGeometry):
-    """Entry/exit crossings of translating bright squares, per pixel.
+    """Entry/exit crossing times and tie keys of translating squares.
 
     A pixel tracks q(t) = p - v*t through the static lattice; entering a
     square emits +1, leaving emits -1. Squares never overlap (pitch >
     side), so per-square intervals are disjoint per pixel.
     """
-    vx, vy = spec.velocity
-    w, h = geometry.width, geometry.height
-    px, py = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    px, py = px.ravel(), py.ravel()
-    pix_x = px.astype(np.uint16)
-    pix_y = py.astype(np.uint16)
-
-    side = float(spec.square_side)
-    ts, xs, ys, ps = [], [], [], []
+    (vx, vy), h, side = spec.velocity, geometry.height, spec.square_side
+    cols, rows = np.arange(float(geometry.width)), np.arange(float(h))
+    ts, keys = [], []
     for ax, ay in _grid_anchors(spec, geometry):
-        lo_x, hi_x = _axis_interval(px, vx, ax, side)
-        lo_y, hi_y = _axis_interval(py, vy, ay, side)
-        t_in = np.maximum(lo_x, lo_y)
-        t_out = np.minimum(hi_x, hi_y)
+        lo_x, hi_x = _axis_interval(cols, vx, ax, side)
+        lo_y, hi_y = _axis_interval(rows, vy, ay, side)
+        cx = np.flatnonzero((lo_x <= spec.duration) & (hi_x > 0))
+        ry = np.flatnonzero((lo_y <= spec.duration) & (hi_y > 0))[:, None]
+        t_in = np.maximum(lo_x[cx], lo_y[ry])
+        t_out = np.minimum(hi_x[cx], hi_y[ry])
+        key = (cx * h + ry) * 2
+        # only this block meets the square in (0, duration], and on it
+        # t_in <= duration and t_out > 0 hold already
         valid = t_in < t_out
-
-        enter = valid & (t_in > 0) & (t_in <= spec.duration)
-        leave = valid & (t_out > 0) & (t_out <= spec.duration) & \
-            (np.maximum(t_in, 0.0) < t_out)
-        for mask, times, pol in ((enter, t_in, 1), (leave, t_out, -1)):
-            if mask.any():
-                ts.append(times[mask])
-                xs.append(pix_x[mask])
-                ys.append(pix_y[mask])
-                ps.append(np.full(mask.sum(), pol, dtype=np.int8))
-    if not ts:
-        z = np.empty(0)
-        return z, z.astype(np.uint16), z.astype(np.uint16), z.astype(np.int8)
-    return (np.concatenate(ts), np.concatenate(xs), np.concatenate(ys),
-            np.concatenate(ps))
+        enter = valid & (t_in > 0)
+        leave = valid & (t_out <= spec.duration)
+        ts += [t_in[enter], t_out[leave]]
+        keys += [key[enter] + 1, key[leave]]
+    return np.concatenate(ts), np.concatenate(keys)
 
 
 def corner_positions(spec: MotionSpec, geometry: SensorGeometry,

@@ -131,6 +131,19 @@ class TestSurface:
                        "--mode", "fixed-duration"])
         assert rc == 2
 
+    def test_bad_window_lists_are_usage_errors(self, tmp_path, capsys):
+        src = _synth(tmp_path)
+        for flags, why in (
+                (["--mode", "fixed-duration", "--durations", "0"],
+                 "positive durations"),
+                (["--counts", "0.1,0.1"], "strictly increasing"),
+                (["--mode", "sliding"], "unknown window mode")):
+            rc = cli.main(["surface", "-i", str(src), "-o",
+                           str(tmp_path / "s"), *flags])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and why in err
+
 
 class TestRun:
     def test_serial_classical_full_outputs(self, tmp_path, capsys):
@@ -287,6 +300,41 @@ class TestBench:
         assert lines[0] == "workload,n,mean_us,p99_us"
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["snapshot", "16384"], ["snapshot", "43200"]]
+
+    def test_synth_workload_rows(self, capsys):
+        rc = cli.main(["bench", "--workload", "synth", "--iterations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "workload,n,mean_us,p99_us"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["synth", "16384"], ["synth", "43200"]]
+
+    def test_all_rows_and_json_schema(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        rc = cli.main(["bench", "--workload", "all", "--events-n", "2000",
+                       "--iterations", "2", "--json", str(out)])
+        assert rc == 0
+        csv_rows = [line.split(",")[:2]
+                    for line in capsys.readouterr().out.splitlines()[1:]]
+        report = json.loads(out.read_text())
+        assert list(report) == ["environment", "rows"]
+        env = report["environment"]
+        assert list(env) == ["cpu_count", "python", "numpy", "blas_threads"]
+        assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+        assert isinstance(env["numpy"], str) and isinstance(env["python"], str)
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
+        names = [row["workload"] for row in report["rows"]]
+        assert list(dict.fromkeys(names)) == [
+            "ingest", "writer", "mcts", "snapshot", "classical", "nms",
+            "forward", "match", "synth"]
+        assert [[r["workload"], str(r["n"])] for r in report["rows"]] == \
+            csv_rows
+        for row in report["rows"]:
+            assert list(row) == ["workload", "n", "mean_us", "p99_us",
+                                 "iterations"]
+            assert isinstance(row["n"], int) and row["iterations"] == 2
+            assert isinstance(row["mean_us"], float)
+            assert isinstance(row["p99_us"], float)
 
     def test_unknown_workload(self):
         assert cli.main(["bench", "--workload", "warp"]) == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evfront import events
 from evfront.events import (
     BINARY_HEADER_SIZE,
     BINARY_RECORD_SIZE,
@@ -10,6 +11,8 @@ from evfront.events import (
     MotionSpec,
     SensorGeometry,
     StreamFormatError,
+    _edge_events,
+    _grid_anchors,
     batch_from_columns,
     corner_positions,
     downsample,
@@ -212,6 +215,41 @@ class TestBinaryFormat:
             parse_events(bytes(blob), "binary-v1")
         assert str(off) in str(err.value)
 
+    @pytest.mark.parametrize("field, at, value, what", [
+        ("p", 0, 2, "polarity byte 2"),
+        ("p", 6, 255, "polarity byte 255"),
+        ("x", 3, 9, "coordinate (9,"),
+        ("y", 6, 5, "coordinate ("),
+        ("t", 4, 0, "non-decreasing"),
+        ("t", 6, 2**62, "outside [0, 2**62)"),
+    ])
+    def test_bad_record_reports_its_offset(self, field, at, value, what):
+        b = _random_batch(np.random.default_rng(8), 7, SensorGeometry(9, 5),
+                          t_span=1_000)
+        blob = bytearray(write_events(b, "binary-v1"))
+        records = np.frombuffer(blob, offset=BINARY_HEADER_SIZE, dtype=[
+            ("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
+        records[field][at] = value
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(bytes(blob), "binary-v1")
+        assert err.value.offset == _record_offset(at)
+        assert what in str(err.value)
+
+    def test_records_validated_once(self, monkeypatch):
+        # the parser checks everything EventBatch checks, each record at
+        # its offset, and builds the batch without a second pass
+        calls = []
+        first_bad_stamp = events._first_bad_stamp
+        monkeypatch.setattr(events, "_first_bad_stamp",
+                            lambda t: calls.append(len(t))
+                            or first_bad_stamp(t))
+        b = _random_batch(np.random.default_rng(9), 300, SensorGeometry(9, 5))
+        calls.clear()
+        back = parse_events(write_events(b, "binary-v1"), "binary-v1")
+        assert calls == [300]
+        assert back.geometry == b.geometry
+        assert back.events.tobytes() == b.events.tobytes()
+
     def test_empty_record_section(self):
         geo = SensorGeometry(4, 4)
         back = parse_events(write_events(empty_batch(geo), "binary-v1"),
@@ -369,6 +407,137 @@ class TestGridOfCorners:
         warp = linear_warp((50.0, -20.0), 1234, 1234)
         pts = np.array([[1.0, 2.0], [3.5, 8.25]])
         assert np.allclose(warp(pts), pts)
+
+
+def _axis_interval_reference(p0, v, a, s):
+    """Times at which p0 - v*t lies inside the slab [a, a+s]."""
+    if v == 0:
+        inside = (p0 >= a) & (p0 <= a + s)
+        lo = np.where(inside, -np.inf, np.inf)
+        hi = np.where(inside, np.inf, -np.inf)
+        return lo, hi
+    t0 = (p0 - a - s) / v
+    t1 = (p0 - a) / v
+    return np.minimum(t0, t1), np.maximum(t0, t1)
+
+
+def _grid_events_reference(spec, geometry):
+    """The whole-frame sweep: every square evaluated on every pixel."""
+    vx, vy = spec.velocity
+    w, h = geometry.width, geometry.height
+    px, py = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    px, py = px.ravel(), py.ravel()
+    pix_x = px.astype(np.uint16)
+    pix_y = py.astype(np.uint16)
+
+    side = float(spec.square_side)
+    ts, xs, ys, ps = [], [], [], []
+    for ax, ay in _grid_anchors(spec, geometry):
+        lo_x, hi_x = _axis_interval_reference(px, vx, ax, side)
+        lo_y, hi_y = _axis_interval_reference(py, vy, ay, side)
+        t_in = np.maximum(lo_x, lo_y)
+        t_out = np.minimum(hi_x, hi_y)
+        valid = t_in < t_out
+
+        enter = valid & (t_in > 0) & (t_in <= spec.duration)
+        leave = valid & (t_out > 0) & (t_out <= spec.duration) & \
+            (np.maximum(t_in, 0.0) < t_out)
+        for mask, times, pol in ((enter, t_in, 1), (leave, t_out, -1)):
+            if mask.any():
+                ts.append(times[mask])
+                xs.append(pix_x[mask])
+                ys.append(pix_y[mask])
+                ps.append(np.full(mask.sum(), pol, dtype=np.int8))
+    if not ts:
+        z = np.empty(0)
+        return z, z.astype(np.uint16), z.astype(np.uint16), z.astype(np.int8)
+    return (np.concatenate(ts), np.concatenate(xs), np.concatenate(ys),
+            np.concatenate(ps))
+
+
+def synthesize_reference(spec, geometry, start_time=0):
+    """The generator as a whole-frame sweep with a four-key sort."""
+    if spec.pattern == "vertical-edge":
+        t, x, y, p = _edge_events(spec, geometry)
+    else:
+        t, x, y, p = _grid_events_reference(spec, geometry)
+    t_us = np.floor(t * events.US_PER_S).astype(np.int64) + start_time
+    order = np.lexsort((p, y, x, t_us))
+    return batch_from_columns(t_us[order], x[order], y[order], p[order],
+                              geometry)
+
+
+def _random_specs(rng, count):
+    """Small seeded scenes, edge cases included: zero and negative
+    velocity components, one-pixel-wide or -high sensors, pitch one above
+    the side, sweeps shorter than a pixel or longer than the frame."""
+    for i in range(count):
+        w = int(rng.choice([1, 2, int(rng.integers(3, 70))]))
+        h = int(rng.choice([1, 2, int(rng.integers(3, 70))]))
+        side = int(rng.integers(1, 10))
+        pitch = side + int(rng.choice([1, int(rng.integers(2, 20))]))
+        vx, vy = (float(rng.choice([0.0, -float(rng.integers(1, 100)),
+                                    rng.uniform(-300, 300)]))
+                  for _ in range(2))
+        if vx == vy == 0:
+            vx = -40.0
+        duration = float(rng.choice([0.25, 1.0, rng.uniform(1e-3, 1.5)]))
+        pattern = "vertical-edge" if i % 8 == 0 else "grid-of-corners"
+        yield (MotionSpec(pattern, (vx, vy), duration, grid_pitch=pitch,
+                          square_side=side), SensorGeometry(w, h))
+
+
+class TestSynthesizeEquivalence:
+    def test_random_specs_byte_identical(self):
+        rng = np.random.default_rng(2024)
+        # fast sweeps: a square passes a pixel within a millisecond, or
+        # within a microsecond, so stamps tie across polarities
+        fast = [(MotionSpec("grid-of-corners", (2500.0, -1700.0), 0.02,
+                            grid_pitch=7, square_side=3),
+                 SensorGeometry(40, 30)),
+                (MotionSpec("grid-of-corners", (-2e6, 0.0), 2e-5,
+                            grid_pitch=3, square_side=1),
+                 SensorGeometry(30, 2))]
+        events_seen = 0
+        for spec, geo in fast + list(_random_specs(rng, 40)):
+            want = synthesize_reference(spec, geo)
+            got = synthesize(spec, geo)
+            assert got.events.tobytes() == want.events.tobytes(), (spec, geo)
+            assert got.geometry == geo
+            events_seen += len(want)
+        assert events_seen > 50_000
+
+    def test_last_stamp_just_below_the_range(self):
+        rng = np.random.default_rng(7)
+        for spec, geo in _random_specs(rng, 8):
+            base = synthesize_reference(spec, geo)
+            if not len(base):
+                continue
+            start = events.TIMESTAMP_LIMIT - 1 - int(base.events["t"][-1])
+            want = synthesize_reference(spec, geo, start)
+            got = synthesize(spec, geo, start)
+            assert int(got.events["t"][-1]) == events.TIMESTAMP_LIMIT - 1
+            assert got.events.tobytes() == want.events.tobytes()
+            with pytest.raises(ValueError, match="outside"):
+                synthesize(spec, geo, start + 1)
+
+    # the benchmark scenes at velocities jittered as a seed does (up to
+    # 1% per component), and the acceptance scene as it is
+    @pytest.mark.parametrize("geo, velocity, pitch, side, duration", [
+        ((128, 128), (-56.39, -41.83), 48, 16, 1.5),    # replay-corners
+        ((128, 128), (-55.71, -42.30), 48, 16, 0.5),    # replay-learned
+        ((240, 180), (-301.7, -224.1), 12, 5, 0.5),     # flood-240
+        ((128, 128), (-56.0, -42.0), 48, 16, 1.0),      # acceptance
+    ])
+    def test_benchmark_and_acceptance_scenes_byte_identical(
+            self, geo, velocity, pitch, side, duration):
+        spec = MotionSpec("grid-of-corners", velocity, duration,
+                          grid_pitch=pitch, square_side=side)
+        want = synthesize_reference(spec, SensorGeometry(*geo))
+        got = synthesize(spec, SensorGeometry(*geo))
+        assert len(got) > 5_000
+        assert got.events.tobytes() == want.events.tobytes()
 
 
 class TestMotionSpecValidation:
