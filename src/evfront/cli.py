@@ -230,7 +230,7 @@ def cmd_synth(opts, args) -> int:
                                  grid_pitch=opts["grid-pitch"],
                                  square_side=opts["square-side"])
         batch = events.synthesize(spec, opts["geometry"], opts["start-time"])
-    except ValueError as exc:  # also a start time past the stamp range
+    except ValueError as exc:  # also a start time outside the stamp range
         raise UsageError(str(exc))
     Path(args.output).write_bytes(events.write_events(batch, "binary-v1"))
     if len(batch):

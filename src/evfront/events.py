@@ -44,6 +44,8 @@ EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 
 CSV_HEADER = "t,x,y,p"
 
+_DECODE_RUN = 1 << 14  # sort keys decoded at a time by synthesize
+
 
 class StreamFormatError(ValueError):
     """An event stream violated its declared format.
@@ -343,29 +345,63 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
     """Generate the event stream of a rigidly translating pattern.
 
     Crossing times come from exact linear motion, truncated to integer
-    microseconds and sorted with a canonical (t, x, y, p) tie order. A
-    grid square costs only its swept footprint; the stream is byte for
-    byte that of evaluating every square on every pixel.
+    microseconds and sorted with a canonical (t, x, y, p) tie order.
+
+    Each event is one int64 key ``t_us * 2*W*H + (x*H + y)*2 + (p > 0)``,
+    which orders as (t, x, y, p) do and decodes back to the record, so
+    one in-place sort by value orders the stream; equal keys are equal
+    records, so no stable sort, permutation or gather is needed. The keys
+    fit in int64 while ``(floor(duration * 1e6) + 1) * 2*W*H <= 2**63``:
+    a longer scene on the sensor is rejected, as is a ``start_time``
+    outside ``[0, 2**62)``, before any arithmetic. The corner grid costs
+    one evaluation per pixel offset from a square's anchor, on each column
+    offset's band of rows only, plus a shifted copy per square of the
+    crossings inside the frame (see ``_grid_keys``). The stream is byte
+    for byte that of evaluating every square on every pixel and sorting
+    on four keys.
     """
+    if not 0 <= start_time < TIMESTAMP_LIMIT:
+        raise ValueError(f"start time {start_time} outside [0, 2**62)")
+    w, h = geometry.width, geometry.height
+    span = 2 * w * h  # sort keys per microsecond
+    last_us = spec.duration * US_PER_S
+    if not last_us < 2**63 or (math.floor(last_us) + 1) * span > 2**63:
+        raise ValueError(
+            f"a {spec.duration} s scene on a {w}x{h} sensor exceeds the sort "
+            f"key limit: (floor(duration * 1e6) + 1) * 2*W*H must not "
+            f"exceed 2**63")
     if spec.pattern == "vertical-edge":
         t, x, y, p = _edge_events(spec, geometry)
-        key = (x.astype(np.int64) * geometry.height + y) * 2 + (p > 0)
+        keys = _stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + (p > 0), span)
     else:
-        t, key = _grid_events(spec, geometry)
-    # key orders ties as (x, y, p) do; arrays are freed once used (peak RSS)
-    t = np.floor(t * US_PER_S, out=t).astype(np.int64) + start_time
-    order = np.lexsort((key, t))
-    t = t[order]
-    key = key[order]
-    del order
-    ev = np.empty(len(t), dtype=EVENT_DTYPE)
-    ev["t"] = t
-    del t
-    ev["p"] = (key & 1) * 2 - 1
-    key >>= 1
-    ev["y"] = key % geometry.height
-    ev["x"] = key // geometry.height
-    return EventBatch(ev, geometry)
+        keys = _grid_keys(spec, geometry, span)
+    keys.sort()
+    last = int(keys[-1]) // span + start_time if len(keys) else 0
+    if last >= TIMESTAMP_LIMIT:
+        raise ValueError(f"timestamp {last} outside [0, 2**62)")
+    # decode a cache-sized run at a time (remainders as products: numpy
+    # divides by a scalar fast but takes its remainder slowly); the
+    # records are sorted and in range by construction
+    ev = np.empty(len(keys), dtype=EVENT_DTYPE)
+    for i in range(0, len(keys), _DECODE_RUN):
+        key, rec = keys[i:i + _DECODE_RUN], ev[i:i + _DECODE_RUN]
+        rec["p"] = (key & 1) * 2 - 1
+        key >>= 1
+        t = key // (w * h)
+        rec["t"] = t + start_time
+        key -= t * (w * h)
+        x = key // h
+        rec["x"] = x
+        rec["y"] = key - x * h
+    return _trusted_batch(ev, geometry)
+
+
+def _stamp_keys(t: np.ndarray, key: np.ndarray, span: int) -> np.ndarray:
+    """Sort keys ``floor(t * 1e6) * span + key`` of crossings at t seconds."""
+    keys = np.floor(t * US_PER_S).astype(np.int64)
+    keys *= span
+    keys += key
+    return keys
 
 
 def _edge_events(spec: MotionSpec, geometry: SensorGeometry):
@@ -399,8 +435,9 @@ def _edge_events(spec: MotionSpec, geometry: SensorGeometry):
     return t, x, y, p
 
 
-def _grid_anchors(spec: MotionSpec, geometry: SensorGeometry) -> np.ndarray:
-    """Top-left corners of every lattice square whose path can touch the frame."""
+def _lattice_lines(spec: MotionSpec, geometry: SensorGeometry):
+    """Anchors of the lattice columns and rows whose squares' paths can
+    touch the frame, ascending, as integer-valued floats."""
     vx, vy = spec.velocity
     pitch, side = spec.grid_pitch, spec.square_side
     spans = []
@@ -409,7 +446,12 @@ def _grid_anchors(spec: MotionSpec, geometry: SensorGeometry) -> np.ndarray:
         lo = math.floor((min(0.0, -sweep) - side) / pitch) * pitch
         hi = math.ceil((extent + max(0.0, -sweep)) / pitch) * pitch
         spans.append(np.arange(lo, hi + 1, pitch, dtype=np.float64))
-    ax, ay = np.meshgrid(spans[0], spans[1])
+    return spans
+
+
+def _grid_anchors(spec: MotionSpec, geometry: SensorGeometry) -> np.ndarray:
+    """Top-left corners of every lattice square whose path can touch the frame."""
+    ax, ay = np.meshgrid(*_lattice_lines(spec, geometry))
     return np.stack([ax.ravel(), ay.ravel()], axis=1)
 
 
@@ -423,32 +465,70 @@ def _axis_interval(p0: np.ndarray, v: float, a: float, s: float):
     return np.minimum(t0, t1), np.maximum(t0, t1)
 
 
-def _grid_events(spec: MotionSpec, geometry: SensorGeometry):
-    """Entry/exit crossing times and tie keys of translating squares.
+def _crossings(offsets: np.ndarray, v: float, spec: MotionSpec):
+    """The pixel offsets from a slab's anchor that are inside the slab at
+    some time in (0, duration], with their intervals. A pixel on no such
+    offset neither enters nor leaves a square in the stream."""
+    lo, hi = _axis_interval(offsets.astype(np.float64), v, 0.0,
+                            spec.square_side)
+    keep = (lo <= spec.duration) & (hi > 0)
+    return offsets[keep], lo[keep], hi[keep]
+
+
+def _grid_keys(spec: MotionSpec, geometry: SensorGeometry,
+               span: int) -> np.ndarray:
+    """Sort keys (see ``synthesize``) of the squares' crossings, unsorted.
 
     A pixel tracks q(t) = p - v*t through the static lattice; entering a
     square emits +1, leaving emits -1. Squares never overlap (pitch >
-    side), so per-square intervals are disjoint per pixel.
+    side), so per-square intervals are disjoint per pixel. A crossing
+    depends only on the pixel's offset (e, d) = (x - ax, y - ay) from the
+    square's anchor: ``x - ax`` is exact in float64, so the interval of
+    the offset is the pixel's, bit for bit. So the crossings of every
+    offset are computed once, and each square emits those that fall
+    inside the frame, shifted to its anchor.
     """
-    (vx, vy), h, side = spec.velocity, geometry.height, spec.square_side
-    cols, rows = np.arange(float(geometry.width)), np.arange(float(h))
-    ts, keys = [], []
-    for ax, ay in _grid_anchors(spec, geometry):
-        lo_x, hi_x = _axis_interval(cols, vx, ax, side)
-        lo_y, hi_y = _axis_interval(rows, vy, ay, side)
-        cx = np.flatnonzero((lo_x <= spec.duration) & (hi_x > 0))
-        ry = np.flatnonzero((lo_y <= spec.duration) & (hi_y > 0))[:, None]
-        t_in = np.maximum(lo_x[cx], lo_y[ry])
-        t_out = np.minimum(hi_x[cx], hi_y[ry])
-        key = (cx * h + ry) * 2
-        # only this block meets the square in (0, duration], and on it
-        # t_in <= duration and t_out > 0 hold already
-        valid = t_in < t_out
-        enter = valid & (t_in > 0)
-        leave = valid & (t_out <= spec.duration)
-        ts += [t_in[enter], t_out[leave]]
-        keys += [key[enter] + 1, key[leave]]
-    return np.concatenate(ts), np.concatenate(keys)
+    (vx, vy), w, h = spec.velocity, geometry.width, geometry.height
+    xs, ys = (line.astype(np.int64) for line in _lattice_lines(spec, geometry))
+    e, lo_x, hi_x = _crossings(np.arange(-xs[-1], w - xs[0]), vx, spec)
+    d, lo_y, hi_y = _crossings(np.arange(-ys[-1], h - ys[0]), vy, spec)
+    if vy < 0:  # order the rows so that both ends of their intervals ascend
+        d, lo_y, hi_y = d[::-1], lo_y[::-1], hi_y[::-1]
+    # the rows that can overlap column offset e (hi_y > lo_x, lo_y < hi_x)
+    # are the run [a, b) of them; no row outside it meets that column.
+    # a <= b, as lo < hi on every crossing offset
+    a = np.searchsorted(hi_y, lo_x, "right")
+    n = np.searchsorted(lo_y, hi_x, "left") - a
+    col = np.repeat(np.arange(len(e)), n)
+    row = np.arange(len(col)) + np.repeat(a - np.cumsum(n) + n, n)
+    e, d = e[col], d[row]
+    t_in = np.maximum(lo_x[col], lo_y[row])
+    t_out = np.minimum(hi_x[col], hi_y[row])
+    # t_in <= duration and t_out > 0 hold on every crossing offset
+    valid = t_in < t_out
+    enter = valid & (t_in > 0)
+    leave = valid & (t_out <= spec.duration)
+    # keys of the square at the first anchor (x0, y0), pixels off the frame
+    # included; another square's keys are larger by its anchor's shift
+    x0, y0 = xs[0], ys[0]
+    pixel = ((e + x0) * h + d + y0) * 2
+    base = _stamp_keys(np.concatenate([t_in[enter], t_out[leave]]),
+                       np.concatenate([pixel[enter] + 1, pixel[leave]]), span)
+    e = np.concatenate([e[enter], e[leave]])
+    d = np.concatenate([d[enter], d[leave]])
+    order = np.argsort(d)
+    base, e, d = base[order], e[order], d[order]
+    keys = []
+    for ax in xs:
+        inside = (e >= -ax) & (e < w - ax)
+        b, dy = base[inside], d[inside]
+        # in row-offset order, the crossings of the square at (ax, ay)
+        # that fall inside the frame are one run of b
+        lo = np.searchsorted(dy, -ys).tolist()
+        hi = np.searchsorted(dy, h - ys).tolist()
+        shift = (((ax - x0) * h + ys - y0) * 2).tolist()
+        keys += [b[i:j] + s for i, j, s in zip(lo, hi, shift)]
+    return np.concatenate(keys)
 
 
 def corner_positions(spec: MotionSpec, geometry: SensorGeometry,

@@ -41,7 +41,9 @@ class QuantizedDescriptors:
     def __post_init__(self) -> None:
         if self.vectors.dtype != np.int8:
             raise TypeError("quantized descriptors must be int8")
-        if self.vectors.size and int(np.abs(self.vectors).max()) > QMAX:
+        # not np.abs: in int8 it maps -128 to -128
+        if self.vectors.size and (int(self.vectors.min()) < -QMAX
+                                  or int(self.vectors.max()) > QMAX):
             raise ValueError("component outside [-127, 127]")
 
     def __len__(self) -> int:

@@ -42,6 +42,13 @@ class TestSynth:
                        str(2**62), "-o", str(tmp_path / "x.bin")])
         assert rc == 2
 
+    def test_start_time_past_int64_is_usage_error(self, tmp_path, capsys):
+        rc = cli.main(["synth", "--duration", "0.2", "--start-time",
+                       str(2**63), "-o", str(tmp_path / "x.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "start time" in err and "internal error" not in err
+
     def test_negative_velocity_needs_equals_form(self, tmp_path):
         rc = cli.main(["synth", "--velocity=-100,0", "--duration", "0.2",
                        "-o", str(tmp_path / "x.bin")])

@@ -1,5 +1,8 @@
 """Event container, wire formats, synthesizer, and stream ops."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -538,6 +541,91 @@ class TestSynthesizeEquivalence:
         got = synthesize(spec, SensorGeometry(*geo))
         assert len(got) > 5_000
         assert got.events.tobytes() == want.events.tobytes()
+
+    # every sign of each velocity component, zero included: the row
+    # offsets are reversed for vy < 0, and a zero component makes every
+    # row (or column) offset meet for the whole stream
+    @pytest.mark.parametrize("velocity", [
+        (130.0, 85.0), (130.0, -85.0), (-130.0, 85.0), (-130.0, -85.0),
+        (0.0, 95.0), (0.0, -95.0), (95.0, 0.0), (-95.0, 0.0),
+    ])
+    @pytest.mark.parametrize("geo, pitch, side", [
+        ((37, 29), 9, 4),
+        ((23, 31), 3, 1),     # runs of offsets that only touch
+    ])
+    def test_velocity_signs_byte_identical(self, velocity, geo, pitch, side):
+        spec = MotionSpec("grid-of-corners", velocity, 0.3,
+                          grid_pitch=pitch, square_side=side)
+        want = synthesize_reference(spec, SensorGeometry(*geo))
+        got = synthesize(spec, SensorGeometry(*geo))
+        assert len(want) > 100
+        assert got.events.tobytes() == want.events.tobytes()
+
+    # scenes where most squares emit nothing, so their runs of crossings
+    # inside the frame are empty: lattice lines beside the frame when a
+    # component is zero, squares passing a sensor smaller than the gaps
+    # between them (12 of 15, 9 of 9, 12 of 15 and 151 of 154 squares)
+    @pytest.mark.parametrize("velocity, geo, pitch, side", [
+        ((60.0, 0.0), (40, 3), 20, 5),
+        ((-45.0, 30.0), (2, 1), 50, 3),
+        ((0.0, -70.0), (1, 40), 30, 8),
+        ((900.0, -700.0), (5, 4), 40, 2),
+    ])
+    def test_squares_emitting_nothing_byte_identical(self, velocity, geo,
+                                                     pitch, side):
+        spec = MotionSpec("grid-of-corners", velocity, 0.5,
+                          grid_pitch=pitch, square_side=side)
+        want = synthesize_reference(spec, SensorGeometry(*geo))
+        got = synthesize(spec, SensorGeometry(*geo))
+        assert got.events.tobytes() == want.events.tobytes()
+
+
+class TestSortKeyLimit:
+    # 64x64: 2*W*H = 2**13 keys per microsecond, so the last stamp a
+    # scene may reach is 2**50 - 1 us, about 35.7 years
+    GEO = SensorGeometry(64, 64)
+
+    def test_scene_past_the_limit_rejected_naming_it(self):
+        spec = MotionSpec("vertical-edge", (1e-9, 0.0), (2**50 + 1) / 1e6)
+        with pytest.raises(ValueError, match=re.escape(
+                "(floor(duration * 1e6) + 1) * 2*W*H must not exceed 2**63")):
+            synthesize(spec, self.GEO)
+        with pytest.raises(ValueError, match="sort key limit"):
+            synthesize(MotionSpec("grid-of-corners", (1.0, 1.0), float("inf")),
+                       self.GEO)
+
+    # a square or edge crossing late in the scene puts keys near 2**63
+    @pytest.mark.parametrize("spec", [
+        MotionSpec("vertical-edge", (1e-9, 0.0), (2**50 - 1) / 1e6),
+        MotionSpec("grid-of-corners", (3e-8, -2e-8), (2**50 - 1) / 1e6,
+                   grid_pitch=20, square_side=7),
+    ])
+    def test_scene_just_inside_the_limit_byte_identical(self, spec):
+        want = synthesize_reference(spec, self.GEO)
+        got = synthesize(spec, self.GEO)
+        assert int(want.events["t"][-1]) * 2 * 64 * 64 > 2**62
+        assert got.events.tobytes() == want.events.tobytes()
+
+    @pytest.mark.parametrize("start", [-1, events.TIMESTAMP_LIMIT, 2**63])
+    def test_start_time_outside_the_range_rejected_first(self, start):
+        spec = MotionSpec("grid-of-corners", (50.0, 20.0), 0.1)
+        with pytest.raises(ValueError, match="start time"):
+            synthesize(spec, self.GEO, start)
+
+
+def test_flood_scene_peaks_no_higher_than_the_lexsort_path():
+    # the previous synthesizer, a two-key lexsort with its gathers, peaked
+    # at 24,925,552 bytes of traced allocations on this scene
+    spec = MotionSpec("grid-of-corners", (-300.0, -225.0), 0.5,
+                      grid_pitch=12, square_side=5)
+    tracemalloc.start()
+    try:
+        batch = synthesize(spec, SensorGeometry(240, 180))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == 763_800
+    assert peak <= 24_925_552
 
 
 class TestMotionSpecValidation:

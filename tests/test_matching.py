@@ -88,6 +88,14 @@ class TestQuantize:
         assert q.vectors.min() >= -QMAX
         assert q.vectors.max() <= QMAX
 
+    def test_minus_128_component_rejected(self):
+        # np.abs maps int8 -128 to -128, so an abs-based check lets it by
+        scheme = QuantizationScheme()
+        with pytest.raises(ValueError, match="outside"):
+            QuantizedDescriptors(np.array([[0, -128, 5]], np.int8), scheme)
+        edge = QuantizedDescriptors(np.array([[-QMAX, QMAX]], np.int8), scheme)
+        assert len(edge) == 1
+
     def test_rounds_half_away_from_zero(self):
         # 0.25 and 0.75 are exact in binary, so scaling by 2 lands the
         # products exactly on the .5 rounding boundary
