@@ -9,7 +9,6 @@ nothing, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import platform
@@ -157,13 +156,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
          "ingest (with the writer), mcts, snapshot, classical, nms, "
-         "forward, match, synth, or all")
+         "forward, quantize, match, synth, or all")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
     s.add_argument("--output", "-o", help="CSV out path (default: stdout only)")
     s.add_argument("--json", help="JSON out path: each row's mean, p99 and "
-                   "iterations, with the core count, numpy and BLAS threads")
+                   "iterations, with the core count, numpy, BLAS threads and "
+                   "encoder bands")
 
     return parser
 
@@ -431,7 +431,7 @@ def cmd_bench(opts, args) -> int:
         raise UsageError("iterations must be at least 1")
     wanted = opts["workload"]
     if wanted not in ("ingest", "mcts", "snapshot", "classical", "nms",
-                      "forward", "match", "synth", "all"):
+                      "forward", "quantize", "match", "synth", "all"):
         raise UsageError(f"unknown workload {wanted!r}")
     # time the layers with the allocator settings run_pipeline uses, not
     # with fresh pages faulted in by every large temporary
@@ -530,6 +530,16 @@ def cmd_bench(opts, args) -> int:
                 *_time_us(lambda: detect.forward(weights, x),
                           opts["iterations"])))
 
+    if wanted in ("quantize", "all"):
+        for n in (100, 500, 1000):
+            vectors = rng.standard_normal((n, 64)).astype(np.float32)
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+            desc = detect.Descriptors(vectors, np.ones(n, dtype=bool))
+            rows.append((
+                "quantize", n,
+                *_time_us(lambda: matching.quantize(desc),
+                          opts["iterations"])))
+
     if wanted in ("match", "all"):
         for n in (100, 500, 1000):
             a = matching.QuantizedDescriptors(
@@ -567,25 +577,13 @@ def cmd_bench(opts, args) -> int:
         environment = {"cpu_count": os.cpu_count(),
                        "python": platform.python_version(),
                        "numpy": np.__version__,
-                       "blas_threads": _blas_threads()}
+                       "blas_threads": detect.blas_threads(),
+                       "encoder_bands": detect.encoder_bands()}
         table = [{"workload": w, "n": n, "mean_us": m, "p99_us": p,
                   "iterations": opts["iterations"]} for w, n, m, p in rows]
         Path(args.json).write_text(json.dumps(
             {"environment": environment, "rows": table}, indent=2) + "\n")
     return 0
-
-
-def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS that numpy wheels bundle, or None when
-    numpy links another BLAS."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob(
-            "*openblas*"):
-        get = getattr(ctypes.CDLL(str(path)),
-                      "scipy_openblas_get_num_threads64_", None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            return get()
-    return None
 
 
 _DISPATCH = {

@@ -8,8 +8,13 @@ Harris-style fallback that needs no weights.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import os
+import threading
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +22,14 @@ from .surface import MctsTensor
 
 WEIGHTS_MAGIC = b"SLWT"
 WEIGHTS_VERSION = 1
+
+# a conv stage is split into row bands only where every band's gemm does
+# at least this many multiply-adds (about 0.5 ms on one core). Smaller
+# bands saved nothing on 2 cores: each pays for a hand-off and packs the
+# whole kernel again. And below about 10**6, OpenBLAS moves some CPUs to
+# a small-matrix sgemm kernel that rounds differently, so the bands
+# would no longer match the whole stage bit for bit
+_MIN_BAND_MACS = 1 << 24
 
 HARRIS_K = 0.04
 PATCH = 8  # classical descriptor patch side; 8*8 = 64 = learned D
@@ -172,38 +185,192 @@ def zero_weights(spec: NetworkSpec) -> WeightBundle:
 # forward pass
 
 
-def _conv3x3(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # stride 1, zero padding 1, so H and W are kept; the im2col buffer is
-    # channel-major (cin, 3, 3, h, w), so one gemm yields (cout, h*w)
+def _stage(weights: WeightBundle, i: int, x: np.ndarray,
+           bands: int) -> np.ndarray:
+    """Encoder stage ``i``: 3x3 conv (stride 1, zero padding 1), inference
+    batchnorm, 2x2 max-pool and ReLU, in row bands of the output.
+
+    Each band covers an even number of conv rows, so its pool stays
+    inside it, and does all four steps from the shared padded input into
+    its rows of the output; the bands share no other memory. Every band
+    buffer is one slice of a stage-wide buffer, allocated here by the
+    calling thread. One band is the whole stage.
+    """
+    kernel = weights.conv_kernels[i]
     cout, cin = kernel.shape[:2]
     h, w = x.shape[1:]
     padded = np.zeros((cin, h + 2, w + 2), dtype=x.dtype)
     padded[:, 1:h + 1, 1:w + 1] = x
-    cols = np.empty((cin, 3, 3, h, w), dtype=x.dtype)
+    # inference form only; running statistics come with the weights.
+    # Applied in place; folding into the kernels would change the rounding
+    inv = 1.0 / np.sqrt(weights.bn_var[i] + np.float32(weights.bn_epsilon))
+    affine = tuple(a[:, None, None] for a in (
+        weights.bn_mean[i], inv, weights.bn_scale[i], weights.bn_shift[i]))
+    gemm = kernel.reshape(cout, cin * 9)
+    pairs = h // 2
+    while bands > 1 and (cout * cin * 9 * 2 * (pairs // bands) * w
+                         < _MIN_BAND_MACS):
+        bands -= 1
+    edges = [2 * (pairs * k // bands) for k in range(bands + 1)]
+    # per conv pixel, a band's scratch holds its im2col column and later
+    # half a channel column of row-pair maxima
+    unit = max(cin * 9, (cout + 1) // 2)
+    scratch = np.empty(unit * h * w, dtype=x.dtype)
+    conv = np.empty(cout * h * w, dtype=x.dtype)
+    out = np.empty((cout, pairs, w // 2), dtype=x.dtype)
+    tasks = [functools.partial(
+        _band, padded[:, r0:r1 + 2], gemm, affine,
+        scratch[unit * r0 * w:unit * r1 * w],
+        conv[cout * r0 * w:cout * r1 * w].reshape(cout, r1 - r0, w),
+        out[:, r0 // 2:r1 // 2])
+        for r0, r1 in zip(edges, edges[1:])]
+    _BANDS.run(tasks)
+    return out
+
+
+def _band(padded: np.ndarray, gemm: np.ndarray, affine: tuple,
+          scratch: np.ndarray, conv: np.ndarray, out: np.ndarray) -> None:
+    cout, rows, w = conv.shape
+    cin = padded.shape[0]
+    # the im2col buffer is channel-major (cin, 3, 3, rows, w), so one gemm
+    # yields (cout, rows*w)
+    cols = scratch[:cin * 9 * rows * w].reshape(cin, 3, 3, rows, w)
     for dy in range(3):
         for dx in range(3):
-            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
-    out = kernel.reshape(cout, cin * 9) @ cols.reshape(cin * 9, h * w)
-    return out.reshape(cout, h, w)
+            cols[:, dy, dx] = padded[:, dy:dy + rows, dx:dx + w]
+    np.matmul(gemm, cols.reshape(cin * 9, rows * w),
+              out=conv.reshape(cout, rows * w))
+    mean, inv, scale, shift = affine
+    conv -= mean
+    conv *= inv
+    conv *= scale
+    conv += shift
+    # max-pool: row pairs first, as contiguous half rows, then column
+    # pairs. The row maxima go to the scratch, free once the gemm is done:
+    # contiguous, the column pairs read them in order
+    halves = conv.reshape(cout, rows // 2, 2 * w)
+    maxima = scratch[:cout * rows // 2 * w].reshape(cout, rows // 2, w)
+    np.maximum(halves[:, :, :w], halves[:, :, w:], out=maxima)
+    np.maximum(maxima[:, :, 0::2], maxima[:, :, 1::2], out=out)
+    # ReLU after the pool: max commutes exactly with max(., 0)
+    np.maximum(out, np.float32(0), out=out)
 
 
-def _batchnorm(x: np.ndarray, scale, shift, mean, var, eps: float) -> np.ndarray:
-    # inference form only; running statistics come with the weights.
-    # Overwrites x; folding into the kernels would change the rounding.
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
-    x -= mean[:, None, None]
-    x *= inv[:, None, None]
-    x *= scale[:, None, None]
-    x += shift[:, None, None]
-    return x
+class _BandRunner:
+    """Shares the bands of a stage between the calling thread and one
+    daemon helper thread, which starts on the first call with more than
+    one band.
+
+    Each thread takes the next band nobody has taken, so a helper that
+    the OS has not scheduled yet costs the caller nothing: the caller
+    runs the bands itself. numpy releases the GIL in the gemm, the slice
+    copies and the ufuncs, so bands on both threads run at once. Any
+    number of callers may use it; the helper joins the newest stage
+    handed to it.
+    """
+
+    def __init__(self) -> None:
+        self._posted = threading.Event()
+        self._stage: _Stage | None = None
+        self._thread: threading.Thread | None = None
+
+    def run(self, tasks: list) -> None:
+        if len(tasks) == 1:
+            tasks[0]()
+            return
+        stage = _Stage(tasks)
+        # a forked child inherits the object but not the thread
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(
+                target=self._serve, name="evfront-encoder-bands", daemon=True)
+            self._thread.start()
+        self._stage = stage
+        self._posted.set()
+        stage.work()
+        stage.join()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.wait()
+            self._posted.clear()
+            stage, self._stage = self._stage, None
+            if stage is not None:
+                stage.work()
+            stage = None  # holds no finished stage's error or buffers
 
 
-def _maxpool2(x: np.ndarray) -> np.ndarray:
-    # row pairs first, as contiguous half rows, then column pairs
-    c, h, w = x.shape
-    pairs = x.reshape(c, h // 2, 2 * w)
-    rows = np.maximum(pairs[:, :, :w], pairs[:, :, w:])
-    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
+class _Stage:
+    """The bands of one stage, taken one at a time by whichever thread
+    asks next."""
+
+    def __init__(self, tasks: list) -> None:
+        self._pending = list(tasks)
+        self._running = 0
+        self._error: BaseException | None = None
+        self._cond = threading.Condition()
+
+    def work(self) -> None:
+        """Runs bands until none is left to take. After a failure no
+        further band starts."""
+        while True:
+            with self._cond:
+                if not self._pending:
+                    return
+                task = self._pending.pop()
+                self._running += 1
+            try:
+                task()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by join
+                with self._cond:
+                    self._error = self._error or exc
+                    self._pending.clear()
+            finally:
+                with self._cond:
+                    self._running -= 1
+                    self._cond.notify_all()
+
+    def join(self) -> None:
+        """Waits until no band runs, then raises the first failure. The
+        bands write into the caller's buffers, so the caller returns, or
+        raises, only once every band it handed out has stopped."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._running)
+            error = self._error
+        if error is not None:
+            raise error
+
+
+_BANDS = _BandRunner()
+
+
+def encoder_bands() -> int:
+    """Row bands per conv stage: the usable cores over the BLAS threads,
+    at least 1. A BLAS whose thread count is unknown counts as using
+    every core, so it gets one band."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // (blas_threads() or cores))
+
+
+def blas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy wheels bundle, or None when
+    numpy links another BLAS."""
+    get = _openblas_thread_getter()
+    return None if get is None else get()
+
+
+@functools.cache
+def _openblas_thread_getter():
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "*openblas*"):
+        get = getattr(ctypes.CDLL(str(path)),
+                      "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return get
+    return None
 
 
 def _softmax_channels(x: np.ndarray) -> np.ndarray:
@@ -222,15 +389,10 @@ def _encode(weights: WeightBundle, x: np.ndarray) -> np.ndarray:
     if h % cell or w % cell:
         raise ValueError(f"input {h}x{w} not divisible by cell {cell}")
 
+    bands = encoder_bands()
     feat = x.astype(np.float32, copy=False)
     for i in range(len(spec.encoder_widths)):
-        feat = _conv3x3(feat, weights.conv_kernels[i])
-        feat = _batchnorm(feat, weights.bn_scale[i], weights.bn_shift[i],
-                          weights.bn_mean[i], weights.bn_var[i],
-                          weights.bn_epsilon)
-        feat = _maxpool2(feat)
-        # ReLU after the pool: max commutes exactly with max(., 0)
-        np.maximum(feat, np.float32(0), out=feat)
+        feat = _stage(weights, i, feat, bands)
     # the heads' gemms round differently by operand layout; they have
     # always read the features pixel-major, (h, w, c) in memory
     return np.ascontiguousarray(feat.transpose(1, 2, 0)).transpose(2, 0, 1)

@@ -197,6 +197,9 @@ class MotionSpec:
             raise ValueError(f"unknown pattern {self.pattern!r}")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
+        if not all(math.isfinite(v) for v in self.velocity):
+            raise ValueError(f"velocity components must be finite, got "
+                             f"{self.velocity}")
         if math.hypot(*self.velocity) == 0:
             raise ValueError("velocity must be non-zero")
         if self.grid_pitch <= self.square_side:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from evfront import cli, pipeline
 from evfront.events import SensorGeometry, parse_events
 from evfront.surface import read_mcts
@@ -30,6 +32,16 @@ class TestSynth:
         rc = cli.main(["synth", "--velocity", "0,0",
                        "-o", str(tmp_path / "x.bin")])
         assert rc == 2
+
+    @pytest.mark.parametrize("velocity", ["inf,40", "nan,40", "40,-inf"])
+    def test_non_finite_velocity_is_usage_error(self, tmp_path, capsys,
+                                                velocity):
+        rc = cli.main(["synth", "--pattern", "grid-of-corners",
+                       "--velocity", velocity, "-o", str(tmp_path / "x.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "internal error" not in err
+        assert not (tmp_path / "x.bin").exists()
 
     def test_patternless_motion_yields_empty_exit(self, tmp_path):
         # a vertical edge moving only in y sweeps no columns
@@ -316,6 +328,14 @@ class TestBench:
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["synth", "16384"], ["synth", "43200"]]
 
+    def test_quantize_workload_rows(self, capsys):
+        rc = cli.main(["bench", "--workload", "quantize", "--iterations", "1"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "workload,n,mean_us,p99_us"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["quantize", "100"], ["quantize", "500"], ["quantize", "1000"]]
+
     def test_all_rows_and_json_schema(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         rc = cli.main(["bench", "--workload", "all", "--events-n", "2000",
@@ -326,14 +346,17 @@ class TestBench:
         report = json.loads(out.read_text())
         assert list(report) == ["environment", "rows"]
         env = report["environment"]
-        assert list(env) == ["cpu_count", "python", "numpy", "blas_threads"]
+        assert list(env) == ["cpu_count", "python", "numpy", "blas_threads",
+                             "encoder_bands"]
         assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
         assert isinstance(env["numpy"], str) and isinstance(env["python"], str)
         assert env["blas_threads"] is None or env["blas_threads"] >= 1
+        assert isinstance(env["encoder_bands"], int)
+        assert env["encoder_bands"] >= 1
         names = [row["workload"] for row in report["rows"]]
         assert list(dict.fromkeys(names)) == [
             "ingest", "writer", "mcts", "snapshot", "classical", "nms",
-            "forward", "match", "synth"]
+            "forward", "quantize", "match", "synth"]
         assert [[r["workload"], str(r["n"])] for r in report["rows"]] == \
             csv_rows
         for row in report["rows"]:

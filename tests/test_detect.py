@@ -1,5 +1,9 @@
 """Network forward pass, NMS, descriptors, weights, classical detector."""
 
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -249,6 +253,202 @@ class TestForwardNumerics:
             assert np.array_equal(heat, heat0)
             assert np.array_equal(desc, desc0)
             assert np.array_equal(probs, probs0)
+
+
+def force_bands(monkeypatch, bands):
+    # the band count is the usable cores over the BLAS threads
+    monkeypatch.setattr(detect, "blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(bands)), raising=False)
+    assert detect.encoder_bands() == bands
+
+
+class _AwayThread:
+    """Stands in for a helper thread that never gets to run."""
+
+    def is_alive(self):
+        return True
+
+
+class TestEncoderBands:
+    """Conv stages in row bands, the band count forced via the core count.
+
+    Split points, at the 2**24 multiply-add floor per band: 16x16 and
+    64x64 inputs split no stage; at 128x128 three bands fit only in the
+    middle stages, with 20, 22 and 22 rows in the second; 176x240 splits
+    every stage in three, 58, 58 and 60 rows in the first.
+    """
+
+    SPLITS = {
+        1: {(16, 16): [1] * 4, (64, 64): [1] * 4, (128, 128): [1] * 4,
+            (176, 240): [1] * 4},
+        2: {(16, 16): [1] * 4, (64, 64): [1] * 4, (128, 128): [2] * 4,
+            (176, 240): [2] * 4},
+        3: {(16, 16): [1] * 4, (64, 64): [1] * 4, (128, 128): [2, 3, 3, 2],
+            (176, 240): [3] * 4},
+    }
+
+    @staticmethod
+    def bundles():
+        rng = np.random.default_rng(12)
+        base = random_weights(SPEC, 4)
+
+        def stats(arrays, lo, hi):
+            return tuple(rng.uniform(lo, hi, a.shape).astype(np.float32)
+                         for a in arrays)
+
+        return [base, replace(
+            base, bn_scale=stats(base.bn_scale, -2.0, 2.0),
+            bn_shift=stats(base.bn_shift, -1.0, 1.0),
+            bn_mean=stats(base.bn_mean, -0.5, 0.5),
+            bn_var=stats(base.bn_var, 0.1, 2.0))]
+
+    @pytest.mark.parametrize("cores, blas, bands", [
+        (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 2, 1), (1, 1, 1), (8, None, 1)])
+    def test_band_count_is_cores_over_blas_threads(self, monkeypatch, cores,
+                                                   blas, bands):
+        # an unknown BLAS counts as using every core
+        monkeypatch.setattr(detect, "blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        assert detect.encoder_bands() == bands
+
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    def test_forced_bands_match_reference_bitwise(self, monkeypatch, bands):
+        force_bands(monkeypatch, bands)
+        splits = []
+        run = detect._BANDS.run
+        monkeypatch.setattr(detect._BANDS, "run",
+                            lambda tasks: (splits.append(len(tasks)),
+                                           run(tasks)))
+        rng = np.random.default_rng(13)
+        for shape, want_splits in self.SPLITS[bands].items():
+            x = rng.random((8, *shape), dtype=np.float32)
+            x[rng.random(x.shape) < 0.5] = 0
+            for w in self.bundles():
+                splits.clear()
+                assert np.array_equal(detect._encode(w, x),
+                                      encode_reference(w, x))
+                assert splits == want_splits
+
+    @pytest.mark.parametrize("bands, want_splits", [
+        (1, [1] * 4), (2, [2, 2, 2, 1]), (3, [3, 3, 3, 1])])
+    def test_one_input_channel_bitwise(self, monkeypatch, bands,
+                                       want_splits):
+        # 9*cin < cout/2 in the first stage: the row maxima need more
+        # scratch than the im2col columns
+        force_bands(monkeypatch, bands)
+        splits = []
+        run = detect._BANDS.run
+        monkeypatch.setattr(detect._BANDS, "run",
+                            lambda tasks: (splits.append(len(tasks)),
+                                           run(tasks)))
+        w = random_weights(NetworkSpec(1, (32, 16, 64, 8), 16), 7)
+        x = np.random.default_rng(16).random((1, 512, 512), dtype=np.float32)
+        assert np.array_equal(detect._encode(w, x), encode_reference(w, x))
+        assert splits == want_splits
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_band_failure_surfaces_after_both_bands_stop(self, monkeypatch,
+                                                         failing):
+        force_bands(monkeypatch, 2)
+        w = random_weights(SPEC, 5)
+        x = np.random.default_rng(14).random((8, 128, 128), dtype=np.float32)
+        want = forward(w, x)
+        caller = threading.current_thread()
+        band = detect._band
+        both_running = threading.Barrier(2, timeout=30)
+        finished = []
+
+        def one_fails(*args):
+            both_running.wait()  # one band on each thread
+            on_caller = threading.current_thread() is caller
+            if on_caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} band failed")
+            time.sleep(0.05)  # the other band fails long before this ends
+            band(*args)
+            finished.append(on_caller)
+
+        monkeypatch.setattr(detect, "_band", one_fails)
+        with pytest.raises(RuntimeError, match=f"{failing} band failed"):
+            forward(w, x)
+        assert finished == [failing == "helper"]
+        monkeypatch.setattr(detect, "_band", band)
+        heat, desc = forward(w, x)
+        assert np.array_equal(heat, want[0])
+        assert np.array_equal(desc, want[1])
+
+    def test_no_band_starts_after_a_failure(self):
+        ran = []
+
+        def fail():
+            raise ValueError("band failed")
+
+        stage = detect._Stage([lambda: ran.append(0), lambda: ran.append(1),
+                               fail])
+        stage.work()  # takes the failing band first
+        with pytest.raises(ValueError, match="band failed"):
+            stage.join()
+        assert ran == []
+
+    def test_caller_runs_every_band_while_the_helper_is_away(
+            self, monkeypatch):
+        # a helper that is not scheduled does not hold the caller up
+        force_bands(monkeypatch, 2)
+        w = random_weights(SPEC, 8)
+        x = np.random.default_rng(17).random((8, 128, 128), dtype=np.float32)
+        want = forward(w, x)
+        ran_on = []
+        band = detect._band
+
+        def record(*args):
+            ran_on.append(threading.current_thread())
+            band(*args)
+
+        monkeypatch.setattr(detect, "_band", record)
+        away = detect._BandRunner()
+        away._thread = _AwayThread()  # alive, so no helper is started
+        monkeypatch.setattr(detect, "_BANDS", away)
+        heat, desc = forward(w, x)
+        assert np.array_equal(heat, want[0])
+        assert np.array_equal(desc, want[1])
+        assert set(ran_on) == {threading.current_thread()}
+        assert len(ran_on) == 8  # two bands in each of four stages
+
+    def test_concurrent_callers_agree(self, monkeypatch):
+        # more callers than cores, switching threads often: all share
+        # the one helper, which joins whichever stage was handed over last
+        w = random_weights(SPEC, 6)
+        rng = np.random.default_rng(15)
+        inputs = [rng.random((8, 64, 64), dtype=np.float32) for _ in range(4)]
+        force_bands(monkeypatch, 1)
+        want = [forward(w, x) for x in inputs]
+        force_bands(monkeypatch, 2)
+        got = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs))
+
+        def call(k):
+            start.wait(timeout=30)
+            for _ in range(5):
+                got[k].append(forward(w, inputs[k]))
+
+        threads = [threading.Thread(target=call, args=(k,))
+                   for k in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for results, (heat, desc) in zip(got, want):
+            assert len(results) == 5
+            for heat1, desc1 in results:
+                assert np.array_equal(heat1, heat)
+                assert np.array_equal(desc1, desc)
 
 
 class TestNms:

@@ -1,5 +1,6 @@
 """Event container, wire formats, synthesizer, and stream ops."""
 
+import math
 import re
 import tracemalloc
 
@@ -311,6 +312,16 @@ class TestCsvFormat:
     def test_geometry_required(self):
         with pytest.raises(ValueError):
             parse_events(b"1,0,0,1\n", "csv")
+
+
+class TestMotionSpec:
+    @pytest.mark.parametrize("velocity", [
+        (math.inf, 40.0), (40.0, -math.inf), (math.nan, 40.0),
+        (0.0, math.nan)])
+    @pytest.mark.parametrize("pattern", ["vertical-edge", "grid-of-corners"])
+    def test_non_finite_velocity_rejected(self, pattern, velocity):
+        with pytest.raises(ValueError, match="finite"):
+            MotionSpec(pattern, velocity, 1.0)
 
 
 class TestVerticalEdge:

@@ -187,6 +187,21 @@ class TestCosineDistance:
             assert np.array_equal(distance_matrix(a, b),
                                   distance_matrix_reference(a, b))
 
+    def test_float32_gemm_limit_bitwise(self):
+        # the dots run in float32 while D*128**2 <= 2**24, so up to D=1024;
+        # -128 gives the largest products, and odd products of 127s push
+        # sums past 2**24 from D=1041, where float32 would round
+        rng = np.random.default_rng(16)
+        for d in (1024, 1025, 1041):
+            a = rng.choice(np.array([-128, -127, 127], np.int8), (20, d))
+            a[:5] = -128
+            a[5:10] = 127
+            b = np.concatenate([a[:10], -a[10:15].clip(-127),
+                                rng.choice(np.array([-128, 127], np.int8),
+                                           (10, d))])
+            assert np.array_equal(distance_matrix(a, b),
+                                  distance_matrix_reference(a, b))
+
     def test_scalar_is_matrix_element(self):
         rng = np.random.default_rng(13)
         a = rng.integers(-127, 128, (25, 64)).astype(np.int8)
@@ -281,7 +296,7 @@ class TestMutualNn:
                 # the reference is symmetric bit for bit: integer dots
                 # and norm products commute exactly
                 for x, y, dist in ((qa, qb, want), (qb, qa, want.T)):
-                    for ceiling in (DEFAULT_MAX_DISTANCE, 2.0):
+                    for ceiling in (0.1, 0.4, DEFAULT_MAX_DISTANCE, 2.0):
                         got = match_mutual_nn(x, y, ceiling)
                         assert got == match_mutual_nn_reference(dist,
                                                                 ceiling)
