@@ -224,7 +224,7 @@ def _stage(weights: WeightBundle, i: int, x: np.ndarray,
         conv[cout * r0 * w:cout * r1 * w].reshape(cout, r1 - r0, w),
         out[:, r0 // 2:r1 // 2])
         for r0, r1 in zip(edges, edges[1:])]
-    _BANDS.run(tasks)
+    _run_bands(tasks)
     return out
 
 
@@ -256,102 +256,72 @@ def _band(padded: np.ndarray, gemm: np.ndarray, affine: tuple,
     np.maximum(out, np.float32(0), out=out)
 
 
-class _BandRunner:
-    """Shares the bands of a stage between the calling thread and one
-    daemon helper thread, which starts on the first call with more than
-    one band.
-
-    Each thread takes the next band nobody has taken, so a helper that
-    the OS has not scheduled yet costs the caller nothing: the caller
-    runs the bands itself. numpy releases the GIL in the gemm, the slice
-    copies and the ufuncs, so bands on both threads run at once. Any
-    number of callers may use it; the helper joins the newest stage
-    handed to it.
-    """
-
-    def __init__(self) -> None:
-        self._posted = threading.Event()
-        self._stage: _Stage | None = None
-        self._thread: threading.Thread | None = None
-
-    def run(self, tasks: list) -> None:
-        if len(tasks) == 1:
-            tasks[0]()
-            return
-        stage = _Stage(tasks)
-        # a forked child inherits the object but not the thread
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._serve, name="evfront-encoder-bands", daemon=True)
-            self._thread.start()
-        self._stage = stage
-        self._posted.set()
-        stage.work()
-        stage.join()
-
-    def _serve(self) -> None:
-        while True:
-            self._posted.wait()
-            self._posted.clear()
-            stage, self._stage = self._stage, None
-            if stage is not None:
-                stage.work()
-            stage = None  # holds no finished stage's error or buffers
+# one helper thread, started on the first stage with more than one band,
+# as (pid, executor): a forked child inherits the executor but not its
+# thread, so it starts its own
+_helper: tuple | None = None
+_helper_lock = threading.Lock()
 
 
-class _Stage:
-    """The bands of one stage, taken one at a time by whichever thread
-    asks next."""
-
-    def __init__(self, tasks: list) -> None:
-        self._pending = list(tasks)
-        self._running = 0
-        self._error: BaseException | None = None
-        self._cond = threading.Condition()
-
-    def work(self) -> None:
-        """Runs bands until none is left to take. After a failure no
-        further band starts."""
-        while True:
-            with self._cond:
-                if not self._pending:
-                    return
-                task = self._pending.pop()
-                self._running += 1
-            try:
-                task()
-            except BaseException as exc:  # noqa: BLE001 - re-raised by join
-                with self._cond:
-                    self._error = self._error or exc
-                    self._pending.clear()
-            finally:
-                with self._cond:
-                    self._running -= 1
-                    self._cond.notify_all()
-
-    def join(self) -> None:
-        """Waits until no band runs, then raises the first failure. The
-        bands write into the caller's buffers, so the caller returns, or
-        raises, only once every band it handed out has stopped."""
-        with self._cond:
-            self._cond.wait_for(lambda: not self._running)
-            error = self._error
-        if error is not None:
-            raise error
+def _executor():
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = os.getpid(), ThreadPoolExecutor(
+                1, thread_name_prefix="evfront-encoder-bands")
+        return _helper[1]
 
 
-_BANDS = _BandRunner()
+def _run_bands(tasks: list) -> None:
+    """Runs the first band on the calling thread and hands the rest to
+    the helper; any the helper has not started by then, the caller takes
+    back and runs, so a helper that is not scheduled holds nothing up.
+    numpy releases the GIL in the gemm, the slice copies and the ufuncs,
+    so bands on both threads run at once. Returns, or raises the first
+    failure, only once every band has stopped: they write into the
+    caller's buffers. After a failure no further band starts."""
+    # each handed-over band sits in a box the caller empties before it
+    # returns: a band still queued, or still held by the helper after it
+    # ran, must not keep the stage's buffers alive
+    boxes = [[task] for task in tasks[1:]]
+    futures = [_executor().submit(_run_boxed, box) for box in boxes]
+    error = None
+    try:
+        tasks[0]()
+    except BaseException as exc:  # noqa: BLE001 - re-raised below
+        error = exc
+    # the helper takes bands first to last, the caller last to first
+    for task, future in zip(tasks[:0:-1], futures[::-1]):
+        if future.cancel():
+            if error is None:
+                try:
+                    task()
+                except BaseException as exc:  # noqa: BLE001
+                    error = exc
+        elif future.exception() is not None:  # waits for the band
+            error = error or future.exception()
+    for box in boxes:
+        box.clear()
+    if error is not None:
+        raise error
+
+
+def _run_boxed(box: list) -> None:
+    if box:
+        box[0]()
 
 
 def encoder_bands() -> int:
     """Row bands per conv stage: the usable cores over the BLAS threads,
-    at least 1. A BLAS whose thread count is unknown counts as using
-    every core, so it gets one band."""
+    at least 1 and at most 2, one for the caller and one for the helper.
+    A BLAS whose thread count is unknown counts as using every core, so
+    it gets one band."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return max(1, cores // (blas_threads() or cores))
+    return max(1, min(2, cores // (blas_threads() or cores)))
 
 
 def blas_threads() -> int | None:

@@ -2,10 +2,10 @@
 
 Descriptors are mapped to signed 8-bit integers with a symmetric scale;
 the scale cancels out of cosine distances, so matching never needs to
-undo the quantization. Dot products run as one BLAS GEMM, and squared
-norms as sums, in float32 while D*128^2 <= 2^24 and in float64 beyond;
-both are exact, because every partial sum is an integer of at most
-D*128^2. Each square of a dot and product of two norms is then one
+undo the quantization. Dot products run as one BLAS GEMM in float32
+while D*128^2 <= 2^24 and in float64 beyond, which is exact: every
+partial sum is an integer of at most D*128^2. Squared norms sum in
+float64. Each square of a dot and product of two norms is then one
 correctly rounded float64 multiplication of exact integers, the same
 value a 64-bit integer product would round to. One real division
 produces each distance.
@@ -109,19 +109,16 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     af = a.astype(exact)
     bf = b.astype(exact)
     dots = af @ bf.T
-    aa = np.einsum("ij,ij->i", af, af).astype(np.float64)
-    bb = np.einsum("ij,ij->i", bf, bf).astype(np.float64)
+    denom = (af * af).sum(axis=1, dtype=np.float64)[:, None] \
+        * (bf * bf).sum(axis=1, dtype=np.float64)
     dist = dots.astype(np.float64)
     dist *= dist
     with np.errstate(invalid="ignore"):
-        dist /= aa[:, None] * bb  # 0/0 where a norm is zero, overwritten below
+        dist /= denom  # 0/0 where a norm is zero, overwritten below
     np.sqrt(dist, out=dist)
     np.copysign(dist, dots, out=dist)
     np.subtract(1.0, dist, out=dist)
-    if not aa.all():
-        dist[aa == 0] = 2.0
-    if not bb.all():
-        dist[:, bb == 0] = 2.0
+    dist[denom == 0] = 2.0
     return dist
 
 
@@ -141,12 +138,7 @@ def match_mutual_nn(a: QuantizedDescriptors, b: QuantizedDescriptors,
         raise ValueError("descriptor dimensionality differs")
     dist = distance_matrix(a.vectors, b.vectors)
     best_b = dist.argmin(axis=1)   # first minimum = lowest index
-    # only the columns some row picked need their own nearest row
-    picked = np.zeros(len(b), dtype=bool)
-    picked[best_b] = True
-    picked = np.flatnonzero(picked)
-    best_a = np.empty(len(b), dtype=np.intp)
-    best_a[picked] = dist.T[picked].argmin(axis=1)
+    best_a = dist.argmin(axis=0)
     rows = np.arange(len(a))
     nearest = dist[rows, best_b]
     keep = (best_a[best_b] == rows) & (nearest <= max_distance)

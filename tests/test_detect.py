@@ -1,9 +1,11 @@
 """Network forward pass, NMS, descriptors, weights, classical detector."""
 
+import functools
 import os
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -256,22 +258,32 @@ class TestForwardNumerics:
 
 
 def force_bands(monkeypatch, bands):
-    # the band count is the usable cores over the BLAS threads
-    monkeypatch.setattr(detect, "blas_threads", lambda: 1)
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(bands)), raising=False)
-    assert detect.encoder_bands() == bands
+    # past the rule's cap of 2: the stages split into any band count
+    monkeypatch.setattr(detect, "encoder_bands", lambda: bands)
 
 
-class _AwayThread:
-    """Stands in for a helper thread that never gets to run."""
+def count_splits(monkeypatch):
+    """Records the number of bands each stage hands to ``_run_bands``."""
+    splits = []
+    run = detect._run_bands
+    monkeypatch.setattr(detect, "_run_bands",
+                        lambda tasks: (splits.append(len(tasks)), run(tasks)))
+    return splits
 
-    def is_alive(self):
-        return True
+
+class _AwayHelper:
+    """Stands in for a helper thread that never gets to run: every band
+    handed to it stays pending, and queued with its arguments."""
+
+    queued = []
+
+    def submit(self, fn, *args):
+        self.queued.append(args)
+        return Future()
 
 
 class TestEncoderBands:
-    """Conv stages in row bands, the band count forced via the core count.
+    """Conv stages in row bands, the band count forced.
 
     Split points, at the 2**24 multiply-add floor per band: 16x16 and
     64x64 inputs split no stage; at 128x128 three bands fit only in the
@@ -304,10 +316,12 @@ class TestEncoderBands:
             bn_var=stats(base.bn_var, 0.1, 2.0))]
 
     @pytest.mark.parametrize("cores, blas, bands", [
-        (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 2, 1), (1, 1, 1), (8, None, 1)])
+        (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 2, 1), (1, 1, 1), (8, None, 1),
+        (4, 1, 2), (16, 2, 2)])
     def test_band_count_is_cores_over_blas_threads(self, monkeypatch, cores,
                                                    blas, bands):
-        # an unknown BLAS counts as using every core
+        # an unknown BLAS counts as using every core; one helper thread
+        # caps the count at 2
         monkeypatch.setattr(detect, "blas_threads", lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cores)), raising=False)
@@ -316,11 +330,7 @@ class TestEncoderBands:
     @pytest.mark.parametrize("bands", [1, 2, 3])
     def test_forced_bands_match_reference_bitwise(self, monkeypatch, bands):
         force_bands(monkeypatch, bands)
-        splits = []
-        run = detect._BANDS.run
-        monkeypatch.setattr(detect._BANDS, "run",
-                            lambda tasks: (splits.append(len(tasks)),
-                                           run(tasks)))
+        splits = count_splits(monkeypatch)
         rng = np.random.default_rng(13)
         for shape, want_splits in self.SPLITS[bands].items():
             x = rng.random((8, *shape), dtype=np.float32)
@@ -338,11 +348,7 @@ class TestEncoderBands:
         # 9*cin < cout/2 in the first stage: the row maxima need more
         # scratch than the im2col columns
         force_bands(monkeypatch, bands)
-        splits = []
-        run = detect._BANDS.run
-        monkeypatch.setattr(detect._BANDS, "run",
-                            lambda tasks: (splits.append(len(tasks)),
-                                           run(tasks)))
+        splits = count_splits(monkeypatch)
         w = random_weights(NetworkSpec(1, (32, 16, 64, 8), 16), 7)
         x = np.random.default_rng(16).random((1, 512, 512), dtype=np.float32)
         assert np.array_equal(detect._encode(w, x), encode_reference(w, x))
@@ -378,18 +384,22 @@ class TestEncoderBands:
         assert np.array_equal(heat, want[0])
         assert np.array_equal(desc, want[1])
 
-    def test_no_band_starts_after_a_failure(self):
+    @pytest.mark.parametrize("fails, want_ran", [(0, []), (2, [0, 3])])
+    def test_no_band_starts_after_a_failure(self, monkeypatch, fails,
+                                            want_ran):
+        # the helper never runs, so the caller takes the handed-over
+        # bands back, last first
+        monkeypatch.setattr(detect, "_executor", _AwayHelper)
         ran = []
 
-        def fail():
-            raise ValueError("band failed")
+        def band(k):
+            if k == fails:
+                raise ValueError(f"band {k} failed")
+            ran.append(k)
 
-        stage = detect._Stage([lambda: ran.append(0), lambda: ran.append(1),
-                               fail])
-        stage.work()  # takes the failing band first
-        with pytest.raises(ValueError, match="band failed"):
-            stage.join()
-        assert ran == []
+        with pytest.raises(ValueError, match=f"band {fails} failed"):
+            detect._run_bands([functools.partial(band, k) for k in range(4)])
+        assert ran == want_ran
 
     def test_caller_runs_every_band_while_the_helper_is_away(
             self, monkeypatch):
@@ -406,24 +416,45 @@ class TestEncoderBands:
             band(*args)
 
         monkeypatch.setattr(detect, "_band", record)
-        away = detect._BandRunner()
-        away._thread = _AwayThread()  # alive, so no helper is started
-        monkeypatch.setattr(detect, "_BANDS", away)
+        monkeypatch.setattr(detect, "_executor", _AwayHelper)
+        monkeypatch.setattr(_AwayHelper, "queued", [])
         heat, desc = forward(w, x)
         assert np.array_equal(heat, want[0])
         assert np.array_equal(desc, want[1])
         assert set(ran_on) == {threading.current_thread()}
         assert len(ran_on) == 8  # two bands in each of four stages
+        # what stays queued holds none of the stages' buffers
+        assert _AwayHelper.queued == [([],)] * 4
+
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        # a child inherits the parent's executor, not its thread
+        parent = detect._executor()
+        assert detect._executor() is parent
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        child = detect._executor()
+        assert child is not parent
+        assert child.submit(lambda: 7).result(timeout=30) == 7
+        child.shutdown()
 
     def test_concurrent_callers_agree(self, monkeypatch):
-        # more callers than cores, switching threads often: all share
-        # the one helper, which joins whichever stage was handed over last
+        # more callers than cores, switching threads often, all sharing
+        # the one helper
         w = random_weights(SPEC, 6)
         rng = np.random.default_rng(15)
-        inputs = [rng.random((8, 64, 64), dtype=np.float32) for _ in range(4)]
+        inputs = [rng.random((8, 128, 128), dtype=np.float32)
+                  for _ in range(4)]
         force_bands(monkeypatch, 1)
         want = [forward(w, x) for x in inputs]
         force_bands(monkeypatch, 2)
+        splits = count_splits(monkeypatch)
+        ran_on = set()
+        band = detect._band
+
+        def record(*args):
+            ran_on.add(threading.current_thread().name)
+            band(*args)
+
+        monkeypatch.setattr(detect, "_band", record)
         got = [[] for _ in inputs]
         start = threading.Barrier(len(inputs))
 
@@ -432,7 +463,7 @@ class TestEncoderBands:
             for _ in range(5):
                 got[k].append(forward(w, inputs[k]))
 
-        threads = [threading.Thread(target=call, args=(k,))
+        threads = [threading.Thread(target=call, args=(k,), name=f"caller{k}")
                    for k in range(len(inputs))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -444,6 +475,10 @@ class TestEncoderBands:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        assert splits == [2] * 4 * 5 * len(inputs)
+        assert {f"caller{k}" for k in range(len(inputs))} <= ran_on
+        assert any(name.startswith("evfront-encoder-bands")
+                   for name in ran_on)
         for results, (heat, desc) in zip(got, want):
             assert len(results) == 5
             for heat1, desc1 in results:
