@@ -68,16 +68,13 @@ def _bool(text: str) -> bool:
 _CONVERTERS = {}
 
 
-def _opt(sub, name, conv, default, help, **kwargs):
+def _opt(sub, name, conv, default, help):
     """Register an option whose default can come from the config file."""
     _CONVERTERS.setdefault(sub.prog.split()[-1], {})[name] = (conv, default)
-    flag = "--" + name
-    if conv is _bool:
-        sub.add_argument(flag, dest=name.replace("-", "_"), default=None,
-                         action="store_const", const=True, help=help)
-    else:
-        sub.add_argument(flag, dest=name.replace("-", "_"), default=None,
-                         type=conv, help=help, **kwargs)
+    kind = dict(action="store_const", const=True) if conv is _bool \
+        else dict(type=conv)
+    sub.add_argument("--" + name, dest=name.replace("-", "_"), default=None,
+                     help=help, **kind)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--timings-csv", help="per-interval stage timing CSV")
     _opt(s, "detector", str, "classical", "classical or learned")
     _opt(s, "weights", str, None, "SLWT weight file (learned)")
-    _opt(s, "weights-seed", int, None,
+    _opt(s, "weights-seed", int, 0,
          "random weights seed instead of a file (learned)")
     _opt(s, "tick", int, 10_000, "preprocessing period, us")
     _opt(s, "watermark-lag", int, 0, "event-time lag held back, us")
@@ -155,8 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
-         "ingest (with the writer), mcts, snapshot, classical, nms, "
-         "forward, quantize, match, synth, or all")
+         ", ".join(_WORKLOADS) + ", or all; ingest includes the writer")
     _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
@@ -202,12 +198,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     for name, (_conv, default) in _CONVERTERS.get(command, {}).items():
         attr = name.replace("-", "_")
         cli_value = getattr(args, attr, None)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in overlay:
-            resolved[name] = overlay[name]
-        else:
-            resolved[name] = default
+        resolved[name] = cli_value if cli_value is not None \
+            else overlay.get(name, default)
     return resolved
 
 
@@ -233,10 +225,8 @@ def cmd_synth(opts, args) -> int:
     except ValueError as exc:  # also a start time outside the stamp range
         raise UsageError(str(exc))
     Path(args.output).write_bytes(events.write_events(batch, "binary-v1"))
-    if len(batch):
-        span = int(batch.events["t"][-1]) - int(batch.events["t"][0])
-    else:
-        span = 0
+    t = batch.events["t"]
+    span = int(t[-1]) - int(t[0]) if len(batch) else 0
     print(f"wrote {len(batch)} events spanning {span} us to {args.output}")
     if len(batch) == 0:
         raise EmptyResult("no events produced")
@@ -290,9 +280,8 @@ def cmd_surface(opts, args) -> int:
     tensor = surface.mcts(grid, ring, tau, spec)
 
     prefix = args.output_prefix
-    for idx in range(tensor.channels.shape[0]):
-        path = f"{prefix}_ch{idx:02d}.pgm"
-        Path(path).write_bytes(surface.write_pgm(tensor.channels[idx]))
+    for idx, channel in enumerate(tensor.channels):
+        Path(f"{prefix}_ch{idx:02d}.pgm").write_bytes(surface.write_pgm(channel))
     Path(prefix + ".mcts").write_bytes(surface.write_mcts(tensor))
     durs = ",".join(str(d) for d in tensor.window_durations)
     print(f"tau={tau} realized_durations_us={durs} "
@@ -329,17 +318,16 @@ def cmd_run(opts, args) -> int:
             except ValueError as exc:
                 raise UsageError(f"bad weights file: {exc}")
         else:
-            seed = opts["weights-seed"] if opts["weights-seed"] is not None \
-                else 0
-            weights = detect.random_weights(detect.NetworkSpec(), seed)
+            if opts["weights-seed"] < 0:
+                raise UsageError("weights-seed cannot be negative")
+            weights = detect.random_weights(detect.NetworkSpec(),
+                                            opts["weights-seed"])
         batch = _crop_to_cell(batch, weights.spec.cell)
         if 2 * len(opts["counts"]) != weights.spec.input_channels:
             raise UsageError(
                 f"{len(opts['counts'])} channel pairs feed "
                 f"{2 * len(opts['counts'])} channels, weights expect "
                 f"{weights.spec.input_channels}")
-    elif opts["detector"] != "classical":
-        raise UsageError(f"unknown detector {opts['detector']!r}")
 
     try:
         config = pipeline.PipelineConfig(
@@ -407,6 +395,9 @@ def cmd_verify(opts, args) -> int:
 
 
 def _time_us(fn, iterations: int) -> tuple[float, float]:
+    # one untimed call first: a helper thread's start or a BLAS lookup
+    # is paid once per process, not per call
+    fn()
     samples = []
     for _ in range(iterations):
         t0 = time.perf_counter_ns()
@@ -417,7 +408,7 @@ def _time_us(fn, iterations: int) -> tuple[float, float]:
 
 def _random_stream(rng, n: int, geometry: events.SensorGeometry
                    ) -> events.EventBatch:
-    t = np.sort(rng.integers(0, max(n * 10, 1), n).astype(np.uint64))
+    t = np.sort(rng.integers(0, n * 10, n).astype(np.uint64))
     return events.batch_from_columns(
         t,
         rng.integers(0, geometry.width, n).astype(np.uint16),
@@ -426,146 +417,158 @@ def _random_stream(rng, n: int, geometry: events.SensorGeometry
         geometry)
 
 
+def _ingest_streams(rng, opts):
+    # the ingest and writer rows run over the same 240x180 streams
+    for n in (opts["events-n"], 2 * opts["events-n"]):
+        yield _random_stream(rng, n, events.SensorGeometry(240, 180))
+
+
+def _bench_ingest(rng, opts):
+    # apply_events in 10k-event batches
+    for batch in _ingest_streams(rng, opts):
+        def ingest():
+            grid = surface.TimestampGrid.create(batch.geometry)
+            ring = surface.EventCountRing(1024)
+            for lo in range(0, len(batch), 10_000):
+                surface.apply_events(grid, ring, batch.slice(lo, lo + 10_000))
+        yield len(batch), ingest
+
+
+def _bench_writer(rng, opts):
+    # the pipeline's tick loop drained over the stream, 10 ms ticks
+    config = pipeline.PipelineConfig()
+    for batch in _ingest_streams(rng, opts):
+        capacity = config.window_spec.ring_capacity(batch.geometry)
+        def drain():
+            writer = pipeline._WriterLoop(
+                pipeline.ReplaySource(batch),
+                pipeline.SharedSurfaceState(batch.geometry, capacity), config)
+            while not writer.exhausted:
+                writer.one_tick()
+        yield len(batch), drain
+
+
+def _bench_mcts(rng, opts):
+    spec = surface.WindowSpec.default_constant_count()
+    for size in (64, 128, 256):
+        geometry = events.SensorGeometry(size, size)
+        grid = surface.TimestampGrid.create(geometry)
+        ring = surface.EventCountRing(spec.ring_capacity(geometry))
+        surface.apply_events(
+            grid, ring, _random_stream(rng, 4 * geometry.pixel_count, geometry))
+        yield size, lambda: surface.mcts(grid, ring, grid.latest_time, spec)
+
+
+def _corner_grids(rng):
+    # the acceptance corner grid, velocity jittered by the seed: the
+    # pipeline's state holding the whole stream, and its surface tensor;
+    # n is the sensor's pixel count
+    spec = pipeline.PipelineConfig().window_spec
+    velocity = tuple(v * rng.uniform(0.99, 1.01) for v in (-56.0, -42.0))
+    motion = events.MotionSpec("grid-of-corners", velocity, 0.5,
+                               grid_pitch=48, square_side=16)
+    for size in ((128, 128), (240, 180)):
+        geometry = events.SensorGeometry(*size)
+        state = pipeline.SharedSurfaceState(
+            geometry, spec.ring_capacity(geometry))
+        grid, ring = state.grid, state.ring
+        surface.apply_events(grid, ring, events.synthesize(motion, geometry))
+        yield (geometry.pixel_count, state,
+               surface.mcts(grid, ring, grid.latest_time, spec))
+
+
+def _bench_snapshot(rng, opts):
+    for n, state, _ in _corner_grids(rng):
+        yield n, lambda: pipeline.freeze_snapshot(state)
+
+
+def _bench_classical(rng, opts):
+    c = pipeline.PipelineConfig()
+    for n, _, tensor in _corner_grids(rng):
+        yield n, lambda: detect.classical_detect(
+            tensor, 3, c.nms_radius, c.nms_threshold, c.nms_max_k)
+
+
+def _bench_nms(rng, opts):
+    # on the corner grid's Harris response
+    c = pipeline.PipelineConfig()
+    for n, _, tensor in _corner_grids(rng):
+        _, response = detect._harris(tensor, 3)
+        yield n, lambda: detect.nms(response, c.nms_radius, c.nms_threshold,
+                                    c.nms_max_k)
+
+
+def _bench_forward(rng, opts):
+    weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
+    for size in (64, 128):
+        x = rng.random((8, size, size), dtype=np.float32)
+        yield size, lambda: detect.forward(weights, x)
+
+
+def _bench_quantize(rng, opts):
+    for n in (100, 500, 1000):
+        vectors = rng.standard_normal((n, 64)).astype(np.float32)
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        desc = detect.Descriptors(vectors, np.ones(n, dtype=bool))
+        yield n, lambda: matching.quantize(desc)
+
+
+def _bench_match(rng, opts):
+    for n in (100, 500, 1000):
+        a, b = (matching.QuantizedDescriptors(
+            rng.integers(-127, 128, (n, 64)).astype(np.int8),
+            matching.QuantizationScheme()) for _ in range(2))
+        yield n, lambda: matching.match_mutual_nn(a, b)
+
+
+def _bench_synth(rng, opts):
+    # the acceptance corner grid and the 240x180 flood scene of the
+    # benchmark; n is the sensor's pixel count
+    for size, velocity, pitch, side, duration in (
+            ((128, 128), (-56.0, -42.0), 48, 16, 1.0),
+            ((240, 180), (-300.0, -225.0), 12, 5, 0.5)):
+        geometry = events.SensorGeometry(*size)
+        motion = events.MotionSpec("grid-of-corners", velocity, duration,
+                                   grid_pitch=pitch, square_side=side)
+        yield geometry.pixel_count, lambda: events.synthesize(motion, geometry)
+
+
+# workload -> setup(rng, opts) yielding (n, call) per row. Rows are timed
+# as they are yielded, so a call may read its setup's loop variables
+_WORKLOADS = {
+    "ingest": _bench_ingest,
+    "writer": _bench_writer,
+    "mcts": _bench_mcts,
+    "snapshot": _bench_snapshot,
+    "classical": _bench_classical,
+    "nms": _bench_nms,
+    "forward": _bench_forward,
+    "quantize": _bench_quantize,
+    "match": _bench_match,
+    "synth": _bench_synth,
+}
+
+
 def cmd_bench(opts, args) -> int:
-    if opts["iterations"] < 1:
-        raise UsageError("iterations must be at least 1")
     wanted = opts["workload"]
-    if wanted not in ("ingest", "mcts", "snapshot", "classical", "nms",
-                      "forward", "quantize", "match", "synth", "all"):
+    if wanted not in (*_WORKLOADS, "all"):
         raise UsageError(f"unknown workload {wanted!r}")
+    for name, least in (("iterations", 1), ("events-n", 1), ("seed", 0)):
+        if opts[name] < least:
+            raise UsageError(f"{name} must be at least {least}")
+    names = list(_WORKLOADS) if wanted == "all" else [wanted]
+    if wanted == "ingest":
+        names.append("writer")
     # time the layers with the allocator settings run_pipeline uses, not
     # with fresh pages faulted in by every large temporary
     pipeline._keep_freed_memory()
-    rng = np.random.default_rng(opts["seed"])
     rows = []
-
-    if wanted in ("ingest", "all"):
-        # ingest: apply_events in 10k-event batches; writer: the pipeline's
-        # tick loop drained over the same stream, 10 ms ticks
-        geometry = events.SensorGeometry(240, 180)
-        config = pipeline.PipelineConfig()
-        capacity = config.window_spec.ring_capacity(geometry)
-        writer_rows = []
-        for n in (opts["events-n"], 2 * opts["events-n"]):
-            batch = _random_stream(rng, n, geometry)
-
-            def ingest():
-                grid = surface.TimestampGrid.create(geometry)
-                ring = surface.EventCountRing(1024)
-                step = 10_000
-                for lo in range(0, n, step):
-                    surface.apply_events(grid, ring,
-                                         batch.slice(lo, lo + step))
-
-            def drain():
-                writer = pipeline._WriterLoop(
-                    pipeline.ReplaySource(batch),
-                    pipeline.SharedSurfaceState(geometry, capacity), config)
-                while not writer.exhausted:
-                    writer.one_tick()
-
-            rows.append(("ingest", n, *_time_us(ingest, opts["iterations"])))
-            writer_rows.append(("writer", n,
-                                *_time_us(drain, opts["iterations"])))
-        rows += writer_rows
-
-    if wanted in ("mcts", "all"):
-        for size in (64, 128, 256):
-            geometry = events.SensorGeometry(size, size)
-            spec = surface.WindowSpec.default_constant_count()
-            grid = surface.TimestampGrid.create(geometry)
-            ring = surface.EventCountRing(spec.ring_capacity(geometry))
-            batch = _random_stream(rng, 4 * geometry.pixel_count, geometry)
-            surface.apply_events(grid, ring, batch)
-            tau = grid.latest_time
-            rows.append((
-                "mcts", size,
-                *_time_us(lambda: surface.mcts(grid, ring, tau, spec),
-                          opts["iterations"])))
-
-    if wanted in ("snapshot", "classical", "nms", "all"):
-        # the acceptance corner grid, velocity jittered by the seed; n is
-        # the sensor's pixel count. snapshot copies the pipeline's state
-        # holding the whole stream; nms runs on the grid's Harris response
-        config = pipeline.PipelineConfig()
-        spec = config.window_spec
-        velocity = tuple(v * rng.uniform(0.99, 1.01) for v in (-56.0, -42.0))
-        motion = events.MotionSpec("grid-of-corners", velocity, 0.5,
-                                   grid_pitch=48, square_side=16)
-        for width, height in ((128, 128), (240, 180)):
-            geometry = events.SensorGeometry(width, height)
-            state = pipeline.SharedSurfaceState(
-                geometry, spec.ring_capacity(geometry))
-            grid, ring = state.grid, state.ring
-            surface.apply_events(grid, ring,
-                                 events.synthesize(motion, geometry))
-            if wanted in ("snapshot", "all"):
-                rows.append((
-                    "snapshot", geometry.pixel_count,
-                    *_time_us(lambda: pipeline.freeze_snapshot(state),
-                              opts["iterations"])))
-            if wanted == "snapshot":
-                continue
-            tensor = surface.mcts(grid, ring, grid.latest_time, spec)
-            if wanted != "nms":
-                rows.append((
-                    "classical", geometry.pixel_count,
-                    *_time_us(lambda: detect.classical_detect(
-                        tensor, 3, config.nms_radius, config.nms_threshold,
-                        config.nms_max_k), opts["iterations"])))
-            if wanted != "classical":
-                _, response = detect._harris(tensor, 3)
-                rows.append((
-                    "nms", geometry.pixel_count,
-                    *_time_us(lambda: detect.nms(
-                        response, config.nms_radius, config.nms_threshold,
-                        config.nms_max_k), opts["iterations"])))
-
-    if wanted in ("forward", "all"):
-        weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
-        for size in (64, 128):
-            x = rng.random((8, size, size), dtype=np.float32)
-            rows.append((
-                "forward", size,
-                *_time_us(lambda: detect.forward(weights, x),
-                          opts["iterations"])))
-
-    if wanted in ("quantize", "all"):
-        for n in (100, 500, 1000):
-            vectors = rng.standard_normal((n, 64)).astype(np.float32)
-            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-            desc = detect.Descriptors(vectors, np.ones(n, dtype=bool))
-            rows.append((
-                "quantize", n,
-                *_time_us(lambda: matching.quantize(desc),
-                          opts["iterations"])))
-
-    if wanted in ("match", "all"):
-        for n in (100, 500, 1000):
-            a = matching.QuantizedDescriptors(
-                rng.integers(-127, 128, (n, 64)).astype(np.int8),
-                matching.QuantizationScheme())
-            b = matching.QuantizedDescriptors(
-                rng.integers(-127, 128, (n, 64)).astype(np.int8),
-                matching.QuantizationScheme())
-            rows.append((
-                "match", n,
-                *_time_us(lambda: matching.match_mutual_nn(a, b),
-                          opts["iterations"])))
-
-    if wanted in ("synth", "all"):
-        # the acceptance corner grid and the 240x180 flood scene of the
-        # benchmark; n is the sensor's pixel count
-        for size, velocity, pitch, side, duration in (
-                ((128, 128), (-56.0, -42.0), 48, 16, 1.0),
-                ((240, 180), (-300.0, -225.0), 12, 5, 0.5)):
-            geometry = events.SensorGeometry(*size)
-            motion = events.MotionSpec("grid-of-corners", velocity, duration,
-                                       grid_pitch=pitch, square_side=side)
-            rows.append((
-                "synth", geometry.pixel_count,
-                *_time_us(lambda: events.synthesize(motion, geometry),
-                          opts["iterations"])))
+    for name in names:
+        # each workload draws its inputs from its own generator, so they
+        # do not depend on which workloads ran before it
+        setup = _WORKLOADS[name](np.random.default_rng(opts["seed"]), opts)
+        for n, call in setup:
+            rows.append((name, n, *_time_us(call, opts["iterations"])))
 
     lines = ["workload,n,mean_us,p99_us"]
     lines += [f"{w},{n},{m:.1f},{p:.1f}" for w, n, m, p in rows]

@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,32 +79,18 @@ class WeightBundle:
     descriptor_bias: np.ndarray
 
     def __post_init__(self) -> None:
-        spec = self.spec
-        widths = spec.encoder_widths
-        ins = (spec.input_channels,) + widths[:-1]
-        if len(self.conv_kernels) != len(widths):
+        if len(self.conv_kernels) != len(self.spec.encoder_widths):
             raise ValueError("one conv kernel per encoder layer required")
-        for i, (kern, cin, cout) in enumerate(zip(self.conv_kernels, ins,
-                                                  widths)):
-            if kern.shape != (cout, cin, 3, 3):
-                raise ValueError(f"layer {i} kernel shape {kern.shape}, "
-                                 f"expected {(cout, cin, 3, 3)}")
-            for name in ("bn_scale", "bn_shift", "bn_mean", "bn_var"):
-                arr = getattr(self, name)[i]
-                if arr.shape != (cout,):
-                    raise ValueError(f"layer {i} {name} shape {arr.shape}, "
-                                     f"expected ({cout},)")
-        head_in = widths[-1]
-        if self.detector_kernel.shape != (spec.detector_head_channels, head_in):
-            raise ValueError("detector head shape mismatch")
-        if self.detector_bias.shape != (spec.detector_head_channels,):
-            raise ValueError("detector bias shape mismatch")
-        if self.descriptor_kernel.shape != (spec.descriptor_dim, head_in):
-            raise ValueError("descriptor head shape mismatch")
-        if self.descriptor_bias.shape != (spec.descriptor_dim,):
-            raise ValueError("descriptor bias shape mismatch")
         if not self.bn_epsilon > 0:
             raise ValueError("bn epsilon must be positive")
+        # every tensor against the spec's zero weights, in SLWT order
+        names = [f"layer {i} {name}" for i in range(len(self.conv_kernels))
+                 for name in _LAYER_FIELDS] + list(_HEAD_FIELDS)
+        for name, got, want in zip(names, _tensor_sequence(self),
+                                   _build_sequence(self.spec, _zeros)):
+            if got.shape != want.shape:
+                raise ValueError(f"{name} shape {got.shape}, expected "
+                                 f"{want.shape}")
 
 
 @dataclass(frozen=True)
@@ -138,47 +124,54 @@ def random_weights(spec: NetworkSpec, seed: int) -> WeightBundle:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, shape).astype(np.float32)
 
-    ins = (spec.input_channels,) + spec.encoder_widths[:-1]
-    kernels, scales, shifts, means, variances = [], [], [], [], []
-    for cin, cout in zip(ins, spec.encoder_widths):
-        kernels.append(uniform(cin * 9, (cout, cin, 3, 3)))
-        scales.append(np.ones(cout, dtype=np.float32))
-        shifts.append(np.zeros(cout, dtype=np.float32))
-        means.append(np.zeros(cout, dtype=np.float32))
-        variances.append(np.ones(cout, dtype=np.float32))
-    head_in = spec.encoder_widths[-1]
-    return WeightBundle(
-        spec=spec,
-        conv_kernels=tuple(kernels),
-        bn_scale=tuple(scales), bn_shift=tuple(shifts),
-        bn_mean=tuple(means), bn_var=tuple(variances),
-        bn_epsilon=float(np.float32(1e-5)),
-        detector_kernel=uniform(head_in, (spec.detector_head_channels, head_in)),
-        detector_bias=uniform(head_in, (spec.detector_head_channels,)),
-        descriptor_kernel=uniform(head_in, (spec.descriptor_dim, head_in)),
-        descriptor_bias=uniform(head_in, (spec.descriptor_dim,)),
-    )
+    return _from_sequence(spec, _build_sequence(spec, uniform))
 
 
 def zero_weights(spec: NetworkSpec) -> WeightBundle:
     """All-zero kernels and biases; useful for head-contract checks."""
+    return _from_sequence(spec, _build_sequence(spec, _zeros))
+
+
+def _zeros(fan_in: int, shape) -> np.ndarray:
+    return np.zeros(shape, dtype=np.float32)
+
+
+def _build_sequence(spec: NetworkSpec, fill) -> list[np.ndarray]:
+    """Every tensor in SLWT order: ``fill(fan_in, shape)`` makes each
+    kernel and bias, in that order, and batchnorm is the identity."""
     ins = (spec.input_channels,) + spec.encoder_widths[:-1]
-    kernels = tuple(np.zeros((cout, cin, 3, 3), dtype=np.float32)
-                    for cin, cout in zip(ins, spec.encoder_widths))
-    ones = tuple(np.ones(w, dtype=np.float32) for w in spec.encoder_widths)
-    zeros = tuple(np.zeros(w, dtype=np.float32) for w in spec.encoder_widths)
+    seq = []
+    for cin, cout in zip(ins, spec.encoder_widths):
+        # the kernel, then scale, shift, mean and variance: _LAYER_FIELDS
+        seq += [fill(cin * 9, (cout, cin, 3, 3)),
+                np.ones(cout, np.float32), np.zeros(cout, np.float32),
+                np.zeros(cout, np.float32), np.ones(cout, np.float32)]
     head_in = spec.encoder_widths[-1]
-    return WeightBundle(
-        spec=spec, conv_kernels=kernels,
-        bn_scale=ones, bn_shift=zeros, bn_mean=zeros, bn_var=ones,
-        bn_epsilon=float(np.float32(1e-5)),
-        detector_kernel=np.zeros((spec.detector_head_channels, head_in),
-                                 dtype=np.float32),
-        detector_bias=np.zeros(spec.detector_head_channels, dtype=np.float32),
-        descriptor_kernel=np.zeros((spec.descriptor_dim, head_in),
-                                   dtype=np.float32),
-        descriptor_bias=np.zeros(spec.descriptor_dim, dtype=np.float32),
-    )
+    for rows in (spec.detector_head_channels, spec.descriptor_dim):
+        seq += [fill(head_in, (rows, head_in)), fill(head_in, (rows,))]
+    return seq
+
+
+_LAYER_FIELDS = ("conv_kernels", "bn_scale", "bn_shift", "bn_mean", "bn_var")
+_HEAD_FIELDS = ("detector_kernel", "detector_bias", "descriptor_kernel",
+                "descriptor_bias")
+
+
+def _from_sequence(spec: NetworkSpec, seq: list[np.ndarray],
+                   epsilon: float = float(np.float32(1e-5))) -> WeightBundle:
+    """The bundle of a tensor sequence in SLWT order."""
+    n = len(_LAYER_FIELDS) * len(spec.encoder_widths)
+    fields = {name: tuple(seq[k:n:len(_LAYER_FIELDS)])
+              for k, name in enumerate(_LAYER_FIELDS)}
+    fields.update(zip(_HEAD_FIELDS, seq[n:]))
+    return WeightBundle(spec=spec, bn_epsilon=epsilon, **fields)
+
+
+def _tensor_sequence(weights: WeightBundle) -> list[np.ndarray]:
+    seq = [getattr(weights, name)[i]
+           for i in range(len(weights.spec.encoder_widths))
+           for name in _LAYER_FIELDS]
+    return seq + [getattr(weights, name) for name in _HEAD_FIELDS]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +416,8 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
+    if max_k < 0:
+        raise ValueError("max_k cannot be negative")
     h, w = heatmap.shape
     stride = w + 2 * radius
     flat, plane = _ringed(h, w, radius, -np.inf, heatmap.dtype)
@@ -671,8 +666,7 @@ def save_weights(weights: WeightBundle) -> bytes:
     parts = [WEIGHTS_MAGIC,
              np.asarray(head, dtype="<u4").tobytes(),
              np.float32(weights.bn_epsilon).astype("<f4").tobytes()]
-    for arr in _tensor_sequence(weights):
-        parts.append(arr.astype("<f4").tobytes())
+    parts += [arr.astype("<f4").tobytes() for arr in _tensor_sequence(weights)]
     return b"".join(parts)
 
 
@@ -700,9 +694,8 @@ def load_weights(data: bytes) -> WeightBundle:
     epsilon = float(np.frombuffer(data, dtype="<f4", offset=offset, count=1)[0])
     offset += 4
 
-    shapes = [arr.shape for arr in _tensor_sequence(_template(spec, epsilon))]
     tensors = []
-    for shape in shapes:
+    for shape in (arr.shape for arr in _build_sequence(spec, _zeros)):
         count = int(np.prod(shape))
         end = offset + 4 * count
         if end > len(data):
@@ -715,31 +708,4 @@ def load_weights(data: bytes) -> WeightBundle:
     if offset != len(data):
         raise ValueError(f"{len(data) - offset} trailing bytes after tensors")
 
-    n = len(spec.encoder_widths)
-    return WeightBundle(
-        spec=spec,
-        conv_kernels=tuple(tensors[0:5 * n:5]),
-        bn_scale=tuple(tensors[1:5 * n:5]),
-        bn_shift=tuple(tensors[2:5 * n:5]),
-        bn_mean=tuple(tensors[3:5 * n:5]),
-        bn_var=tuple(tensors[4:5 * n:5]),
-        bn_epsilon=epsilon,
-        detector_kernel=tensors[5 * n],
-        detector_bias=tensors[5 * n + 1],
-        descriptor_kernel=tensors[5 * n + 2],
-        descriptor_bias=tensors[5 * n + 3],
-    )
-
-
-def _template(spec: NetworkSpec, epsilon: float) -> WeightBundle:
-    return replace(zero_weights(spec), bn_epsilon=epsilon)
-
-
-def _tensor_sequence(weights: WeightBundle) -> list[np.ndarray]:
-    seq = []
-    for i in range(len(weights.spec.encoder_widths)):
-        seq += [weights.conv_kernels[i], weights.bn_scale[i],
-                weights.bn_shift[i], weights.bn_mean[i], weights.bn_var[i]]
-    seq += [weights.detector_kernel, weights.detector_bias,
-            weights.descriptor_kernel, weights.descriptor_bias]
-    return seq
+    return _from_sequence(spec, tensors, epsilon)

@@ -58,7 +58,6 @@ class PipelineConfig:
     watermark_lag: int = 0
     quant_scheme: QuantizationScheme = field(default_factory=QuantizationScheme)
     metrics_interval: int = 60 * US_PER_S      # event-time bucket for the CSV
-    step_delay_us: int = 0                     # test hook: slow the detector
 
     def __post_init__(self) -> None:
         if self.tick <= 0:
@@ -72,6 +71,10 @@ class PipelineConfig:
         self.window_spec.pair_window(self.channel_pair)  # pair in 0..K-1
         if self.nms_radius < 1:
             raise ValueError("NMS radius must be at least 1")
+        if self.nms_max_k < 0:
+            raise ValueError("NMS max_k cannot be negative")
+        if self.metrics_interval < 1:
+            raise ValueError("metrics interval must be at least 1 us")
 
 
 class SharedSurfaceState:
@@ -221,8 +224,6 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
         keypoints, descriptors = classical_detect(
             tensor, 0, config.nms_radius,
             config.nms_threshold, config.nms_max_k)
-    if config.step_delay_us:
-        time.sleep(config.step_delay_us / US_PER_S)
     quantized = quantize(descriptors, config.quant_scheme)
     t2 = _now_us()
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from evfront import cli, pipeline
@@ -196,6 +197,18 @@ class TestRun:
             assert rc == 2, option
             assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("option", [
+        ["--metrics-interval", "0"], ["--nms-max-k=-1"],
+        ["--detector", "learned", "--weights-seed=-1"],
+        ["--detector", "magic"]])
+    def test_bad_values_fail_before_the_run(self, tmp_path, capsys,
+                                            monkeypatch, option):
+        src = _synth(tmp_path)
+        monkeypatch.setattr(pipeline, "run_pipeline", None)  # never reached
+        rc = cli.main(["run", "-i", str(src), "--mode", "serial", *option])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_metrics_json_fields_in_declared_order(self, tmp_path,
                                                   monkeypatch):
         real_run = pipeline.run_pipeline
@@ -368,6 +381,55 @@ class TestBench:
 
     def test_unknown_workload(self):
         assert cli.main(["bench", "--workload", "warp"]) == 2
+
+
+class TestBenchInputs:
+    def _rows(self, monkeypatch, capsys, argv):
+        """Each row's (workload, n) with what its call returned once."""
+        returned = []
+
+        def record(fn, iterations):
+            returned.append(fn())
+            return 0.0, 0.0
+
+        monkeypatch.setattr(cli, "_time_us", record)
+        assert cli.main(["bench", *argv]) == 0
+        rows = [tuple(line.split(",")[:2])
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == len(returned)
+        return list(zip(rows, returned))
+
+    def test_rows_do_not_depend_on_other_workloads(self, monkeypatch,
+                                                   capsys):
+        alone = self._rows(monkeypatch, capsys, ["--workload", "classical"])
+        mixed = [row for row in self._rows(
+            monkeypatch, capsys, ["--workload", "all", "--events-n", "2000"])
+            if row[0][0] == "classical"]
+        assert [key for key, _ in alone] == [key for key, _ in mixed]
+        assert len(alone) == 2
+        for (_, (kps_a, desc_a)), (_, (kps_b, desc_b)) in zip(alone, mixed):
+            assert len(kps_a) > 0
+            assert np.array_equal(kps_a.xy, kps_b.xy)
+            assert np.array_equal(kps_a.scores, kps_b.scores)
+            assert np.array_equal(desc_a.vectors, desc_b.vectors)
+            assert np.array_equal(desc_a.valid, desc_b.valid)
+
+    def test_each_row_calls_once_untimed_first(self, monkeypatch):
+        calls = []
+        ticks = iter(range(0, 10**9, 1_000))
+        monkeypatch.setattr(cli.time, "perf_counter_ns",
+                            lambda: next(ticks))
+        mean, p99 = cli._time_us(lambda: calls.append(1), 3)
+        assert len(calls) == 4
+        assert mean == p99 == 1.0
+
+    @pytest.mark.parametrize("option", [
+        ["--events-n=-5"], ["--events-n", "0"], ["--seed=-1"],
+        ["--iterations", "0"]])
+    def test_bad_values_are_usage_errors(self, capsys, option):
+        rc = cli.main(["bench", "--workload", "ingest", *option])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestConfigFile:

@@ -1,6 +1,7 @@
 """Network forward pass, NMS, descriptors, weights, classical detector."""
 
 import functools
+import hashlib
 import os
 import sys
 import threading
@@ -520,6 +521,12 @@ class TestNms:
         assert len(kps.xy) == 25
         assert (np.diff(kps.scores) <= 0).all()
 
+    def test_negative_cap_rejected(self):
+        heat = np.random.default_rng(9).random((16, 16)).astype(np.float32)
+        assert len(nms(heat, 2, 0.0, 0)) == 0
+        with pytest.raises(ValueError, match="max_k"):
+            nms(heat, 2, 0.0, -1)
+
     def test_border_peak_detected(self):
         heat = np.zeros((8, 8), dtype=np.float32)
         heat[0, 0] = 0.7
@@ -721,6 +728,21 @@ class TestWeights:
         k0 = w.conv_kernels[0]          # (32, 8, 3, 3), fan_in = 72
         bound = 1.0 / np.sqrt(8 * 9)
         assert np.abs(k0).max() <= bound
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: random_weights(NetworkSpec(), 0),
+         "7d23eecea48e2042f2e2e3ec64de92a62fe5b930257c5d32598508e7e4b9c587"),
+        (lambda: random_weights(NetworkSpec(), 4242),
+         "13eee85d23ae4517eb987098f0199ed82307e91acad1cc6d2980bb89d1e6150f"),
+        (lambda: random_weights(NetworkSpec(1, (32, 16, 64, 8), 16), 7),
+         "8f3f432e47d18105430b88d44ae7d8067ea35734c827a96d26b35588736e7bb6"),
+        (lambda: zero_weights(NetworkSpec()),
+         "163ca8031533bcb24150cc718f5a2ff74e343f5364ef53423bd07d348847a6b1"),
+    ])
+    def test_weight_bytes_pinned(self, make, digest):
+        # the draw order and the SLWT tensor order together fix these
+        # bytes; files saved by earlier versions must load unchanged
+        assert hashlib.sha256(save_weights(make())).hexdigest() == digest
 
 
 class TestClassicalDetect:

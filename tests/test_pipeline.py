@@ -5,6 +5,7 @@ import platform
 import resource
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -50,6 +51,19 @@ def _grid_source(duration=1.0, size=64, vel=(-40.0, -30.0), pitch=32,
     spec = MotionSpec("grid-of-corners", vel, duration,
                       grid_pitch=pitch, square_side=side)
     return ReplaySource(synthesize(spec, geo))
+
+
+def _slow_detector(monkeypatch):
+    """Make every classical detection take 20 ms more, inside the
+    keypoint_detection stage."""
+    real_detect = pipeline.classical_detect
+
+    def slow_detect(*args):
+        result = real_detect(*args)
+        time.sleep(0.02)
+        return result
+
+    monkeypatch.setattr(pipeline, "classical_detect", slow_detect)
 
 
 def frontend_step_reference(snapshot, previous, config):
@@ -547,9 +561,10 @@ class TestThreadedRun:
             assert [(m.index_a, m.index_b) for m in a.matches_to_previous] \
                 == [(m.index_a, m.index_b) for m in b.matches_to_previous]
 
-    def test_slow_frontend_skips_but_stays_fresh(self):
+    def test_slow_frontend_skips_but_stays_fresh(self, monkeypatch):
+        _slow_detector(monkeypatch)
         source = _grid_source(duration=0.5)
-        config = PipelineConfig(channel_pair=2, step_delay_us=20_000)
+        config = PipelineConfig(channel_pair=2)
         results, metrics = run_pipeline(source, config, mode="threaded")
         assert metrics.error is None
         taus = [r.tau for r in results]
@@ -584,11 +599,12 @@ class TestThreadedRun:
         assert metrics.snapshot_copy_max_us >= 0
 
 
-    def test_staleness_taken_at_emission(self):
+    def test_staleness_taken_at_emission(self, monkeypatch):
         # no watermark lag, so every snapshot holds all it ingested; a
         # slow frontend still emits results the writer has moved past
+        _slow_detector(monkeypatch)
         source = ReplaySource(_grid_source(duration=0.3).batch, paced=True)
-        config = PipelineConfig(step_delay_us=20_000)
+        config = PipelineConfig()
         assert config.watermark_lag == 0
         results, metrics = run_pipeline(source, config, mode="threaded")
         assert metrics.error is None
@@ -624,6 +640,17 @@ class TestConfigValidation:
     def test_nonpositive_tick(self):
         with pytest.raises(ValueError):
             PipelineConfig(tick=0)
+
+    def test_nms_max_k_not_negative(self):
+        assert PipelineConfig(nms_max_k=0)
+        with pytest.raises(ValueError, match="max_k"):
+            PipelineConfig(nms_max_k=-1)
+
+    def test_metrics_interval_at_least_one(self):
+        assert PipelineConfig(metrics_interval=1)
+        for interval in (0, -5):
+            with pytest.raises(ValueError, match="metrics interval"):
+                PipelineConfig(metrics_interval=interval)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
