@@ -459,14 +459,18 @@ def _bench_mcts(rng, opts):
         yield size, lambda: surface.mcts(grid, ring, grid.latest_time, spec)
 
 
-def _corner_grids(rng):
-    # the acceptance corner grid, velocity jittered by the seed: the
-    # pipeline's state holding the whole stream, and its surface tensor;
-    # n is the sensor's pixel count
-    spec = pipeline.PipelineConfig().window_spec
+def _corner_motion(rng, duration: float) -> events.MotionSpec:
+    # the acceptance corner grid, velocity jittered by the seed
     velocity = tuple(v * rng.uniform(0.99, 1.01) for v in (-56.0, -42.0))
-    motion = events.MotionSpec("grid-of-corners", velocity, 0.5,
-                               grid_pitch=48, square_side=16)
+    return events.MotionSpec("grid-of-corners", velocity, duration,
+                             grid_pitch=48, square_side=16)
+
+
+def _corner_grids(rng):
+    # the pipeline's state holding the whole corner grid stream, and its
+    # surface tensor; n is the sensor's pixel count
+    spec = pipeline.PipelineConfig().window_spec
+    motion = _corner_motion(rng, 0.5)
     for size in ((128, 128), (240, 180)):
         geometry = events.SensorGeometry(*size)
         state = pipeline.SharedSurfaceState(
@@ -505,6 +509,20 @@ def _bench_forward(rng, opts):
         yield size, lambda: detect.forward(weights, x)
 
 
+def _bench_describe(rng, opts):
+    # the learned descriptor tail on the 128x128 corner grid: descriptors
+    # at the heatmap's NMS keypoints, quantized; n is the keypoint count
+    c = pipeline.PipelineConfig()
+    weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
+    _, _, tensor = next(_corner_grids(rng))
+    heatmap, desc_map = detect.forward(weights, tensor.channels)
+    keypoints = detect.nms(heatmap, c.nms_radius, c.nms_threshold,
+                           c.nms_max_k)
+    yield len(keypoints), lambda: matching.quantize(
+        detect.interpolate_descriptors(desc_map, keypoints,
+                                       weights.spec.cell))
+
+
 def _bench_quantize(rng, opts):
     for n in (100, 500, 1000):
         vectors = rng.standard_normal((n, 64)).astype(np.float32)
@@ -533,6 +551,22 @@ def _bench_synth(rng, opts):
         yield geometry.pixel_count, lambda: events.synthesize(motion, geometry)
 
 
+def _bench_pipeline(rng, opts):
+    # serial run_pipeline on the 128x128 corner grid in the acceptance
+    # configuration, classical over 1.5 s of stream and learned over
+    # 0.5 s; n is the event count
+    geometry = events.SensorGeometry(128, 128)
+    weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
+    for detector, duration in (("classical", 1.5), ("learned", 0.5)):
+        source = pipeline.ReplaySource(
+            events.synthesize(_corner_motion(rng, duration), geometry))
+        config = pipeline.PipelineConfig(detector=detector, weights=weights,
+                                         channel_pair=3,
+                                         match_max_distance=0.4)
+        yield len(source), lambda: pipeline.run_pipeline(source, config,
+                                                         "serial")
+
+
 # workload -> setup(rng, opts) yielding (n, call) per row. Rows are timed
 # as they are yielded, so a call may read its setup's loop variables
 _WORKLOADS = {
@@ -543,9 +577,11 @@ _WORKLOADS = {
     "classical": _bench_classical,
     "nms": _bench_nms,
     "forward": _bench_forward,
+    "describe": _bench_describe,
     "quantize": _bench_quantize,
     "match": _bench_match,
     "synth": _bench_synth,
+    "pipeline": _bench_pipeline,
 }
 
 

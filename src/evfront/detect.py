@@ -79,18 +79,24 @@ class WeightBundle:
     descriptor_bias: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.conv_kernels) != len(self.spec.encoder_widths):
-            raise ValueError("one conv kernel per encoder layer required")
+        layers = len(self.spec.encoder_widths)
+        for name in _LAYER_FIELDS:
+            if len(getattr(self, name)) != layers:
+                raise ValueError(f"{name}: one per encoder layer required")
         if not self.bn_epsilon > 0:
             raise ValueError("bn epsilon must be positive")
         # every tensor against the spec's zero weights, in SLWT order
-        names = [f"layer {i} {name}" for i in range(len(self.conv_kernels))
+        names = [f"layer {i} {name}" for i in range(layers)
                  for name in _LAYER_FIELDS] + list(_HEAD_FIELDS)
         for name, got, want in zip(names, _tensor_sequence(self),
                                    _build_sequence(self.spec, _zeros)):
             if got.shape != want.shape:
                 raise ValueError(f"{name} shape {got.shape}, expected "
                                  f"{want.shape}")
+        for i, var in enumerate(self.bn_var):  # summed as _stage does
+            if np.any(var + np.float32(self.bn_epsilon) <= 0):
+                raise ValueError(f"layer {i} bn variance plus epsilon must "
+                                 "be positive")
 
 
 @dataclass(frozen=True)
@@ -181,24 +187,33 @@ def _tensor_sequence(weights: WeightBundle) -> list[np.ndarray]:
 def _stage(weights: WeightBundle, i: int, x: np.ndarray,
            bands: int) -> np.ndarray:
     """Encoder stage ``i``: 3x3 conv (stride 1, zero padding 1), inference
-    batchnorm, 2x2 max-pool and ReLU, in row bands of the output.
+    batchnorm, ReLU and 2x2 max-pool, in row bands of the output.
+
+    It runs conv, a 2x2 pool by the sign of the batchnorm scale,
+    batchnorm on the pooled map, then ReLU, with the same values while
+    the conv outputs are finite. Each of batchnorm's four ops rounds
+    correctly and inv = 1/sqrt(var + eps) is positive, so per channel
+    batchnorm is non-decreasing in x where the scale is >= 0 and
+    non-increasing where it is negative: the window maximum of batchnorm
+    is batchnorm of the window's maximum, or of its minimum, and ReLU
+    commutes with max. Only a zero's sign may differ, which the next
+    gemm absorbs.
 
     Each band covers an even number of conv rows, so its pool stays
-    inside it, and does all four steps from the shared padded input into
-    its rows of the output; the bands share no other memory. Every band
+    inside it, and does all four steps from the shared input into its
+    rows of the output; the bands share no other memory. Every band
     buffer is one slice of a stage-wide buffer, allocated here by the
     calling thread. One band is the whole stage.
     """
     kernel = weights.conv_kernels[i]
     cout, cin = kernel.shape[:2]
     h, w = x.shape[1:]
-    padded = np.zeros((cin, h + 2, w + 2), dtype=x.dtype)
-    padded[:, 1:h + 1, 1:w + 1] = x
     # inference form only; running statistics come with the weights.
     # Applied in place; folding into the kernels would change the rounding
     inv = 1.0 / np.sqrt(weights.bn_var[i] + np.float32(weights.bn_epsilon))
     affine = tuple(a[:, None, None] for a in (
         weights.bn_mean[i], inv, weights.bn_scale[i], weights.bn_shift[i]))
+    negative = np.flatnonzero(weights.bn_scale[i] < 0)
     gemm = kernel.reshape(cout, cin * 9)
     pairs = h // 2
     while bands > 1 and (cout * cin * 9 * 2 * (pairs // bands) * w
@@ -212,7 +227,7 @@ def _stage(weights: WeightBundle, i: int, x: np.ndarray,
     conv = np.empty(cout * h * w, dtype=x.dtype)
     out = np.empty((cout, pairs, w // 2), dtype=x.dtype)
     tasks = [functools.partial(
-        _band, padded[:, r0:r1 + 2], gemm, affine,
+        _band, x, r0, gemm, affine, negative,
         scratch[unit * r0 * w:unit * r1 * w],
         conv[cout * r0 * w:cout * r1 * w].reshape(cout, r1 - r0, w),
         out[:, r0 // 2:r1 // 2])
@@ -221,32 +236,52 @@ def _stage(weights: WeightBundle, i: int, x: np.ndarray,
     return out
 
 
-def _band(padded: np.ndarray, gemm: np.ndarray, affine: tuple,
-          scratch: np.ndarray, conv: np.ndarray, out: np.ndarray) -> None:
+def _band(x: np.ndarray, r0: int, gemm: np.ndarray, affine: tuple,
+          negative: np.ndarray, scratch: np.ndarray, conv: np.ndarray,
+          out: np.ndarray) -> None:
+    """One band of ``_stage``: conv rows ``r0``.. of ``x``, then the pool
+    by the sign of the scale, batchnorm and ReLU into ``out``."""
     cout, rows, w = conv.shape
-    cin = padded.shape[0]
+    cin, h = x.shape[:2]
     # the im2col buffer is channel-major (cin, 3, 3, rows, w), so one gemm
-    # yields (cout, rows*w)
+    # yields (cout, rows*w). Tap (dy, dx) of row r reads input pixel
+    # (r0 + r + dy - 1, c + dx - 1), zero past the input's edge
     cols = scratch[:cin * 9 * rows * w].reshape(cin, 3, 3, rows, w)
     for dy in range(3):
-        for dx in range(3):
-            cols[:, dy, dx] = padded[:, dy:dy + rows, dx:dx + w]
+        lo, hi = max(0, 1 - dy - r0), min(rows, h + 1 - dy - r0)
+        cols[:, dy, :, :lo] = cols[:, dy, :, hi:] = 0
+        # rows lo..hi as one run per channel: a shift by one column moves
+        # a row's end cell to the next row's start, zeroed below
+        src = x[:, r0 + lo + dy - 1:r0 + hi + dy - 1].reshape(cin, -1)
+        run = cols[:, dy, :, lo:hi].reshape(cin, 3, -1)
+        run[:, 0, 1:] = src[:, :-1]
+        run[:, 1] = src
+        run[:, 2, :-1] = src[:, 1:]
+    cols[:, :, 0, :, 0] = cols[:, :, 2, :, -1] = 0
     np.matmul(gemm, cols.reshape(cin * 9, rows * w),
               out=conv.reshape(cout, rows * w))
-    mean, inv, scale, shift = affine
-    conv -= mean
-    conv *= inv
-    conv *= scale
-    conv += shift
-    # max-pool: row pairs first, as contiguous half rows, then column
-    # pairs. The row maxima go to the scratch, free once the gemm is done:
-    # contiguous, the column pairs read them in order
+    # pool: row pairs first, as contiguous half rows, into the scratch,
+    # free once the gemm is done; then column pairs into the start of the
+    # conv buffer, contiguous for batchnorm. ``negative`` lists the
+    # channels of negative scale, pooled by minimum
     halves = conv.reshape(cout, rows // 2, 2 * w)
     maxima = scratch[:cout * rows // 2 * w].reshape(cout, rows // 2, w)
-    np.maximum(halves[:, :, :w], halves[:, :, w:], out=maxima)
-    np.maximum(maxima[:, :, 0::2], maxima[:, :, 1::2], out=out)
-    # ReLU after the pool: max commutes exactly with max(., 0)
-    np.maximum(out, np.float32(0), out=out)
+    _pool_pairs(halves[:, :, :w], halves[:, :, w:], maxima, negative)
+    pooled = conv.reshape(-1)[:out.size].reshape(out.shape)
+    _pool_pairs(maxima[:, :, 0::2], maxima[:, :, 1::2], pooled, negative)
+    mean, inv, scale, shift = affine
+    pooled -= mean
+    pooled *= inv
+    pooled *= scale
+    pooled += shift
+    np.maximum(pooled, np.float32(0), out=out)
+
+
+def _pool_pairs(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                negative: np.ndarray) -> None:
+    np.maximum(a, b, out=out)
+    if negative.size:
+        out[negative] = np.minimum(a[negative], b[negative])
 
 
 # one helper thread, started on the first stage with more than one band,
@@ -503,27 +538,32 @@ def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
     y0 = np.floor(my)
     fx = (mx - x0)[:, None]
     fy = (my - y0)[:, None]
-
-    def cell_at(cx, cy):
-        cx = np.clip(cx, 0, mw - 1).astype(np.intp)
-        cy = np.clip(cy, 0, mh - 1).astype(np.intp)
-        return desc_map[:, cy, cx].T  # (N, D)
-
-    v00 = cell_at(x0, y0)
-    v10 = cell_at(x0 + 1, y0)
-    v01 = cell_at(x0, y0 + 1)
-    v11 = cell_at(x0 + 1, y0 + 1)
-    blend = ((1 - fy) * ((1 - fx) * v00 + fx * v10)
-             + fy * ((1 - fx) * v01 + fx * v11))
-    return _normalize_rows(blend.astype(np.float32))
+    cx = np.clip(np.stack([x0, x0 + 1]), 0, mw - 1).astype(np.intp)
+    cy = np.clip(np.stack([y0, y0 + 1]), 0, mh - 1).astype(np.intp)
+    # the four corners in one gather from a pixel-major copy, widened
+    # first, which is exact: (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1)
+    pixels = desc_map.reshape(d, mh * mw).T.astype(np.float64)
+    corners = pixels.take((cy[:, None] * mw + cx).reshape(-1), axis=0)
+    v00, v10, v01, v11 = corners.reshape(4, n, d)
+    # (1-fy)*((1-fx)*v00 + fx*v10) + fy*((1-fx)*v01 + fx*v11), op by op
+    for near, far, f in ((v00, v10, fx), (v01, v11, fx), (v00, v01, fy)):
+        near *= 1 - f
+        far *= f
+        near += far
+    return _normalize_rows(v00.astype(np.float32))
 
 
 def _normalize_rows(vectors: np.ndarray) -> Descriptors:
+    """Divides each float32 row by its norm, in place; rows of norm zero
+    stay zero and are flagged invalid."""
     norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
     valid = norms > 0
-    out = vectors.copy()
-    out[valid] = (vectors[valid] / norms[valid, None]).astype(np.float32)
-    return Descriptors(out, valid)
+    if valid.all():
+        # the float64 quotient, rounded to float32 as it is stored
+        np.divide(vectors, norms[:, None], out=vectors, casting="same_kind")
+    else:
+        vectors[valid] = vectors[valid] / norms[valid, None]
+    return Descriptors(vectors, valid)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ Descriptors are mapped to signed 8-bit integers with a symmetric scale;
 the scale cancels out of cosine distances, so matching never needs to
 undo the quantization. Dot products run as one BLAS GEMM in float32
 while D*128^2 <= 2^24 and in float64 beyond, which is exact: every
-partial sum is an integer of at most D*128^2. Squared norms sum in
-float64. Each square of a dot and product of two norms is then one
-correctly rounded float64 multiplication of exact integers, the same
-value a 64-bit integer product would round to. One real division
-produces each distance.
+partial sum is an integer of at most D*128^2, in the dots and in the
+squared norms alike. Each square of a dot and product of two norms is
+then one correctly rounded float64 multiplication of exact integers,
+the same value a 64-bit integer product would round to. One real
+division produces each distance.
 """
 
 from __future__ import annotations
@@ -76,10 +76,13 @@ def quantize(desc: Descriptors,
     """clamp(round(d * s), -127, 127), rounding half away from zero."""
     if scheme is None:
         scheme = QuantizationScheme()
-    scaled = desc.vectors.astype(np.float64) * scheme.scale
-    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
-    q = np.clip(rounded, -QMAX, QMAX).astype(np.int8)
-    return QuantizedDescriptors(q, scheme)
+    # in float64, as a float64 scalar makes it; x + copysign(0.5, x)
+    # rounds symmetrically, so trunc rounds as floor(|x| + 0.5) with sign
+    x = np.multiply(desc.vectors, np.float64(scheme.scale))
+    x += np.copysign(0.5, x)
+    np.trunc(x, out=x)
+    np.clip(x, -QMAX, QMAX, out=x)
+    return QuantizedDescriptors(x.astype(np.int8), scheme)
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,17 +111,18 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exact = np.float32 if a.shape[1] * 128 ** 2 <= 2 ** 24 else np.float64
     af = a.astype(exact)
     bf = b.astype(exact)
-    dots = af @ bf.T
-    denom = (af * af).sum(axis=1, dtype=np.float64)[:, None] \
-        * (bf * bf).sum(axis=1, dtype=np.float64)
-    dist = dots.astype(np.float64)
-    dist *= dist
+    dots = (af @ bf.T).astype(np.float64, copy=False)
+    aa, bb = (np.einsum("ij,ij->i", v, v).astype(np.float64)
+              for v in (af, bf))
+    denom = aa[:, None] * bb
+    dist = dots * dots
     with np.errstate(invalid="ignore"):
         dist /= denom  # 0/0 where a norm is zero, overwritten below
     np.sqrt(dist, out=dist)
     np.copysign(dist, dots, out=dist)
     np.subtract(1.0, dist, out=dist)
-    dist[denom == 0] = 2.0
+    if not (aa.all() and bb.all()):
+        dist[denom == 0] = 2.0
     return dist
 
 

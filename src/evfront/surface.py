@@ -375,11 +375,37 @@ def mcts(grid: TimestampGrid, ring: EventCountRing, tau: int,
         durations = list(spec.durations)
     k = len(durations)
     channels = np.zeros((2 * k, *grid.last_t.shape[1:]), dtype=np.float32)
-    for chan in (0, 1):  # polarity -1 fills 0..K-1, +1 fills K..2K-1
-        age = tau - grid.last_t[chan]  # shared by the K windows
-        for i, dt in enumerate(durations):
-            _decay_into(channels[chan * k + i], age, tau, dt)
+    # polarity -1 fills 0..K-1, +1 fills K..2K-1; one age plane each,
+    # shared by the K windows
+    age = tau - grid.last_t
+    if k == 1:
+        _decay_into(channels, age, tau, durations[0])
+    else:
+        _decay_nested(channels, age, tau, durations)
     return MctsTensor(channels, tau, tuple(durations))
+
+
+def _decay_nested(channels: np.ndarray, age: np.ndarray, tau: int,
+                  durations) -> None:
+    # _decay_into of every window and polarity: the windows are nested,
+    # so each narrower one's pixels are taken from the next wider one's
+    widest = min(max(durations), tau)
+    if widest < 0:  # tau precedes every stamp
+        return
+    k, plane = len(durations), age[0].size
+    ages = age.reshape(-1)
+    at = np.flatnonzero(ages.view(np.uint64) <= widest)
+    ages = ages[at]  # in 0..widest
+    # at + i*plane is plane i of polarity -1; polarity +1 sits K planes on
+    at[np.searchsorted(at, plane):] += (k - 1) * plane
+    flat = channels.reshape(-1)
+    for i in sorted(range(k), key=lambda i: -durations[i]):
+        dt = durations[i]
+        if dt < widest:
+            keep = ages <= dt
+            at, ages = at[keep], ages[keep]
+            widest = dt
+        flat[i * plane:][at] = (1.0 - ages / dt).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

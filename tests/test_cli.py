@@ -349,6 +349,30 @@ class TestBench:
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["quantize", "100"], ["quantize", "500"], ["quantize", "1000"]]
 
+    def test_describe_and_pipeline_rows(self, monkeypatch, capsys):
+        # describe: n is the corner grid's learned keypoint count, and the
+        # call quantizes that many descriptors; pipeline: n is the event
+        # count, classical over 1.5 s of stream, learned over 0.5 s
+        returned = []
+
+        def record(fn, iterations):
+            returned.append(fn())
+            return 0.0, 0.0
+
+        monkeypatch.setattr(cli, "_time_us", record)
+        for name in ("describe", "pipeline"):
+            assert cli.main(["bench", "--workload", name]) == 0
+        rows = [line.split(",")[:2]
+                for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("workload,")]
+        assert [w for w, _ in rows] == ["describe"] + ["pipeline"] * 2
+        quantized, (classical, _), (learned, _) = returned
+        assert int(rows[0][1]) == len(quantized) > 0
+        assert int(rows[1][1]) > 2 * int(rows[2][1]) > 0
+        assert len(classical) > 2 * len(learned) > 0
+        assert all(any(r.matches_to_previous for r in run)
+                   for run in (classical, learned))
+
     def test_all_rows_and_json_schema(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         rc = cli.main(["bench", "--workload", "all", "--events-n", "2000",
@@ -369,7 +393,7 @@ class TestBench:
         names = [row["workload"] for row in report["rows"]]
         assert list(dict.fromkeys(names)) == [
             "ingest", "writer", "mcts", "snapshot", "classical", "nms",
-            "forward", "quantize", "match", "synth"]
+            "forward", "describe", "quantize", "match", "synth", "pipeline"]
         assert [[r["workload"], str(r["n"])] for r in report["rows"]] == \
             csv_rows
         for row in report["rows"]:

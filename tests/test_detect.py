@@ -87,6 +87,72 @@ def encode_reference(weights, x):
     return feat
 
 
+def signed_zero_bundle(base, rng):
+    """Batchnorm scales of 0.0, -0.0 and both signs, shifts of -0.0 and
+    both signs, and nonzero statistics: channels that pool by minimum,
+    and zeros of both signs inside the encoder."""
+    def draw(arrays, lo, hi):
+        return [rng.uniform(lo, hi, a.shape).astype(np.float32)
+                for a in arrays]
+
+    scale = draw(base.bn_scale, -2.0, 2.0)
+    shift = draw(base.bn_shift, -1.0, 1.0)
+    for s, b in zip(scale, shift):
+        s[0::4] = 0.0
+        s[1::4] = -0.0
+        b[0::3] = -0.0
+    return replace(base, bn_scale=tuple(scale), bn_shift=tuple(shift),
+                   bn_mean=tuple(draw(base.bn_mean, -0.5, 0.5)),
+                   bn_var=tuple(draw(base.bn_var, 0.1, 2.0)))
+
+
+def head_outputs(monkeypatch, w, x, feat):
+    """forward's heatmap and descriptor map, and the detector softmax, on
+    top of encoder features ``feat``."""
+    with monkeypatch.context() as m:
+        m.setattr(detect, "_encode", lambda *_: feat)
+        return (*forward(w, x), detector_probabilities(w, x))
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def interpolate_descriptors_reference(desc_map, keypoints, cell):
+    # four gathers and a float64 blend through temporaries
+    d, mh, mw = desc_map.shape
+    mx = (keypoints.xy[:, 0] + 0.5) / cell - 0.5
+    my = (keypoints.xy[:, 1] + 0.5) / cell - 0.5
+    x0 = np.floor(mx)
+    y0 = np.floor(my)
+    fx = (mx - x0)[:, None]
+    fy = (my - y0)[:, None]
+
+    def cell_at(cx, cy):
+        cx = np.clip(cx, 0, mw - 1).astype(np.intp)
+        cy = np.clip(cy, 0, mh - 1).astype(np.intp)
+        return desc_map[:, cy, cx].T  # (N, D)
+
+    v00 = cell_at(x0, y0)
+    v10 = cell_at(x0 + 1, y0)
+    v01 = cell_at(x0, y0 + 1)
+    v11 = cell_at(x0 + 1, y0 + 1)
+    blend = ((1 - fy) * ((1 - fx) * v00 + fx * v10)
+             + fy * ((1 - fx) * v01 + fx * v11))
+    return normalize_rows_reference(blend.astype(np.float32))
+
+
+def normalize_rows_reference(vectors):
+    # a full copy and a masked write-back, zero rows or not
+    norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+    valid = norms > 0
+    out = vectors.copy()
+    out[valid] = (vectors[valid] / norms[valid, None]).astype(np.float32)
+    return Descriptors(out, valid)
+
+
 def boxsum3_reference(x):
     return sliding_window_view(np.pad(x, 1), (3, 3)).sum(axis=(-1, -2))
 
@@ -129,7 +195,7 @@ def classical_reference(tensor, channel_pair, radius, threshold, max_k):
     keypoints = nms_reference(response, radius, threshold, max_k)
     patches = patches_reference(merged, keypoints.xy)
     patches -= patches.mean(axis=1, keepdims=True)
-    return keypoints, _normalize_rows(patches)
+    return keypoints, normalize_rows_reference(patches)
 
 
 def assert_same_keypoints(got, want):
@@ -227,8 +293,10 @@ class TestForwardNumerics:
 
     def test_matches_reference_encoder_bitwise(self, monkeypatch):
         # heads run unchanged on top of the reference encoder; batchnorm
-        # with negative scales and nonzero statistics exercises the
-        # ReLU/pool reordering and the in-place op order
+        # with negative and zero scales and nonzero statistics exercises
+        # the pool by the scale's sign, batchnorm after the pool and the
+        # in-place op order. The outputs agree byte for byte: zeros of
+        # either sign inside the encoder do not reach them
         rng = np.random.default_rng(9)
         bundles = [random_weights(SPEC, seed) for seed in (0, 1, 2)]
         base = bundles[0]
@@ -242,6 +310,7 @@ class TestForwardNumerics:
             bn_shift=stats(base.bn_shift, -1.0, 1.0),
             bn_mean=stats(base.bn_mean, -0.5, 0.5),
             bn_var=stats(base.bn_var, 0.1, 2.0)))
+        bundles.append(signed_zero_bundle(base, rng))
         inputs = []
         for h, wd in ((16, 16), (64, 64), (128, 128), (176, 240)):
             x = rng.random((8, h, wd), dtype=np.float32)
@@ -253,9 +322,7 @@ class TestForwardNumerics:
         want = [(forward(w, x), detector_probabilities(w, x))
                 for w in bundles for x in inputs]
         for ((heat, desc), probs), ((heat0, desc0), probs0) in zip(got, want):
-            assert np.array_equal(heat, heat0)
-            assert np.array_equal(desc, desc0)
-            assert np.array_equal(probs, probs0)
+            assert_same_bytes((heat, desc, probs), (heat0, desc0, probs0))
 
 
 def force_bands(monkeypatch, bands):
@@ -314,7 +381,8 @@ class TestEncoderBands:
             base, bn_scale=stats(base.bn_scale, -2.0, 2.0),
             bn_shift=stats(base.bn_shift, -1.0, 1.0),
             bn_mean=stats(base.bn_mean, -0.5, 0.5),
-            bn_var=stats(base.bn_var, 0.1, 2.0))]
+            bn_var=stats(base.bn_var, 0.1, 2.0)),
+            signed_zero_bundle(base, rng)]
 
     @pytest.mark.parametrize("cores, blas, bands", [
         (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 2, 1), (1, 1, 1), (8, None, 1),
@@ -338,9 +406,14 @@ class TestEncoderBands:
             x[rng.random(x.shape) < 0.5] = 0
             for w in self.bundles():
                 splits.clear()
-                assert np.array_equal(detect._encode(w, x),
-                                      encode_reference(w, x))
+                feat = detect._encode(w, x)
                 assert splits == want_splits
+                # equal values; a zero's sign may differ, but not in the
+                # heads' outputs
+                want = encode_reference(w, x)
+                assert np.array_equal(feat, want)
+                assert_same_bytes(head_outputs(monkeypatch, w, x, feat),
+                                  head_outputs(monkeypatch, w, x, want))
 
     @pytest.mark.parametrize("bands, want_splits", [
         (1, [1] * 4), (2, [2, 2, 2, 1]), (3, [3, 3, 3, 1])])
@@ -679,7 +752,79 @@ class TestInterpolateDescriptors:
         assert np.allclose(d.vectors[1], w1, atol=1e-6)
 
 
+    def test_matches_reference_bytes(self):
+        # sub-pixel and integer keypoints over the whole map and its
+        # edges, cells whose descriptor is zero, and an all-zero map
+        rng = np.random.default_rng(24)
+        invalid = 0
+        for d, mh, mw in ((64, 8, 8), (64, 11, 15), (16, 1, 1), (3, 2, 5)):
+            dmap = rng.standard_normal((d, mh, mw)).astype(np.float32)
+            dmap[:, rng.random((mh, mw)) < 0.3] = 0
+            xy = np.column_stack([rng.uniform(0, 16 * mw - 1, 300),
+                                  rng.uniform(0, 16 * mh - 1, 300)])
+            xy[:100] = np.round(xy[:100])
+            xy[100:110] = [[0, 0], [16 * mw - 1, 16 * mh - 1]] * 5
+            kps = KeypointSet(xy, np.ones(len(xy)))
+            for m in (dmap, np.zeros_like(dmap)):
+                got = interpolate_descriptors(m, kps, 16)
+                want = interpolate_descriptors_reference(m, kps, 16)
+                assert_same_bytes((got.vectors, got.valid),
+                                  (want.vectors, want.valid))
+                invalid += int((~got.valid).sum())
+        assert invalid > 4 * 300  # the zero maps, and some zero cells
+
+    def test_normalize_rows_matches_reference_bytes(self):
+        # rows of widely spread norms, zero rows of either sign, no rows
+        rng = np.random.default_rng(25)
+        for n, d in ((0, 64), (1, 64), (40, 64), (300, 8)):
+            v = (rng.standard_normal((n, d))
+                 * 10.0 ** rng.uniform(-6, 6, (n, 1))).astype(np.float32)
+            for zeros in (False, True):
+                if zeros:
+                    v[0::3] = 0.0
+                    v[1::7] = -0.0
+                want = normalize_rows_reference(v)
+                got = _normalize_rows(v.copy())
+                assert_same_bytes((got.vectors, got.valid),
+                                  (want.vectors, want.valid))
+
+
 class TestWeights:
+    @pytest.mark.parametrize("field", ["conv_kernels", "bn_scale",
+                                       "bn_shift", "bn_mean", "bn_var"])
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_per_layer_tuple_length_checked(self, field, change):
+        w = zero_weights(SPEC)
+        tensors = getattr(w, field)
+        bad = tensors[:-1] if change == "short" else tensors + tensors[-1:]
+        with pytest.raises(ValueError,
+                           match=f"{field}: one per encoder layer"):
+            replace(w, **{field: bad})
+
+    @pytest.mark.parametrize("layer", range(4))
+    def test_variance_plus_epsilon_must_be_positive(self, layer):
+        # at -eps the sum is 0 and inv is inf; below it, sqrt is NaN. A
+        # file holding such a variance is refused on load too
+        w = random_weights(SPEC, 0)
+        eps = np.float32(w.bn_epsilon)
+        # entry 1 of the layer's variance: after the 44-byte header and
+        # the tensors before it in SLWT order
+        at = 44 + 4 * sum(t.size for t in
+                          detect._tensor_sequence(w)[:5 * layer + 4]) + 4
+        for bad in (-eps, np.float32(-1.0)):
+            var = [v.copy() for v in w.bn_var]
+            var[layer][1] = bad
+            with pytest.raises(ValueError,
+                               match=f"layer {layer} bn variance"):
+                replace(w, bn_var=tuple(var))
+            blob = bytearray(save_weights(w))
+            blob[at:at + 4] = bad.astype("<f4").tobytes()
+            with pytest.raises(ValueError,
+                               match=f"layer {layer} bn variance"):
+                load_weights(bytes(blob))
+        var[layer][1] = -eps / 2  # the sum is still positive
+        assert replace(w, bn_var=tuple(var)).bn_var[layer][1] == -eps / 2
+
     def test_round_trip_random_bundles(self):
         rng = np.random.default_rng(13)
         for seed in rng.integers(0, 1_000, 5):

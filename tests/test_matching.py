@@ -49,6 +49,33 @@ def distance_matrix_reference(a, b):
     return dist
 
 
+def distance_matrix_previous(a, b):
+    # the float form distance_matrix replaced: float64 norm sums, the
+    # sign taken from the GEMM's own dots, a mask write every time
+    exact = np.float32 if a.shape[1] * 128 ** 2 <= 2 ** 24 else np.float64
+    af = a.astype(exact)
+    bf = b.astype(exact)
+    dots = af @ bf.T
+    denom = (af * af).sum(axis=1, dtype=np.float64)[:, None] \
+        * (bf * bf).sum(axis=1, dtype=np.float64)
+    dist = dots.astype(np.float64)
+    dist *= dist
+    with np.errstate(invalid="ignore"):
+        dist /= denom
+    np.sqrt(dist, out=dist)
+    np.copysign(dist, dots, out=dist)
+    np.subtract(1.0, dist, out=dist)
+    dist[denom == 0] = 2.0
+    return dist
+
+
+def quantize_previous(desc, scheme):
+    # floor(|x| + 0.5) with x's sign, through temporaries
+    scaled = desc.vectors.astype(np.float64) * scheme.scale
+    rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
+    return np.clip(rounded, -QMAX, QMAX).astype(np.int8)
+
+
 def match_mutual_nn_reference(dist, max_distance):
     # over a precomputed reference distance matrix
     best_b = dist.argmin(axis=1)
@@ -104,6 +131,27 @@ class TestQuantize:
                         np.array([True]))
         q = quantize(d, QuantizationScheme(2.0))
         assert list(q.vectors[0]) == [1, -1, 2, -2]
+
+    def test_matches_previous_form_bytes(self):
+        # exact .5 ties under scale 2 and their float32 neighbours, signed
+        # zeros, saturating and infinite values, and unit rows under the
+        # default scale
+        quarters = np.arange(-600, 601, dtype=np.float32) * np.float32(0.25)
+        columns = np.concatenate([
+            quarters, np.nextafter(quarters, np.float32(np.inf)),
+            np.nextafter(quarters, np.float32(-np.inf)),
+            np.array([0.0, -0.0, 1e30, -1e30, np.inf, -np.inf], np.float32)])
+        rows = np.resize(columns, (len(columns) // 8 + 1, 8))
+        rng = np.random.default_rng(3)
+        for vectors in (rows, rows * np.float32(1 / 127),
+                        _unit_rows(rng, 300).vectors):
+            desc = Descriptors(vectors, np.ones(len(vectors), dtype=bool))
+            for scheme in (QuantizationScheme(2.0), QuantizationScheme(),
+                           QuantizationScheme(0.3)):
+                got = quantize(desc, scheme).vectors
+                want = quantize_previous(desc, scheme)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_default_scale_is_qmax(self):
         assert QuantizationScheme().scale == DEFAULT_SCALE
@@ -201,6 +249,26 @@ class TestCosineDistance:
                                            (10, d))])
             assert np.array_equal(distance_matrix(a, b),
                                   distance_matrix_reference(a, b))
+
+    def test_matches_previous_form_bytes(self):
+        # zero-norm rows and columns or none, negated rows for negative
+        # dots, -128 entries, both sides of the float32 limit
+        rng = np.random.default_rng(17)
+        for n, m, d in ((1, 1, 64), (45, 50, 64), (40, 33, 1024),
+                        (7, 9, 2048), (30, 20, 1)):
+            a = rng.integers(-128, 128, (n, d)).astype(np.int8)
+            b = rng.integers(-127, 128, (m, d)).astype(np.int8)
+            b[: min(n, m) // 2] = -a[: min(n, m) // 2].clip(-127)
+            a[1::4] = -128
+            for zeros in (False, True):
+                if zeros:
+                    a[::5] = 0
+                    b[2::3] = 0
+                for x, y in ((a, b), (b, a), (a, a)):
+                    got = distance_matrix(x, y)
+                    want = distance_matrix_previous(x, y)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
 
     def test_scalar_is_matrix_element(self):
         rng = np.random.default_rng(13)

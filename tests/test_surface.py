@@ -100,6 +100,28 @@ class _ReferenceGrid:
         return np.stack(planes)
 
 
+def mcts_previous(grid, ring, tau, spec):
+    """The per-window form ``mcts`` replaced: a full-plane comparison, a
+    boolean gather and a scatter for every window of each polarity."""
+    if spec.mode == "constant-count":
+        counts = normalized_counts_to_absolute(spec, grid.geometry)
+        durations = adaptive_windows(ring, tau, counts, grid.first_time)
+    else:
+        durations = list(spec.durations)
+    k = len(durations)
+    channels = np.zeros((2 * k, *grid.last_t.shape[1:]), dtype=np.float32)
+    for chan in (0, 1):
+        age = tau - grid.last_t[chan]
+        for i, dt in enumerate(durations):
+            bound = min(dt, tau)
+            if bound < 0:
+                continue
+            in_window = age.view(np.uint64) <= bound
+            channels[chan * k + i][in_window] = \
+                (1.0 - age[in_window] / dt).astype(np.float32)
+    return channels
+
+
 class TestTimestampGrid:
     def test_tracks_latest_per_pixel_and_polarity(self):
         geo = SensorGeometry(3, 2)
@@ -598,6 +620,29 @@ class TestMcts:
                             assert got.tobytes() == \
                                 want[chan * spec.K + p].tobytes()
             assert lit >= 8  # of 16 taus; the 4 before the stream are dark
+
+    def test_matches_previous_form_bytes(self):
+        # fed part by part: both window modes, warm-up windows of equal
+        # length, one-window specs, and taus at the newest event, before
+        # it, at the first event, just before it and before every stamp
+        rng = np.random.default_rng(24)
+        geo = SensorGeometry(40, 24)
+        b = _random_batch(rng, 4_000, geo, 400_000)
+        specs = (WindowSpec.default_constant_count(),
+                 WindowSpec("constant-count", normalized_counts=(0.5, 4.0)),
+                 WindowSpec("constant-count", normalized_counts=(1.0,)),
+                 WindowSpec("fixed-duration", durations=(7, 3_000, 90_000)),
+                 WindowSpec("fixed-duration", durations=(5_000,)))
+        for spec in specs:
+            grid = TimestampGrid.create(geo)
+            ring = EventCountRing(spec.ring_capacity(geo))
+            for lo in range(0, len(b), 500):
+                apply_events(grid, ring, b.slice(lo, lo + 500))
+                for tau in (grid.latest_time, grid.latest_time - 20_000,
+                            grid.first_time, grid.first_time - 1, -5):
+                    got = mcts(grid, ring, tau, spec).channels
+                    assert got.tobytes() == \
+                        mcts_previous(grid, ring, tau, spec).tobytes()
 
     def test_tau_outside_its_range_rejected(self):
         geo = SensorGeometry(3, 2)
