@@ -69,15 +69,14 @@ _CONVERTERS = {}
 
 
 def _opt(sub, name, conv, default, help):
-    """Register an option whose default can come from the config file."""
-    _CONVERTERS.setdefault(sub.prog.split()[-1], {})[name] = (conv, default)
-    kind = dict(action="store_const", const=True) if conv is _bool \
-        else dict(type=conv)
-    sub.add_argument("--" + name, dest=name.replace("-", "_"), default=None,
-                     help=help, **kind)
+    """Register an option that the config file can set too."""
+    _CONVERTERS.setdefault(sub.prog.split()[-1], {})[name] = conv
+    kind = dict(action="store_true") if conv is _bool else dict(type=conv)
+    sub.add_argument("--" + name, default=default, help=help, **kind)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser, and the subparsers action holding each subcommand's."""
     parser = argparse.ArgumentParser(
         prog="evfront",
         description="Event-camera frontend: surfaces, keypoints, matching.")
@@ -93,8 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _opt(s, "geometry", _geometry, events.SensorGeometry(64, 64),
          "sensor size WxH")
     _opt(s, "start-time", int, 0, "timestamp of t=0, microseconds")
-    _opt(s, "grid-pitch", int, 16, "corner grid spacing, px")
-    _opt(s, "square-side", int, 6, "corner grid square side, px")
+    _opt(s, "grid-pitch", int, events.MotionSpec.grid_pitch,
+         "corner grid spacing, px")
+    _opt(s, "square-side", int, events.MotionSpec.square_side,
+         "corner grid square side, px")
     s.add_argument("--output", "-o", required=True, help="binary-v1 out path")
 
     s = subs.add_parser("convert", help="convert between event formats")
@@ -120,23 +121,26 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--results", help="FrameResult JSONL out path")
     s.add_argument("--metrics", help="metrics JSON out path")
     s.add_argument("--timings-csv", help="per-interval stage timing CSV")
-    _opt(s, "detector", str, "classical", "classical or learned")
+    c = pipeline.PipelineConfig()  # the run defaults have one owner
+    _opt(s, "detector", str, c.detector, "classical or learned")
     _opt(s, "weights", str, None, "SLWT weight file (learned)")
     _opt(s, "weights-seed", int, 0,
          "random weights seed instead of a file (learned)")
-    _opt(s, "tick", int, 10_000, "preprocessing period, us")
-    _opt(s, "watermark-lag", int, 0, "event-time lag held back, us")
+    _opt(s, "tick", int, c.tick, "preprocessing period, us")
+    _opt(s, "watermark-lag", int, c.watermark_lag,
+         "event-time lag held back, us")
     _opt(s, "mode", str, "threaded", "threaded or serial")
     _opt(s, "paced", _bool, False, "pace replay by wall clock")
-    _opt(s, "counts", _float_list, surface.DEFAULT_NORMALIZED_COUNTS,
+    _opt(s, "counts", _float_list, c.window_spec.normalized_counts,
          "normalized per-pixel counts")
-    _opt(s, "channel-pair", int, 1, "classical detector channel pair")
-    _opt(s, "nms-radius", int, 4, "NMS radius, px")
-    _opt(s, "nms-threshold", float, 1e-4, "NMS score threshold")
-    _opt(s, "nms-max-k", int, 256, "keypoint cap per frame")
-    _opt(s, "max-distance", float, matching.DEFAULT_MAX_DISTANCE,
+    _opt(s, "channel-pair", int, c.channel_pair,
+         "classical detector channel pair")
+    _opt(s, "nms-radius", int, c.nms_radius, "NMS radius, px")
+    _opt(s, "nms-threshold", float, c.nms_threshold, "NMS score threshold")
+    _opt(s, "nms-max-k", int, c.nms_max_k, "keypoint cap per frame")
+    _opt(s, "max-distance", float, c.match_max_distance,
          "match acceptance ceiling, cosine distance")
-    _opt(s, "metrics-interval", int, 60 * events.US_PER_S,
+    _opt(s, "metrics-interval", int, c.metrics_interval,
          "timing aggregation interval, us of event time")
     _opt(s, "no-descriptors", _bool, False,
          "elide descriptors from the results JSONL")
@@ -161,10 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    "iterations, with the core count, numpy, BLAS threads and "
                    "encoder bands")
 
-    return parser
+    return parser, subs
 
 
 def _load_config(path: str, command: str) -> dict:
+    """The file's values, converted, keyed by option destination."""
     table = _CONVERTERS.get(command, {})
     values = {}
     try:
@@ -182,46 +187,36 @@ def _load_config(path: str, command: str) -> dict:
         if key not in table:
             raise UsageError(f"config line {lineno}: unknown option {key!r} "
                              f"for {command}")
-        conv = table[key][0]
         try:
-            values[key] = conv(value)
+            values[key.replace("-", "_")] = table[key](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"config line {lineno}: {exc}")
     return values
-
-
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge flags > config file > built-in defaults."""
-    command = args.command
-    overlay = _load_config(args.config, command) if args.config else {}
-    resolved = {}
-    for name, (_conv, default) in _CONVERTERS.get(command, {}).items():
-        attr = name.replace("-", "_")
-        cli_value = getattr(args, attr, None)
-        resolved[name] = cli_value if cli_value is not None \
-            else overlay.get(name, default)
-    return resolved
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _read_batch(path: str) -> events.EventBatch:
+def _read_batch(path: str, format: str = "binary-v1",
+                geometry: events.SensorGeometry | None = None
+                ) -> events.EventBatch:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    return events.parse_events(data, "binary-v1")
-
-
-def cmd_synth(opts, args) -> int:
     try:
-        spec = events.MotionSpec(opts["pattern"], opts["velocity"],
-                                 opts["duration"],
-                                 grid_pitch=opts["grid-pitch"],
-                                 square_side=opts["square-side"])
-        batch = events.synthesize(spec, opts["geometry"], opts["start-time"])
+        return events.parse_events(data, format, geometry)
+    except ValueError as exc:  # a malformed record, at its offset or line
+        raise UsageError(f"{path}: {exc}")
+
+
+def cmd_synth(args) -> int:
+    try:
+        spec = events.MotionSpec(args.pattern, args.velocity, args.duration,
+                                 grid_pitch=args.grid_pitch,
+                                 square_side=args.square_side)
+        batch = events.synthesize(spec, args.geometry, args.start_time)
     except ValueError as exc:  # also a start time outside the stamp range
         raise UsageError(str(exc))
     Path(args.output).write_bytes(events.write_events(batch, "binary-v1"))
@@ -233,41 +228,31 @@ def cmd_synth(opts, args) -> int:
     return 0
 
 
-def cmd_convert(opts, args) -> int:
-    src, dst = opts["from-format"], opts["to-format"]
+def cmd_convert(args) -> int:
+    src, dst = args.from_format, args.to_format
     if src not in ("binary-v1", "csv") or dst not in ("binary-v1", "csv"):
         raise UsageError("from-format and to-format must be binary-v1 or csv")
-    try:
-        data = Path(args.input).read_bytes()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.input}: {exc}")
-    try:
-        batch = events.parse_events(data, src, geometry=opts["geometry"])
-    except events.StreamFormatError as exc:
-        raise UsageError(f"{args.input}: {exc}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    batch = _read_batch(args.input, src, args.geometry)
     Path(args.output).write_bytes(events.write_events(batch, dst))
     print(f"converted {len(batch)} events to {dst} at {args.output}")
     return 0
 
 
-def cmd_surface(opts, args) -> int:
+def cmd_surface(args) -> int:
     batch = _read_batch(args.input)
     if len(batch) == 0:
         raise UsageError("input stream is empty")
     try:
-        if opts["mode"] == "fixed-duration":
+        if args.mode == "fixed-duration":
             spec = surface.WindowSpec("fixed-duration",
-                                      durations=opts["durations"])
+                                      durations=args.durations)
         else:
-            spec = surface.WindowSpec(opts["mode"],
-                                      normalized_counts=opts["counts"])
+            spec = surface.WindowSpec(args.mode, normalized_counts=args.counts)
     except ValueError as exc:  # also a missing --durations
         raise UsageError(str(exc))
 
     t = batch.events["t"]
-    tau = int(t[-1]) if opts["tau"] is None else opts["tau"]
+    tau = int(t[-1]) if args.tau is None else args.tau
     if not 0 <= tau < events.TIMESTAMP_LIMIT:
         raise UsageError(f"tau {tau} outside the stamp range [0, 2**62)")
     cut = int(np.searchsorted(t, tau, side="right"))
@@ -306,58 +291,57 @@ def _crop_to_cell(batch: events.EventBatch, cell: int) -> events.EventBatch:
     return cropped
 
 
-def cmd_run(opts, args) -> int:
+def cmd_run(args) -> int:
     batch = _read_batch(args.input)
     weights = None
-    if opts["detector"] == "learned":
-        if opts["weights"]:
+    if args.detector == "learned":
+        if args.weights:
             try:
-                weights = detect.load_weights(Path(opts["weights"]).read_bytes())
+                weights = detect.load_weights(Path(args.weights).read_bytes())
             except OSError as exc:
                 raise UsageError(f"cannot read weights: {exc}")
             except ValueError as exc:
                 raise UsageError(f"bad weights file: {exc}")
         else:
-            if opts["weights-seed"] < 0:
+            if args.weights_seed < 0:
                 raise UsageError("weights-seed cannot be negative")
             weights = detect.random_weights(detect.NetworkSpec(),
-                                            opts["weights-seed"])
+                                            args.weights_seed)
         batch = _crop_to_cell(batch, weights.spec.cell)
-        if 2 * len(opts["counts"]) != weights.spec.input_channels:
+        if 2 * len(args.counts) != weights.spec.input_channels:
             raise UsageError(
-                f"{len(opts['counts'])} channel pairs feed "
-                f"{2 * len(opts['counts'])} channels, weights expect "
+                f"{len(args.counts)} channel pairs feed "
+                f"{2 * len(args.counts)} channels, weights expect "
                 f"{weights.spec.input_channels}")
 
     try:
         config = pipeline.PipelineConfig(
-            tick=opts["tick"],
+            tick=args.tick,
             window_spec=surface.WindowSpec(
-                "constant-count", normalized_counts=opts["counts"]),
-            detector=opts["detector"],
+                "constant-count", normalized_counts=args.counts),
+            detector=args.detector,
             weights=weights,
-            channel_pair=opts["channel-pair"],
-            nms_radius=opts["nms-radius"],
-            nms_threshold=opts["nms-threshold"],
-            nms_max_k=opts["nms-max-k"],
-            match_max_distance=opts["max-distance"],
-            watermark_lag=opts["watermark-lag"],
-            metrics_interval=opts["metrics-interval"],
+            channel_pair=args.channel_pair,
+            nms_radius=args.nms_radius,
+            nms_threshold=args.nms_threshold,
+            nms_max_k=args.nms_max_k,
+            match_max_distance=args.max_distance,
+            watermark_lag=args.watermark_lag,
+            metrics_interval=args.metrics_interval,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
-    if opts["mode"] not in ("threaded", "serial"):
-        raise UsageError(f"unknown mode {opts['mode']!r}")
+    if args.mode not in ("threaded", "serial"):
+        raise UsageError(f"unknown mode {args.mode!r}")
 
-    source = pipeline.ReplaySource(batch, paced=opts["paced"])
-    results, metrics = pipeline.run_pipeline(source, config,
-                                             mode=opts["mode"])
+    source = pipeline.ReplaySource(batch, paced=args.paced)
+    results, metrics = pipeline.run_pipeline(source, config, mode=args.mode)
 
     if args.results:
         with open(args.results, "w") as fh:
             for r in results:
                 fh.write(pipeline.result_to_json(
-                    r, include_descriptors=not opts["no-descriptors"]) + "\n")
+                    r, include_descriptors=not args.no_descriptors) + "\n")
     if args.metrics:
         Path(args.metrics).write_text(
             json.dumps(metrics.as_dict(), indent=2) + "\n")
@@ -373,9 +357,12 @@ def cmd_run(opts, args) -> int:
     return 0
 
 
-def cmd_verify(opts, args) -> int:
-    report = surface.motion_invariance_report(
-        opts["geometry"], opts["speed"], opts["factor"], opts["counts"])
+def cmd_verify(args) -> int:
+    try:
+        report = surface.motion_invariance_report(
+            args.geometry, args.speed, args.factor, args.counts)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     lo, hi = report.speeds
     print(f"speeds: {lo:g} and {hi:g} px/s")
     print(f"fixed durations (us): "
@@ -417,15 +404,15 @@ def _random_stream(rng, n: int, geometry: events.SensorGeometry
         geometry)
 
 
-def _ingest_streams(rng, opts):
+def _ingest_streams(rng, args):
     # the ingest and writer rows run over the same 240x180 streams
-    for n in (opts["events-n"], 2 * opts["events-n"]):
+    for n in (args.events_n, 2 * args.events_n):
         yield _random_stream(rng, n, events.SensorGeometry(240, 180))
 
 
-def _bench_ingest(rng, opts):
+def _bench_ingest(rng, args):
     # apply_events in 10k-event batches
-    for batch in _ingest_streams(rng, opts):
+    for batch in _ingest_streams(rng, args):
         def ingest():
             grid = surface.TimestampGrid.create(batch.geometry)
             ring = surface.EventCountRing(1024)
@@ -434,10 +421,10 @@ def _bench_ingest(rng, opts):
         yield len(batch), ingest
 
 
-def _bench_writer(rng, opts):
+def _bench_writer(rng, args):
     # the pipeline's tick loop drained over the stream, 10 ms ticks
     config = pipeline.PipelineConfig()
-    for batch in _ingest_streams(rng, opts):
+    for batch in _ingest_streams(rng, args):
         capacity = config.window_spec.ring_capacity(batch.geometry)
         def drain():
             writer = pipeline._WriterLoop(
@@ -448,7 +435,7 @@ def _bench_writer(rng, opts):
         yield len(batch), drain
 
 
-def _bench_mcts(rng, opts):
+def _bench_mcts(rng, args):
     spec = surface.WindowSpec.default_constant_count()
     for size in (64, 128, 256):
         geometry = events.SensorGeometry(size, size)
@@ -481,19 +468,19 @@ def _corner_grids(rng):
                surface.mcts(grid, ring, grid.latest_time, spec))
 
 
-def _bench_snapshot(rng, opts):
+def _bench_snapshot(rng, args):
     for n, state, _ in _corner_grids(rng):
         yield n, lambda: pipeline.freeze_snapshot(state)
 
 
-def _bench_classical(rng, opts):
+def _bench_classical(rng, args):
     c = pipeline.PipelineConfig()
     for n, _, tensor in _corner_grids(rng):
         yield n, lambda: detect.classical_detect(
             tensor, 3, c.nms_radius, c.nms_threshold, c.nms_max_k)
 
 
-def _bench_nms(rng, opts):
+def _bench_nms(rng, args):
     # on the corner grid's Harris response
     c = pipeline.PipelineConfig()
     for n, _, tensor in _corner_grids(rng):
@@ -502,18 +489,18 @@ def _bench_nms(rng, opts):
                                     c.nms_max_k)
 
 
-def _bench_forward(rng, opts):
-    weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
+def _bench_forward(rng, args):
+    weights = detect.random_weights(detect.NetworkSpec(), args.seed)
     for size in (64, 128):
         x = rng.random((8, size, size), dtype=np.float32)
         yield size, lambda: detect.forward(weights, x)
 
 
-def _bench_describe(rng, opts):
+def _bench_describe(rng, args):
     # the learned descriptor tail on the 128x128 corner grid: descriptors
     # at the heatmap's NMS keypoints, quantized; n is the keypoint count
     c = pipeline.PipelineConfig()
-    weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
+    weights = detect.random_weights(detect.NetworkSpec(), args.seed)
     _, _, tensor = next(_corner_grids(rng))
     heatmap, desc_map = detect.forward(weights, tensor.channels)
     keypoints = detect.nms(heatmap, c.nms_radius, c.nms_threshold,
@@ -523,7 +510,7 @@ def _bench_describe(rng, opts):
                                        weights.spec.cell))
 
 
-def _bench_quantize(rng, opts):
+def _bench_quantize(rng, args):
     for n in (100, 500, 1000):
         vectors = rng.standard_normal((n, 64)).astype(np.float32)
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -531,7 +518,7 @@ def _bench_quantize(rng, opts):
         yield n, lambda: matching.quantize(desc)
 
 
-def _bench_match(rng, opts):
+def _bench_match(rng, args):
     for n in (100, 500, 1000):
         a, b = (matching.QuantizedDescriptors(
             rng.integers(-127, 128, (n, 64)).astype(np.int8),
@@ -539,7 +526,7 @@ def _bench_match(rng, opts):
         yield n, lambda: matching.match_mutual_nn(a, b)
 
 
-def _bench_synth(rng, opts):
+def _bench_synth(rng, args):
     # the acceptance corner grid and the 240x180 flood scene of the
     # benchmark; n is the sensor's pixel count
     for size, velocity, pitch, side, duration in (
@@ -551,12 +538,12 @@ def _bench_synth(rng, opts):
         yield geometry.pixel_count, lambda: events.synthesize(motion, geometry)
 
 
-def _bench_pipeline(rng, opts):
+def _bench_pipeline(rng, args):
     # serial run_pipeline on the 128x128 corner grid in the acceptance
     # configuration, classical over 1.5 s of stream and learned over
     # 0.5 s; n is the event count
     geometry = events.SensorGeometry(128, 128)
-    weights = detect.random_weights(detect.NetworkSpec(), opts["seed"])
+    weights = detect.random_weights(detect.NetworkSpec(), args.seed)
     for detector, duration in (("classical", 1.5), ("learned", 0.5)):
         source = pipeline.ReplaySource(
             events.synthesize(_corner_motion(rng, duration), geometry))
@@ -567,7 +554,7 @@ def _bench_pipeline(rng, opts):
                                                          "serial")
 
 
-# workload -> setup(rng, opts) yielding (n, call) per row. Rows are timed
+# workload -> setup(rng, args) yielding (n, call) per row. Rows are timed
 # as they are yielded, so a call may read its setup's loop variables
 _WORKLOADS = {
     "ingest": _bench_ingest,
@@ -585,12 +572,12 @@ _WORKLOADS = {
 }
 
 
-def cmd_bench(opts, args) -> int:
-    wanted = opts["workload"]
+def cmd_bench(args) -> int:
+    wanted = args.workload
     if wanted not in (*_WORKLOADS, "all"):
         raise UsageError(f"unknown workload {wanted!r}")
     for name, least in (("iterations", 1), ("events-n", 1), ("seed", 0)):
-        if opts[name] < least:
+        if getattr(args, name.replace("-", "_")) < least:
             raise UsageError(f"{name} must be at least {least}")
     names = list(_WORKLOADS) if wanted == "all" else [wanted]
     if wanted == "ingest":
@@ -602,9 +589,9 @@ def cmd_bench(opts, args) -> int:
     for name in names:
         # each workload draws its inputs from its own generator, so they
         # do not depend on which workloads ran before it
-        setup = _WORKLOADS[name](np.random.default_rng(opts["seed"]), opts)
+        setup = _WORKLOADS[name](np.random.default_rng(args.seed), args)
         for n, call in setup:
-            rows.append((name, n, *_time_us(call, opts["iterations"])))
+            rows.append((name, n, *_time_us(call, args.iterations)))
 
     lines = ["workload,n,mean_us,p99_us"]
     lines += [f"{w},{n},{m:.1f},{p:.1f}" for w, n, m, p in rows]
@@ -619,7 +606,7 @@ def cmd_bench(opts, args) -> int:
                        "blas_threads": detect.blas_threads(),
                        "encoder_bands": detect.encoder_bands()}
         table = [{"workload": w, "n": n, "mean_us": m, "p99_us": p,
-                  "iterations": opts["iterations"]} for w, n, m, p in rows]
+                  "iterations": args.iterations} for w, n, m, p in rows]
         Path(args.json).write_text(json.dumps(
             {"environment": environment, "rows": table}, indent=2) + "\n")
     return 0
@@ -636,20 +623,20 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subs = _build_parser()  # afresh: config defaults stay per call
     args = parser.parse_args(argv)
     try:
-        opts = _resolve(args)
-        return _DISPATCH[args.command](opts, args)
+        if args.config:  # flag > config file > built-in default
+            subs.choices[args.command].set_defaults(
+                **_load_config(args.config, args.command))
+            args = parser.parse_args(argv)
+        return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptyResult as exc:
         print(f"empty: {exc}", file=sys.stderr)
         return 3
-    except events.StreamFormatError as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

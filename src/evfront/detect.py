@@ -529,9 +529,6 @@ def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
     """
     d, mh, mw = desc_map.shape
     n = len(keypoints)
-    if n == 0:
-        return Descriptors(np.zeros((0, d), dtype=np.float32),
-                           np.zeros(0, dtype=bool))
     mx = (keypoints.xy[:, 0] + 0.5) / cell - 0.5
     my = (keypoints.xy[:, 1] + 0.5) / cell - 0.5
     x0 = np.floor(mx)
@@ -554,15 +551,13 @@ def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
 
 
 def _normalize_rows(vectors: np.ndarray) -> Descriptors:
-    """Divides each float32 row by its norm, in place; rows of norm zero
-    stay zero and are flagged invalid."""
+    """Divides each float32 row by its norm, in place; a row of norm zero
+    or NaN is divided by 1 instead, so it stays as it is, and is invalid."""
     norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
     valid = norms > 0
-    if valid.all():
-        # the float64 quotient, rounded to float32 as it is stored
-        np.divide(vectors, norms[:, None], out=vectors, casting="same_kind")
-    else:
-        vectors[valid] = vectors[valid] / norms[valid, None]
+    norms[~valid] = 1.0
+    # the float64 quotient, rounded to float32 as it is stored
+    np.divide(vectors, norms[:, None], out=vectors, casting="same_kind")
     return Descriptors(vectors, valid)
 
 
@@ -583,10 +578,6 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
     """
     flat, response = _harris(tensor, channel_pair)
     keypoints = nms(response, radius, threshold, max_k)
-    if len(keypoints) == 0:
-        return keypoints, Descriptors(np.zeros((0, PATCH * PATCH),
-                                               dtype=np.float32),
-                                      np.zeros(0, dtype=bool))
 
     # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated,
     # read from the merged plane in ``flat``

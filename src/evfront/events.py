@@ -79,8 +79,8 @@ class SensorGeometry:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"geometry must be at least 1x1, got "
+        if not (1 <= self.width <= 65535 and 1 <= self.height <= 65535):
+            raise ValueError(f"geometry sides must be 1 to 65535, got "
                              f"{self.width}x{self.height}")
 
     @property
@@ -315,8 +315,7 @@ def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
         prev_t = t
         rows.append((t, x, y, 2 * p - 1))
 
-    ev = np.array(rows, dtype=EVENT_DTYPE) if rows else np.empty(0, EVENT_DTYPE)
-    return EventBatch(ev, geometry)
+    return _trusted_batch(np.array(rows, dtype=EVENT_DTYPE), geometry)
 
 
 def _write_binary(batch: EventBatch) -> bytes:
@@ -596,17 +595,13 @@ def rate_limit(batch: EventBatch, max_rate: float,
     The stream is partitioned into consecutive windows of ``window``
     microseconds aligned at t = 0; a window holding n events keeps the
     c = floor(max_rate * window / 1e6) events at indices floor(j*n/c).
-    Applying the limiter twice changes nothing.
+    Applying the limiter twice changes nothing. The result is always a
+    new batch, an empty one for an empty input.
     """
     if max_rate <= 0 or window <= 0:
         raise ValueError("max_rate and window must be positive")
     cap = int(max_rate * window // US_PER_S)
     n_total = len(batch)
-    if n_total == 0:
-        return batch
-    if cap == 0:
-        return empty_batch(batch.geometry)
-
     win_id = batch.events["t"] // window
     keep = np.ones(n_total, dtype=bool)
     starts = np.flatnonzero(np.r_[True, np.diff(win_id) != 0])

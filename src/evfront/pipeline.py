@@ -73,6 +73,8 @@ class PipelineConfig:
             raise ValueError("NMS radius must be at least 1")
         if self.nms_max_k < 0:
             raise ValueError("NMS max_k cannot be negative")
+        if np.isnan(self.nms_threshold) or np.isnan(self.match_max_distance):
+            raise ValueError("NMS threshold and match distance cannot be NaN")
         if self.metrics_interval < 1:
             raise ValueError("metrics interval must be at least 1 us")
 
@@ -352,32 +354,22 @@ def _keep_freed_memory() -> None:
 
 def _run_serial(source, config, state, schedule):
     writer = _WriterLoop(source, state, config)
-    results: list[FrameResult] = []
-    staleness: list[int] = []
-    copy_times: list[int] = []
     queue = list(schedule) if schedule is not None else None
-    started = _now_us()
-    last_snapped = 0
-    while not writer.exhausted:
-        writer.one_tick()
-        if queue is None:
-            due = state.version > last_snapped
-        else:
-            # ticks bump the version by at most 1, so >= hits each
-            # scheduled version exactly once
-            due = bool(queue) and state.version >= queue[0]
-        if not due:
-            continue
-        if queue is not None:
-            queue.pop(0)
-        copy_from = _now_us()
-        snap = freeze_snapshot(state)
-        copy_times.append(_now_us() - copy_from)
-        last_snapped = snap.version
-        _step_if_fresh(snap, state, results, config, staleness)
-    metrics = _collect_metrics(results, staleness, copy_times, state, started,
-                               _now_us(), config)
-    return results, metrics
+
+    def tick_until_due(last_snapped):
+        # ticks bump the version by at most 1, so >= hits each scheduled
+        # version exactly once
+        while not writer.exhausted:
+            writer.one_tick()
+            if queue is None:
+                if state.version > last_snapped:
+                    return True
+            elif queue and state.version >= queue[0]:
+                queue.pop(0)
+                return True
+        return False
+
+    return _frontend_loop(state, config, tick_until_due, _now_us())
 
 
 def _run_threaded(source, config, state):
@@ -406,34 +398,44 @@ def _run_threaded(source, config, state):
             with progress:
                 progress.notify_all()
 
+    def newer_version(last_version):
+        # the version only grows, and stops once the writer is done
+        with progress:
+            while state.version == last_version and not done.is_set():
+                progress.wait(timeout=0.05)
+        return state.version != last_version
+
     thread = threading.Thread(target=writer_main, name="preprocess-writer",
                               daemon=True)
-    results: list[FrameResult] = []
-    staleness: list[int] = []
-    copy_times: list[int] = []
     started = _now_us()
     thread.start()
     try:
-        last_version = 0
-        while True:
-            with progress:
-                while state.version == last_version and not done.is_set():
-                    progress.wait(timeout=0.05)
-            if state.version == last_version and done.is_set():
-                break
-            copy_from = _now_us()
-            snap = freeze_snapshot(state)
-            copy_times.append(_now_us() - copy_from)
-            last_version = snap.version
-            _step_if_fresh(snap, state, results, config, staleness)
+        results, metrics = _frontend_loop(state, config, newer_version,
+                                          started)
     finally:
         stop.set()
         thread.join()
-    metrics = _collect_metrics(results, staleness, copy_times, state, started,
-                               _now_us(), config)
     if failure:
         metrics.error = failure[0]
     return results, metrics
+
+
+def _frontend_loop(state, config, wait, started):
+    """Snapshot and step on each version ``wait`` finds due, then collect
+    the metrics. ``wait(last_version)`` returns False when no version
+    will come."""
+    results: list[FrameResult] = []
+    staleness: list[int] = []
+    copy_times: list[int] = []
+    last_version = 0
+    while wait(last_version):
+        copy_from = _now_us()
+        snap = freeze_snapshot(state)
+        copy_times.append(_now_us() - copy_from)
+        last_version = snap.version
+        _step_if_fresh(snap, state, results, config, staleness)
+    return results, _collect_metrics(results, staleness, copy_times, state,
+                                     started, _now_us(), config)
 
 
 def _step_if_fresh(snap: Snapshot, state: SharedSurfaceState,

@@ -159,8 +159,6 @@ class EventCountRing:
 
     def push_many(self, timestamps: np.ndarray) -> None:
         n = len(timestamps)
-        if n == 0:
-            return
         cap = self.capacity
         kept = min(n, cap)  # only the newest ``cap`` stamps survive
         start = (self._head + n - kept) % cap
@@ -444,6 +442,9 @@ def motion_invariance_report(
     speed, making the modes agree there by construction; the comparison
     is how far each drifts at the changed speed.
     """
+    if not (0 < speed < np.inf and 0 < factor < np.inf):
+        raise ValueError(f"speed and factor must be finite and positive, "
+                         f"got {speed} and {factor}")
     target_col = int(edge_fraction * (geometry.width - 1))
     if target_col < 1:
         raise ValueError("geometry too narrow for the edge experiment")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via in-process main() calls."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -62,6 +63,19 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "start time" in err and "internal error" not in err
 
+    def test_side_past_u16_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.bin"
+        with pytest.raises(SystemExit) as exc:  # rejected by the parser
+            cli.main(["synth", "--geometry", "70000x5", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "1 to 65535" in capsys.readouterr().err
+        conf = tmp_path / "synth.conf"
+        conf.write_text("geometry = 70000x5\n")
+        rc = cli.main(["--config", str(conf), "synth", "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config line 1")
+        assert not out.exists()
+
     def test_negative_velocity_needs_equals_form(self, tmp_path):
         rc = cli.main(["synth", "--velocity=-100,0", "--duration", "0.2",
                        "-o", str(tmp_path / "x.bin")])
@@ -113,6 +127,24 @@ class TestConvert:
         rc = cli.main(["convert", "-i", str(bad), "-o", str(tmp_path / "o"),
                        "--from-format", "binary-v1", "--to-format", "csv"])
         assert rc == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", [
+        ["convert", "-o", "o", "--from-format", "binary-v1",
+         "--to-format", "csv"],
+        ["surface", "-o", "s"], ["run", "--mode", "serial"]])
+    def test_one_format_for_a_bad_input(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"EVT1\x04\x00\x04\x00" + b"\x00" * 5)
+        rc = cli.main([*command, "-i", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: truncated record (byte offset 8)\n")
+        rc = cli.main([*command, "-i", str(tmp_path / "absent.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {tmp_path / 'absent.bin'}: ")
 
 
 class TestSurface:
@@ -200,7 +232,8 @@ class TestRun:
     @pytest.mark.parametrize("option", [
         ["--metrics-interval", "0"], ["--nms-max-k=-1"],
         ["--detector", "learned", "--weights-seed=-1"],
-        ["--detector", "magic"]])
+        ["--detector", "magic"], ["--nms-threshold", "nan"],
+        ["--max-distance", "nan"]])
     def test_bad_values_fail_before_the_run(self, tmp_path, capsys,
                                             monkeypatch, option):
         src = _synth(tmp_path)
@@ -283,6 +316,15 @@ class TestVerify:
         assert rc == 0
         assert "verdict: pass" in stdout
         assert "l1_constant_count" in stdout
+
+    @pytest.mark.parametrize("option", [
+        ["--geometry", "1x100"], ["--speed", "0"], ["--factor", "0"],
+        ["--speed=-100"], ["--speed", "nan"], ["--factor", "inf"],
+        ["--counts", "0.3,0.1"]])
+    def test_bad_values_are_usage_errors(self, capsys, option):
+        rc = cli.main(["verify", *option])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBench:
@@ -497,3 +539,72 @@ class TestConfigFile:
         rc = cli.main(["--config", str(conf), "synth",
                        "-o", str(tmp_path / "c.bin")])
         assert rc == 2
+
+    def test_flag_equal_to_default_beats_config(self, tmp_path,
+                                                monkeypatch):
+        configs = _capture_configs(monkeypatch)
+        src = _synth(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("tick = 5000\n")
+        run = ["run", "-i", str(src), "--mode", "serial"]
+        assert cli.main(["--config", str(conf), *run]) == 0
+        assert cli.main(["--config", str(conf), *run,
+                         "--tick", "10000"]) == 0
+        assert [c.tick for c in configs] == [5000, 10000]
+
+    def test_config_does_not_leak_into_a_later_call(self, tmp_path,
+                                                     monkeypatch):
+        configs = _capture_configs(monkeypatch)
+        src = _synth(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("tick = 5000\nnms-radius = 2\n")
+        run = ["run", "-i", str(src), "--mode", "serial"]
+        assert cli.main(["--config", str(conf), *run]) == 0
+        assert cli.main(run) == 0
+        assert [(c.tick, c.nms_radius) for c in configs] == \
+            [(5000, 2), (10_000, 4)]
+
+    def test_bool_options_from_the_file(self, tmp_path, monkeypatch):
+        sources = []
+        real_run = pipeline.run_pipeline
+
+        def recording_run(source, *args, **kwargs):
+            sources.append(source)
+            return real_run(source, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
+        src = _synth(tmp_path)
+        results = tmp_path / "r.jsonl"
+        conf = tmp_path / "run.conf"
+        conf.write_text("paced = yes\nno-descriptors = true\n"
+                        "mode = serial\n")
+        rc = cli.main(["--config", str(conf), "run", "-i", str(src),
+                       "--results", str(results)])
+        assert rc == 0
+        assert sources[0].paced
+        rows = [json.loads(line) for line in
+                results.read_text().splitlines()]
+        assert rows and all("descriptors" not in row for row in rows)
+
+    def test_run_defaults_are_the_pipeline_defaults(self, tmp_path,
+                                                    monkeypatch):
+        configs = _capture_configs(monkeypatch)
+        src = _synth(tmp_path)
+        assert cli.main(["run", "-i", str(src)]) == 0
+        default = pipeline.PipelineConfig()
+        for field in dataclasses.fields(pipeline.PipelineConfig):
+            assert getattr(configs[0], field.name) == \
+                getattr(default, field.name), field.name
+
+
+def _capture_configs(monkeypatch):
+    """The PipelineConfig of each run_pipeline call, which still runs."""
+    configs = []
+    real_run = pipeline.run_pipeline
+
+    def recording_run(source, config, *args, **kwargs):
+        configs.append(config)
+        return real_run(source, config, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
+    return configs

@@ -740,6 +740,13 @@ class TestInterpolateDescriptors:
         norms = np.linalg.norm(d.vectors, axis=1)
         assert np.allclose(norms[d.valid], 1.0, atol=1e-4)
 
+    def test_no_keypoints(self):
+        dmap = np.ones((32, 3, 5), dtype=np.float32)
+        kps = KeypointSet(np.zeros((0, 2)), np.zeros(0))
+        d = interpolate_descriptors(dmap, kps, 16)
+        assert d.vectors.shape == (0, 32) and d.vectors.dtype == np.float32
+        assert d.valid.shape == (0,) and d.valid.dtype == bool
+
     def test_edge_keypoints_clamp(self):
         rng = np.random.default_rng(12)
         dmap = rng.standard_normal((64, 2, 2)).astype(np.float32)
@@ -774,7 +781,8 @@ class TestInterpolateDescriptors:
         assert invalid > 4 * 300  # the zero maps, and some zero cells
 
     def test_normalize_rows_matches_reference_bytes(self):
-        # rows of widely spread norms, zero rows of either sign, no rows
+        # rows of widely spread norms, zero rows of either sign, NaN rows,
+        # no rows
         rng = np.random.default_rng(25)
         for n, d in ((0, 64), (1, 64), (40, 64), (300, 8)):
             v = (rng.standard_normal((n, d))
@@ -783,6 +791,7 @@ class TestInterpolateDescriptors:
                 if zeros:
                     v[0::3] = 0.0
                     v[1::7] = -0.0
+                    v[2::5, -1] = np.nan
                 want = normalize_rows_reference(v)
                 got = _normalize_rows(v.copy())
                 assert_same_bytes((got.vectors, got.valid),
@@ -897,6 +906,8 @@ class TestClassicalDetect:
         kps, desc = classical_detect(t, 1, 4, 1e-4, 100)
         assert len(kps.xy) == 0
         assert desc.vectors.shape == (0, 64)
+        assert desc.vectors.dtype == np.float32
+        assert desc.valid.shape == (0,) and desc.valid.dtype == bool
 
     def test_recovers_ground_truth_corners(self):
         # at least 90% of true corner positions have a detection within

@@ -37,6 +37,18 @@ def _random_batch(rng, n, geometry, t_span=100_000):
     return batch_from_columns(t, x, y, p, geometry)
 
 
+class TestSensorGeometry:
+    def test_sides_fit_u16(self):
+        # the binary-v1 header and the x/y coordinates are u16
+        geo = SensorGeometry(65535, 1)
+        back = parse_events(write_events(empty_batch(geo), "binary-v1"),
+                            "binary-v1")
+        assert back.geometry == geo
+        for w, h in ((65536, 1), (1, 65536), (0, 5)):
+            with pytest.raises(ValueError, match="1 to 65535"):
+                SensorGeometry(w, h)
+
+
 class TestEventBatch:
     def test_rejects_decreasing_timestamps(self):
         geo = SensorGeometry(4, 4)
@@ -712,6 +724,14 @@ class TestRateLimit:
         once = rate_limit(b, max_rate=200_000, window=1_000)
         twice = rate_limit(once, max_rate=200_000, window=1_000)
         assert np.array_equal(once.events, twice.events)
+
+    def test_empty_input_and_zero_cap_give_empty_batches(self):
+        rng = np.random.default_rng(44)
+        geo = SensorGeometry(16, 16)
+        for b, rate in ((empty_batch(geo), 1_000_000),
+                        (_random_batch(rng, 500, geo, t_span=20_000), 999)):
+            limited = rate_limit(b, max_rate=rate, window=1_000)
+            assert len(limited) == 0 and limited.geometry == geo
 
     def test_under_rate_stream_unchanged(self):
         rng = np.random.default_rng(43)

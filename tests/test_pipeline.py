@@ -652,6 +652,11 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="metrics interval"):
                 PipelineConfig(metrics_interval=interval)
 
+    @pytest.mark.parametrize("field", ["nms_threshold", "match_max_distance"])
+    def test_nan_thresholds_rejected(self, field):
+        with pytest.raises(ValueError, match="NaN"):
+            PipelineConfig(**{field: float("nan")})
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_pipeline(_grid_source(0.1), PipelineConfig(), mode="warp")

@@ -348,6 +348,14 @@ class TestEventCountRing:
         assert ring.timestamp_back(4) == 10
         assert ring.timestamp_back(5) is None
 
+    def test_push_of_no_stamps_changes_nothing(self):
+        ring = EventCountRing(4)
+        for n in (3, 5):  # before and after the ring wraps
+            ring.push_many(np.arange(n, dtype=np.uint64))
+            before = ring.state_bytes()
+            ring.push_many(np.empty(0, dtype=np.uint64))
+            assert ring.state_bytes() == before
+
     def test_overflow_keeps_newest(self):
         ring = EventCountRing(4)
         ring.push_many(np.arange(100, dtype=np.uint64))
@@ -727,6 +735,13 @@ class TestMotionInvariance:
         wins = sum(a < b for a, b in
                    zip(report.l1_constant_count, report.l1_fixed))
         assert wins == report.pairs_favoring_constant
+
+    @pytest.mark.parametrize("speed, factor", [
+        (0.0, 3.0), (100.0, 0.0), (-100.0, 3.0), (float("nan"), 3.0),
+        (100.0, float("inf"))])
+    def test_speed_and_factor_finite_and_positive(self, speed, factor):
+        with pytest.raises(ValueError, match="finite and positive"):
+            motion_invariance_report(SensorGeometry(100, 100), speed, factor)
 
     def test_fixed_durations_match_base_speed_windows(self):
         report = motion_invariance_report(SensorGeometry(100, 100))
