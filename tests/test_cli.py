@@ -542,7 +542,7 @@ class TestConfigFile:
 
     def test_flag_equal_to_default_beats_config(self, tmp_path,
                                                 monkeypatch):
-        configs = _capture_configs(monkeypatch)
+        runs = _capture_runs(monkeypatch)
         src = _synth(tmp_path)
         conf = tmp_path / "run.conf"
         conf.write_text("tick = 5000\n")
@@ -550,29 +550,22 @@ class TestConfigFile:
         assert cli.main(["--config", str(conf), *run]) == 0
         assert cli.main(["--config", str(conf), *run,
                          "--tick", "10000"]) == 0
-        assert [c.tick for c in configs] == [5000, 10000]
+        assert [c.tick for _, c in runs] == [5000, 10000]
 
     def test_config_does_not_leak_into_a_later_call(self, tmp_path,
                                                      monkeypatch):
-        configs = _capture_configs(monkeypatch)
+        runs = _capture_runs(monkeypatch)
         src = _synth(tmp_path)
         conf = tmp_path / "run.conf"
         conf.write_text("tick = 5000\nnms-radius = 2\n")
         run = ["run", "-i", str(src), "--mode", "serial"]
         assert cli.main(["--config", str(conf), *run]) == 0
         assert cli.main(run) == 0
-        assert [(c.tick, c.nms_radius) for c in configs] == \
+        assert [(c.tick, c.nms_radius) for _, c in runs] == \
             [(5000, 2), (10_000, 4)]
 
     def test_bool_options_from_the_file(self, tmp_path, monkeypatch):
-        sources = []
-        real_run = pipeline.run_pipeline
-
-        def recording_run(source, *args, **kwargs):
-            sources.append(source)
-            return real_run(source, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
+        runs = _capture_runs(monkeypatch)
         src = _synth(tmp_path)
         results = tmp_path / "r.jsonl"
         conf = tmp_path / "run.conf"
@@ -581,30 +574,30 @@ class TestConfigFile:
         rc = cli.main(["--config", str(conf), "run", "-i", str(src),
                        "--results", str(results)])
         assert rc == 0
-        assert sources[0].paced
+        assert runs[0][0].paced
         rows = [json.loads(line) for line in
                 results.read_text().splitlines()]
         assert rows and all("descriptors" not in row for row in rows)
 
     def test_run_defaults_are_the_pipeline_defaults(self, tmp_path,
                                                     monkeypatch):
-        configs = _capture_configs(monkeypatch)
+        runs = _capture_runs(monkeypatch)
         src = _synth(tmp_path)
         assert cli.main(["run", "-i", str(src)]) == 0
         default = pipeline.PipelineConfig()
         for field in dataclasses.fields(pipeline.PipelineConfig):
-            assert getattr(configs[0], field.name) == \
+            assert getattr(runs[0][1], field.name) == \
                 getattr(default, field.name), field.name
 
 
-def _capture_configs(monkeypatch):
-    """The PipelineConfig of each run_pipeline call, which still runs."""
-    configs = []
+def _capture_runs(monkeypatch):
+    """The (source, config) of each run_pipeline call, which still runs."""
+    runs = []
     real_run = pipeline.run_pipeline
 
     def recording_run(source, config, *args, **kwargs):
-        configs.append(config)
+        runs.append((source, config))
         return real_run(source, config, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
-    return configs
+    return runs
