@@ -553,7 +553,8 @@ def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
 def _normalize_rows(vectors: np.ndarray) -> Descriptors:
     """Divides each float32 row by its norm, in place; a row of norm zero
     or NaN is divided by 1 instead, so it stays as it is, and is invalid."""
-    norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
+    wide = vectors.astype(np.float64)
+    norms = np.sqrt(np.add.reduce(wide * wide, axis=1))  # as np.linalg.norm
     valid = norms > 0
     norms[~valid] = 1.0
     # the float64 quotient, rounded to float32 as it is stored
@@ -585,11 +586,14 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
     stride = w + 2 * _RING
     cols, rows = keypoints.xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
-    rows = np.clip(rows[:, None] + span, 0, h - 1) + _RING
-    cols = np.clip(cols[:, None] + span, 0, w - 1) + _RING
-    patches = flat[rows[:, :, None] * stride + cols[:, None, :]] \
+    rows = np.minimum(np.maximum(rows[:, None] + span, 0), h - 1)
+    cols = np.minimum(np.maximum(cols[:, None] + span, 0), w - 1)
+    rows *= stride
+    rows += _RING * (stride + 1)  # the plane's first cell in ``flat``
+    patches = flat[rows[:, :, None] + cols[:, None, :]] \
         .reshape(len(keypoints), PATCH * PATCH).astype(np.float32)
-    patches -= patches.mean(axis=1, keepdims=True)
+    # np.mean's float32 sum; its quotient by 64 rounds as np.mean's does
+    patches -= np.add.reduce(patches, axis=1, keepdims=True) / PATCH ** 2
     return keypoints, _normalize_rows(patches)
 
 
@@ -618,7 +622,9 @@ def _harris(tensor: MctsTensor,
 
     stride = w + 2 * _RING
     lo, n = _RING * stride, h * stride  # the plane's rows, ring included
-    grad = np.empty((2, n))
+    # the gradients, then the box sums' row sums, then the response
+    work = np.empty((3, n + 2 * stride))
+    grad = work[:2, :n]
     gx, gy = grad
     np.subtract(flat[lo + 1:lo + n + 1], flat[lo - 1:lo + n - 1], out=gx)
     np.subtract(flat[lo + stride:lo + n + stride],
@@ -626,7 +632,7 @@ def _harris(tensor: MctsTensor,
     grad *= 0.5  # rounds the same real number as np.gradient's / 2.0
     # one-sided differences on the edges, as np.gradient takes them
     rows = flat[lo:lo + n].reshape(h, stride)
-    gx2, gy2 = grad.reshape(2, h, stride)
+    gx2, gy2 = gx.reshape(h, stride), gy.reshape(h, stride)
     c0, c1 = _RING, _RING + w - 1
     np.subtract(rows[:, c0 + 1], rows[:, c0], out=gx2[:, c0])
     np.subtract(rows[:, c1], rows[:, c1 - 1], out=gx2[:, c1])
@@ -641,10 +647,10 @@ def _harris(tensor: MctsTensor,
     np.multiply(gx, gx, out=products[0, lo:lo + n])
     np.multiply(gy, gy, out=products[1, lo:lo + n])
     np.multiply(gx, gy, out=products[2, lo:lo + n])
-    sxx, syy, sxy = _boxsum3(products, lo, n, stride)
+    sxx, syy, sxy = _boxsum3(products, lo, n, stride, work)
 
     # sxx*syy - sxy*sxy - HARRIS_K*(sxx + syy)**2, in that order
-    response = np.multiply(sxx, syy, out=gx)
+    response = np.multiply(sxx, syy, out=work[0, :n])
     sxy *= sxy
     response -= sxy
     sxx += syy
@@ -654,19 +660,22 @@ def _harris(tensor: MctsTensor,
     return flat, response.reshape(h, stride)[:, _RING:_RING + w]
 
 
-def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int) -> np.ndarray:
+def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int,
+             rows: np.ndarray) -> np.ndarray:
     """3x3 box sums of the cells lo..lo+n of each row of ``x``.
 
     ``x`` stacks flat planes of row stride ``stride``; the cells a box
     reaches outside the plane must be zero, and one more cell must exist
     before and after those. Rows first, each sum taken left to right:
     this order reproduces the bits of a 3x3 sliding-window sum; columns
-    first is off by an ulp.
+    first is off by an ulp. The row sums go to ``rows``, of shape
+    ``(len(x), n + 2*stride)``; the box sums overwrite ``x[:, lo:lo+n]``,
+    which is returned.
     """
     a, b = lo - stride, lo + n + stride
-    rows = x[:, a - 1:b - 1] + x[:, a:b]
+    np.add(x[:, a - 1:b - 1], x[:, a:b], out=rows)
     rows += x[:, a + 1:b + 1]
-    out = rows[:, :n] + rows[:, stride:stride + n]
+    out = np.add(rows[:, :n], rows[:, stride:stride + n], out=x[:, lo:lo + n])
     out += rows[:, 2 * stride:]
     return out
 

@@ -202,6 +202,8 @@ class MotionSpec:
                              f"{self.velocity}")
         if math.hypot(*self.velocity) == 0:
             raise ValueError("velocity must be non-zero")
+        if self.square_side < 1:
+            raise ValueError("square side must be at least 1")
         if self.grid_pitch <= self.square_side:
             raise ValueError("grid pitch must exceed square side")
 

@@ -12,7 +12,9 @@ for the whole inference.
 A deterministic single-threaded mode replays the same tick structure and
 a scripted snapshot schedule; given the snapshot versions observed in a
 threaded run it reproduces the identical results (timings aside), which
-is how snapshot consistency is validated end to end.
+is how snapshot consistency is validated end to end. No writer runs
+while its frontend steps, so that mode wraps the live state instead of
+copying it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
                      interpolate_descriptors, nms)
-from .events import EventBatch, SensorGeometry
+from .events import TIMESTAMP_LIMIT, EventBatch, SensorGeometry
 from .matching import (DEFAULT_MAX_DISTANCE, Match, QuantizationScheme,
                        QuantizedDescriptors, match_mutual_nn, quantize)
 from .surface import (EventCountRing, TimestampGrid, WindowSpec, apply_events,
@@ -60,8 +62,8 @@ class PipelineConfig:
     metrics_interval: int = 60 * US_PER_S      # event-time bucket for the CSV
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
+        if not 0 < self.tick <= TIMESTAMP_LIMIT:
+            raise ValueError("tick must be positive and at most 2**62 us")
         if self.detector not in ("classical", "learned"):
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.detector == "learned" and self.weights is None:
@@ -369,7 +371,13 @@ def _run_serial(source, config, state, schedule):
                 return True
         return False
 
-    return _frontend_loop(state, config, tick_until_due, _now_us())
+    def live_snapshot(state):
+        # no writer runs between ticks: step on the live grid and ring
+        return Snapshot(state.grid, state.ring, state.version,
+                        state.newest_ingested)
+
+    return _frontend_loop(state, config, tick_until_due, live_snapshot,
+                          _now_us())
 
 
 def _run_threaded(source, config, state):
@@ -411,7 +419,7 @@ def _run_threaded(source, config, state):
     thread.start()
     try:
         results, metrics = _frontend_loop(state, config, newer_version,
-                                          started)
+                                          freeze_snapshot, started)
     finally:
         stop.set()
         thread.join()
@@ -420,17 +428,17 @@ def _run_threaded(source, config, state):
     return results, metrics
 
 
-def _frontend_loop(state, config, wait, started):
+def _frontend_loop(state, config, wait, snapshot, started):
     """Snapshot and step on each version ``wait`` finds due, then collect
     the metrics. ``wait(last_version)`` returns False when no version
-    will come."""
+    will come; ``snapshot(state)`` takes the snapshot."""
     results: list[FrameResult] = []
     staleness: list[int] = []
     copy_times: list[int] = []
     last_version = 0
     while wait(last_version):
         copy_from = _now_us()
-        snap = freeze_snapshot(state)
+        snap = snapshot(state)
         copy_times.append(_now_us() - copy_from)
         last_version = snap.version
         _step_if_fresh(snap, state, results, config, staleness)

@@ -17,6 +17,7 @@ that off-by-one is intentional and pinned by tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +57,17 @@ class WindowSpec:
     normalized_counts: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        # ``not 0 < v < inf`` also rejects NaN
         if self.mode == "fixed-duration":
             seq = self.durations
-            if not seq or any(d <= 0 for d in seq):
-                raise ValueError("fixed-duration mode needs positive durations")
+            if not seq or any(not 0 < d < math.inf for d in seq):
+                raise ValueError("fixed-duration mode needs positive durations"
+                                 ", all finite")
         elif self.mode == "constant-count":
             seq = self.normalized_counts
-            if not seq or any(c <= 0 for c in seq):
-                raise ValueError("constant-count mode needs positive counts")
+            if not seq or any(not 0 < c < math.inf for c in seq):
+                raise ValueError("constant-count mode needs positive counts"
+                                 ", all finite")
         else:
             raise ValueError(f"unknown window mode {self.mode!r}")
         if any(a >= b for a, b in zip(seq, seq[1:])):

@@ -45,6 +45,18 @@ class TestSynth:
         assert "finite" in err and "internal error" not in err
         assert not (tmp_path / "x.bin").exists()
 
+    @pytest.mark.parametrize("sizes", [
+        ["--grid-pitch", "0", "--square-side=-1"], ["--square-side", "0"]])
+    def test_square_side_below_one_is_usage_error(self, tmp_path, capsys,
+                                                  sizes):
+        out = tmp_path / "x.bin"
+        rc = cli.main(["synth", "--pattern", "grid-of-corners", *sizes,
+                       "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "square side" in err and "internal error" not in err
+        assert not out.exists()
+
     def test_patternless_motion_yields_empty_exit(self, tmp_path):
         # a vertical edge moving only in y sweeps no columns
         rc = cli.main(["synth", "--pattern", "vertical-edge",
@@ -196,6 +208,16 @@ class TestSurface:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and why in err
 
+    @pytest.mark.parametrize("counts", ["nan,1", "1,inf"])
+    def test_non_finite_counts_are_usage_errors(self, tmp_path, capsys,
+                                                counts):
+        src = _synth(tmp_path)
+        rc = cli.main(["surface", "-i", str(src), "-o", str(tmp_path / "s"),
+                       "--counts", counts])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "internal error" not in err
+
 
 class TestRun:
     def test_serial_classical_full_outputs(self, tmp_path, capsys):
@@ -241,6 +263,18 @@ class TestRun:
         rc = cli.main(["run", "-i", str(src), "--mode", "serial", *option])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("option", [
+        ["--counts", "nan,1"], ["--counts", "1,inf"],
+        ["--tick", "99999999999999999999"]])
+    def test_non_finite_windows_and_huge_ticks_are_usage_errors(
+            self, tmp_path, capsys, monkeypatch, option):
+        src = _synth(tmp_path)
+        monkeypatch.setattr(pipeline, "run_pipeline", None)  # never reached
+        rc = cli.main(["run", "-i", str(src), "--mode", "serial", *option])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
 
     def test_metrics_json_fields_in_declared_order(self, tmp_path,
                                                   monkeypatch):

@@ -23,6 +23,7 @@ from evfront.detect import (
     NetworkSpec,
     _RING,
     _boxsum3,
+    _harris,
     _normalize_rows,
     _ringed,
     classical_detect,
@@ -170,6 +171,37 @@ def nms_reference(heatmap, radius, threshold, max_k):
     order = np.argsort(-scores, kind="stable")[:max_k]
     xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
     return KeypointSet(xy, scores[order])
+
+
+def nms_dense_reference(heatmap, radius, threshold, max_k):
+    # every window whole: a strict maximum is the maximum of its square,
+    # its value occurs there once, and it passes ``>= threshold`` in
+    # numpy's own promotion of the heatmap and the threshold
+    size = 2 * radius + 1
+    padded = np.pad(heatmap, radius, constant_values=-np.inf)
+    windows = sliding_window_view(padded, (size, size))
+    peak = windows.max(axis=(-2, -1))
+    once = (windows == heatmap[..., None, None]).sum(axis=(-2, -1)) == 1
+    ys, xs = np.nonzero((heatmap == peak) & once & (heatmap >= threshold))
+    scores = heatmap[ys, xs]
+    order = np.argsort(-scores, kind="stable")[:max_k]
+    xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
+    return KeypointSet(xy, scores[order])
+
+
+def patch_tail_reference(flat, shape, xy):
+    # the np.clip, ringed-index and np.mean form of classical_detect's
+    # descriptor tail, over the flat merged plane _harris returns
+    h, w = shape
+    stride = w + 2 * _RING
+    cols, rows = xy.astype(np.intp).T
+    span = np.arange(PATCH) - (PATCH // 2 - 1)
+    rows = np.clip(rows[:, None] + span, 0, h - 1) + _RING
+    cols = np.clip(cols[:, None] + span, 0, w - 1) + _RING
+    patches = flat[rows[:, :, None] * stride + cols[:, None, :]] \
+        .reshape(len(xy), PATCH * PATCH).astype(np.float32)
+    patches -= patches.mean(axis=1, keepdims=True)
+    return normalize_rows_reference(patches)
 
 
 def patches_reference(merged, xy):
@@ -709,6 +741,41 @@ class TestNms:
                             nms_reference(heat, r, threshold, 256))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_dense_reference_on_seeded_maps(self, dtype):
+        # plateaus, NaN and infinite cells, and values at and next to
+        # thresholds float32 cannot hold, given as Python floats (numpy
+        # compares them in the map's dtype) and as np.float64 (compared
+        # in float64)
+        rng = np.random.default_rng(41)
+        near = []
+        for t in (1e-4, 0.1):
+            t32 = np.float32(t)
+            near += [t, t32, np.nextafter(t32, np.float32(0)),
+                     np.nextafter(t32, np.float32(1))]
+        specials = np.array(near + [np.nan, np.inf, -np.inf, 0.0])
+        thresholds = (1e-4, 0.1, np.float64(1e-4), np.float64(0.1),
+                      -np.inf, np.inf, np.nan)
+        kept = 0
+        for trial in range(24):
+            h, w = (int(v) for v in rng.integers(3, 28, 2))
+            heat = rng.random((h, w)) * (0.2, 0.2, 1e-6)[trial % 3]
+            if trial % 3 == 1:
+                heat = np.round(heat * 40) / 40  # plateaus
+            # on the faint background the specials are the peaks
+            cells = rng.random((h, w)) < 0.1
+            heat[cells] = rng.choice(specials, int(cells.sum()))
+            heat = heat.astype(dtype)
+            for radius in range(1, 6):
+                for threshold in thresholds:
+                    got = nms(heat, radius, threshold, 64)
+                    want = nms_dense_reference(heat, radius, threshold, 64)
+                    assert_same_bytes((got.xy, got.scores),
+                                      (want.xy, want.scores))
+                    kept += len(got)
+        assert kept > 1000
+
+
 class TestInterpolateDescriptors:
     def test_cell_center_returns_cell_vector(self):
         rng = np.random.default_rng(10)
@@ -796,6 +863,27 @@ class TestInterpolateDescriptors:
                 got = _normalize_rows(v.copy())
                 assert_same_bytes((got.vectors, got.valid),
                                   (want.vectors, want.valid))
+
+    def test_normalize_rows_takes_the_linalg_norm(self):
+        # the norm np.linalg.norm takes, on rows of zero, NaN and infinite
+        # components and on norms spread over 40 decades
+        rng = np.random.default_rng(43)
+        v = (rng.standard_normal((64, 64))
+             * 10.0 ** rng.uniform(-20, 20, (64, 1))).astype(np.float32)
+        v[0] = 0.0
+        v[1] = -0.0
+        v[2, 5] = np.nan
+        v[3, 7] = np.inf
+        v[4] = -np.inf
+        v[5, 1], v[5, 2] = np.inf, np.nan
+        v[6, 3] = -np.inf
+        with np.errstate(invalid="ignore"):  # inf / inf
+            want = normalize_rows_reference(v)
+            got = _normalize_rows(v.copy())
+        assert_same_bytes((got.vectors, got.valid),
+                          (want.vectors, want.valid))
+        # zero norms, then NaN norms
+        assert np.flatnonzero(~got.valid).tolist() == [0, 1, 2, 5]
 
 
 class TestWeights:
@@ -958,6 +1046,28 @@ class TestClassicalDetect:
                     assert np.array_equal(desc.vectors, want_desc.vectors)
                     assert np.array_equal(desc.valid, want_desc.valid)
 
+    def test_patch_tail_matches_clip_and_mean_form(self):
+        # small random planes with threshold -inf put patches past all
+        # four borders, where they are edge-replicated; the tiny and huge
+        # scales give float32 sums whose means round
+        rng = np.random.default_rng(42)
+        borders = set()
+        for trial in range(36):
+            h, w = (int(v) for v in rng.integers(2, 24, 2))
+            channels = rng.random((4, h, w)) * (1.0, 1e-39, 1e30)[trial % 3]
+            channels[rng.random(channels.shape) < 0.4] = 0.0
+            tensor = MctsTensor(channels.astype(np.float32), 100, (1, 2))
+            kps, desc = classical_detect(tensor, 1, 1, -np.inf, 500)
+            flat, response = _harris(tensor, 1)
+            want = patch_tail_reference(flat, response.shape, kps.xy)
+            assert_same_bytes((desc.vectors, desc.valid),
+                              (want.vectors, want.valid))
+            x, y = kps.xy.T  # a patch spans x - 3 .. x + 4
+            borders |= {name for name, past in (
+                ("left", x < 3), ("right", x + 4 >= w),
+                ("top", y < 3), ("bottom", y + 4 >= h)) if past.any()}
+        assert borders == {"left", "right", "top", "bottom"}
+
     def test_boxsum_matches_reference_bitwise(self):
         # the flat box sum on the Harris buffer layout: planes stacked in
         # zero-ringed buffers, summed over their rows
@@ -974,7 +1084,7 @@ class TestClassicalDetect:
                 plane[...] = x
                 stack.append(flat)
             sums = _boxsum3(np.stack(stack), _RING * stride, h * stride,
-                            stride)
+                            stride, np.empty((3, (h + 2) * stride)))
             for x, got in zip(xs, sums):
                 got = got.reshape(h, stride)[:, _RING:_RING + w]
                 assert np.array_equal(got, boxsum3_reference(x))

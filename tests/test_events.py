@@ -336,6 +336,15 @@ class TestMotionSpec:
             MotionSpec(pattern, velocity, 1.0)
 
 
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_square_side_at_least_one(self, side):
+        with pytest.raises(ValueError, match="square side"):
+            MotionSpec("grid-of-corners", (40.0, 30.0), 1.0, grid_pitch=16,
+                       square_side=side)
+        assert MotionSpec("grid-of-corners", (40.0, 30.0), 1.0,
+                          grid_pitch=16, square_side=1)
+
+
 class TestVerticalEdge:
     def test_event_count_closed_interval(self):
         # 100 px/s across 100 cols for 1 s: each column crossed once,

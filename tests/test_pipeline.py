@@ -20,7 +20,7 @@ from evfront.events import (
     empty_batch,
     synthesize,
 )
-from evfront.detect import classical_detect
+from evfront.detect import NetworkSpec, classical_detect, random_weights
 from evfront.matching import match_mutual_nn, quantize
 from evfront.pipeline import (
     FrameResult,
@@ -160,6 +160,27 @@ class WriterLoopReference:
                 self.state.newest_ingested = newest
         self.exhausted = drained and len(self.retained) == 0
         return applied
+
+
+def serial_run_reference(source, config):
+    # the serial loop over snapshot copies: tick until the version moves,
+    # copy the state, step unless tau cannot advance
+    geo = source.batch.geometry
+    state = SharedSurfaceState(geo, config.window_spec.ring_capacity(geo))
+    writer = _WriterLoop(source, state, config)
+    results = []
+    while not writer.exhausted:
+        before = state.version
+        writer.one_tick()
+        if state.version == before:
+            continue
+        snap = freeze_snapshot(state)
+        tau = snap.grid.latest_time
+        if tau is None or (results and tau <= results[-1].tau):
+            continue
+        results.append(frontend_step(snap, results[-1] if results else None,
+                                     config))
+    return results
 
 
 def _assert_writers_agree(batch, config, capacity):
@@ -504,6 +525,28 @@ class TestSerialRun:
             assert got.tau == ref.tau
             assert np.array_equal(got.keypoints.xy, ref.keypoints.xy)
 
+    @pytest.mark.parametrize("detector", ["classical", "learned"])
+    def test_live_state_steps_as_frozen_copies(self, detector):
+        # the serial loop steps on the live grid and ring; the loop over
+        # freeze_snapshot copies gives the same bytes, frame by frame
+        source = _grid_source(duration=0.5)
+        weights = random_weights(NetworkSpec(), 5)
+        config = PipelineConfig(detector=detector, channel_pair=2,
+                                weights=weights if detector == "learned"
+                                else None)
+        live, _ = run_pipeline(source, config, mode="serial")
+        frozen = serial_run_reference(source, config)
+        assert len(live) == len(frozen) > 10
+        for a, b in zip(live, frozen):
+            assert (a.tau, a.version) == (b.tau, b.version)
+            x, y = ([r.keypoints.xy, r.keypoints.scores, r.descriptors.vectors,
+                     np.array([(m.index_a, m.index_b, m.distance)
+                               for m in r.matches_to_previous])]
+                    for r in (a, b))
+            for u, v in zip(x, y):
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+        assert sum(len(r.matches_to_previous) for r in live) > 0
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="sets glibc's malloc thresholds")
     def test_repeat_run_reuses_freed_memory(self):
@@ -640,6 +683,12 @@ class TestConfigValidation:
     def test_nonpositive_tick(self):
         with pytest.raises(ValueError):
             PipelineConfig(tick=0)
+
+    def test_tick_within_stamp_range(self):
+        assert PipelineConfig(tick=2**62)
+        for tick in (2**62 + 1, 10**20):
+            with pytest.raises(ValueError, match="tick"):
+                PipelineConfig(tick=tick)
 
     def test_nms_max_k_not_negative(self):
         assert PipelineConfig(nms_max_k=0)

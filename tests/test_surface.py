@@ -7,6 +7,7 @@ exact rather than approximate.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -459,6 +460,14 @@ class TestWindowSpec:
             WindowSpec("constant-count", normalized_counts=(0.1, 0.1))
         with pytest.raises(ValueError):
             WindowSpec("fixed-duration", durations=(100, 50))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_windows_rejected(self, bad):
+        for good in ((bad, 1.0), (1.0, bad), (bad,)):
+            with pytest.raises(ValueError, match="finite"):
+                WindowSpec("constant-count", normalized_counts=good)
+            with pytest.raises(ValueError, match="finite"):
+                WindowSpec("fixed-duration", durations=good)
 
     def test_absolute_count_rounds_half_up_with_floor_one(self):
         spec = WindowSpec.default_constant_count()
