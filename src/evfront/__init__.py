@@ -6,9 +6,8 @@ matching, and an asynchronous snapshot pipeline tying them together.
 """
 
 from .events import (Event, EventBatch, MotionSpec, SensorGeometry,
-                     StreamFormatError, corner_positions, downsample,
-                     empty_batch, linear_warp, parse_events, rate_limit,
-                     synthesize, write_events)
+                     StreamFormatError, corner_positions, empty_batch,
+                     linear_warp, parse_events, synthesize, write_events)
 from .surface import (EventCountRing, MctsTensor, MotionInvarianceReport,
                       TimestampGrid, WindowSpec, adaptive_windows,
                       apply_events, mcts, motion_invariance_report,
@@ -18,8 +17,7 @@ from .detect import (Descriptors, KeypointSet, NetworkSpec, WeightBundle,
                      classical_detect, detector_probabilities, forward,
                      interpolate_descriptors, load_weights, nms,
                      random_weights, save_weights)
-from .matching import (Match, QuantizationScheme, QuantizedDescriptors,
-                       calibrate_scale, cosine_distance, distance_matrix,
+from .matching import (Match, QuantizedDescriptors, distance_matrix,
                        match_mutual_nn, quantize, verify_matches)
 from .pipeline import (FrameResult, Metrics, PipelineConfig, ReplaySource,
                        SharedSurfaceState, Snapshot, freeze_snapshot,
@@ -29,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Event", "EventBatch", "MotionSpec", "SensorGeometry",
-    "StreamFormatError", "corner_positions", "downsample", "empty_batch",
-    "linear_warp", "parse_events", "rate_limit", "synthesize", "write_events",
+    "StreamFormatError", "corner_positions", "empty_batch", "linear_warp",
+    "parse_events", "synthesize", "write_events",
     "EventCountRing", "MctsTensor", "MotionInvarianceReport", "TimestampGrid",
     "WindowSpec", "adaptive_windows", "apply_events", "mcts",
     "motion_invariance_report", "normalized_counts_to_absolute", "read_mcts",
@@ -39,9 +37,8 @@ __all__ = [
     "classical_detect", "detector_probabilities", "forward",
     "interpolate_descriptors", "load_weights", "nms", "random_weights",
     "save_weights",
-    "Match", "QuantizationScheme", "QuantizedDescriptors", "calibrate_scale",
-    "cosine_distance", "distance_matrix", "match_mutual_nn", "quantize",
-    "verify_matches",
+    "Match", "QuantizedDescriptors", "distance_matrix", "match_mutual_nn",
+    "quantize", "verify_matches",
     "FrameResult", "Metrics", "PipelineConfig", "ReplaySource",
     "SharedSurfaceState", "Snapshot", "freeze_snapshot", "frontend_step",
     "preprocess_tick", "run_pipeline",

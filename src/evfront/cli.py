@@ -521,8 +521,8 @@ def _bench_quantize(rng, args):
 def _bench_match(rng, args):
     for n in (100, 500, 1000):
         a, b = (matching.QuantizedDescriptors(
-            rng.integers(-127, 128, (n, 64)).astype(np.int8),
-            matching.QuantizationScheme()) for _ in range(2))
+            rng.integers(-127, 128, (n, 64)).astype(np.int8))
+            for _ in range(2))
         yield n, lambda: matching.match_mutual_nn(a, b)
 
 

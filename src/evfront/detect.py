@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -85,14 +85,14 @@ class WeightBundle:
                 raise ValueError(f"{name}: one per encoder layer required")
         if not self.bn_epsilon > 0:
             raise ValueError("bn epsilon must be positive")
-        # every tensor against the spec's zero weights, in SLWT order
+        # every tensor against the spec's shapes, in SLWT order
         names = [f"layer {i} {name}" for i in range(layers)
                  for name in _LAYER_FIELDS] + list(_HEAD_FIELDS)
         for name, got, want in zip(names, _tensor_sequence(self),
-                                   _build_sequence(self.spec, _zeros)):
-            if got.shape != want.shape:
+                                   _shapes(self.spec)):
+            if got.shape != want:
                 raise ValueError(f"{name} shape {got.shape}, expected "
-                                 f"{want.shape}")
+                                 f"{want}")
         for i, var in enumerate(self.bn_var):  # summed as _stage does
             if np.any(var + np.float32(self.bn_epsilon) <= 0):
                 raise ValueError(f"layer {i} bn variance plus epsilon must "
@@ -142,20 +142,27 @@ def _zeros(fan_in: int, shape) -> np.ndarray:
     return np.zeros(shape, dtype=np.float32)
 
 
-def _build_sequence(spec: NetworkSpec, fill) -> list[np.ndarray]:
+def _build_sequence(spec: NetworkSpec, fill,
+                    const=lambda shape, v: np.full(shape, v, np.float32)):
     """Every tensor in SLWT order: ``fill(fan_in, shape)`` makes each
-    kernel and bias, in that order, and batchnorm is the identity."""
+    kernel and bias, in that order, and ``const(shape, value)`` each
+    batchnorm tensor, the identity."""
     ins = (spec.input_channels,) + spec.encoder_widths[:-1]
     seq = []
     for cin, cout in zip(ins, spec.encoder_widths):
         # the kernel, then scale, shift, mean and variance: _LAYER_FIELDS
         seq += [fill(cin * 9, (cout, cin, 3, 3)),
-                np.ones(cout, np.float32), np.zeros(cout, np.float32),
-                np.zeros(cout, np.float32), np.ones(cout, np.float32)]
+                *(const((cout,), v) for v in (1, 0, 0, 1))]
     head_in = spec.encoder_widths[-1]
     for rows in (spec.detector_head_channels, spec.descriptor_dim):
         seq += [fill(head_in, (rows, head_in)), fill(head_in, (rows,))]
     return seq
+
+
+def _shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
+    """The shape of every tensor in SLWT order; allocates none of them."""
+    return _build_sequence(spec, lambda _, shape: shape,
+                           lambda shape, _: shape)
 
 
 _LAYER_FIELDS = ("conv_kernels", "bn_scale", "bn_shift", "bn_mean", "bn_var")
@@ -447,13 +454,15 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     their (2*radius+1)^2 neighborhood; they are taken in descending score
     order, ties broken row-major, at most ``max_k``. Two strict maxima
     can never share a neighborhood, so selected points are automatically
-    spaced by more than ``radius``.
+    spaced by more than ``radius``. Every radius of at least
+    ``max(h, w) - 1`` spans the whole plane, so a larger one is clamped.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if max_k < 0:
         raise ValueError("max_k cannot be negative")
     h, w = heatmap.shape
+    radius = min(radius, max(h, w, 1))
     stride = w + 2 * radius
     flat, plane = _ringed(h, w, radius, -np.inf, heatmap.dtype)
     plane[...] = heatmap
@@ -680,18 +689,6 @@ def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int,
     return out
 
 
-def keypoints_to_jsonl(keypoints: KeypointSet, descriptors: Descriptors) -> str:
-    """One JSON object per keypoint: {x, y, score, descriptor}."""
-    lines = []
-    for (x, y), s, vec in zip(keypoints.xy, keypoints.scores,
-                              descriptors.vectors):
-        lines.append(json.dumps(
-            {"x": float(x), "y": float(y), "score": float(s),
-             "descriptor": [float(v) for v in vec]},
-            separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 # ---------------------------------------------------------------------------
 # weight serialization
 
@@ -734,18 +731,21 @@ def load_weights(data: bytes) -> WeightBundle:
     epsilon = float(np.frombuffer(data, dtype="<f4", offset=offset, count=1)[0])
     offset += 4
 
+    # the file length against the declared shapes first, so a header
+    # declaring huge widths allocates nothing
+    shapes = _shapes(spec)
+    counts = [math.prod(shape) for shape in shapes]
+    extra = len(data) - offset - 4 * sum(counts)
+    if extra < 0:
+        raise ValueError(f"weight tensors truncated: the header declares "
+                         f"{sum(counts)} values, file has "
+                         f"{(len(data) - offset) // 4}")
+    if extra:
+        raise ValueError(f"{extra} trailing bytes after tensors")
     tensors = []
-    for shape in (arr.shape for arr in _build_sequence(spec, _zeros)):
-        count = int(np.prod(shape))
-        end = offset + 4 * count
-        if end > len(data):
-            raise ValueError(
-                f"weight tensor of shape {shape} truncated: needs {count} "
-                f"values, file has {(len(data) - offset) // 4}")
+    for shape, count in zip(shapes, counts):
         tensors.append(np.frombuffer(data, dtype="<f4", offset=offset,
                                      count=count).reshape(shape).copy())
-        offset = end
-    if offset != len(data):
-        raise ValueError(f"{len(data) - offset} trailing bytes after tensors")
+        offset += 4 * count
 
     return _from_sequence(spec, tensors, epsilon)

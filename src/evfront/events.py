@@ -1,4 +1,4 @@
-"""Event stream data model, serialization, synthesis, and stream shaping.
+"""Event stream data model, serialization and synthesis.
 
 An event is ``(t, x, y, p)``: an integer microsecond timestamp, a pixel
 coordinate, and a polarity of -1 (brightness decrease) or +1 (increase).
@@ -565,52 +565,3 @@ def linear_warp(velocity: tuple[float, float], tau_a: int, tau_b: int):
         return np.asarray(points, dtype=np.float64) + np.array([dx, dy])
 
     return warp
-
-
-# ---------------------------------------------------------------------------
-# stream shaping
-
-
-def downsample(batch: EventBatch, target: SensorGeometry) -> EventBatch:
-    """Remap events onto a coarser grid by coordinate floor-division.
-
-    Both axes must shrink by an integer factor; colliding events are all
-    kept, timestamps and polarities untouched.
-    """
-    src = batch.geometry
-    fx, rx = divmod(src.width, target.width)
-    fy, ry = divmod(src.height, target.height)
-    if rx or ry or fx < 1 or fy < 1:
-        raise ValueError(
-            f"{src.width}x{src.height} does not divide into "
-            f"{target.width}x{target.height}")
-    ev = batch.events.copy()
-    ev["x"] //= fx
-    ev["y"] //= fy
-    return EventBatch(ev, target)
-
-
-def rate_limit(batch: EventBatch, max_rate: float,
-               window: int = 1_000) -> EventBatch:
-    """Cap the event rate by uniform decimation inside aligned windows.
-
-    The stream is partitioned into consecutive windows of ``window``
-    microseconds aligned at t = 0; a window holding n events keeps the
-    c = floor(max_rate * window / 1e6) events at indices floor(j*n/c).
-    Applying the limiter twice changes nothing. The result is always a
-    new batch, an empty one for an empty input.
-    """
-    if max_rate <= 0 or window <= 0:
-        raise ValueError("max_rate and window must be positive")
-    cap = int(max_rate * window // US_PER_S)
-    n_total = len(batch)
-    win_id = batch.events["t"] // window
-    keep = np.ones(n_total, dtype=bool)
-    starts = np.flatnonzero(np.r_[True, np.diff(win_id) != 0])
-    bounds = np.r_[starts, n_total]
-    for b, e in zip(bounds[:-1], bounds[1:]):
-        n = e - b
-        if n > cap:
-            keep[b:e] = False
-            keep[b + (np.arange(cap) * n) // cap] = True
-    return EventBatch(batch.events[keep], batch.geometry)

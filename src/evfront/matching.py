@@ -1,14 +1,14 @@
 """Quantized descriptor matching.
 
-Descriptors are mapped to signed 8-bit integers with a symmetric scale;
-the scale cancels out of cosine distances, so matching never needs to
-undo the quantization. Dot products run as one BLAS GEMM in float32
-while D*128^2 <= 2^24 and in float64 beyond, which is exact: every
-partial sum is an integer of at most D*128^2, in the dots and in the
-squared norms alike. Each square of a dot and product of two norms is
-then one correctly rounded float64 multiplication of exact integers,
-the same value a 64-bit integer product would round to. One real
-division produces each distance.
+Descriptors are mapped to signed 8-bit integers with the fixed symmetric
+scale ``QMAX`` = 127; the scale cancels out of cosine distances, so
+matching never needs to undo the quantization. Dot products run as one
+BLAS GEMM in float32 while D*128^2 <= 2^24 and in float64 beyond, which
+is exact: every partial sum is an integer of at most D*128^2, in the
+dots and in the squared norms alike. Each square of a dot and product of
+two norms is then one correctly rounded float64 multiplication of exact
+integers, the same value a 64-bit integer product would round to. One
+real division produces each distance.
 """
 
 from __future__ import annotations
@@ -20,24 +20,13 @@ import numpy as np
 from .detect import Descriptors, KeypointSet
 
 QMAX = 127
-DEFAULT_SCALE = 127.0
 DEFAULT_MAX_DISTANCE = 0.7
 DEFAULT_INLIER_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
-class QuantizationScheme:
-    scale: float = DEFAULT_SCALE
-
-    def __post_init__(self) -> None:
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-
-@dataclass(frozen=True)
 class QuantizedDescriptors:
     vectors: np.ndarray  # (N, D) int8 in [-127, 127]
-    scheme: QuantizationScheme
 
     def __post_init__(self) -> None:
         if self.vectors.dtype != np.int8:
@@ -58,46 +47,15 @@ class Match:
     distance: float
 
 
-def calibrate_scale(sample: Descriptors) -> QuantizationScheme:
-    """s = 127 / max |component| over the sample.
-
-    Unit-norm rows have components in [-1, 1], so s >= 127 there.
-    """
-    if len(sample) == 0:
-        raise ValueError("cannot calibrate on an empty sample")
-    peak = float(np.abs(sample.vectors).max())
-    if peak == 0:
-        raise ValueError("cannot calibrate on an all-zero sample")
-    return QuantizationScheme(QMAX / peak)
-
-
-def quantize(desc: Descriptors,
-             scheme: QuantizationScheme | None = None) -> QuantizedDescriptors:
-    """clamp(round(d * s), -127, 127), rounding half away from zero."""
-    if scheme is None:
-        scheme = QuantizationScheme()
+def quantize(desc: Descriptors) -> QuantizedDescriptors:
+    """clamp(round(d * 127), -127, 127), rounding half away from zero."""
     # in float64, as a float64 scalar makes it; x + copysign(0.5, x)
     # rounds symmetrically, so trunc rounds as floor(|x| + 0.5) with sign
-    x = np.multiply(desc.vectors, np.float64(scheme.scale))
+    x = np.multiply(desc.vectors, np.float64(QMAX))
     x += np.copysign(0.5, x)
     np.trunc(x, out=x)
     np.clip(x, -QMAX, QMAX, out=x)
-    return QuantizedDescriptors(x.astype(np.int8), scheme)
-
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - dot(a,b)/(|a|*|b|) on two int8-range integer vectors.
-
-    One element of ``distance_matrix``, so both share one arithmetic. A
-    zero-norm operand yields the maximal distance 2.
-    """
-    pair = [np.asarray(v) for v in (a, b)]
-    for v in pair:
-        if v.dtype.kind not in "iu":
-            raise TypeError(f"integer vectors required, got {v.dtype}")
-        if v.size and (v.min() < -128 or v.max() > 127):
-            raise ValueError("component outside the int8 range")
-    return float(distance_matrix(pair[0][None], pair[1][None])[0, 0])
+    return QuantizedDescriptors(x.astype(np.int8))
 
 
 def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -134,8 +92,6 @@ def match_mutual_nn(a: QuantizedDescriptors, b: QuantizedDescriptors,
     the distance is at most ``max_distance``. Ties resolve to the lower
     index on both sides, so each index appears at most once.
     """
-    if a.scheme != b.scheme:
-        raise ValueError("descriptor sets quantized under different schemes")
     if len(a) == 0 or len(b) == 0:
         return []
     if a.vectors.shape[1] != b.vectors.shape[1]:
@@ -166,18 +122,3 @@ def verify_matches(matches: list[Match], kps_a: KeypointSet,
     projected = np.asarray(warp(kps_a.xy[ia]), dtype=np.float64)
     errors = np.linalg.norm(projected - kps_b.xy[ib], axis=1)
     return errors < threshold
-
-
-def write_matches_csv(matches: list[Match],
-                      inliers: np.ndarray | None = None) -> bytes:
-    """CSV export; the inlier column appears only when verification ran."""
-    if inliers is not None and len(inliers) != len(matches):
-        raise ValueError("one inlier flag per match required")
-    if inliers is None:
-        lines = ["index_a,index_b,distance"]
-        lines += [f"{m.index_a},{m.index_b},{m.distance:.6f}" for m in matches]
-    else:
-        lines = ["index_a,index_b,distance,inlier"]
-        lines += [f"{m.index_a},{m.index_b},{m.distance:.6f},{int(f)}"
-                  for m, f in zip(matches, inliers)]
-    return ("\n".join(lines) + "\n").encode("ascii")

@@ -31,7 +31,7 @@ import numpy as np
 from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
                      interpolate_descriptors, nms)
 from .events import TIMESTAMP_LIMIT, EventBatch, SensorGeometry
-from .matching import (DEFAULT_MAX_DISTANCE, Match, QuantizationScheme,
+from .matching import (DEFAULT_MAX_DISTANCE, QMAX, Match,
                        QuantizedDescriptors, match_mutual_nn, quantize)
 from .surface import (EventCountRing, TimestampGrid, WindowSpec, apply_events,
                       mcts)
@@ -58,7 +58,6 @@ class PipelineConfig:
     nms_max_k: int = 256
     match_max_distance: float = DEFAULT_MAX_DISTANCE
     watermark_lag: int = 0
-    quant_scheme: QuantizationScheme = field(default_factory=QuantizationScheme)
     metrics_interval: int = 60 * US_PER_S      # event-time bucket for the CSV
 
     def __post_init__(self) -> None:
@@ -98,7 +97,6 @@ class Snapshot:
     grid: TimestampGrid
     ring: EventCountRing
     version: int
-    newest_ingested: int | None
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,7 @@ def _count_through(t: np.ndarray, value: int, lo: int = 0) -> int:
 def freeze_snapshot(state: SharedSurfaceState) -> Snapshot:
     """Consistent copy of grid, ring, and version, taken under the gate."""
     with state.gate:
-        return Snapshot(state.grid.copy(), state.ring.copy(), state.version,
-                        state.newest_ingested)
+        return Snapshot(state.grid.copy(), state.ring.copy(), state.version)
 
 
 def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
@@ -228,7 +225,7 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
         keypoints, descriptors = classical_detect(
             tensor, 0, config.nms_radius,
             config.nms_threshold, config.nms_max_k)
-    quantized = quantize(descriptors, config.quant_scheme)
+    quantized = quantize(descriptors)
     t2 = _now_us()
 
     if previous is None:
@@ -373,8 +370,7 @@ def _run_serial(source, config, state, schedule):
 
     def live_snapshot(state):
         # no writer runs between ticks: step on the live grid and ring
-        return Snapshot(state.grid, state.ring, state.version,
-                        state.newest_ingested)
+        return Snapshot(state.grid, state.ring, state.version)
 
     return _frontend_loop(state, config, tick_until_due, live_snapshot,
                           _now_us())
@@ -531,7 +527,7 @@ def result_to_json(result: FrameResult, include_descriptors: bool = True) -> str
         "timings": result.timings.as_dict(),
     }
     if include_descriptors:
-        obj["descriptor_scale"] = result.descriptors.scheme.scale
+        obj["descriptor_scale"] = float(QMAX)
         obj["descriptors"] = result.descriptors.vectors.tolist()
     return json.dumps(obj, separators=(",", ":"))
 

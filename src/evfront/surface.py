@@ -178,12 +178,6 @@ class EventCountRing:
             return None
         return int(self._buf[(self._head - 1 - n) % self.capacity])
 
-    def to_array(self) -> np.ndarray:
-        """Retained timestamps, oldest to newest."""
-        slots = (self._head - self._count + np.arange(self._count)) \
-            % self.capacity
-        return self._buf[slots]
-
     def state_bytes(self) -> bytes:
         """Raw internal layout, for exact state comparison."""
         return (self._buf.tobytes()

@@ -32,7 +32,6 @@ from evfront.events import (
     write_events,
 )
 from evfront.matching import (
-    QuantizationScheme,
     QuantizedDescriptors,
     distance_matrix,
     match_mutual_nn,

@@ -336,6 +336,36 @@ class TestRun:
         rc = cli.main(["run", "-i", str(src), "--mode", "serial"])
         assert rc == 3
 
+    def test_nms_radius_past_the_plane(self, tmp_path):
+        # on a 64x64 plane every radius from 63 up gives the same output
+        src = _synth(tmp_path)
+        rows = []
+        for radius in ("100000", "63"):
+            results = tmp_path / f"r{radius}.jsonl"
+            rc = cli.main(["run", "-i", str(src), "--mode", "serial",
+                           "--nms-radius", radius, "--results",
+                           str(results)])
+            assert rc == 0
+            rows.append([{k: v for k, v in json.loads(line).items()
+                          if k != "timings"}
+                         for line in results.read_text().splitlines()])
+        assert rows[0] and rows[0] == rows[1]
+
+    def test_weights_declaring_huge_widths_are_usage_errors(self, tmp_path,
+                                                            capsys):
+        # a 44-byte SLWT header declaring widths of 2**20 and no tensors
+        weights = tmp_path / "huge.slwt"
+        weights.write_bytes(b"SLWT" + np.array(
+            [1, 8, 4, 2**20, 2**20, 2**20, 2**20, 64, 16], "<u4").tobytes()
+            + np.float32(1e-5).astype("<f4").tobytes())
+        rc = cli.main(["run", "-i", str(_synth(tmp_path)), "--mode",
+                       "serial", "--detector", "learned", "--weights",
+                       str(weights)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad weights file")
+        assert "truncated" in err
+
     def test_unwritable_results_path_is_internal_error(self, tmp_path):
         src = _synth(tmp_path)
         rc = cli.main(["run", "-i", str(src), "--mode", "serial",

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -30,7 +31,6 @@ from evfront.detect import (
     detector_probabilities,
     forward,
     interpolate_descriptors,
-    keypoints_to_jsonl,
     load_weights,
     nms,
     random_weights,
@@ -632,6 +632,20 @@ class TestNms:
         with pytest.raises(ValueError, match="max_k"):
             nms(heat, 2, 0.0, -1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_radius_past_the_plane_is_clamped(self, dtype):
+        # any radius of at least max(h, w) - 1 spans the whole plane
+        rng = np.random.default_rng(23)
+        for k in range(30):
+            h, w = (int(v) for v in rng.integers(1, 40, 2))
+            heat = rng.random((h, w)).astype(dtype)
+            if k % 3 == 0:  # plateaus
+                heat = np.round(heat * 4) / 4
+            want = nms(heat, max(h, w, 2) - 1, 0.0, 500)
+            got = nms(heat, 10**6, 0.0, 500)
+            assert got.xy.tobytes() == want.xy.tobytes()
+            assert got.scores.tobytes() == want.scores.tobytes()
+
     def test_border_peak_detected(self):
         heat = np.zeros((8, 8), dtype=np.float32)
         heat[0, 0] = 0.7
@@ -949,6 +963,27 @@ class TestWeights:
             load_weights(blob[:-40])
         assert "truncated" in str(err.value)
 
+    def test_huge_declared_widths_rejected_before_allocating(self):
+        # the header's shapes are checked against the file length first:
+        # widths of 2**20 declare 36 TiB of kernels in a 44-byte file
+        header = b"SLWT" + np.array(
+            [1, 8, 4, 2**20, 2**20, 2**20, 2**20, 64, 16], "<u4").tobytes()
+        blob = header + np.float32(1e-5).astype("<f4").tobytes()
+        assert len(blob) == 44
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                load_weights(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_bundle_shapes_checked_without_a_zero_model(self):
+        w = random_weights(SPEC, 0)
+        with pytest.raises(ValueError, match="layer 0 conv_kernels shape"):
+            replace(w, spec=NetworkSpec(8, (2**20,) * 4, 64))
+
     def test_header_only(self):
         blob = save_weights(random_weights(SPEC, 0))
         with pytest.raises(ValueError):
@@ -1122,17 +1157,3 @@ class TestClassicalDetect:
         _, tensor = corner_tensor(geo, wspec)
         with pytest.raises(ValueError):
             classical_detect(tensor, 4, 4, 1e-4, 100)
-
-
-class TestKeypointExport:
-    def test_jsonl_lines_parse(self):
-        import json
-        kps = KeypointSet(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                          np.array([0.9, 0.5]))
-        desc = Descriptors(np.eye(2, 64, dtype=np.float32),
-                           np.array([True, True]))
-        lines = keypoints_to_jsonl(kps, desc).splitlines()
-        assert len(lines) == 2
-        row = json.loads(lines[0])
-        assert row["x"] == 1.0 and row["y"] == 2.0
-        assert len(row["descriptor"]) == 64

@@ -1,4 +1,4 @@
-"""Event container, wire formats, synthesizer, and stream ops."""
+"""Event container, wire formats and synthesizer."""
 
 import math
 import re
@@ -19,11 +19,9 @@ from evfront.events import (
     _grid_anchors,
     batch_from_columns,
     corner_positions,
-    downsample,
     empty_batch,
     linear_warp,
     parse_events,
-    rate_limit,
     synthesize,
     write_events,
 )
@@ -677,74 +675,3 @@ class TestMotionSpecValidation:
         with pytest.raises(ValueError):
             MotionSpec("grid-of-corners", (10.0, 0.0), 1.0,
                        grid_pitch=8, square_side=8)
-
-
-class TestDownsample:
-    def test_divides_coordinates(self):
-        rng = np.random.default_rng(31)
-        geo = SensorGeometry(64, 48)
-        b = _random_batch(rng, 200, geo)
-        d = downsample(b, SensorGeometry(16, 12))
-        assert d.geometry == SensorGeometry(16, 12)
-        assert np.array_equal(d.events["x"], b.events["x"] // 4)
-        assert np.array_equal(d.events["y"], b.events["y"] // 4)
-        assert np.array_equal(d.events["t"], b.events["t"])
-        assert len(d) == len(b)
-
-    def test_known_mapping(self):
-        # 1272x720 -> 424x240 is a per-axis factor of 3
-        geo = SensorGeometry(1272, 720)
-        b = batch_from_columns(np.array([5], np.uint64),
-                               np.array([423], np.uint16),
-                               np.array([239], np.uint16),
-                               np.array([1], np.int8), geo)
-        d = downsample(b, SensorGeometry(424, 240))
-        assert (int(d.events["x"][0]), int(d.events["y"][0])) == (141, 79)
-
-    def test_factor_one_is_identity(self):
-        rng = np.random.default_rng(32)
-        geo = SensorGeometry(16, 16)
-        b = _random_batch(rng, 50, geo)
-        d = downsample(b, geo)
-        assert np.array_equal(d.events, b.events)
-
-    def test_rejects_non_divisible(self):
-        geo = SensorGeometry(10, 10)
-        b = empty_batch(geo)
-        with pytest.raises(ValueError):
-            downsample(b, SensorGeometry(3, 10))
-
-
-class TestRateLimit:
-    def test_cap_enforced_per_window(self):
-        rng = np.random.default_rng(41)
-        geo = SensorGeometry(16, 16)
-        b = _random_batch(rng, 5_000, geo, t_span=50_000)
-        limited = rate_limit(b, max_rate=100_000, window=1_000)
-        cap = 100_000 * 1_000 // 1_000_000
-        win = limited.events["t"] // 1_000
-        counts = np.bincount(win.astype(np.int64))
-        assert counts.max() <= cap
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(42)
-        geo = SensorGeometry(16, 16)
-        b = _random_batch(rng, 3_000, geo, t_span=20_000)
-        once = rate_limit(b, max_rate=200_000, window=1_000)
-        twice = rate_limit(once, max_rate=200_000, window=1_000)
-        assert np.array_equal(once.events, twice.events)
-
-    def test_empty_input_and_zero_cap_give_empty_batches(self):
-        rng = np.random.default_rng(44)
-        geo = SensorGeometry(16, 16)
-        for b, rate in ((empty_batch(geo), 1_000_000),
-                        (_random_batch(rng, 500, geo, t_span=20_000), 999)):
-            limited = rate_limit(b, max_rate=rate, window=1_000)
-            assert len(limited) == 0 and limited.geometry == geo
-
-    def test_under_rate_stream_unchanged(self):
-        rng = np.random.default_rng(43)
-        geo = SensorGeometry(16, 16)
-        b = _random_batch(rng, 50, geo, t_span=1_000_000)
-        same = rate_limit(b, max_rate=1_000_000, window=10_000)
-        assert np.array_equal(same.events, b.events)

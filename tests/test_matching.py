@@ -6,18 +6,13 @@ import pytest
 from evfront.detect import Descriptors, KeypointSet
 from evfront.matching import (
     DEFAULT_MAX_DISTANCE,
-    DEFAULT_SCALE,
     QMAX,
     Match,
-    QuantizationScheme,
     QuantizedDescriptors,
-    calibrate_scale,
-    cosine_distance,
     distance_matrix,
     match_mutual_nn,
     quantize,
     verify_matches,
-    write_matches_csv,
 )
 
 
@@ -69,9 +64,9 @@ def distance_matrix_previous(a, b):
     return dist
 
 
-def quantize_previous(desc, scheme):
+def quantize_previous(desc):
     # floor(|x| + 0.5) with x's sign, through temporaries
-    scaled = desc.vectors.astype(np.float64) * scheme.scale
+    scaled = desc.vectors.astype(np.float64) * 127.0
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     return np.clip(rounded, -QMAX, QMAX).astype(np.int8)
 
@@ -117,25 +112,27 @@ class TestQuantize:
 
     def test_minus_128_component_rejected(self):
         # np.abs maps int8 -128 to -128, so an abs-based check lets it by
-        scheme = QuantizationScheme()
         with pytest.raises(ValueError, match="outside"):
-            QuantizedDescriptors(np.array([[0, -128, 5]], np.int8), scheme)
-        edge = QuantizedDescriptors(np.array([[-QMAX, QMAX]], np.int8), scheme)
+            QuantizedDescriptors(np.array([[0, -128, 5]], np.int8))
+        edge = QuantizedDescriptors(np.array([[-QMAX, QMAX]], np.int8))
         assert len(edge) == 1
 
     def test_rounds_half_away_from_zero(self):
-        # 0.25 and 0.75 are exact in binary, so scaling by 2 lands the
-        # products exactly on the .5 rounding boundary
-        d = Descriptors(np.array([[0.25, -0.25, 0.75, -0.75]],
-                                 dtype=np.float32),
+        # 0.5 * 127 = 63.5 exactly, on the rounding boundary; its float32
+        # neighbours land just off it
+        half = np.float32(0.5)
+        below = np.nextafter(half, np.float32(0))
+        above = np.nextafter(half, np.float32(1))
+        d = Descriptors(np.array([[half, -half, below, -below, above,
+                                   -above]], dtype=np.float32),
                         np.array([True]))
-        q = quantize(d, QuantizationScheme(2.0))
-        assert list(q.vectors[0]) == [1, -1, 2, -2]
+        q = quantize(d)
+        assert list(q.vectors[0]) == [64, -64, 63, -63, 64, -64]
 
     def test_matches_previous_form_bytes(self):
-        # exact .5 ties under scale 2 and their float32 neighbours, signed
-        # zeros, saturating and infinite values, and unit rows under the
-        # default scale
+        # exact .5 ties at 127 (the odd halves) and their float32
+        # neighbours, signed zeros, saturating and infinite values, and
+        # unit rows
         quarters = np.arange(-600, 601, dtype=np.float32) * np.float32(0.25)
         columns = np.concatenate([
             quarters, np.nextafter(quarters, np.float32(np.inf)),
@@ -146,29 +143,16 @@ class TestQuantize:
         for vectors in (rows, rows * np.float32(1 / 127),
                         _unit_rows(rng, 300).vectors):
             desc = Descriptors(vectors, np.ones(len(vectors), dtype=bool))
-            for scheme in (QuantizationScheme(2.0), QuantizationScheme(),
-                           QuantizationScheme(0.3)):
-                got = quantize(desc, scheme).vectors
-                want = quantize_previous(desc, scheme)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            got = quantize(desc).vectors
+            want = quantize_previous(desc)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_default_scale_is_qmax(self):
-        assert QuantizationScheme().scale == DEFAULT_SCALE
-
-    def test_calibrated_scale_uses_peak_component(self):
-        d = Descriptors(np.array([[0.5, 0.25, 0.0]], dtype=np.float32),
+        # a unit component maps to QMAX, a quarter to round(31.75)
+        d = Descriptors(np.array([[1.0, -1.0, 0.25, 0.0]], np.float32),
                         np.array([True]))
-        scheme = calibrate_scale(d)
-        assert scheme.scale == pytest.approx(127.0 / 0.5)
-
-    def test_calibrate_rejects_degenerate_samples(self):
-        with pytest.raises(ValueError):
-            calibrate_scale(Descriptors(np.zeros((0, 4), np.float32),
-                                        np.zeros(0, bool)))
-        with pytest.raises(ValueError):
-            calibrate_scale(Descriptors(np.zeros((3, 4), np.float32),
-                                        np.zeros(3, bool)))
+        assert list(quantize(d).vectors[0]) == [QMAX, -QMAX, 32, 0]
 
     def test_unit_vector_error_bound(self):
         # per-component error <= 0.5/127 after scaling by s=127
@@ -185,36 +169,38 @@ class TestCosineDistance:
         a = rng.integers(-127, 128, (200, 64)).astype(np.int8)
         b = rng.integers(-127, 128, (200, 64)).astype(np.int8)
         for i in range(200):
-            got = cosine_distance(a[i], b[i])
+            got = distance_matrix(a[i:i + 1], b[i:i + 1])[0, 0]
             want = float_cosine(a[i].astype(np.float64),
                                 b[i].astype(np.float64))
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_range_zero_to_two(self):
-        a = np.array([1, 0], dtype=np.int8)
-        assert cosine_distance(a, a) == 0.0
-        assert cosine_distance(a, -a) == pytest.approx(2.0)
-        assert cosine_distance(a, np.array([0, 1], np.int8)) \
+        a = np.array([[1, 0]], dtype=np.int8)
+        assert distance_matrix(a, a)[0, 0] == 0.0
+        assert distance_matrix(a, -a)[0, 0] == pytest.approx(2.0)
+        assert distance_matrix(a, np.array([[0, 1]], np.int8))[0, 0] \
             == pytest.approx(1.0)
 
     def test_zero_norm_maps_to_max_distance(self):
-        z = np.zeros(4, dtype=np.int8)
-        a = np.array([1, 2, 3, 4], dtype=np.int8)
-        assert cosine_distance(z, a) == 2.0
-        assert cosine_distance(z, z) == 2.0
+        z = np.zeros((1, 4), dtype=np.int8)
+        a = np.array([[1, 2, 3, 4]], dtype=np.int8)
+        assert distance_matrix(z, a)[0, 0] == 2.0
+        assert distance_matrix(a, z)[0, 0] == 2.0
+        assert distance_matrix(z, z)[0, 0] == 2.0
 
     def test_exact_scale_invariance(self):
         # quantized vectors scaled by a common integer factor keep the
         # identical distance: the factor cancels inside the dot products
         rng = np.random.default_rng(4)
         for _ in range(100):
-            a = rng.integers(-25, 26, 64).astype(np.int8)
-            b = rng.integers(-25, 26, 64).astype(np.int8)
+            a = rng.integers(-25, 26, (1, 64)).astype(np.int8)
+            b = rng.integers(-25, 26, (1, 64)).astype(np.int8)
             for f in (2, 3, 5):
-                assert cosine_distance(a, b) == cosine_distance(
-                    (a * f).astype(np.int8), (b * f).astype(np.int8))
+                assert distance_matrix(a, b)[0, 0] == distance_matrix(
+                    (a * f).astype(np.int8), (b * f).astype(np.int8))[0, 0]
 
     def test_matrix_agrees_with_scalar(self):
+        # a pair's distance does not depend on the other rows in the GEMM
         rng = np.random.default_rng(5)
         a = rng.integers(-127, 128, (20, 64)).astype(np.int8)
         b = rng.integers(-127, 128, (30, 64)).astype(np.int8)
@@ -222,7 +208,8 @@ class TestCosineDistance:
         assert m.shape == (20, 30)
         for i in (0, 7, 19):
             for j in (0, 13, 29):
-                assert m[i, j] == cosine_distance(a[i], b[j])
+                assert m[i, j] == distance_matrix(a[i:i + 1],
+                                                  b[j:j + 1])[0, 0]
 
     def test_extreme_rows_bitwise(self):
         # every component +-127: the largest possible dots and norms
@@ -277,16 +264,9 @@ class TestCosineDistance:
         a[[0, 9]] = 0
         b[[4, 29]] = 0
         m = distance_matrix(a, b)
-        got = np.array([[cosine_distance(u, v) for v in b] for u in a])
+        got = np.array([[distance_matrix(u[None], v[None])[0, 0] for v in b]
+                        for u in a])
         assert np.array_equal(got, m)
-        assert all(type(cosine_distance(u, b[0])) is float for u in a[:3])
-
-    def test_scalar_rejects_non_int8_values(self):
-        with pytest.raises(TypeError):
-            cosine_distance(np.ones(4), np.ones(4, np.int8))
-        with pytest.raises(ValueError):
-            cosine_distance(np.array([128, 0]), np.array([1, 0]))
-        assert cosine_distance(np.array([-128, 0]), np.array([1, 0])) == 2.0
 
 
 class TestMutualNn:
@@ -301,43 +281,30 @@ class TestMutualNn:
     def test_mutuality_required(self):
         # b0 is the nearest of both a0 and a1, but b0's own nearest is a1
         # (angularly closer), so a0 stays unmatched
-        scheme = QuantizationScheme()
         a = QuantizedDescriptors(
-            np.array([[100, 0], [99, 1], [0, 100]], dtype=np.int8), scheme)
-        b = QuantizedDescriptors(
-            np.array([[100, 1], [0, 99]], dtype=np.int8), scheme)
+            np.array([[100, 0], [99, 1], [0, 100]], dtype=np.int8))
+        b = QuantizedDescriptors(np.array([[100, 1], [0, 99]], dtype=np.int8))
         matches = match_mutual_nn(a, b)
         pairs = {(m.index_a, m.index_b) for m in matches}
         assert pairs == {(1, 0), (2, 1)}
 
     def test_max_distance_filters(self):
-        scheme = QuantizationScheme()
-        a = QuantizedDescriptors(np.array([[127, 0]], dtype=np.int8), scheme)
-        b = QuantizedDescriptors(np.array([[0, 127]], dtype=np.int8), scheme)
+        a = QuantizedDescriptors(np.array([[127, 0]], dtype=np.int8))
+        b = QuantizedDescriptors(np.array([[0, 127]], dtype=np.int8))
         assert match_mutual_nn(a, b, max_distance=0.7) == []
         assert len(match_mutual_nn(a, b, max_distance=1.0)) == 1
 
     def test_duplicate_ties_collapse_to_lowest_index(self):
-        scheme = QuantizationScheme()
         dup = np.array([[50, 50], [50, 50], [3, 127]], dtype=np.int8)
-        a = QuantizedDescriptors(dup, scheme)
-        b = QuantizedDescriptors(dup.copy(), scheme)
+        a = QuantizedDescriptors(dup)
+        b = QuantizedDescriptors(dup.copy())
         matches = match_mutual_nn(a, b)
         pairs = {(m.index_a, m.index_b) for m in matches}
         assert pairs == {(0, 0), (2, 2)}
 
-    def test_scheme_mismatch_rejected(self):
-        a = QuantizedDescriptors(np.zeros((1, 4), np.int8),
-                                 QuantizationScheme(127.0))
-        b = QuantizedDescriptors(np.zeros((1, 4), np.int8),
-                                 QuantizationScheme(64.0))
-        with pytest.raises(ValueError):
-            match_mutual_nn(a, b)
-
     def test_empty_sets(self):
-        scheme = QuantizationScheme()
-        e = QuantizedDescriptors(np.zeros((0, 8), np.int8), scheme)
-        f = QuantizedDescriptors(np.ones((3, 8), np.int8), scheme)
+        e = QuantizedDescriptors(np.zeros((0, 8), np.int8))
+        f = QuantizedDescriptors(np.ones((3, 8), np.int8))
         assert match_mutual_nn(e, f) == []
         assert match_mutual_nn(f, e) == []
 
@@ -353,14 +320,13 @@ class TestMutualNn:
 
     def test_matches_integer_and_loop_references(self):
         rng = np.random.default_rng(14)
-        scheme = QuantizationScheme()
         for n in (1, 40, 210, 1000):
             for d in (1, 64, 2048):
                 a, b = _hard_int8_sets(rng, n, d)
                 want = distance_matrix_reference(a, b)
                 assert np.array_equal(distance_matrix(a, b), want)
-                qa = QuantizedDescriptors(a, scheme)
-                qb = QuantizedDescriptors(b, scheme)
+                qa = QuantizedDescriptors(a)
+                qb = QuantizedDescriptors(b)
                 # the reference is symmetric bit for bit: integer dots
                 # and norm products commute exactly
                 for x, y, dist in ((qa, qb, want), (qb, qa, want.T)):
@@ -402,24 +368,6 @@ class TestVerifyMatches:
         assert out.shape == (0,)
 
 
-class TestMatchesCsv:
-    def test_columns_without_inliers(self):
-        rows = write_matches_csv([Match(1, 2, 0.25)]).decode().splitlines()
-        assert rows[0] == "index_a,index_b,distance"
-        assert rows[1] == "1,2,0.250000"
-
-    def test_inlier_column_when_verified(self):
-        rows = write_matches_csv([Match(0, 0, 0.0), Match(1, 3, 0.5)],
-                                 np.array([True, False])).decode().splitlines()
-        assert rows[0] == "index_a,index_b,distance,inlier"
-        assert rows[1].endswith(",1")
-        assert rows[2].endswith(",0")
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            write_matches_csv([Match(0, 0, 0.0)], np.array([True, False]))
-
-
 class TestQuantizedFidelity:
     def test_distance_error_small_on_unit_vectors(self):
         # quantization at s=127 changes the cosine distance of unit-norm
@@ -428,7 +376,8 @@ class TestQuantizedFidelity:
         d = _unit_rows(rng, 400)
         q = quantize(d)
         for i in range(0, 400, 2):
-            qd = cosine_distance(q.vectors[i], q.vectors[i + 1])
+            qd = distance_matrix(q.vectors[i:i + 1],
+                                 q.vectors[i + 1:i + 2])[0, 0]
             fd = float_cosine(d.vectors[i].astype(np.float64),
                               d.vectors[i + 1].astype(np.float64))
             assert abs(qd - fd) <= 0.02

@@ -74,7 +74,7 @@ def frontend_step_reference(snapshot, previous, config):
     keypoints, descriptors = classical_detect(
         tensor, config.channel_pair, config.nms_radius,
         config.nms_threshold, config.nms_max_k)
-    quantized = quantize(descriptors, config.quant_scheme)
+    quantized = quantize(descriptors)
     matches = [] if previous is None else match_mutual_nn(
         quantized, previous.descriptors, config.match_max_distance)
     return FrameResult(tau, snapshot.version, keypoints, quantized, matches,
@@ -411,15 +411,7 @@ class TestFreezeSnapshot:
         assert snap.version == 1
         assert snap.grid.latest_time == 5
         assert state.grid.latest_time == 20
-        assert snap.ring.to_array().tolist() == [5]
-
-    def test_snapshot_carries_newest_ingested(self):
-        geo = SensorGeometry(8, 8)
-        state = SharedSurfaceState(geo, 16)
-        with state.gate:
-            state.newest_ingested = 123
-        snap = freeze_snapshot(state)
-        assert snap.newest_ingested == 123
+        assert len(snap.ring) == 1 and snap.ring.timestamp_back(0) == 5
 
 
 class TestFrontendStep:
@@ -715,10 +707,13 @@ class TestExports:
     def test_result_json_shape(self):
         results, _ = run_pipeline(_grid_source(duration=0.4),
                                   PipelineConfig(), mode="serial")
-        row = json.loads(result_to_json(results[-1]))
+        text = result_to_json(results[-1])
+        row = json.loads(text)
         assert set(row) == {"tau", "version", "keypoints", "matches",
                             "timings", "descriptor_scale", "descriptors"}
         assert all(set(k) == {"x", "y", "score"} for k in row["keypoints"])
+        # the fixed int8 scale, written as the float it always was
+        assert '"descriptor_scale":127.0,' in text
         slim = json.loads(result_to_json(results[-1],
                                          include_descriptors=False))
         assert "descriptors" not in slim
@@ -784,7 +779,8 @@ class TestSnapshotConsistencyUnderRaces:
 
     def test_snapshot_never_ahead_of_newest_ingested(self):
         # a tick applies its events and moves newest_ingested in one hold
-        # of the gate, so no snapshot holds an event newer than it
+        # of the gate, so no reader holding the gate sees an applied event
+        # newer than it
         geo = SensorGeometry(16, 16)
         rng = np.random.default_rng(7)
         batch = _stream(rng, geo, np.sort(rng.integers(0, 2_000_000, 40_000)))
@@ -796,19 +792,22 @@ class TestSnapshotConsistencyUnderRaces:
             while not writer.exhausted:
                 writer.one_tick()
 
-        snaps = []
+        seen = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             thread = threading.Thread(target=drain)
             thread.start()
             while thread.is_alive():
-                snaps.append(freeze_snapshot(state))
+                with state.gate:
+                    seen.append((state.version, state.grid.latest_time,
+                                 state.newest_ingested))
             thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not thread.is_alive()
         assert state.grid.applied_count == len(batch)
-        held = [s for s in snaps if s.version]
+        held = [(latest, newest) for version, latest, newest in seen
+                if version]
         assert len(held) > 10
-        assert all(s.newest_ingested >= s.grid.latest_time for s in held)
+        assert all(newest >= latest for latest, newest in held)
