@@ -157,7 +157,7 @@ def _build_parser():
     s = subs.add_parser("bench", help="micro-benchmarks, CSV output")
     _opt(s, "workload", str, "all",
          ", ".join(_WORKLOADS) + ", or all; ingest includes the writer")
-    _opt(s, "events-n", int, 1_000_000, "base event count for ingest")
+    _opt(s, "events-n", int, 1_000_000, "ingest base event count, <= 10**7")
     _opt(s, "iterations", int, 5, "repeats per row")
     _opt(s, "seed", int, 0, "rng seed")
     s.add_argument("--output", "-o", help="CSV out path (default: stdout only)")
@@ -260,7 +260,7 @@ def cmd_surface(args) -> int:
         raise UsageError(f"tau {tau} precedes the first event "
                          f"({int(t[0])}) in constant-count mode")
     grid = surface.TimestampGrid.create(batch.geometry)
-    ring = surface.EventCountRing(spec.ring_capacity(batch.geometry))
+    ring = surface.EventCountRing(surface.stream_ring_capacity(spec, batch))
     surface.apply_events(grid, ring, batch.slice(0, cut))
     tensor = surface.mcts(grid, ring, tau, spec)
 
@@ -484,7 +484,9 @@ def _bench_nms(rng, args):
     # on the corner grid's Harris response
     c = pipeline.PipelineConfig()
     for n, _, tensor in _corner_grids(rng):
-        _, response = detect._harris(tensor, 3)
+        response = np.empty(tensor.channels.shape[1:])
+        detect._harris(np.maximum(*tensor.channels[[3, tensor.K + 3]]),
+                       response)
         yield n, lambda: detect.nms(response, c.nms_radius, c.nms_threshold,
                                     c.nms_max_k)
 
@@ -579,6 +581,8 @@ def cmd_bench(args) -> int:
     for name, least in (("iterations", 1), ("events-n", 1), ("seed", 0)):
         if getattr(args, name.replace("-", "_")) < least:
             raise UsageError(f"{name} must be at least {least}")
+    if args.events_n > 10 ** 7:  # 2n events, stamps below 20n: about 0.5 GB
+        raise UsageError("events-n must be at most 10**7")
     names = list(_WORKLOADS) if wanted == "all" else [wanted]
     if wanted == "ingest":
         names.append("writer")

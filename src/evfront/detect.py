@@ -457,15 +457,27 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     spaced by more than ``radius``. Every radius of at least
     ``max(h, w) - 1`` spans the whole plane, so a larger one is clamped.
     """
+    h, w = heatmap.shape
+    radius, flat, plane = _nms_buffer(h, w, radius, max_k, heatmap.dtype)
+    plane[...] = heatmap
+    return _nms_in_buffer(flat, h, w, radius, threshold, max_k)
+
+
+def _nms_buffer(h: int, w: int, radius: int, max_k: int,
+                dtype) -> tuple[int, np.ndarray, np.ndarray]:
+    """Checks ``nms``'s arguments: (clamped radius, buffer, its plane)."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if max_k < 0:
         raise ValueError("max_k cannot be negative")
-    h, w = heatmap.shape
     radius = min(radius, max(h, w, 1))
+    return (radius, *_ringed(h, w, radius, -np.inf, dtype))
+
+
+def _nms_in_buffer(flat: np.ndarray, h: int, w: int, radius: int,
+                   threshold: float, max_k: int) -> KeypointSet:
+    """``nms`` of the map held in the buffer from ``_nms_buffer``."""
     stride = w + 2 * radius
-    flat, plane = _ringed(h, w, radius, -np.inf, heatmap.dtype)
-    plane[...] = heatmap
     # pixel (y, x) sits at first + y*stride + x, and the window centred
     # on it has its top-left cell at y*stride + x
     first = radius * stride + radius
@@ -487,7 +499,9 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     scores = flat[at]
     ys, xs = np.divmod(at - first, stride)
     order = np.argsort(-scores, kind="stable")[:max_k]
-    xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
+    xy = np.empty((len(order), 2))
+    xy[:, 0] = xs[order]
+    xy[:, 1] = ys[order]
     return KeypointSet(xy, scores[order])
 
 
@@ -586,12 +600,24 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
     flattened 8x8 patch around each keypoint, mean-subtracted and
     L2-normalized, making them 64-dim like the learned path.
     """
-    flat, response = _harris(tensor, channel_pair)
-    keypoints = nms(response, radius, threshold, max_k)
+    k_pairs = tensor.K
+    if not 0 <= channel_pair < k_pairs:
+        raise ValueError(f"channel pair {channel_pair} outside 0..{k_pairs - 1}")
+    return detect_merged(np.maximum(tensor.channels[channel_pair],
+                                    tensor.channels[k_pairs + channel_pair]),
+                         radius, threshold, max_k)
+
+
+def detect_merged(merged: np.ndarray, radius: int, threshold: float,
+                  max_k: int) -> tuple[KeypointSet, Descriptors]:
+    """``classical_detect`` of a channel pair's merged (h, w) plane."""
+    h, w = merged.shape
+    radius, ringed, response = _nms_buffer(h, w, radius, max_k, np.float64)
+    flat = _harris(merged, response)
+    keypoints = _nms_in_buffer(ringed, h, w, radius, threshold, max_k)
 
     # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated,
     # read from the merged plane in ``flat``
-    h, w = response.shape
     stride = w + 2 * _RING
     cols, rows = keypoints.xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
@@ -606,29 +632,21 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
     return keypoints, _normalize_rows(patches)
 
 
-def _harris(tensor: MctsTensor,
-            channel_pair: int) -> tuple[np.ndarray, np.ndarray]:
-    """The merged plane of a channel pair and its Harris response.
+def _harris(merged: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The Harris response of the (h, w) merged plane, written to ``out``.
 
     Returns a flat buffer holding the merged plane as float64 inside a
-    zero border ``_RING`` wide, and the (h, w) response (a view). Every
-    step is a 1D op on contiguous slices of whole plane rows, shifted by
-    one cell or one row, in the operation order of the 2D forms:
-    ``np.gradient``, then the products, their 3x3 box sums and
-    det - k*trace^2.
+    zero border ``_RING`` wide. Every step is a 1D op on contiguous slices
+    of whole plane rows, shifted by one cell or one row, in the operation
+    order of the 2D forms: ``np.gradient``, then the products, their 3x3
+    box sums and det - k*trace^2.
     """
-    k_pairs = tensor.K
-    if not 0 <= channel_pair < k_pairs:
-        raise ValueError(f"channel pair {channel_pair} outside 0..{k_pairs - 1}")
-    h, w = tensor.channels.shape[1:]
+    h, w = merged.shape
     if h < 2 or w < 2:
         raise ValueError(f"a {h}x{w} plane is too small for a gradient: "
                          "each side needs at least 2 pixels")
     flat, plane = _ringed(h, w, _RING, 0.0, np.float64)
-    # max and the widening to float64 are exact
-    np.maximum(tensor.channels[channel_pair],
-               tensor.channels[k_pairs + channel_pair], out=plane)
-
+    plane[...] = merged  # widening to float64 is exact
     stride = w + 2 * _RING
     lo, n = _RING * stride, h * stride  # the plane's rows, ring included
     # the gradients, then the box sums' row sums, then the response
@@ -658,15 +676,18 @@ def _harris(tensor: MctsTensor,
     np.multiply(gx, gy, out=products[2, lo:lo + n])
     sxx, syy, sxy = _boxsum3(products, lo, n, stride, work)
 
-    # sxx*syy - sxy*sxy - HARRIS_K*(sxx + syy)**2, in that order
+    # sxx*syy - sxy*sxy - HARRIS_K*(sxx + syy)**2, in that order; the
+    # last op writes the plane of ``out`` alone
     response = np.multiply(sxx, syy, out=work[0, :n])
     sxy *= sxy
     response -= sxy
     sxx += syy
     sxx *= sxx
     sxx *= HARRIS_K
-    response -= sxx
-    return flat, response.reshape(h, stride)[:, _RING:_RING + w]
+    plane = slice(_RING, _RING + w)
+    np.subtract(response.reshape(h, stride)[:, plane],
+                sxx.reshape(h, stride)[:, plane], out=out)
+    return flat
 
 
 def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int,

@@ -28,13 +28,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
-                     interpolate_descriptors, nms)
+# classical_detect stays a name here, for tracers that rebind it
+from .detect import (KeypointSet, WeightBundle, classical_detect,  # noqa: F401
+                     detect_merged, forward, interpolate_descriptors, nms)
 from .events import TIMESTAMP_LIMIT, EventBatch, SensorGeometry
 from .matching import (DEFAULT_MAX_DISTANCE, QMAX, Match,
                        QuantizedDescriptors, match_mutual_nn, quantize)
 from .surface import (EventCountRing, TimestampGrid, WindowSpec, apply_events,
-                      mcts)
+                      mcts, merged_surface, stream_ring_capacity)
 
 US_PER_S = 1_000_000
 
@@ -202,29 +203,30 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
     """One frontend iteration over a frozen snapshot.
 
     tau is the snapshot's newest applied event time (the latest possible
-    event state). The classical detector gets a tensor of its channel
-    pair alone. Matching runs current-against-previous descriptors.
+    event state). The classical detector reads one plane, its channel
+    pair merged by maximum, and gets that alone, built straight from the
+    grid. Matching runs current-against-previous descriptors.
     """
     t0 = _now_us()
-    tau = snapshot.grid.latest_time
+    grid = snapshot.grid
+    tau = grid.latest_time
     if tau is None:
         raise ValueError("snapshot holds no events")
-    spec = config.window_spec
-    if config.detector == "classical":  # it reads one pair: build only that
-        spec = spec.pair_window(config.channel_pair)
-    tensor = mcts(snapshot.grid, snapshot.ring, tau, spec)
-    t1 = _now_us()
-
     if config.detector == "learned":
+        tensor = mcts(grid, snapshot.ring, tau, config.window_spec)
+        t1 = _now_us()
         heatmap, desc_map = forward(config.weights, tensor.channels)
         keypoints = nms(heatmap, config.nms_radius, config.nms_threshold,
                         config.nms_max_k)
         descriptors = interpolate_descriptors(desc_map, keypoints,
                                               config.weights.spec.cell)
     else:
-        keypoints, descriptors = classical_detect(
-            tensor, 0, config.nms_radius,
-            config.nms_threshold, config.nms_max_k)
+        merged = merged_surface(
+            grid, snapshot.ring, tau,
+            config.window_spec.pair_window(config.channel_pair))
+        t1 = _now_us()
+        keypoints, descriptors = detect_merged(
+            merged, config.nms_radius, config.nms_threshold, config.nms_max_k)
     quantized = quantize(descriptors)
     t2 = _now_us()
 
@@ -317,9 +319,8 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     if mode not in ("threaded", "serial"):
         raise ValueError(f"unknown mode {mode!r}")
     _keep_freed_memory()
-    geometry = source.batch.geometry
-    capacity = config.window_spec.ring_capacity(geometry)
-    state = SharedSurfaceState(geometry, capacity)
+    capacity = stream_ring_capacity(config.window_spec, source.batch)
+    state = SharedSurfaceState(source.batch.geometry, capacity)
     if mode == "serial":
         return _run_serial(source, config, state, snapshot_schedule)
     return _run_threaded(source, config, state)

@@ -105,6 +105,11 @@ class WindowSpec:
         return top + 1
 
 
+def stream_ring_capacity(spec: WindowSpec, batch: EventBatch) -> int:
+    """``spec.ring_capacity``, capped at ``len(batch) + 1``: never wraps."""
+    return min(spec.ring_capacity(batch.geometry), len(batch) + 1)
+
+
 @dataclass
 class TimestampGrid:
     """Most recent event timestamp per pixel and polarity.
@@ -244,7 +249,8 @@ def _write_newest(last_t: np.ndarray, flat: np.ndarray,
     """
     last_t[flat] = t
     lost = np.flatnonzero(last_t[flat] < t)  # usually empty
-    np.maximum.at(last_t, flat[lost], t[lost])
+    if lost.size:
+        np.maximum.at(last_t, flat[lost], t[lost])
 
 
 def time_surface(grid: TimestampGrid, tau: int, dt: int,
@@ -272,7 +278,7 @@ def time_surface(grid: TimestampGrid, tau: int, dt: int,
         raise ValueError("polarity must be -1 or +1")
     age = tau - grid.last_t[1 if polarity > 0 else 0]
     out = np.zeros(age.shape, dtype=np.float32)
-    _decay_into(out, age, tau, dt)
+    _decay_nested(out[None], age[None], tau, (dt,))
     return out
 
 
@@ -282,29 +288,21 @@ def _check_tau(tau: int) -> None:
         raise ValueError(f"tau {tau} outside [-2**62, 2**62)")
 
 
-def _decay_into(out: np.ndarray, age: np.ndarray, tau: int,
-                dt: int) -> None:
-    # No event's age exceeds tau, as stamps are at least 0, while NEVER's,
-    # tau + 2**62, does. An event after tau has a negative age, which reads
-    # above 2**63 as uint64. So one unsigned comparison with min(dt, tau)
-    # keeps exactly the events with 0 <= age <= dt.
-    bound = min(dt, tau)
-    if bound < 0:  # tau precedes every stamp
-        return
-    in_window = age.view(np.uint64) <= bound
-    out[in_window] = (1.0 - age[in_window] / dt).astype(np.float32)
+def _decay(age: np.ndarray, dt: int) -> np.ndarray:
+    """1 - age/dt, rounded to float32: every surface value there is."""
+    return (1.0 - age / dt).astype(np.float32)
 
 
 def normalized_counts_to_absolute(spec: WindowSpec,
                                   geometry: SensorGeometry) -> list[int]:
     """Realize per-pixel targets as absolute counts, N_k = round(nbar*W*H).
 
-    Rounds half up and never drops below one event.
+    Rounds half up, within [1, 2**62]: no stream holds more events.
     """
     if spec.mode != "constant-count":
         raise ValueError("absolute counts exist only in constant-count mode")
     pixels = geometry.pixel_count
-    return [max(1, int(nbar * pixels + 0.5))
+    return [max(1, int(min(nbar * pixels + 0.5, 2.0 ** 62)))
             for nbar in spec.normalized_counts]
 
 
@@ -364,27 +362,44 @@ def mcts(grid: TimestampGrid, ring: EventCountRing, tau: int,
     """Build the multi-channel time surface tensor at tau, in
     [-2**62, 2**62)."""
     _check_tau(tau)
-    if spec.mode == "constant-count":
-        counts = normalized_counts_to_absolute(spec, grid.geometry)
-        durations = adaptive_windows(ring, tau, counts, grid.first_time)
-    else:
-        durations = list(spec.durations)
+    durations = _durations(grid, ring, tau, spec)
     k = len(durations)
     channels = np.zeros((2 * k, *grid.last_t.shape[1:]), dtype=np.float32)
     # polarity -1 fills 0..K-1, +1 fills K..2K-1; one age plane each,
     # shared by the K windows
-    age = tau - grid.last_t
-    if k == 1:
-        _decay_into(channels, age, tau, durations[0])
-    else:
-        _decay_nested(channels, age, tau, durations)
+    _decay_nested(channels, tau - grid.last_t, tau, durations)
     return MctsTensor(channels, tau, tuple(durations))
+
+
+def _durations(grid: TimestampGrid, ring: EventCountRing, tau: int,
+               spec: WindowSpec) -> tuple[int, ...]:
+    if spec.mode == "constant-count":
+        counts = normalized_counts_to_absolute(spec, grid.geometry)
+        return adaptive_windows(ring, tau, counts, grid.first_time)
+    return spec.durations
+
+
+def merged_surface(grid: TimestampGrid, ring: EventCountRing, tau: int,
+                   spec: WindowSpec) -> np.ndarray:
+    """The maximum of the two planes ``mcts`` builds for one-window
+    ``spec``, bit for bit: the decay does not grow with age, so it is the
+    decay of each pixel's smaller age (as uint64, as ``mcts`` reads it)."""
+    _check_tau(tau)
+    (dt,) = _durations(grid, ring, tau, spec)
+    age = np.subtract(tau, grid.last_t).view(np.uint64)
+    youngest = np.minimum(age[0], age[1], out=age[0])
+    values = _decay(youngest, dt)
+    values[youngest > min(dt, tau)] = 0.0
+    return values
 
 
 def _decay_nested(channels: np.ndarray, age: np.ndarray, tau: int,
                   durations) -> None:
-    # _decay_into of every window and polarity: the windows are nested,
-    # so each narrower one's pixels are taken from the next wider one's
+    # Plane i of each polarity decays the ages in [0, durations[i]]. Ages
+    # of stamps are at most tau; NEVER's, tau + 2**62, and those after tau
+    # (above 2**63 as uint64) exceed it, so one unsigned comparison with
+    # min(dt, tau) keeps exactly the events with 0 <= age <= dt. Windows
+    # are nested: each narrower one's pixels come from the next wider
     widest = min(max(durations), tau)
     if widest < 0:  # tau precedes every stamp
         return
@@ -401,7 +416,7 @@ def _decay_nested(channels: np.ndarray, age: np.ndarray, tau: int,
             keep = ages <= dt
             at, ages = at[keep], ages[keep]
             widest = dt
-        flat[i * plane:][at] = (1.0 - ages / dt).astype(np.float32)
+        flat[i * plane:][at] = _decay(ages, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,58 @@ class TestSurface:
         assert rc == 2
         err = capsys.readouterr().err
         assert "finite" in err and "internal error" not in err
+
+
+def _main_peak(argv):
+    """cli.main(argv) under tracemalloc: (exit code, peak bytes)."""
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        return rc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWindowCountsPastTheStream:
+    """A window count far past the stream sizes the event ring by the
+    stream, not by the count: 100000 events per pixel would be 12.2 GiB
+    at 128x128, 1e300 more than numpy can allocate, and 1e308 times the
+    pixel count overflows a float."""
+
+    def _stream(self, tmp_path):
+        # 128x128 corner grid, far fewer than 3 events per pixel
+        return _synth(tmp_path, extra=[
+            "--geometry", "128x128", "--grid-pitch", "48",
+            "--square-side", "16", "--duration", "0.2"])
+
+    def _frames(self, path):
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            del row["timings"]
+        return rows
+
+    @pytest.mark.parametrize("top", ["100000", "1e300", "1e308"])
+    def test_run_matches_a_count_the_stream_exceeds(self, tmp_path, top):
+        src = self._stream(tmp_path)
+        assert len(parse_events(src.read_bytes(), "binary-v1")) < 3 * 128 ** 2
+        frames = []
+        for count in (top, "3"):
+            out = tmp_path / f"r{count}.jsonl"
+            rc, peak = _main_peak(["run", "-i", str(src), "--mode", "serial",
+                                   "--counts", f"0.1,0.2,0.3,{count}",
+                                   "--results", str(out)])
+            assert rc == 0 and peak < 8 << 20, (count, peak)
+            frames.append(self._frames(out))
+        assert len(frames[0]) > 5
+        assert frames[0] == frames[1]
+
+    def test_surface_with_a_count_past_the_stream(self, tmp_path):
+        src = self._stream(tmp_path)
+        rc, peak = _main_peak(["surface", "-i", str(src), "-o",
+                               str(tmp_path / "s"), "--counts", "1e300"])
+        assert rc == 0 and peak < 8 << 20, peak
+        tensor = read_mcts((tmp_path / "s.mcts").read_bytes())
+        assert tensor.channels.shape == (2, 128, 128)
 
 
 class TestRun:
@@ -560,6 +613,20 @@ class TestBenchInputs:
         rc = cli.main(["bench", "--workload", "ingest", *option])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("events_n", ["99999999999999999999",
+                                          str(10 ** 7 + 1)])
+    def test_events_n_past_its_ceiling_is_usage_error(
+            self, capsys, monkeypatch, events_n):
+        def no_timing(call, iterations):
+            raise AssertionError("a bench row ran")
+        monkeypatch.setattr(cli, "_time_us", no_timing)
+        rc = cli.main(["bench", "--workload", "ingest", "--events-n",
+                       events_n])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: events-n must be at most 10**7\n"
 
 
 class TestConfigFile:

@@ -56,14 +56,14 @@ def _grid_source(duration=1.0, size=64, vel=(-40.0, -30.0), pitch=32,
 def _slow_detector(monkeypatch):
     """Make every classical detection take 20 ms more, inside the
     keypoint_detection stage."""
-    real_detect = pipeline.classical_detect
+    real_detect = pipeline.detect_merged
 
     def slow_detect(*args):
         result = real_detect(*args)
         time.sleep(0.02)
         return result
 
-    monkeypatch.setattr(pipeline, "classical_detect", slow_detect)
+    monkeypatch.setattr(pipeline, "detect_merged", slow_detect)
 
 
 def frontend_step_reference(snapshot, previous, config):
@@ -477,6 +477,16 @@ class TestFrontendStep:
                     assert np.array_equal(a.descriptors.vectors,
                                           b.descriptors.vectors)
                     assert a.matches_to_previous == b.matches_to_previous
+
+
+def test_layer_functions_stay_names_of_the_pipeline():
+    # span tracers rebind these names in the pipeline module; the
+    # classical frame no longer calls classical_detect or mcts through
+    # them, but a missing name would fail every traced run
+    for name in ("preprocess_tick", "freeze_snapshot", "frontend_step",
+                 "apply_events", "mcts", "classical_detect", "forward", "nms",
+                 "interpolate_descriptors", "quantize", "match_mutual_nn"):
+        assert callable(getattr(pipeline, name)), name
 
 
 class TestSerialRun:

@@ -29,6 +29,7 @@ from evfront.surface import (
     adaptive_windows,
     apply_events,
     mcts,
+    merged_surface,
     motion_invariance_report,
     normalized_counts_to_absolute,
     read_mcts,
@@ -595,6 +596,42 @@ class TestMcts:
                             warm.add(ring.timestamp_back(n_p) is None)
             if spec.mode == "constant-count":
                 assert warm == {True, False}
+
+    def test_merged_surface_is_the_pairs_maximum(self):
+        # byte for byte np.maximum of the one-window tensor's two planes:
+        # fed part by part (cells that never saw an event, warm-up
+        # windows), at taus at the newest event, in the past (stamps after
+        # tau), at the first event and before every stamp, and a window
+        # past 2**62
+        rng = np.random.default_rng(31)
+        geo = SensorGeometry(20, 14)
+        b = _random_batch(rng, 1_500, geo, 300_000)
+        specs = (WindowSpec.default_constant_count(),
+                 WindowSpec("constant-count", normalized_counts=(0.5, 4.0)),
+                 WindowSpec("fixed-duration",
+                            durations=(7, 3_000, 90_000, 2**62 + 1_000)))
+        seen = set()
+        for spec in specs:
+            grid = TimestampGrid.create(geo)
+            ring = EventCountRing(spec.ring_capacity(geo))
+            for lo in range(0, len(b), 300):
+                apply_events(grid, ring, b.slice(lo, lo + 300))
+                for tau in (grid.latest_time, grid.latest_time - 20_000,
+                            grid.first_time, grid.first_time - 5, -5):
+                    for p in range(spec.K):
+                        one = spec.pair_window(p)
+                        neg, pos = mcts(grid, ring, tau, one).channels
+                        want = np.maximum(neg, pos)
+                        got = merged_surface(grid, ring, tau, one)
+                        assert got.dtype == want.dtype
+                        assert got.tobytes() == want.tobytes()
+                        cases = {"never": (grid.last_t == NEVER).any(),
+                                 "after tau": (grid.last_t > tau).any(),
+                                 "neg wins": ((neg > pos) & (pos > 0)).any(),
+                                 "pos wins": ((pos > neg) & (neg > 0)).any(),
+                                 "dark": not want.any()}
+                        seen |= {name for name, hit in cases.items() if hit}
+        assert seen == {"never", "after tau", "neg wins", "pos wins", "dark"}
 
     def test_matches_uint64_grid_with_valid_mask(self):
         # bitwise against the grid NEVER replaced, fed part by part: both
