@@ -613,33 +613,30 @@ def detect_merged(merged: np.ndarray, radius: int, threshold: float,
     """``classical_detect`` of a channel pair's merged (h, w) plane."""
     h, w = merged.shape
     radius, ringed, response = _nms_buffer(h, w, radius, max_k, np.float64)
-    flat = _harris(merged, response)
+    _harris(merged, response)
     keypoints = _nms_in_buffer(ringed, h, w, radius, threshold, max_k)
 
-    # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated,
-    # read from the merged plane in ``flat``
-    stride = w + 2 * _RING
+    # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated
     cols, rows = keypoints.xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
     rows = np.minimum(np.maximum(rows[:, None] + span, 0), h - 1)
     cols = np.minimum(np.maximum(cols[:, None] + span, 0), w - 1)
-    rows *= stride
-    rows += _RING * (stride + 1)  # the plane's first cell in ``flat``
-    patches = flat[rows[:, :, None] + cols[:, None, :]] \
-        .reshape(len(keypoints), PATCH * PATCH).astype(np.float32)
+    rows *= w
+    patches = merged.reshape(-1)[rows[:, :, None] + cols[:, None, :]] \
+        .reshape(len(keypoints), PATCH * PATCH).astype(np.float32, copy=False)
     # np.mean's float32 sum; its quotient by 64 rounds as np.mean's does
     patches -= np.add.reduce(patches, axis=1, keepdims=True) / PATCH ** 2
     return keypoints, _normalize_rows(patches)
 
 
-def _harris(merged: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _harris(merged: np.ndarray, out: np.ndarray) -> None:
     """The Harris response of the (h, w) merged plane, written to ``out``.
 
-    Returns a flat buffer holding the merged plane as float64 inside a
-    zero border ``_RING`` wide. Every step is a 1D op on contiguous slices
-    of whole plane rows, shifted by one cell or one row, in the operation
-    order of the 2D forms: ``np.gradient``, then the products, their 3x3
-    box sums and det - k*trace^2.
+    The plane is widened to float64 inside a zero border ``_RING`` wide.
+    Every step is a 1D op on contiguous slices of whole plane rows,
+    shifted by one cell or one row, in the operation order of the 2D
+    forms: ``np.gradient``, then the products, their 3x3 box sums and
+    det - k*trace^2.
     """
     h, w = merged.shape
     if h < 2 or w < 2:
@@ -687,7 +684,6 @@ def _harris(merged: np.ndarray, out: np.ndarray) -> np.ndarray:
     plane = slice(_RING, _RING + w)
     np.subtract(response.reshape(h, stride)[:, plane],
                 sxx.reshape(h, stride)[:, plane], out=out)
-    return flat
 
 
 def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int,

@@ -191,16 +191,15 @@ def nms_dense_reference(heatmap, radius, threshold, max_k):
     return KeypointSet(xy, scores[order])
 
 
-def patch_tail_reference(flat, shape, xy):
-    # the np.clip, ringed-index and np.mean form of classical_detect's
-    # descriptor tail, over the flat merged plane _harris returns
-    h, w = shape
-    stride = w + 2 * _RING
+def patch_tail_reference(merged, xy):
+    # the np.clip, 2D-index and np.mean form of classical_detect's
+    # descriptor tail, over the merged plane
+    h, w = merged.shape
     cols, rows = xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
-    rows = np.clip(rows[:, None] + span, 0, h - 1) + _RING
-    cols = np.clip(cols[:, None] + span, 0, w - 1) + _RING
-    patches = flat[rows[:, :, None] * stride + cols[:, None, :]] \
+    rows = np.clip(rows[:, None] + span, 0, h - 1)
+    cols = np.clip(cols[:, None] + span, 0, w - 1)
+    patches = merged[rows[:, :, None], cols[:, None, :]] \
         .reshape(len(xy), PATCH * PATCH).astype(np.float32)
     patches -= patches.mean(axis=1, keepdims=True)
     return normalize_rows_reference(patches)
@@ -1095,9 +1094,8 @@ class TestClassicalDetect:
             channels[rng.random(channels.shape) < 0.4] = 0.0
             tensor = MctsTensor(channels.astype(np.float32), 100, (1, 2))
             kps, desc = classical_detect(tensor, 1, 1, -np.inf, 500)
-            flat = _harris(np.maximum(tensor.channels[1], tensor.channels[3]),
-                           np.empty((h, w)))
-            want = patch_tail_reference(flat, (h, w), kps.xy)
+            want = patch_tail_reference(
+                np.maximum(tensor.channels[1], tensor.channels[3]), kps.xy)
             assert_same_bytes((desc.vectors, desc.valid),
                               (want.vectors, want.valid))
             x, y = kps.xy.T  # a patch spans x - 3 .. x + 4
