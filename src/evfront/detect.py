@@ -681,9 +681,9 @@ def _harris(merged: np.ndarray, out: np.ndarray) -> None:
     sxx += syy
     sxx *= sxx
     sxx *= HARRIS_K
-    plane = slice(_RING, _RING + w)
-    np.subtract(response.reshape(h, stride)[:, plane],
-                sxx.reshape(h, stride)[:, plane], out=out)
+    inner = slice(_RING, _RING + w)
+    np.subtract(response.reshape(h, stride)[:, inner],
+                sxx.reshape(h, stride)[:, inner], out=out)
 
 
 def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int,
