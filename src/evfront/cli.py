@@ -484,9 +484,8 @@ def _bench_nms(rng, args):
     # on the corner grid's Harris response
     c = pipeline.PipelineConfig()
     for n, _, tensor in _corner_grids(rng):
-        response = np.empty(tensor.channels.shape[1:])
-        detect._harris(np.maximum(*tensor.channels[[3, tensor.K + 3]]),
-                       response)
+        response = detect._harris(
+            np.maximum(*tensor.channels[[3, tensor.K + 3]]))
         yield n, lambda: detect.nms(response, c.nms_radius, c.nms_threshold,
                                     c.nms_max_k)
 

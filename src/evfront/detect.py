@@ -457,27 +457,15 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     spaced by more than ``radius``. Every radius of at least
     ``max(h, w) - 1`` spans the whole plane, so a larger one is clamped.
     """
-    h, w = heatmap.shape
-    radius, flat, plane = _nms_buffer(h, w, radius, max_k, heatmap.dtype)
-    plane[...] = heatmap
-    return _nms_in_buffer(flat, h, w, radius, threshold, max_k)
-
-
-def _nms_buffer(h: int, w: int, radius: int, max_k: int,
-                dtype) -> tuple[int, np.ndarray, np.ndarray]:
-    """Checks ``nms``'s arguments: (clamped radius, buffer, its plane)."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     if max_k < 0:
         raise ValueError("max_k cannot be negative")
+    h, w = heatmap.shape
     radius = min(radius, max(h, w, 1))
-    return (radius, *_ringed(h, w, radius, -np.inf, dtype))
-
-
-def _nms_in_buffer(flat: np.ndarray, h: int, w: int, radius: int,
-                   threshold: float, max_k: int) -> KeypointSet:
-    """``nms`` of the map held in the buffer from ``_nms_buffer``."""
     stride = w + 2 * radius
+    flat, plane = _ringed(h, w, radius, -np.inf, heatmap.dtype)
+    plane[...] = heatmap
     # pixel (y, x) sits at first + y*stride + x, and the window centred
     # on it has its top-left cell at y*stride + x
     first = radius * stride + radius
@@ -499,9 +487,7 @@ def _nms_in_buffer(flat: np.ndarray, h: int, w: int, radius: int,
     scores = flat[at]
     ys, xs = np.divmod(at - first, stride)
     order = np.argsort(-scores, kind="stable")[:max_k]
-    xy = np.empty((len(order), 2))
-    xy[:, 0] = xs[order]
-    xy[:, 1] = ys[order]
+    xy = np.stack([xs[order], ys[order]], axis=1).astype(np.float64)
     return KeypointSet(xy, scores[order])
 
 
@@ -611,12 +597,10 @@ def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
 def detect_merged(merged: np.ndarray, radius: int, threshold: float,
                   max_k: int) -> tuple[KeypointSet, Descriptors]:
     """``classical_detect`` of a channel pair's merged (h, w) plane."""
-    h, w = merged.shape
-    radius, ringed, response = _nms_buffer(h, w, radius, max_k, np.float64)
-    _harris(merged, response)
-    keypoints = _nms_in_buffer(ringed, h, w, radius, threshold, max_k)
+    keypoints = nms(_harris(merged), radius, threshold, max_k)
 
     # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated
+    h, w = merged.shape
     cols, rows = keypoints.xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
     rows = np.minimum(np.maximum(rows[:, None] + span, 0), h - 1)
@@ -629,8 +613,8 @@ def detect_merged(merged: np.ndarray, radius: int, threshold: float,
     return keypoints, _normalize_rows(patches)
 
 
-def _harris(merged: np.ndarray, out: np.ndarray) -> None:
-    """The Harris response of the (h, w) merged plane, written to ``out``.
+def _harris(merged: np.ndarray) -> np.ndarray:
+    """The Harris response of the (h, w) merged plane, an (h, w) view.
 
     The plane is widened to float64 inside a zero border ``_RING`` wide.
     Every step is a 1D op on contiguous slices of whole plane rows,
@@ -673,17 +657,15 @@ def _harris(merged: np.ndarray, out: np.ndarray) -> None:
     np.multiply(gx, gy, out=products[2, lo:lo + n])
     sxx, syy, sxy = _boxsum3(products, lo, n, stride, work)
 
-    # sxx*syy - sxy*sxy - HARRIS_K*(sxx + syy)**2, in that order; the
-    # last op writes the plane of ``out`` alone
+    # sxx*syy - sxy*sxy - HARRIS_K*(sxx + syy)**2, in that order
     response = np.multiply(sxx, syy, out=work[0, :n])
     sxy *= sxy
     response -= sxy
     sxx += syy
     sxx *= sxx
     sxx *= HARRIS_K
-    inner = slice(_RING, _RING + w)
-    np.subtract(response.reshape(h, stride)[:, inner],
-                sxx.reshape(h, stride)[:, inner], out=out)
+    response -= sxx
+    return response.reshape(h, stride)[:, _RING:_RING + w]
 
 
 def _boxsum3(x: np.ndarray, lo: int, n: int, stride: int,

@@ -22,7 +22,6 @@ from .detect import Descriptors, KeypointSet
 QMAX = 127
 DEFAULT_MAX_DISTANCE = 0.7
 DEFAULT_INLIER_THRESHOLD = 5.0
-_SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -78,19 +77,11 @@ def distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         dist /= denom  # 0/0 where a norm is zero, overwritten below
     np.sqrt(dist, out=dist)
-    _copysign_unsigned(dist, dots)  # NaN only where 2.0 goes below
+    np.copysign(dist, dots, out=dist)
     np.subtract(1.0, dist, out=dist)
     if not (aa.all() and bb.all()):
         dist[denom == 0] = 2.0
     return dist
-
-
-def _copysign_unsigned(dist: np.ndarray, dots: np.ndarray) -> None:
-    """``np.copysign(dist, dots, out=dist)`` for a ``dist`` of +0 or more,
-    by an OR of the sign bits of ``dots``, which it overwrites."""
-    sign = dots.view(np.uint64)
-    sign &= _SIGN_BIT
-    np.bitwise_or(dist.view(np.uint64), sign, out=dist.view(np.uint64))
 
 
 def match_mutual_nn(a: QuantizedDescriptors, b: QuantizedDescriptors,

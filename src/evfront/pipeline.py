@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# classical_detect stays a name here, for tracers that rebind it
+# classical_detect is a placeholder for tracers that rebind it by name:
+# no frame calls it here, so the span it gives is empty
 from .detect import (KeypointSet, WeightBundle, classical_detect,  # noqa: F401
                      detect_merged, forward, interpolate_descriptors, nms)
 from .events import TIMESTAMP_LIMIT, EventBatch, SensorGeometry

@@ -24,9 +24,6 @@ from evfront.detect import (
     NetworkSpec,
     _RING,
     _boxsum3,
-    _harris,
-    _nms_buffer,
-    _nms_in_buffer,
     _normalize_rows,
     _ringed,
     classical_detect,
@@ -1103,34 +1100,6 @@ class TestClassicalDetect:
                 ("left", x < 3), ("right", x + 4 >= w),
                 ("top", y < 3), ("bottom", y + 4 >= h)) if past.any()}
         assert borders == {"left", "right", "top", "bottom"}
-
-    def test_nms_on_the_harris_ring_equals_nms_of_a_copy(self):
-        # Harris writes its response into nms's -inf-ringed buffer; nms
-        # over that buffer equals nms of the response copied out, on the
-        # corner grid and on random planes, at radii past the clamp
-        rng = np.random.default_rng(43)
-        wspec = WindowSpec.default_constant_count()
-        _, tensor = corner_tensor(SensorGeometry(96, 72), wspec, pitch=24,
-                                  side=8)
-        planes = [tensor.channels[[1, tensor.K + 1]]]
-        for h, w in ((2, 2), (5, 31), (40, 3), (33, 47)):
-            ch = rng.random((2, h, w), dtype=np.float32)
-            ch[ch < 0.5] = 0.0
-            planes.append(ch)
-        found = 0
-        for ch in planes:
-            h, w = ch.shape[1:]
-            for radius, threshold, max_k in ((1, -np.inf, 500),
-                                             (4, 1e-4, 256), (2, 0.0, 3),
-                                             (300, -np.inf, 10)):
-                r, ring, response = _nms_buffer(h, w, radius, max_k,
-                                                np.float64)
-                _harris(np.maximum(ch[0], ch[1]), response)
-                got = _nms_in_buffer(ring, h, w, r, threshold, max_k)
-                want = nms(response.copy(), radius, threshold, max_k)
-                assert_same_keypoints(got, want)
-                found += len(got)
-        assert found > 50
 
     def test_boxsum_matches_reference_bitwise(self):
         # the flat box sum on the Harris buffer layout: planes stacked in

@@ -9,7 +9,6 @@ from evfront.matching import (
     QMAX,
     Match,
     QuantizedDescriptors,
-    _copysign_unsigned,
     distance_matrix,
     match_mutual_nn,
     quantize,
@@ -62,26 +61,6 @@ def distance_matrix_previous(a, b):
     np.copysign(dist, dots, out=dist)
     np.subtract(1.0, dist, out=dist)
     dist[denom == 0] = 2.0
-    return dist
-
-
-def distance_matrix_copysign(a, b):
-    # the form before the sign-bit OR: np.copysign of the dots' sign
-    exact = np.float32 if a.shape[1] * 128 ** 2 <= 2 ** 24 else np.float64
-    af = a.astype(exact)
-    bf = b.astype(exact)
-    dots = (af @ bf.T).astype(np.float64, copy=False)
-    aa, bb = (np.einsum("ij,ij->i", v, v).astype(np.float64)
-              for v in (af, bf))
-    denom = aa[:, None] * bb
-    dist = dots * dots
-    with np.errstate(invalid="ignore"):
-        dist /= denom
-    np.sqrt(dist, out=dist)
-    np.copysign(dist, dots, out=dist)
-    np.subtract(1.0, dist, out=dist)
-    if not (aa.all() and bb.all()):
-        dist[denom == 0] = 2.0
     return dist
 
 
@@ -277,38 +256,6 @@ class TestCosineDistance:
                     want = distance_matrix_previous(x, y)
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes()
-
-    def test_sign_bit_equals_copysign(self):
-        # byte for byte the copysign form, on seeded cases: random rows,
-        # zero rows, repeated rows (exact ties), orthogonal rows (zero
-        # dots, also of signed-zero products) and the float64 GEMM path
-        rng = np.random.default_rng(52)
-        cases = 0
-        for d in (64, 64, 64, 1100):
-            a = rng.integers(-127, 128, (30, d)).astype(np.int8)
-            b = rng.integers(-127, 128, (25, d)).astype(np.int8)
-            a[3] = 0
-            b[[4, 9]] = 0
-            b[10:13] = b[0]
-            a[5:7] = -b[1]
-            a[8, :] = 0
-            a[8, 1] = -1
-            b[14, :] = 0
-            b[14, 0] = -1
-            got = distance_matrix(a, b)
-            assert got.tobytes() == distance_matrix_copysign(a, b).tobytes()
-            assert got[8, 14] == 1.0 and (got[5:7, 1] == 2.0).all()
-            assert (got[3] == 2.0).all() and (got[:, [4, 9]] == 2.0).all()
-            assert (got[:, 10:13] == got[:, [0]]).all()
-            cases += 1
-        # a -0.0 dot does not come out of this GEMM, so the sign step
-        # meets one here: dist is +0 or positive wherever it is kept
-        dots = np.array([-0.0, 0.0, -3.0, 5.0, -1e-300, 0.0, -2.0])
-        dist = np.array([0.0, 0.0, 0.5, 1.0, 0.0, 1e-310, 2.0])
-        want = np.copysign(dist, dots)
-        _copysign_unsigned(dist, dots)
-        assert dist.tobytes() == want.tobytes()
-        assert np.signbit(want[0]) and cases == 4
 
     def test_scalar_is_matrix_element(self):
         rng = np.random.default_rng(13)

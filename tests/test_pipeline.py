@@ -480,9 +480,15 @@ class TestFrontendStep:
 
 
 def test_layer_functions_stay_names_of_the_pipeline():
-    # span tracers rebind these names in the pipeline module; the
-    # classical frame no longer calls classical_detect or mcts through
-    # them, but a missing name would fail every traced run
+    """Span tracers rebind these names in the pipeline module, and a
+    missing name fails every traced run.
+
+    ``classical_detect`` is a placeholder: no frame calls it through this
+    module, so its span is empty, as is ``mcts``'s on classical runs (the
+    classical frame runs ``merged_surface`` and ``detect_merged``). Once
+    the frontend times its stages through a span hook of its own, the
+    placeholder import and this test go.
+    """
     for name in ("preprocess_tick", "freeze_snapshot", "frontend_step",
                  "apply_events", "mcts", "classical_detect", "forward", "nms",
                  "interpolate_descriptors", "quantize", "match_mutual_nn"):
