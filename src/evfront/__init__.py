@@ -5,7 +5,7 @@ Constant-event-count multi-channel time surfaces, keypoint detection
 matching, and an asynchronous snapshot pipeline tying them together.
 """
 
-from .events import (Event, EventBatch, MotionSpec, SensorGeometry,
+from .events import (EventBatch, MotionSpec, SensorGeometry,
                      StreamFormatError, corner_positions, empty_batch,
                      linear_warp, parse_events, synthesize, write_events)
 from .surface import (EventCountRing, MctsTensor, MotionInvarianceReport,
@@ -26,7 +26,7 @@ from .pipeline import (FrameResult, Metrics, PipelineConfig, ReplaySource,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event", "EventBatch", "MotionSpec", "SensorGeometry",
+    "EventBatch", "MotionSpec", "SensorGeometry",
     "StreamFormatError", "corner_positions", "empty_batch", "linear_warp",
     "parse_events", "synthesize", "write_events",
     "EventCountRing", "MctsTensor", "MotionInvarianceReport", "TimestampGrid",

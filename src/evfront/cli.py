@@ -454,8 +454,9 @@ def _corner_motion(rng, duration: float) -> events.MotionSpec:
 
 
 def _corner_grids(rng):
-    # the pipeline's state holding the whole corner grid stream, and its
-    # surface tensor; n is the sensor's pixel count
+    # the pipeline's state holding the whole corner grid stream, its
+    # surface tensor and the merged plane of channel pair 3, the
+    # classical frame's input; n is the sensor's pixel count
     spec = pipeline.PipelineConfig().window_spec
     motion = _corner_motion(rng, 0.5)
     for size in ((128, 128), (240, 180)):
@@ -464,28 +465,29 @@ def _corner_grids(rng):
             geometry, spec.ring_capacity(geometry))
         grid, ring = state.grid, state.ring
         surface.apply_events(grid, ring, events.synthesize(motion, geometry))
+        tau = grid.latest_time
         yield (geometry.pixel_count, state,
-               surface.mcts(grid, ring, grid.latest_time, spec))
+               surface.mcts(grid, ring, tau, spec),
+               surface.merged_surface(grid, ring, tau, spec, 3))
 
 
 def _bench_snapshot(rng, args):
-    for n, state, _ in _corner_grids(rng):
+    for n, state, _, _ in _corner_grids(rng):
         yield n, lambda: pipeline.freeze_snapshot(state)
 
 
 def _bench_classical(rng, args):
     c = pipeline.PipelineConfig()
-    for n, _, tensor in _corner_grids(rng):
+    for n, _, _, merged in _corner_grids(rng):
         yield n, lambda: detect.classical_detect(
-            tensor, 3, c.nms_radius, c.nms_threshold, c.nms_max_k)
+            merged, c.nms_radius, c.nms_threshold, c.nms_max_k)
 
 
 def _bench_nms(rng, args):
     # on the corner grid's Harris response
     c = pipeline.PipelineConfig()
-    for n, _, tensor in _corner_grids(rng):
-        response = detect._harris(
-            np.maximum(*tensor.channels[[3, tensor.K + 3]]))
+    for n, _, _, merged in _corner_grids(rng):
+        response = detect._harris(merged)
         yield n, lambda: detect.nms(response, c.nms_radius, c.nms_threshold,
                                     c.nms_max_k)
 
@@ -502,7 +504,7 @@ def _bench_describe(rng, args):
     # at the heatmap's NMS keypoints, quantized; n is the keypoint count
     c = pipeline.PipelineConfig()
     weights = detect.random_weights(detect.NetworkSpec(), args.seed)
-    _, _, tensor = next(_corner_grids(rng))
+    _, _, tensor, _ = next(_corner_grids(rng))
     heatmap, desc_map = detect.forward(weights, tensor.channels)
     keypoints = detect.nms(heatmap, c.nms_radius, c.nms_threshold,
                            c.nms_max_k)

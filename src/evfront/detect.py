@@ -2,8 +2,10 @@
 
 Two detector paths share the keypoint/descriptor types: a small learned
 network (4-layer conv encoder, cell-softmax detector head, 64-dim
-descriptor head) run as a pure numpy forward pass, and a deterministic
-Harris-style fallback that needs no weights.
+descriptor head) run as a pure numpy forward pass over the whole surface
+tensor, and a deterministic Harris-style fallback that needs no weights
+and reads one (h, w) plane, a channel pair's surfaces merged by maximum
+(``surface.merged_surface``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .surface import MctsTensor
 
 WEIGHTS_MAGIC = b"SLWT"
 WEIGHTS_VERSION = 1
@@ -131,15 +131,6 @@ def random_weights(spec: NetworkSpec, seed: int) -> WeightBundle:
         return rng.uniform(-bound, bound, shape).astype(np.float32)
 
     return _from_sequence(spec, _build_sequence(spec, uniform))
-
-
-def zero_weights(spec: NetworkSpec) -> WeightBundle:
-    """All-zero kernels and biases; useful for head-contract checks."""
-    return _from_sequence(spec, _build_sequence(spec, _zeros))
-
-
-def _zeros(fan_in: int, shape) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float32)
 
 
 def _build_sequence(spec: NetworkSpec, fill,
@@ -575,28 +566,18 @@ def _normalize_rows(vectors: np.ndarray) -> Descriptors:
 # classical fallback
 
 
-def classical_detect(tensor: MctsTensor, channel_pair: int, radius: int,
-                     threshold: float, max_k: int
-                     ) -> tuple[KeypointSet, Descriptors]:
-    """Harris corners plus patch descriptors, no weights involved.
+def classical_detect(merged: np.ndarray, radius: int, threshold: float,
+                     max_k: int) -> tuple[KeypointSet, Descriptors]:
+    """Harris corners plus patch descriptors of the (h, w) plane
+    ``merged``, no weights involved.
 
-    Channels ``channel_pair`` and ``K + channel_pair`` are merged by
-    maximum; the corner response is det - 0.04*trace^2 of the 3x3-summed
-    structure tensor of finite-difference gradients. Descriptors are the
-    flattened 8x8 patch around each keypoint, mean-subtracted and
-    L2-normalized, making them 64-dim like the learned path.
+    The pipeline passes the channel pair's two surfaces merged by maximum
+    (``surface.merged_surface``). The corner response is
+    det - 0.04*trace^2 of the 3x3-summed structure tensor of
+    finite-difference gradients. Descriptors are the flattened 8x8 patch
+    around each keypoint, mean-subtracted and L2-normalized, making them
+    64-dim like the learned path.
     """
-    k_pairs = tensor.K
-    if not 0 <= channel_pair < k_pairs:
-        raise ValueError(f"channel pair {channel_pair} outside 0..{k_pairs - 1}")
-    return detect_merged(np.maximum(tensor.channels[channel_pair],
-                                    tensor.channels[k_pairs + channel_pair]),
-                         radius, threshold, max_k)
-
-
-def detect_merged(merged: np.ndarray, radius: int, threshold: float,
-                  max_k: int) -> tuple[KeypointSet, Descriptors]:
-    """``classical_detect`` of a channel pair's merged (h, w) plane."""
     keypoints = nms(_harris(merged), radius, threshold, max_k)
 
     # 8x8 patch with top-left 3 px up/left of the keypoint, edge-replicated

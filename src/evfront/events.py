@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,6 +44,9 @@ EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 CSV_HEADER = "t,x,y,p"
 
 _DECODE_RUN = 1 << 14  # sort keys decoded at a time by synthesize
+# synthesize's bound on a scene's events (28 GB of binary-v1 records) and
+# on its lattice offsets per axis
+_MAX_SYNTH_EVENTS = 1 << 31
 
 
 class StreamFormatError(ValueError):
@@ -64,13 +66,6 @@ class StreamFormatError(ValueError):
         super().__init__(message + where)
         self.offset = offset
         self.line = line
-
-
-class Event(NamedTuple):
-    t: int
-    x: int
-    y: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -118,18 +113,6 @@ class EventBatch:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __iter__(self) -> Iterator[Event]:
-        for rec in self.events:
-            yield Event(int(rec["t"]), int(rec["x"]), int(rec["y"]), int(rec["p"]))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            if i.step in (None, 1):
-                return self.slice(i.start, i.stop)
-            return EventBatch(self.events[i], self.geometry)
-        rec = self.events[i]
-        return Event(int(rec["t"]), int(rec["x"]), int(rec["y"]), int(rec["p"]))
 
     def slice(self, start: int, stop: int) -> "EventBatch":
         """Events ``start:stop``, a view; not re-validated."""
@@ -356,13 +339,14 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
     one in-place sort by value orders the stream; equal keys are equal
     records, so no stable sort, permutation or gather is needed. The keys
     fit in int64 while ``(floor(duration * 1e6) + 1) * 2*W*H <= 2**63``:
-    a longer scene on the sensor is rejected, as is a ``start_time``
-    outside ``[0, 2**62)``, before any arithmetic. The corner grid costs
-    one evaluation per pixel offset from a square's anchor, on each column
-    offset's band of rows only, plus a shifted copy per square of the
-    crossings inside the frame (see ``_grid_keys``). The stream is byte
-    for byte that of evaluating every square on every pixel and sorting
-    on four keys.
+    a longer scene on the sensor is rejected before any arithmetic, as
+    are a ``start_time`` outside ``[0, 2**62)`` and a scene that may hold
+    more than 2**31 events or span more than 2**31 lattice offsets. The
+    corner grid costs one evaluation per pixel offset from a square's
+    anchor, on each column offset's band of rows only, plus a shifted
+    copy per square of the crossings inside the frame (see
+    ``_grid_keys``). The stream is byte for byte that of evaluating every
+    square on every pixel and sorting on four keys.
     """
     if not 0 <= start_time < TIMESTAMP_LIMIT:
         raise ValueError(f"start time {start_time} outside [0, 2**62)")
@@ -374,6 +358,16 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
             f"a {spec.duration} s scene on a {w}x{h} sensor exceeds the sort "
             f"key limit: (floor(duration * 1e6) + 1) * 2*W*H must not "
             f"exceed 2**63")
+    # the edge passes each pixel twice; on the grid a pixel's path visits
+    # at most |dx|/pitch + |dy|/pitch + 3 lattice cells and enters and
+    # leaves each cell's square at most once
+    vx, vy = spec.velocity
+    per_pixel = 2.0 if spec.pattern == "vertical-edge" else 2.0 * (
+        (abs(vx) + abs(vy)) * spec.duration / spec.grid_pitch + 3)
+    if not per_pixel * w * h <= _MAX_SYNTH_EVENTS:
+        raise ValueError(
+            f"a {spec.duration} s scene at {spec.velocity} px/s on a {w}x{h} "
+            f"sensor may hold more than 2**31 events")
     if spec.pattern == "vertical-edge":
         t, x, y, p = _edge_events(spec, geometry)
         keys = _stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + (p > 0), span)
@@ -441,14 +435,23 @@ def _edge_events(spec: MotionSpec, geometry: SensorGeometry):
 
 def _lattice_lines(spec: MotionSpec, geometry: SensorGeometry):
     """Anchors of the lattice columns and rows whose squares' paths can
-    touch the frame, ascending, as integer-valued floats."""
+    touch the frame, ascending, as integer-valued floats; 0 is one.
+
+    At time t the square of anchor a covers [a + v*t, a + side + v*t], so
+    it can reach pixels 0..extent only from an anchor in
+    [-side - max(0, sweep), extent - min(0, sweep)].
+    """
     vx, vy = spec.velocity
     pitch, side = spec.grid_pitch, spec.square_side
     spans = []
     for extent, v in ((geometry.width, vx), (geometry.height, vy)):
         sweep = v * spec.duration
-        lo = math.floor((min(0.0, -sweep) - side) / pitch) * pitch
-        hi = math.ceil((extent + max(0.0, -sweep)) / pitch) * pitch
+        lo = math.ceil((min(0.0, -sweep) - side) / pitch) * pitch
+        hi = math.floor((extent + max(0.0, -sweep)) / pitch) * pitch
+        if extent + hi - lo > _MAX_SYNTH_EVENTS:
+            raise ValueError(
+                f"the {spec.duration} s scene at {spec.velocity} px/s spans "
+                f"more than 2**31 lattice offsets")
         spans.append(np.arange(lo, hi + 1, pitch, dtype=np.float64))
     return spans
 

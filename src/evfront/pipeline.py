@@ -28,10 +28,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# classical_detect is a placeholder for tracers that rebind it by name:
-# no frame calls it here, so the span it gives is empty
-from .detect import (KeypointSet, WeightBundle, classical_detect,  # noqa: F401
-                     detect_merged, forward, interpolate_descriptors, nms)
+from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
+                     interpolate_descriptors, nms)
 from .events import TIMESTAMP_LIMIT, EventBatch, SensorGeometry
 from .matching import (DEFAULT_MAX_DISTANCE, QMAX, Match,
                        QuantizedDescriptors, match_mutual_nn, quantize)
@@ -71,7 +69,10 @@ class PipelineConfig:
             raise ValueError("learned detector needs weights")
         if self.watermark_lag < 0:
             raise ValueError("watermark lag cannot be negative")
-        self.window_spec.pair_window(self.channel_pair)  # pair in 0..K-1
+        k = self.window_spec.K
+        if not 0 <= self.channel_pair < k:
+            raise ValueError(f"channel pair {self.channel_pair} outside "
+                             f"0..{k - 1}")
         if self.nms_radius < 1:
             raise ValueError("NMS radius must be at least 1")
         if self.nms_max_k < 0:
@@ -204,9 +205,11 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
     """One frontend iteration over a frozen snapshot.
 
     tau is the snapshot's newest applied event time (the latest possible
-    event state). The classical detector reads one plane, its channel
-    pair merged by maximum, and gets that alone, built straight from the
-    grid. Matching runs current-against-previous descriptors.
+    event state). The learned detector reads the whole surface tensor
+    (``mcts``). ``classical_detect`` reads one plane, the configured
+    channel pair merged by maximum, which ``merged_surface`` builds
+    straight from the grid; no tensor is built. Matching runs
+    current-against-previous descriptors.
     """
     t0 = _now_us()
     grid = snapshot.grid
@@ -222,11 +225,10 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
         descriptors = interpolate_descriptors(desc_map, keypoints,
                                               config.weights.spec.cell)
     else:
-        merged = merged_surface(
-            grid, snapshot.ring, tau,
-            config.window_spec.pair_window(config.channel_pair))
+        merged = merged_surface(grid, snapshot.ring, tau, config.window_spec,
+                                config.channel_pair)
         t1 = _now_us()
-        keypoints, descriptors = detect_merged(
+        keypoints, descriptors = classical_detect(
             merged, config.nms_radius, config.nms_threshold, config.nms_max_k)
     quantized = quantize(descriptors)
     t2 = _now_us()

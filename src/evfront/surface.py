@@ -83,20 +83,6 @@ class WindowSpec:
     def default_constant_count(cls) -> "WindowSpec":
         return cls("constant-count", normalized_counts=DEFAULT_NORMALIZED_COUNTS)
 
-    def pair_window(self, pair: int) -> "WindowSpec":
-        """One-window spec of channel pair ``pair``.
-
-        ``mcts`` with it builds planes ``pair`` and ``K + pair`` of the
-        full tensor, bit for bit: the window count (or duration) and so
-        the realized duration are the pair's own.
-        """
-        if not 0 <= pair < self.K:
-            raise ValueError(f"channel pair {pair} outside 0..{self.K - 1}")
-        if self.mode == "fixed-duration":
-            return WindowSpec(self.mode, durations=(self.durations[pair],))
-        return WindowSpec(self.mode,
-                          normalized_counts=(self.normalized_counts[pair],))
-
     def ring_capacity(self, geometry: SensorGeometry) -> int:
         """Minimum ring size for the largest window, plus the newest slot."""
         if self.mode != "constant-count":
@@ -380,12 +366,15 @@ def _durations(grid: TimestampGrid, ring: EventCountRing, tau: int,
 
 
 def merged_surface(grid: TimestampGrid, ring: EventCountRing, tau: int,
-                   spec: WindowSpec) -> np.ndarray:
-    """The maximum of the two planes ``mcts`` builds for one-window
-    ``spec``, bit for bit: the decay does not grow with age, so it is the
-    decay of each pixel's smaller age (as uint64, as ``mcts`` reads it)."""
+                   spec: WindowSpec, pair: int) -> np.ndarray:
+    """Planes ``pair`` and ``K + pair`` of the tensor ``mcts`` builds for
+    ``spec``, merged by maximum, bit for bit: the decay does not grow
+    with age, so it is the decay of each pixel's smaller age (as uint64,
+    as ``mcts`` reads it) over window ``pair``."""
+    if not 0 <= pair < spec.K:
+        raise ValueError(f"channel pair {pair} outside 0..{spec.K - 1}")
     _check_tau(tau)
-    (dt,) = _durations(grid, ring, tau, spec)
+    dt = _durations(grid, ring, tau, spec)[pair]
     age = np.subtract(tau, grid.last_t).view(np.uint64)
     youngest = np.minimum(age[0], age[1], out=age[0])
     values = _decay(youngest, dt)

@@ -221,10 +221,14 @@ class TestSurface:
 
 
 def _main_peak(argv):
-    """cli.main(argv) under tracemalloc: (exit code, peak bytes)."""
+    """cli.main(argv) under tracemalloc: (exit code, peak bytes); the
+    parser's own rejections exit 2 by SystemExit."""
     tracemalloc.start()
     try:
-        rc = cli.main(argv)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
         return rc, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,18 +619,74 @@ class TestBenchInputs:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-    @pytest.mark.parametrize("events_n", ["99999999999999999999",
-                                          str(10 ** 7 + 1)])
-    def test_events_n_past_its_ceiling_is_usage_error(
-            self, capsys, monkeypatch, events_n):
-        def no_timing(call, iterations):
-            raise AssertionError("a bench row ran")
-        monkeypatch.setattr(cli, "_time_us", no_timing)
-        rc = cli.main(["bench", "--workload", "ingest", "--events-n",
-                       events_n])
-        assert rc == 2
-        assert capsys.readouterr().err == \
-            "error: events-n must be at most 10**7\n"
+# Every numeric option, one at a time, each given every value of
+# _SWEEP_VALUES on top of a small valid command. Rows are (label, the
+# command before the option, the option with the value written as {}).
+# Left out: bench --iterations 99999999999999999999, which is no error,
+# only a run of that many iterations.
+_SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300",
+                 "99999999999999999999")
+_SYNTH = ["synth", "--pattern", "grid-of-corners", "--velocity=-56,-42",
+          "--duration", "0.1", "--geometry", "32x32", "--grid-pitch", "16",
+          "--square-side", "6", "-o", "{out}/s.bin"]
+_RUN = ["run", "-i", "{src}", "--mode", "serial"]
+_LEARNED = [*_RUN, "--detector", "learned"]
+_BENCH = ["bench", "--workload", "ingest", "--events-n", "1000",
+          "--iterations", "1"]
+_SWEEP = [
+    *(("synth", _SYNTH, option) for option in (
+        "--velocity={},30", "--duration={}", "--geometry={}x{}",
+        "--start-time={}", "--grid-pitch={}", "--square-side={}")),
+    *(("surface", ["surface", "-i", "{src}", "-o", "{out}/s", *mode], option)
+      for mode, option in (([], "--tau={}"), ([], "--counts={}"),
+                           (["--mode", "fixed-duration"], "--durations={}"))),
+    *((label, base, option)
+      for label, base in (("run classical", _RUN), ("run learned", _LEARNED))
+      for option in (
+          "--tick={}", "--watermark-lag={}", "--counts=0.03,0.1,0.3,{}",
+          "--channel-pair={}", "--nms-radius={}", "--nms-threshold={}",
+          "--nms-max-k={}", "--max-distance={}", "--metrics-interval={}")),
+    ("run learned", _LEARNED, "--weights-seed={}"),
+    *(("verify", ["verify", "--geometry", "32x32"], option) for option in (
+        "--geometry={}x{}", "--speed={}", "--factor={}", "--counts={}")),
+    *(("bench", _BENCH, option) for option in (
+        "--events-n={}", "--iterations={}", "--seed={}")),
+]
+# (option, value) cases that must end in exactly this usage error
+_USAGE_ERRORS = {("--events-n={}", v): "error: events-n must be at most "
+                 "10**7\n" for v in ("99999999999999999999", str(10**7 + 1))}
+
+
+@pytest.fixture(scope="module")
+def sweep_stream(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    assert cli.main([a.format(out=out) for a in _SYNTH]) == 0
+    return out / "s.bin"
+
+
+@pytest.mark.parametrize(
+    "label, base, option", _SWEEP,
+    ids=[f"{label} {option.split('=')[0]}" for label, _, option in _SWEEP])
+def test_no_flag_value_is_an_internal_error(tmp_path, capsys, sweep_stream,
+                                            label, base, option):
+    """Each case exits 0, 2 or 3, or 1 with a ``verify`` fail verdict,
+    within a few MB of traced memory: no value reaches the last-resort
+    ``internal error`` boundary or asks for a huge allocation."""
+    argv = [a.format(src=sweep_stream, out=tmp_path) for a in base]
+    values = [*_SWEEP_VALUES, *(v for o, v in _USAGE_ERRORS
+                                if o == option and v not in _SWEEP_VALUES)]
+    if option == "--iterations={}":
+        values.remove("99999999999999999999")
+    for value in values:
+        capsys.readouterr()
+        rc, peak = _main_peak([*argv, option.format(value, value)])
+        err = capsys.readouterr().err
+        case = (label, option, value, rc, err)
+        assert "internal error" not in err, case
+        assert rc in (0, 2, 3) or (label == "verify" and rc == 1), case
+        assert peak < 8 << 20, (case, peak)
+        if (option, value) in _USAGE_ERRORS:
+            assert rc == 2 and err == _USAGE_ERRORS[option, value], case
 
 
 class TestConfigFile:

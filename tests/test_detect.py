@@ -34,7 +34,6 @@ from evfront.detect import (
     nms,
     random_weights,
     save_weights,
-    zero_weights,
 )
 from evfront.events import (
     MotionSpec,
@@ -44,11 +43,11 @@ from evfront.events import (
 )
 from evfront.surface import (
     EventCountRing,
-    MctsTensor,
     TimestampGrid,
     WindowSpec,
     apply_events,
     mcts,
+    merged_surface,
 )
 
 
@@ -190,7 +189,7 @@ def nms_dense_reference(heatmap, radius, threshold, max_k):
 
 def patch_tail_reference(merged, xy):
     # the np.clip, 2D-index and np.mean form of classical_detect's
-    # descriptor tail, over the merged plane
+    # descriptor tail
     h, w = merged.shape
     cols, rows = xy.astype(np.intp).T
     span = np.arange(PATCH) - (PATCH // 2 - 1)
@@ -213,10 +212,13 @@ def patches_reference(merged, xy):
     return patches
 
 
-def classical_reference(tensor, channel_pair, radius, threshold, max_k):
-    k_pairs = tensor.K
-    merged = np.maximum(tensor.channels[channel_pair],
-                        tensor.channels[k_pairs + channel_pair])
+def pair_plane(tensor, pair):
+    """Planes ``pair`` and ``K + pair`` of a tensor merged by maximum: the
+    classical detector's input."""
+    return np.maximum(tensor.channels[pair], tensor.channels[tensor.K + pair])
+
+
+def classical_reference(merged, radius, threshold, max_k):
     gy, gx = np.gradient(merged.astype(np.float64))
     sxx = boxsum3_reference(gx * gx)
     syy = boxsum3_reference(gy * gy)
@@ -233,6 +235,12 @@ def assert_same_keypoints(got, want):
     assert got.scores.dtype == want.scores.dtype
     assert np.array_equal(got.xy, want.xy)
     assert np.array_equal(got.scores, want.scores)
+
+
+def zero_bundle(spec):
+    """All-zero kernels and biases, identity batchnorm."""
+    return detect._from_sequence(spec, detect._build_sequence(
+        spec, lambda fan_in, shape: np.zeros(shape, np.float32)))
 
 
 def corner_tensor(geo, spec, velocity=(40.0, 30.0), duration=1.0,
@@ -315,7 +323,7 @@ class TestForwardNumerics:
         assert np.array_equal(d0[:, 2:-3, 2:-3], d1[:, 3:-2, 3:-2])
 
     def test_zero_weights_give_uniform_softmax(self):
-        w = zero_weights(SPEC)
+        w = zero_bundle(SPEC)
         x = np.zeros((8, 32, 32), dtype=np.float32)
         heat, desc = forward(w, x)
         assert np.allclose(heat, 1.0 / SPEC.detector_head_channels)
@@ -903,7 +911,7 @@ class TestWeights:
                                        "bn_shift", "bn_mean", "bn_var"])
     @pytest.mark.parametrize("change", ["short", "long"])
     def test_per_layer_tuple_length_checked(self, field, change):
-        w = zero_weights(SPEC)
+        w = zero_bundle(SPEC)
         tensors = getattr(w, field)
         bad = tensors[:-1] if change == "short" else tensors + tensors[-1:]
         with pytest.raises(ValueError,
@@ -1011,7 +1019,7 @@ class TestWeights:
          "13eee85d23ae4517eb987098f0199ed82307e91acad1cc6d2980bb89d1e6150f"),
         (lambda: random_weights(NetworkSpec(1, (32, 16, 64, 8), 16), 7),
          "8f3f432e47d18105430b88d44ae7d8067ea35734c827a96d26b35588736e7bb6"),
-        (lambda: zero_weights(NetworkSpec()),
+        (lambda: zero_bundle(NetworkSpec()),
          "163ca8031533bcb24150cc718f5a2ff74e343f5364ef53423bd07d348847a6b1"),
     ])
     def test_weight_bytes_pinned(self, make, digest):
@@ -1022,9 +1030,8 @@ class TestWeights:
 
 class TestClassicalDetect:
     def test_flat_surface_yields_nothing(self):
-        t = MctsTensor(np.zeros((8, 32, 32), dtype=np.float32), 100,
-                       (1, 2, 3, 4))
-        kps, desc = classical_detect(t, 1, 4, 1e-4, 100)
+        kps, desc = classical_detect(np.zeros((32, 32), dtype=np.float32),
+                                     4, 1e-4, 100)
         assert len(kps.xy) == 0
         assert desc.vectors.shape == (0, 64)
         assert desc.vectors.dtype == np.float32
@@ -1037,7 +1044,7 @@ class TestClassicalDetect:
         geo = SensorGeometry(128, 128)
         wspec = WindowSpec.default_constant_count()
         motion, tensor = corner_tensor(geo, wspec, velocity=(50.0, 0.0))
-        kps, _ = classical_detect(tensor, 2, 2, 1e-8, 1024)
+        kps, _ = classical_detect(pair_plane(tensor, 2), 2, 1e-8, 1024)
         truth = corner_positions(motion, geo, tensor.tau)
         hits = 0
         for c in truth:
@@ -1049,7 +1056,7 @@ class TestClassicalDetect:
         geo = SensorGeometry(64, 64)
         wspec = WindowSpec.default_constant_count()
         _, tensor = corner_tensor(geo, wspec)
-        _, desc = classical_detect(tensor, 1, 4, 1e-4, 256)
+        _, desc = classical_detect(pair_plane(tensor, 1), 4, 1e-4, 256)
         assert desc.vectors.shape[1] == 64
         norms = np.linalg.norm(desc.vectors[desc.valid], axis=1)
         assert np.allclose(norms, 1.0, atol=1e-5)
@@ -1059,7 +1066,7 @@ class TestClassicalDetect:
         geo = SensorGeometry(64, 64)
         wspec = WindowSpec.default_constant_count()
         _, tensor = corner_tensor(geo, wspec)
-        _, desc = classical_detect(tensor, 1, 4, 1e-4, 256)
+        _, desc = classical_detect(pair_plane(tensor, 1), 4, 1e-4, 256)
         distinct = np.unique(np.round(desc.vectors, 5), axis=0)
         assert len(distinct) < len(desc.vectors)
 
@@ -1071,10 +1078,10 @@ class TestClassicalDetect:
             _, tensor = corner_tensor(SensorGeometry(w, h), wspec,
                                       velocity=velocity, pitch=24, side=8)
             for pair in range(tensor.K):
+                merged = pair_plane(tensor, pair)
                 for params in ((4, 1e-4, 256), (2, 1e-8, 1024)):
-                    kps, desc = classical_detect(tensor, pair, *params)
-                    want_kps, want_desc = classical_reference(tensor, pair,
-                                                              *params)
+                    kps, desc = classical_detect(merged, *params)
+                    want_kps, want_desc = classical_reference(merged, *params)
                     assert_same_keypoints(kps, want_kps)
                     assert np.array_equal(desc.vectors, want_desc.vectors)
                     assert np.array_equal(desc.valid, want_desc.valid)
@@ -1087,12 +1094,11 @@ class TestClassicalDetect:
         borders = set()
         for trial in range(36):
             h, w = (int(v) for v in rng.integers(2, 24, 2))
-            channels = rng.random((4, h, w)) * (1.0, 1e-39, 1e30)[trial % 3]
-            channels[rng.random(channels.shape) < 0.4] = 0.0
-            tensor = MctsTensor(channels.astype(np.float32), 100, (1, 2))
-            kps, desc = classical_detect(tensor, 1, 1, -np.inf, 500)
-            want = patch_tail_reference(
-                np.maximum(tensor.channels[1], tensor.channels[3]), kps.xy)
+            merged = rng.random((h, w)) * (1.0, 1e-39, 1e30)[trial % 3]
+            merged[rng.random(merged.shape) < 0.4] = 0.0
+            merged = merged.astype(np.float32)
+            kps, desc = classical_detect(merged, 1, -np.inf, 500)
+            want = patch_tail_reference(merged, kps.xy)
             assert_same_bytes((desc.vectors, desc.valid),
                               (want.vectors, want.valid))
             x, y = kps.xy.T  # a patch spans x - 3 .. x + 4
@@ -1128,30 +1134,32 @@ class TestClassicalDetect:
         rng = np.random.default_rng(25)
         for h, w in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 17), (19, 3),
                      (3, 40)):
-            ch = rng.random((4, h, w), dtype=np.float32)
-            ch[ch < 0.3] = 0.0
-            tensor = MctsTensor(ch, 1_000, (10, 20))
-            for pair in (0, 1):
+            for merged in rng.random((2, h, w), dtype=np.float32):
+                merged[merged < 0.3] = 0.0
                 for params in ((1, -np.inf, 100), (2, 0.0, 100),
                                (1, 1e-4, 2)):
-                    kps, desc = classical_detect(tensor, pair, *params)
-                    want_kps, want_desc = classical_reference(tensor, pair,
-                                                              *params)
+                    kps, desc = classical_detect(merged, *params)
+                    want_kps, want_desc = classical_reference(merged, *params)
                     assert_same_keypoints(kps, want_kps)
                     assert np.array_equal(desc.vectors, want_desc.vectors)
 
     def test_one_pixel_side_rejected_like_np_gradient(self):
         for h, w in ((1, 5), (6, 1), (1, 1)):
-            tensor = MctsTensor(np.ones((2, h, w), dtype=np.float32), 1,
-                                (10,))
+            merged = np.ones((h, w), dtype=np.float32)
             with pytest.raises(ValueError):
-                classical_reference(tensor, 0, 1, 0.0, 10)
+                classical_reference(merged, 1, 0.0, 10)
             with pytest.raises(ValueError):
-                classical_detect(tensor, 0, 1, 0.0, 10)
+                classical_detect(merged, 1, 0.0, 10)
 
     def test_channel_pair_bounds_checked(self):
+        # the classical input of a pair outside 0..K-1 is refused where it
+        # is built, not read from another window
         geo = SensorGeometry(32, 32)
-        wspec = WindowSpec.default_constant_count()
-        _, tensor = corner_tensor(geo, wspec)
-        with pytest.raises(ValueError):
-            classical_detect(tensor, 4, 4, 1e-4, 100)
+        spec = WindowSpec.default_constant_count()
+        grid = TimestampGrid.create(geo)
+        ring = EventCountRing(spec.ring_capacity(geo))
+        apply_events(grid, ring, synthesize(
+            MotionSpec("grid-of-corners", (40.0, 30.0), 0.2), geo))
+        for pair in (-1, spec.K):
+            with pytest.raises(ValueError, match="channel pair"):
+                merged_surface(grid, ring, grid.latest_time, spec, pair)

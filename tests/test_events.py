@@ -1,4 +1,5 @@
-"""Event container, wire formats and synthesizer."""
+"""Event container, wire formats and synthesizer; every parser under
+byte mutation."""
 
 import math
 import re
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 from evfront import events
+from evfront.detect import (NetworkSpec, load_weights, random_weights,
+                            save_weights)
 from evfront.events import (
     BINARY_HEADER_SIZE,
     BINARY_RECORD_SIZE,
+    CSV_HEADER,
     EventBatch,
     MotionSpec,
     SensorGeometry,
@@ -25,6 +29,9 @@ from evfront.events import (
     synthesize,
     write_events,
 )
+from evfront.surface import (MCTS_HEADER_SIZE, EventCountRing, TimestampGrid,
+                             WindowSpec, apply_events, mcts, read_mcts,
+                             write_mcts)
 
 
 def _random_batch(rng, n, geometry, t_span=100_000):
@@ -84,18 +91,19 @@ class TestEventBatch:
         rng = np.random.default_rng(3)
         geo = SensorGeometry(8, 8)
         b = _random_batch(rng, 20, geo)
-        sub = b[5:10]
+        sub = b.slice(5, 10)
         assert len(sub) == 5
-        first = next(iter(b))
-        assert first.t == int(b.events["t"][0])
+        first = next(iter(b.events))
+        assert int(first["t"]) == int(b.events["t"][0])
 
     def test_trusted_slices_carry_events_and_geometry(self):
         rng = np.random.default_rng(5)
         geo = SensorGeometry(9, 7)
         b = _random_batch(rng, 50, geo)
         for sub, want in ((b.slice(3, 40), b.events[3:40]),
-                          (b[10:], b.events[10:]), (b[::1], b.events),
-                          (b[-5:-1], b.events[-5:-1]),
+                          (b.slice(10, len(b)), b.events[10:]),
+                          (b.slice(0, len(b)), b.events),
+                          (b.slice(-5, -1), b.events[-5:-1]),
                           (b.slice(30, 30), b.events[:0])):
             assert isinstance(sub, EventBatch)
             assert sub.geometry == geo
@@ -108,10 +116,11 @@ class TestEventBatch:
         geo = SensorGeometry(8, 8)
         b = _random_batch(rng, 30, geo)
         with pytest.raises(ValueError, match="non-decreasing"):
-            b[::-1]
+            EventBatch(b.events[::-1], geo)
         with pytest.raises(ValueError, match="non-decreasing"):
-            b[20:5:-2]
-        assert np.array_equal(b[::3].events, b.events[::3])
+            EventBatch(b.events[20:5:-2], geo)
+        assert np.array_equal(EventBatch(b.events[::3], geo).events,
+                              b.events[::3])
 
 
 def _binary_stream(stamps, geo=SensorGeometry(4, 4)):
@@ -278,7 +287,7 @@ class TestBinaryFormat:
                                np.array([2], np.uint16),
                                np.array([1], np.int8), geo)
         back = parse_events(write_events(b, "binary-v1"), "binary-v1")
-        assert back[0] == (100, 1, 2, 1)
+        assert back.events.tolist() == [(100, 1, 2, 1)]
 
 
 class TestCsvFormat:
@@ -624,6 +633,42 @@ class TestSortKeyLimit:
             synthesize(MotionSpec("grid-of-corners", (1.0, 1.0), float("inf")),
                        self.GEO)
 
+    def test_scene_past_the_event_bound_rejected_before_allocating(self):
+        # a pixel's path crosses (|vx| + |vy|) * duration / pitch lattice
+        # cells and more; 1e20 px/s would ask for a lattice of 6e17 lines
+        for velocity in ((1e20, 30.0), (-30.0, 1e20), (1e300, 1e300),
+                         (3e5, 3e5)):
+            spec = MotionSpec("grid-of-corners", velocity, 0.1)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="more than 2\\*\\*31"):
+                    synthesize(spec, SensorGeometry(2048, 2048))
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20
+            finally:
+                tracemalloc.stop()
+        with pytest.raises(ValueError, match="more than 2\\*\\*31"):
+            synthesize(MotionSpec("vertical-edge", (1.0, 0.0), 1.0),
+                       SensorGeometry(65535, 32769))
+        # the bound holds every stream the tests and benchmarks synthesize
+        spec = MotionSpec("grid-of-corners", (-300.0, -225.0), 0.5,
+                          grid_pitch=12, square_side=5)
+        assert 0 < len(synthesize(spec, SensorGeometry(240, 180))) < \
+            2 * 43_200 * (525 * 0.5 / 12 + 3)
+
+    def test_pitch_far_past_the_frame_shows_one_square(self):
+        # only the square at anchor 0 can reach a 32x32 frame in 0.1 s;
+        # pitches past int64 or past the memory once read garbage anchors
+        # or allocated an offset per lattice line between them
+        def stream(pitch, velocity=(-56.0, -42.0)):
+            spec = MotionSpec("grid-of-corners", velocity, 0.1,
+                              grid_pitch=pitch, square_side=6)
+            return synthesize(spec, SensorGeometry(32, 32)).events.tobytes()
+
+        want = stream(10**5)
+        assert want and stream(10**15) == stream(10**20) == want
+        with pytest.raises(ValueError, match="more than 2\\*\\*31 lattice"):
+            stream(10**20, (1e25, 42.0))
+
     # a square or edge crossing late in the scene puts keys near 2**63
     @pytest.mark.parametrize("spec", [
         MotionSpec("vertical-edge", (1e-9, 0.0), (2**50 - 1) / 1e6),
@@ -675,3 +720,65 @@ class TestMotionSpecValidation:
         with pytest.raises(ValueError):
             MotionSpec("grid-of-corners", (10.0, 0.0), 1.0,
                        grid_pitch=8, square_side=8)
+
+
+def _mutants(blob, header, rng, count=40):
+    """``count`` seeded mutants of each kind: a bit flipped in the header,
+    a bit flipped anywhere, a truncation, and one to three little-endian
+    0x7fffffff words written over the bytes at some offset."""
+    def flipped(limit):
+        out = bytearray(blob)
+        out[int(rng.integers(limit))] ^= 1 << int(rng.integers(8))
+        return bytes(out)
+
+    for _ in range(count):
+        yield "header flip", flipped(header)
+        yield "flip", flipped(len(blob))
+        yield "truncation", blob[:int(rng.integers(len(blob)))]
+        at = int(rng.integers(len(blob)))
+        run = b"\xff\xff\xff\x7f" * int(rng.integers(1, 4))
+        yield "0x7fffffff run", blob[:at] + run + blob[at + len(run):]
+
+
+def _valid_input(name):
+    """A small valid input of the named parser: (bytes, header size,
+    parse)."""
+    geo = SensorGeometry(12, 9)
+    batch = _random_batch(np.random.default_rng(70), 60, geo)
+    if name == "binary-v1":
+        return (write_events(batch, name), BINARY_HEADER_SIZE,
+                lambda data: parse_events(data, name))
+    if name == "csv":
+        return (write_events(batch, name), len(CSV_HEADER) + 1,
+                lambda data: parse_events(data, name, geo))
+    if name == "mcts":
+        grid = TimestampGrid.create(geo)
+        apply_events(grid, EventCountRing(1), batch)
+        spec = WindowSpec("fixed-duration", durations=(3_000, 40_000))
+        tensor = mcts(grid, EventCountRing(1), grid.latest_time, spec)
+        return write_mcts(tensor), MCTS_HEADER_SIZE, read_mcts
+    weights = random_weights(NetworkSpec(2, (2, 3, 2, 2), 4), 0)
+    return save_weights(weights), 44, load_weights
+
+
+@pytest.mark.parametrize("name", ["binary-v1", "csv", "mcts", "slwt"])
+def test_mutated_inputs_parse_or_raise_value_error(name):
+    """Every seeded mutant of a valid stream, dump or weight file either
+    parses or raises ValueError (StreamFormatError is one), at a small
+    traced peak: a mutated size field never allocates what it declares."""
+    blob, header, parse = _valid_input(name)
+    parse(blob)
+    rng = np.random.default_rng(list(map(ord, name)))
+    outcomes = set()
+    for kind, data in _mutants(blob, header, rng):
+        tracemalloc.start()
+        try:
+            parse(data)
+            outcomes.add("parsed")
+        except ValueError:
+            outcomes.add("ValueError")
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 4 * len(blob) + (1 << 16), (name, kind, peak)
+    assert "ValueError" in outcomes, name

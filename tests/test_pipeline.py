@@ -56,14 +56,14 @@ def _grid_source(duration=1.0, size=64, vel=(-40.0, -30.0), pitch=32,
 def _slow_detector(monkeypatch):
     """Make every classical detection take 20 ms more, inside the
     keypoint_detection stage."""
-    real_detect = pipeline.detect_merged
+    real_detect = pipeline.classical_detect
 
     def slow_detect(*args):
         result = real_detect(*args)
         time.sleep(0.02)
         return result
 
-    monkeypatch.setattr(pipeline, "detect_merged", slow_detect)
+    monkeypatch.setattr(pipeline, "classical_detect", slow_detect)
 
 
 def frontend_step_reference(snapshot, previous, config):
@@ -71,9 +71,10 @@ def frontend_step_reference(snapshot, previous, config):
     # tensor, then let the detector pick the configured pair
     tau = snapshot.grid.latest_time
     tensor = mcts(snapshot.grid, snapshot.ring, tau, config.window_spec)
+    k, pair = tensor.K, config.channel_pair
     keypoints, descriptors = classical_detect(
-        tensor, config.channel_pair, config.nms_radius,
-        config.nms_threshold, config.nms_max_k)
+        np.maximum(tensor.channels[pair], tensor.channels[k + pair]),
+        config.nms_radius, config.nms_threshold, config.nms_max_k)
     quantized = quantize(descriptors)
     matches = [] if previous is None else match_mutual_nn(
         quantized, previous.descriptors, config.match_max_distance)
@@ -483,16 +484,35 @@ def test_layer_functions_stay_names_of_the_pipeline():
     """Span tracers rebind these names in the pipeline module, and a
     missing name fails every traced run.
 
-    ``classical_detect`` is a placeholder: no frame calls it through this
-    module, so its span is empty, as is ``mcts``'s on classical runs (the
-    classical frame runs ``merged_surface`` and ``detect_merged``). Once
-    the frontend times its stages through a span hook of its own, the
-    placeholder import and this test go.
+    The frames call each layer by its name here, so a rebound name times
+    real work. Only ``mcts`` goes uncalled on classical frames, which
+    build just the merged plane (``merged_surface``), so its span is
+    empty on classical runs.
     """
     for name in ("preprocess_tick", "freeze_snapshot", "frontend_step",
                  "apply_events", "mcts", "classical_detect", "forward", "nms",
                  "interpolate_descriptors", "quantize", "match_mutual_nn"):
         assert callable(getattr(pipeline, name)), name
+
+
+def test_classical_frames_call_classical_detect_by_its_pipeline_name(
+        monkeypatch):
+    # what a tracer's rebinding of pipeline.classical_detect relies on:
+    # one call per emitted frame, on the channel pair's merged plane
+    real_detect = pipeline.classical_detect
+    calls = []
+
+    def recording_detect(merged, *args):
+        calls.append((merged.shape, args))
+        return real_detect(merged, *args)
+
+    monkeypatch.setattr(pipeline, "classical_detect", recording_detect)
+    config = PipelineConfig(channel_pair=2)
+    results, _ = run_pipeline(_grid_source(duration=0.3), config,
+                              mode="serial")
+    assert len(results) > 2
+    assert calls == [((64, 64), (config.nms_radius, config.nms_threshold,
+                                 config.nms_max_k))] * len(results)
 
 
 class TestSerialRun:

@@ -73,7 +73,7 @@ class _ReferenceGrid:
         self.stamps = []
 
     def apply(self, batch):
-        for t, x, y, p in batch:
+        for t, x, y, p in batch.events.tolist():
             self.last_t[int(p > 0), y, x] = t
             self.valid[int(p > 0), y, x] = True
             self.stamps.append(t)
@@ -206,7 +206,7 @@ class TestTimestampGrid:
         for lo in range(0, 6_000, 2_000):
             part = batch.slice(lo, lo + 2_000)
             apply_events(grid, ring, part)
-            for t, x, y, p in part:
+            for t, x, y, p in part.events.tolist():
                 want_t[int(p > 0), y, x] = t
                 want_valid[int(p > 0), y, x] = True
         assert np.array_equal(grid.last_t, want_t)
@@ -562,47 +562,12 @@ class TestMcts:
                 assert np.array_equal(tensor.channels, want)
 
 
-    def test_pair_window_builds_that_pairs_planes(self):
-        # bitwise planes p and K + p of the full tensor, with the pair's
-        # realized duration: fed part by part, so the ring is first short
-        # of the largest counts (warm-up), and at taus before the newest
-        # event
-        geo = SensorGeometry(24, 16)
-        rng = np.random.default_rng(16)
-        b = _random_batch(rng, 3_000, geo, 200_000)
-        specs = (WindowSpec.default_constant_count(),
-                 WindowSpec("constant-count", normalized_counts=(0.5, 4.0)),
-                 WindowSpec("fixed-duration", durations=(7, 3_000, 90_000)))
-        for spec in specs:
-            grid = TimestampGrid.create(geo)
-            ring = EventCountRing(spec.ring_capacity(geo))
-            warm = set()
-            for lo in range(0, len(b), 250):
-                apply_events(grid, ring, b.slice(lo, lo + 250))
-                for tau in (grid.latest_time, grid.latest_time - 20_000,
-                            grid.first_time):
-                    full = mcts(grid, ring, tau, spec)
-                    for p in range(spec.K):
-                        one = mcts(grid, ring, tau, spec.pair_window(p))
-                        assert one.K == 1
-                        assert one.window_durations == \
-                            (full.window_durations[p],)
-                        assert np.array_equal(
-                            one.channels,
-                            full.channels[[p, spec.K + p]])
-                        if spec.mode == "constant-count":
-                            n_p = normalized_counts_to_absolute(
-                                spec.pair_window(p), geo)[0]
-                            warm.add(ring.timestamp_back(n_p) is None)
-            if spec.mode == "constant-count":
-                assert warm == {True, False}
-
     def test_merged_surface_is_the_pairs_maximum(self):
-        # byte for byte np.maximum of the one-window tensor's two planes:
-        # fed part by part (cells that never saw an event, warm-up
-        # windows), at taus at the newest event, in the past (stamps after
-        # tau), at the first event and before every stamp, and a window
-        # past 2**62
+        # byte for byte np.maximum of planes p and K + p of the full
+        # tensor: fed part by part (cells that never saw an event, ring
+        # still short of a pair's count), at taus at the newest event, in
+        # the past (stamps after tau), at the first event and before every
+        # stamp, and a window past 2**62
         rng = np.random.default_rng(31)
         geo = SensorGeometry(20, 14)
         b = _random_batch(rng, 1_500, geo, 300_000)
@@ -618,11 +583,11 @@ class TestMcts:
                 apply_events(grid, ring, b.slice(lo, lo + 300))
                 for tau in (grid.latest_time, grid.latest_time - 20_000,
                             grid.first_time, grid.first_time - 5, -5):
+                    full = mcts(grid, ring, tau, spec).channels
                     for p in range(spec.K):
-                        one = spec.pair_window(p)
-                        neg, pos = mcts(grid, ring, tau, one).channels
+                        neg, pos = full[p], full[spec.K + p]
                         want = np.maximum(neg, pos)
-                        got = merged_surface(grid, ring, tau, one)
+                        got = merged_surface(grid, ring, tau, spec, p)
                         assert got.dtype == want.dtype
                         assert got.tobytes() == want.tobytes()
                         cases = {"never": (grid.last_t == NEVER).any(),
@@ -630,8 +595,13 @@ class TestMcts:
                                  "neg wins": ((neg > pos) & (pos > 0)).any(),
                                  "pos wins": ((pos > neg) & (neg > 0)).any(),
                                  "dark": not want.any()}
+                        if spec.mode == "constant-count":
+                            n_p = normalized_counts_to_absolute(spec, geo)[p]
+                            cases["warm-up"] = \
+                                ring.timestamp_back(n_p) is None
                         seen |= {name for name, hit in cases.items() if hit}
-        assert seen == {"never", "after tau", "neg wins", "pos wins", "dark"}
+        assert seen == {"never", "after tau", "neg wins", "pos wins", "dark",
+                        "warm-up"}
 
     def test_matches_uint64_grid_with_valid_mask(self):
         # bitwise against the grid NEVER replaced, fed part by part: both
@@ -667,9 +637,9 @@ class TestMcts:
                     assert full.window_durations == durations
                     assert full.channels.tobytes() == want.tobytes()
                     for p in range(spec.K):
-                        one = mcts(grid, ring, tau, spec.pair_window(p))
-                        assert one.channels.tobytes() == \
-                            want[[p, spec.K + p]].tobytes()
+                        merged = merged_surface(grid, ring, tau, spec, p)
+                        assert merged.tobytes() == np.maximum(
+                            want[p], want[spec.K + p]).tobytes()
                         for chan in (0, 1):
                             got = time_surface(grid, tau, durations[p],
                                                2 * chan - 1)
@@ -722,12 +692,6 @@ class TestMcts:
             assert mcts(grid, ring, tau, spec).channels.tobytes() == \
                 want.tobytes()
         assert want.sum() == 0 and ref.planes(2**62 - 1, (10,)).sum() > 0
-
-    def test_pair_window_rejects_unknown_pairs(self):
-        spec = WindowSpec.default_constant_count()
-        for p in (-1, spec.K):
-            with pytest.raises(ValueError, match="channel pair"):
-                spec.pair_window(p)
 
 
 class TestMctsDump:
