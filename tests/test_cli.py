@@ -618,6 +618,19 @@ class TestBenchInputs:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("events_n", ["99999999999999999999",
+                                          str(10 ** 7 + 1)])
+    def test_events_n_past_its_ceiling_is_usage_error(
+            self, capsys, monkeypatch, events_n):
+        def no_timing(call, iterations):
+            raise AssertionError("a bench row ran")
+        monkeypatch.setattr(cli, "_time_us", no_timing)
+        rc = cli.main(["bench", "--workload", "ingest", "--events-n",
+                       events_n])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: events-n must be at most 10**7\n"
+
 
 # Every numeric option, one at a time, each given every value of
 # _SWEEP_VALUES on top of a small valid command. Rows are (label, the
