@@ -6,8 +6,8 @@ matching, and an asynchronous snapshot pipeline tying them together.
 """
 
 from .events import (EventBatch, MotionSpec, SensorGeometry,
-                     StreamFormatError, corner_positions, empty_batch,
-                     linear_warp, parse_events, synthesize, write_events)
+                     StreamFormatError, corner_positions, linear_warp,
+                     parse_events, synthesize, write_events)
 from .surface import (EventCountRing, MctsTensor, MotionInvarianceReport,
                       TimestampGrid, WindowSpec, adaptive_windows,
                       apply_events, mcts, motion_invariance_report,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EventBatch", "MotionSpec", "SensorGeometry",
-    "StreamFormatError", "corner_positions", "empty_batch", "linear_warp",
+    "StreamFormatError", "corner_positions", "linear_warp",
     "parse_events", "synthesize", "write_events",
     "EventCountRing", "MctsTensor", "MotionInvarianceReport", "TimestampGrid",
     "WindowSpec", "adaptive_windows", "apply_events", "mcts",

@@ -14,6 +14,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -308,11 +309,6 @@ def cmd_run(args) -> int:
             weights = detect.random_weights(detect.NetworkSpec(),
                                             args.weights_seed)
         batch = _crop_to_cell(batch, weights.spec.cell)
-        if 2 * len(args.counts) != weights.spec.input_channels:
-            raise UsageError(
-                f"{len(args.counts)} channel pairs feed "
-                f"{2 * len(args.counts)} channels, weights expect "
-                f"{weights.spec.input_channels}")
 
     try:
         config = pipeline.PipelineConfig(
@@ -344,7 +340,7 @@ def cmd_run(args) -> int:
                     r, include_descriptors=not args.no_descriptors) + "\n")
     if args.metrics:
         Path(args.metrics).write_text(
-            json.dumps(metrics.as_dict(), indent=2) + "\n")
+            json.dumps(asdict(metrics), indent=2) + "\n")
     if args.timings_csv:
         Path(args.timings_csv).write_bytes(pipeline.metrics_to_csv(metrics))
     total_matches = sum(len(r.matches_to_previous) for r in results)
@@ -553,8 +549,8 @@ def _bench_pipeline(rng, args):
         config = pipeline.PipelineConfig(detector=detector, weights=weights,
                                          channel_pair=3,
                                          match_max_distance=0.4)
-        yield len(source), lambda: pipeline.run_pipeline(source, config,
-                                                         "serial")
+        yield len(source.batch), lambda: pipeline.run_pipeline(
+            source, config, "serial")
 
 
 # workload -> setup(rng, args) yielding (n, call) per row. Rows are timed

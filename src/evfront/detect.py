@@ -462,6 +462,10 @@ def nms(heatmap: np.ndarray, radius: int, threshold: float,
     first = radius * stride + radius
     n = (h - 1) * stride + w
     values = flat[first:first + n]
+    with np.errstate(over="ignore"):
+        # cast once to the type numpy compares in (the heatmap's, for a
+        # Python float), where a threshold past its range is +-inf
+        threshold = np.result_type(heatmap.dtype, threshold).type(threshold)
     full_max = _window_max(flat, 2 * radius + 1, stride)[:n]
     at = first + np.flatnonzero((values == full_max) & (values >= threshold))
     # a strict maximum is a maximum of its full square whose value occurs

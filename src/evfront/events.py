@@ -155,10 +155,6 @@ def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:
     return EventBatch(ev, geometry)
 
 
-def empty_batch(geometry: SensorGeometry) -> EventBatch:
-    return EventBatch(np.empty(0, dtype=EVENT_DTYPE), geometry)
-
-
 @dataclass(frozen=True)
 class MotionSpec:
     """Synthetic scene description.
@@ -446,9 +442,10 @@ def _lattice_lines(spec: MotionSpec, geometry: SensorGeometry):
     spans = []
     for extent, v in ((geometry.width, vx), (geometry.height, vy)):
         sweep = v * spec.duration
-        lo = math.ceil((min(0.0, -sweep) - side) / pitch) * pitch
-        hi = math.floor((extent + max(0.0, -sweep)) / pitch) * pitch
-        if extent + hi - lo > _MAX_SYNTH_EVENTS:
+        if math.isfinite(sweep):
+            lo = math.ceil((min(0.0, -sweep) - side) / pitch) * pitch
+            hi = math.floor((extent + max(0.0, -sweep)) / pitch) * pitch
+        if not math.isfinite(sweep) or extent + hi - lo > _MAX_SYNTH_EVENTS:
             raise ValueError(
                 f"the {spec.duration} s scene at {spec.velocity} px/s spans "
                 f"more than 2**31 lattice offsets")

@@ -24,21 +24,17 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
                      interpolate_descriptors, nms)
-from .events import TIMESTAMP_LIMIT, EventBatch, SensorGeometry
+from .events import TIMESTAMP_LIMIT, US_PER_S, EventBatch, SensorGeometry
 from .matching import (DEFAULT_MAX_DISTANCE, QMAX, Match,
                        QuantizedDescriptors, match_mutual_nn, quantize)
 from .surface import (EventCountRing, TimestampGrid, WindowSpec, apply_events,
                       mcts, merged_surface, stream_ring_capacity)
-
-US_PER_S = 1_000_000
-
-STAGE_NAMES = ("mcts_preparation", "keypoint_detection", "matching", "total")
 
 
 def _now_us() -> int:
@@ -65,11 +61,16 @@ class PipelineConfig:
             raise ValueError("tick must be positive and at most 2**62 us")
         if self.detector not in ("classical", "learned"):
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.detector == "learned" and self.weights is None:
-            raise ValueError("learned detector needs weights")
+        k = self.window_spec.K
+        if self.detector == "learned":
+            if self.weights is None:
+                raise ValueError("learned detector needs weights")
+            want = self.weights.spec.input_channels
+            if 2 * k != want:
+                raise ValueError(f"{k} channel pairs feed {2 * k} channels, "
+                                 f"weights expect {want}")
         if self.watermark_lag < 0:
             raise ValueError("watermark lag cannot be negative")
-        k = self.window_spec.K
         if not 0 <= self.channel_pair < k:
             raise ValueError(f"channel pair {self.channel_pair} outside "
                              f"0..{k - 1}")
@@ -109,8 +110,8 @@ class StageTimings:
     matching: int
     total: int
 
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+
+STAGE_NAMES = tuple(f.name for f in fields(StageTimings))
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,6 @@ class Metrics:
     snapshot_copy_max_us: int = 0
     intervals: list = field(default_factory=list)
     error: str | None = None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
@@ -259,9 +257,6 @@ class ReplaySource:
 
     batch: EventBatch
     paced: bool = False
-
-    def __len__(self) -> int:
-        return len(self.batch)
 
 
 class _WriterLoop:
@@ -431,7 +426,15 @@ def _run_threaded(source, config, state):
 def _frontend_loop(state, config, wait, snapshot, started):
     """Snapshot and step on each version ``wait`` finds due, then collect
     the metrics. ``wait(last_version)`` returns False when no version
-    will come; ``snapshot(state)`` takes the snapshot."""
+    will come; ``snapshot(state)`` takes the snapshot.
+
+    A snapshot makes no frame while it holds no event (a serial schedule
+    may name version 0), nor when its latest_time does not pass the last
+    frame's tau: batches of identical timestamps can bump the version
+    without moving latest_time, and skipping them keeps tau strictly
+    increasing. A frame's staleness is taken when it is emitted: how far
+    the writer's newest ingested event is then ahead of its tau.
+    """
     results: list[FrameResult] = []
     staleness: list[int] = []
     copy_times: list[int] = []
@@ -441,32 +444,21 @@ def _frontend_loop(state, config, wait, snapshot, started):
         snap = snapshot(state)
         copy_times.append(_now_us() - copy_from)
         last_version = snap.version
-        _step_if_fresh(snap, state, results, config, staleness)
+        tau = snap.grid.latest_time
+        if tau is None or (results and tau <= results[-1].tau):
+            continue
+        results.append(frontend_step(snap, results[-1] if results else None,
+                                     config))
+        # never None here: the writer sets it in the same hold of the gate
+        # as it applies the events this frame saw
+        staleness.append(state.newest_ingested - results[-1].tau)
     return results, _collect_metrics(results, staleness, copy_times, state,
                                      started, _now_us(), config)
 
 
-def _step_if_fresh(snap: Snapshot, state: SharedSurfaceState,
-                   results: list[FrameResult], config: PipelineConfig,
-                   staleness: list[int]) -> bool:
-    """Run a frontend step unless the snapshot cannot advance tau.
-
-    Batches of identical timestamps can bump the version without moving
-    latest_time; skipping them preserves strict tau monotonicity. A
-    result's staleness is taken when it is emitted: how far the writer's
-    newest ingested event is then ahead of the result's tau.
-    """
-    if snap.grid.latest_time is None:
-        return False
-    if results and snap.grid.latest_time <= results[-1].tau:
-        return False
-    previous = results[-1] if results else None
-    result = frontend_step(snap, previous, config)
-    results.append(result)
-    newest = state.newest_ingested  # one read; the writer sets it whole
-    if newest is not None:
-        staleness.append(newest - result.tau)
-    return True
+def _stage_means(results) -> dict[str, float]:
+    return {name: float(np.mean([getattr(r.timings, name) for r in results]))
+            for name in STAGE_NAMES}
 
 
 def _collect_metrics(results, staleness, copy_times, state, started_us,
@@ -479,36 +471,24 @@ def _collect_metrics(results, staleness, copy_times, state, started_us,
     wall = max(ended_us - started_us, 1)
     m.iteration_rate_hz = len(results) * US_PER_S / wall
     if results:
-        for name in STAGE_NAMES:
-            vals = [getattr(r.timings, name) for r in results]
-            m.mean_stage_us[name] = float(np.mean(vals))
-            m.max_stage_us[name] = int(max(vals))
-    if staleness:
+        m.mean_stage_us = _stage_means(results)
+        m.max_stage_us = {
+            name: int(max(getattr(r.timings, name) for r in results))
+            for name in STAGE_NAMES}
         m.mean_staleness_us = float(np.mean(staleness))
         m.max_staleness_us = int(max(staleness))
+        # per-interval means, bucketed by tau (event time); taus ascend,
+        # so the buckets fill in order
+        base, width = results[0].tau, config.metrics_interval
+        buckets: dict[int, list[FrameResult]] = {}
+        for r in results:
+            buckets.setdefault((r.tau - base) // width, []).append(r)
+        m.intervals = [{"interval_start_us": base + i * width,
+                        **_stage_means(rs)} for i, rs in buckets.items()]
     if copy_times:
         m.snapshot_copy_mean_us = float(np.mean(copy_times))
         m.snapshot_copy_max_us = int(max(copy_times))
-    m.intervals = _interval_rows(results, config.metrics_interval)
     return m
-
-
-def _interval_rows(results, interval_us):
-    """Per-interval mean stage timings, bucketed by result tau (event time)."""
-    if not results:
-        return []
-    base = results[0].tau
-    rows = []
-    bucket: dict[int, list[FrameResult]] = {}
-    for r in results:
-        bucket.setdefault((r.tau - base) // interval_us, []).append(r)
-    for idx in sorted(bucket):
-        rs = bucket[idx]
-        row = {"interval_start_us": base + idx * interval_us}
-        for name in STAGE_NAMES:
-            row[name] = float(np.mean([getattr(r.timings, name) for r in rs]))
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +508,7 @@ def result_to_json(result: FrameResult, include_descriptors: bool = True) -> str
              "distance": round(m.distance, 6)}
             for m in result.matches_to_previous
         ],
-        "timings": result.timings.as_dict(),
+        "timings": asdict(result.timings),
     }
     if include_descriptors:
         obj["descriptor_scale"] = float(QMAX)

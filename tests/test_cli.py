@@ -380,11 +380,14 @@ class TestRun:
         assert rc in (0, 3)
         assert "cropped stream to 96x96" in capsys.readouterr().out
 
-    def test_learned_channel_count_mismatch(self, tmp_path):
+    def test_learned_channel_count_mismatch(self, tmp_path, capsys):
         src = _synth(tmp_path)
+        capsys.readouterr()
         rc = cli.main(["run", "-i", str(src), "--detector", "learned",
                        "--weights-seed", "1", "--counts", "0.1,0.3"])
         assert rc == 2
+        assert capsys.readouterr().err == ("error: 2 channel pairs feed 4 "
+                                           "channels, weights expect 8\n")
 
     def test_empty_stream_exits_three(self, tmp_path):
         src = tmp_path / "none.bin"

@@ -2,11 +2,13 @@
 
 import functools
 import hashlib
+import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -624,6 +626,14 @@ class TestNms:
         kps = nms(heat, 1, 0.5, 10)
         assert len(kps.xy) == 1
         assert tuple(kps.xy[0]) == (6.0, 6.0)
+        # past float32's range a threshold compares as +-inf, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (1e300, -1e300):
+                got = nms(heat, 1, big, 10)
+                assert len(got) == (0 if big > 0 else 2)
+                assert_same_keypoints(
+                    got, nms(heat, 1, math.copysign(math.inf, big), 10))
 
     def test_scores_descending_and_capped(self):
         rng = np.random.default_rng(9)

@@ -15,6 +15,7 @@ from evfront.events import (
     BINARY_HEADER_SIZE,
     BINARY_RECORD_SIZE,
     CSV_HEADER,
+    EVENT_DTYPE,
     EventBatch,
     MotionSpec,
     SensorGeometry,
@@ -23,7 +24,6 @@ from evfront.events import (
     _grid_anchors,
     batch_from_columns,
     corner_positions,
-    empty_batch,
     linear_warp,
     parse_events,
     synthesize,
@@ -42,11 +42,15 @@ def _random_batch(rng, n, geometry, t_span=100_000):
     return batch_from_columns(t, x, y, p, geometry)
 
 
+def _empty_batch(geometry):
+    return EventBatch(np.empty(0, EVENT_DTYPE), geometry)
+
+
 class TestSensorGeometry:
     def test_sides_fit_u16(self):
         # the binary-v1 header and the x/y coordinates are u16
         geo = SensorGeometry(65535, 1)
-        back = parse_events(write_events(empty_batch(geo), "binary-v1"),
+        back = parse_events(write_events(_empty_batch(geo), "binary-v1"),
                             "binary-v1")
         assert back.geometry == geo
         for w, h in ((65536, 1), (1, 65536), (0, 5)):
@@ -275,7 +279,7 @@ class TestBinaryFormat:
 
     def test_empty_record_section(self):
         geo = SensorGeometry(4, 4)
-        back = parse_events(write_events(empty_batch(geo), "binary-v1"),
+        back = parse_events(write_events(_empty_batch(geo), "binary-v1"),
                             "binary-v1")
         assert len(back) == 0
         assert back.geometry == geo
@@ -668,6 +672,18 @@ class TestSortKeyLimit:
         assert want and stream(10**15) == stream(10**20) == want
         with pytest.raises(ValueError, match="more than 2\\*\\*31 lattice"):
             stream(10**20, (1e25, 42.0))
+
+    @pytest.mark.parametrize("velocity, duration", [
+        ((1e300, 0.0), 1e10), ((0.0, -1e300), 1e10), ((1.0, 1.0), math.inf)])
+    def test_ground_truth_of_an_unbounded_sweep_rejected(self, velocity,
+                                                         duration):
+        # the sweep overflows a float, so the lattice has no finite bound;
+        # synthesize meets the sort key limit first
+        spec = MotionSpec("grid-of-corners", velocity, duration)
+        with pytest.raises(ValueError, match="more than 2\\*\\*31 lattice"):
+            corner_positions(spec, self.GEO, 0)
+        with pytest.raises(ValueError, match="sort key limit"):
+            synthesize(spec, self.GEO)
 
     # a square or edge crossing late in the scene puts keys near 2**63
     @pytest.mark.parametrize("spec", [

@@ -7,17 +7,18 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from evfront import pipeline
 from evfront.events import (
+    EVENT_DTYPE,
     EventBatch,
     MotionSpec,
     SensorGeometry,
     batch_from_columns,
-    empty_batch,
     synthesize,
 )
 from evfront.detect import NetworkSpec, classical_detect, random_weights
@@ -37,12 +38,17 @@ from evfront.pipeline import (
     run_pipeline,
 )
 from evfront.surface import WindowSpec, mcts
+from test_detect import force_bands
 
 
 def _batch(geo, t, x, y, p):
     return batch_from_columns(
         np.asarray(t, np.uint64), np.asarray(x, np.uint16),
         np.asarray(y, np.uint16), np.asarray(p, np.int8), geo)
+
+
+def _empty_batch(geometry):
+    return EventBatch(np.empty(0, EVENT_DTYPE), geometry)
 
 
 def _grid_source(duration=1.0, size=64, vel=(-40.0, -30.0), pitch=32,
@@ -64,6 +70,15 @@ def _slow_detector(monkeypatch):
         return result
 
     monkeypatch.setattr(pipeline, "classical_detect", slow_detect)
+
+
+def _assert_same_frame(a, b):
+    """Keypoints, scores, descriptors and matches equal byte for byte."""
+    x, y = ([r.keypoints.xy, r.keypoints.scores, r.descriptors.vectors,
+             np.array([(m.index_a, m.index_b, m.distance)
+                       for m in r.matches_to_previous])] for r in (a, b))
+    for u, v in zip(x, y):
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 def frontend_step_reference(snapshot, previous, config):
@@ -123,7 +138,7 @@ class WriterLoopReference:
         ev = source.batch.events
         self.t_stream = ev["t"]
         self.cursor = 0
-        self.retained = empty_batch(source.batch.geometry)
+        self.retained = _empty_batch(source.batch.geometry)
         self.virtual_now = int(ev["t"][0]) if len(ev) else 0
         self.exhausted = len(ev) == 0
 
@@ -329,7 +344,7 @@ class TestWriterLoop:
         for lag in (0, 10_000):
             config = PipelineConfig(watermark_lag=lag)
             assert _assert_writers_agree(one, config, 4) == (1, 0)
-        empty = empty_batch(self.GEO)
+        empty = _empty_batch(self.GEO)
         writer = _WriterLoop(ReplaySource(empty),
                              SharedSurfaceState(self.GEO, 4), PipelineConfig())
         assert writer.exhausted
@@ -567,12 +582,7 @@ class TestSerialRun:
         assert len(live) == len(frozen) > 10
         for a, b in zip(live, frozen):
             assert (a.tau, a.version) == (b.tau, b.version)
-            x, y = ([r.keypoints.xy, r.keypoints.scores, r.descriptors.vectors,
-                     np.array([(m.index_a, m.index_b, m.distance)
-                               for m in r.matches_to_previous])]
-                    for r in (a, b))
-            for u, v in zip(x, y):
-                assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+            _assert_same_frame(a, b)
         assert sum(len(r.matches_to_previous) for r in live) > 0
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -610,9 +620,20 @@ class TestSerialRun:
 
 
 class TestThreadedRun:
-    def test_results_subset_of_serial_versions(self):
-        source = _grid_source(duration=0.5)
-        config = PipelineConfig(channel_pair=2)
+    @pytest.mark.parametrize("detector", ["classical", "learned"])
+    def test_results_subset_of_serial_versions(self, monkeypatch, detector):
+        if detector == "classical":
+            source = _grid_source(duration=0.5)
+            config = PipelineConfig(channel_pair=2)
+        else:
+            # the acceptance corner grid, paced, the encoder in two bands
+            # while the writer ticks beside it
+            force_bands(monkeypatch, 2)
+            source = ReplaySource(_grid_source(
+                duration=0.3, size=128, vel=(-56.0, -42.0), pitch=48,
+                side=16).batch, paced=True)
+            config = PipelineConfig(detector="learned", channel_pair=3,
+                                    weights=random_weights(NetworkSpec(), 5))
         threaded, metrics = run_pipeline(source, config, mode="threaded")
         assert metrics.error is None
         assert len(threaded) >= 1
@@ -624,13 +645,8 @@ class TestThreadedRun:
                                  snapshot_schedule=schedule)
         assert len(replay) == len(threaded)
         for a, b in zip(threaded, replay):
-            assert a.version == b.version
-            assert a.tau == b.tau
-            assert np.array_equal(a.keypoints.xy, b.keypoints.xy)
-            assert np.array_equal(a.descriptors.vectors,
-                                  b.descriptors.vectors)
-            assert [(m.index_a, m.index_b) for m in a.matches_to_previous] \
-                == [(m.index_a, m.index_b) for m in b.matches_to_previous]
+            assert (a.version, a.tau) == (b.version, b.tau)
+            _assert_same_frame(a, b)
 
     def test_slow_frontend_skips_but_stays_fresh(self, monkeypatch):
         _slow_detector(monkeypatch)
@@ -704,6 +720,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PipelineConfig(detector="learned")
 
+    def test_learned_channel_pairs_feed_the_weights(self):
+        weights = random_weights(NetworkSpec(), 5)  # 8 input channels
+        assert PipelineConfig(detector="learned", weights=weights)
+        two = WindowSpec("constant-count", normalized_counts=(0.1, 0.3))
+        with pytest.raises(ValueError, match="^2 channel pairs feed 4 "
+                           "channels, weights expect 8$"):
+            PipelineConfig(detector="learned", weights=weights,
+                           window_spec=two)
+        # the classical detector reads one pair of any count
+        assert PipelineConfig(window_spec=two)
+
     def test_unknown_detector(self):
         with pytest.raises(ValueError):
             PipelineConfig(detector="magic")
@@ -771,6 +798,52 @@ class TestExports:
         assert len(lines) >= 3
         starts = [int(r.split(",")[0]) for r in lines[1:]]
         assert starts == sorted(starts)
+
+
+class TestMetricValues:
+    def test_means_maxima_and_interval_rows(self):
+        # 300 us intervals from the first tau: [1000, 1300) holds two
+        # frames, [1300, 1600) none, [1600, 1900) two; the empty interval
+        # makes no row
+        frames = [(1_000, (10, 20, 4, 34)), (1_299, (30, 41, 6, 77)),
+                  (1_600, (5, 9, 1, 15)), (1_899, (7, 100, 2, 109))]
+        results = [FrameResult(tau, v, None, None, [], StageTimings(*t))
+                   for v, (tau, t) in enumerate(frames, 1)]
+        state = SharedSurfaceState(SensorGeometry(4, 4), 4)
+        state.version, state.writer_stall_us = 9, 123
+        state.grid.applied_count = 500
+        m = pipeline._collect_metrics(
+            results, [0, 50, 10, 20], [3, 5, 1, 7, 4], state, 0, 2_000_000,
+            PipelineConfig(metrics_interval=300))
+        want = {
+            "results_emitted": 4, "versions_applied": 9,
+            "events_applied": 500,
+            "mean_stage_us": {"mcts_preparation": 13.0,
+                              "keypoint_detection": 42.5,
+                              "matching": 3.25, "total": 58.75},
+            "max_stage_us": {"mcts_preparation": 30,
+                             "keypoint_detection": 100, "matching": 6,
+                             "total": 109},
+            "iteration_rate_hz": 2.0,
+            "mean_staleness_us": 20.0, "max_staleness_us": 50,
+            "writer_stall_us": 123,
+            "snapshot_copy_mean_us": 4.0, "snapshot_copy_max_us": 7,
+            "intervals": [
+                {"interval_start_us": 1_000, "mcts_preparation": 20.0,
+                 "keypoint_detection": 30.5, "matching": 5.0, "total": 55.5},
+                {"interval_start_us": 1_600, "mcts_preparation": 6.0,
+                 "keypoint_detection": 54.5, "matching": 1.5, "total": 62.0},
+            ],
+            "error": None,
+        }
+        # the JSON pins key order and int against float as well
+        assert json.dumps(asdict(m)) == json.dumps(want)
+
+    def test_no_frames_leaves_the_defaults(self):
+        state = SharedSurfaceState(SensorGeometry(4, 4), 4)
+        m = pipeline._collect_metrics([], [], [], state, 0, 0,
+                                      PipelineConfig())
+        assert asdict(m) == asdict(pipeline.Metrics())
 
 
 class TestSnapshotConsistencyUnderRaces:
