@@ -3,7 +3,7 @@
 Subcommands: synth, convert, surface, run, verify, bench. Options can
 come from a flat key-value config file (``--config``); explicit flags
 win. Exit codes: 0 success, 2 usage or config error, 3 ran but produced
-nothing, 1 internal error.
+nothing, 4 the ``verify`` check failed, 1 internal error.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def cmd_verify(args) -> int:
     verdict = "pass" if report.passed else "fail"
     print(f"verdict: {verdict} ({report.pairs_favoring_constant}/"
           f"{len(report.l1_constant_count)} pairs favor constant-count)")
-    return 0 if report.passed else 1
+    return 0 if report.passed else 4
 
 
 def _time_us(fn, iterations: int) -> tuple[float, float]:
@@ -421,7 +421,7 @@ def _bench_writer(rng, args):
     # the pipeline's tick loop drained over the stream, 10 ms ticks
     config = pipeline.PipelineConfig()
     for batch in _ingest_streams(rng, args):
-        capacity = config.window_spec.ring_capacity(batch.geometry)
+        capacity = surface.stream_ring_capacity(config.window_spec, batch)
         def drain():
             writer = pipeline._WriterLoop(
                 pipeline.ReplaySource(batch),
@@ -435,10 +435,11 @@ def _bench_mcts(rng, args):
     spec = surface.WindowSpec.default_constant_count()
     for size in (64, 128, 256):
         geometry = events.SensorGeometry(size, size)
+        stream = _random_stream(rng, 4 * geometry.pixel_count, geometry)
         grid = surface.TimestampGrid.create(geometry)
-        ring = surface.EventCountRing(spec.ring_capacity(geometry))
-        surface.apply_events(
-            grid, ring, _random_stream(rng, 4 * geometry.pixel_count, geometry))
+        ring = surface.EventCountRing(
+            surface.stream_ring_capacity(spec, stream))
+        surface.apply_events(grid, ring, stream)
         yield size, lambda: surface.mcts(grid, ring, grid.latest_time, spec)
 
 
@@ -457,10 +458,11 @@ def _corner_grids(rng):
     motion = _corner_motion(rng, 0.5)
     for size in ((128, 128), (240, 180)):
         geometry = events.SensorGeometry(*size)
+        stream = events.synthesize(motion, geometry)
         state = pipeline.SharedSurfaceState(
-            geometry, spec.ring_capacity(geometry))
+            geometry, surface.stream_ring_capacity(spec, stream))
         grid, ring = state.grid, state.ring
-        surface.apply_events(grid, ring, events.synthesize(motion, geometry))
+        surface.apply_events(grid, ring, stream)
         tau = grid.latest_time
         yield (geometry.pixel_count, state,
                surface.mcts(grid, ring, tau, spec),

@@ -100,16 +100,11 @@ class EventBatch:
             raise TypeError(f"expected event dtype {EVENT_DTYPE}, got {ev.dtype}")
         if ev.ndim != 1:
             raise ValueError("event array must be one-dimensional")
-        if len(ev):
-            fault = _first_bad_stamp(ev["t"])
-            if fault is not None:
-                i, what = fault
-                raise ValueError(f"event {i}: {what}")
-            if np.any(ev["x"] >= self.geometry.width) or \
-               np.any(ev["y"] >= self.geometry.height):
-                raise ValueError("event coordinates outside sensor geometry")
-            if not np.all(np.abs(ev["p"]) == 1):
-                raise ValueError("polarity must be -1 or +1")
+        fault = _first_bad_record(ev["t"], ev["x"], ev["y"], ev["p"], (-1, 1),
+                                  self.geometry)
+        if fault is not None:
+            i, what = fault
+            raise ValueError(f"event {i}: {what}")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -130,29 +125,43 @@ def _trusted_batch(events: np.ndarray,
     return batch
 
 
-def _first_bad_stamp(t: np.ndarray) -> tuple[int, str] | None:
-    """Index and fault of the first stamp that decreases or lies outside
-    ``[0, TIMESTAMP_LIMIT)``, or None. Compares in uint64: up to the first
-    decrease the stamps are sorted, so that run is in range iff its last
-    stamp is."""
-    down = t[1:] < t[:-1]
-    end = int(np.argmax(down)) + 1 if down.any() else len(t)
-    if end and t[end - 1] >= TIMESTAMP_LIMIT:
-        i = int(np.argmax(t[:end] >= TIMESTAMP_LIMIT))
-        return i, f"timestamp {int(t[i])} outside [0, 2**62)"
-    if end < len(t):
-        return end, "timestamps must be non-decreasing"
-    return None
+def _first_bad_record(t, x, y, p, polarities: tuple[int, int],
+                      geometry: SensorGeometry) -> tuple[int, str] | None:
+    """Index and fault of the first record that breaks a rule, or None.
+    A record breaking several rules reports the first of: a stamp outside
+    ``[0, TIMESTAMP_LIMIT)``, a stamp below its predecessor, a coordinate
+    off ``geometry``, a polarity not in ``polarities``. The columns are
+    numpy arrays; a parser passes Python ints (``dtype=object``), which
+    cannot overflow before they are checked."""
+    (w, h), (lo, hi) = (geometry.width, geometry.height), polarities
+    down = np.zeros(len(t), dtype=bool)
+    down[1:] = t[1:] < t[:-1]
+    rules = ((t < 0) | (t >= TIMESTAMP_LIMIT), down,
+             (x < 0) | (x >= w) | (y < 0) | (y >= h), (p != lo) & (p != hi))
+    bad = np.logical_or.reduce(rules)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    faults = (f"timestamp {t[i]} outside [0, 2**62)",
+              "timestamps must be non-decreasing",
+              f"coordinate ({x[i]},{y[i]}) outside {w}x{h}",
+              f"polarity {p[i]} not in {{{lo},{hi}}}")
+    return i, next(f for f, rule in zip(faults, rules) if rule[i])
 
 
-def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:
-    """Assemble a batch from parallel coordinate arrays."""
+def _records(t, x, y, p) -> np.ndarray:
+    """Parallel columns packed as ``EVENT_DTYPE`` records."""
     ev = np.empty(len(t), dtype=EVENT_DTYPE)
     ev["t"] = t
     ev["x"] = x
     ev["y"] = y
     ev["p"] = p
-    return EventBatch(ev, geometry)
+    return ev
+
+
+def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:
+    """Assemble a batch from parallel coordinate arrays."""
+    return EventBatch(_records(t, x, y, p), geometry)
 
 
 @dataclass(frozen=True)
@@ -233,70 +242,50 @@ def _parse_binary(data: bytes) -> EventBatch:
             "truncated record",
             offset=BINARY_HEADER_SIZE + n * BINARY_RECORD_SIZE)
     raw = np.frombuffer(body, dtype=_RECORD_DTYPE)
-
-    def record_offset(i: int) -> int:
-        return BINARY_HEADER_SIZE + i * BINARY_RECORD_SIZE
-
-    bad_p = np.nonzero(raw["p"] > 1)[0]
-    if bad_p.size:
-        i = int(bad_p[0])
-        raise StreamFormatError(f"polarity byte {raw['p'][i]} not in {{0,1}}",
-                                offset=record_offset(i))
-    oob = np.nonzero((raw["x"] >= width) | (raw["y"] >= height))[0]
-    if oob.size:
-        i = int(oob[0])
-        raise StreamFormatError(
-            f"coordinate ({raw['x'][i]},{raw['y'][i]}) outside {width}x{height}",
-            offset=record_offset(i))
-    fault = _first_bad_stamp(raw["t"])
+    fault = _first_bad_record(raw["t"], raw["x"], raw["y"], raw["p"], (0, 1),
+                              geometry)
     if fault is not None:
         i, what = fault
-        raise StreamFormatError(what, offset=record_offset(i))
-
-    ev = np.empty(n, dtype=EVENT_DTYPE)
-    ev["t"] = raw["t"]
-    ev["x"] = raw["x"]
-    ev["y"] = raw["y"]
-    ev["p"] = raw["p"].astype(np.int8) * 2 - 1
-    return _trusted_batch(ev, geometry)
+        raise StreamFormatError(
+            what, offset=BINARY_HEADER_SIZE + i * BINARY_RECORD_SIZE)
+    return _trusted_batch(_records(raw["t"], raw["x"], raw["y"],
+                                   raw["p"].astype(np.int8) * 2 - 1), geometry)
 
 
 def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
+    """The line loop only splits rows into Python ints. A syntax fault
+    ends the rows, and is raised only if no record before it breaks a
+    rule."""
     text = data.decode("ascii")
-    rows: list[tuple[int, int, int, int]] = []
-    prev_t = -1
+    rows: list[list[int]] = []  # line number, t, x, y, p
+    syntax = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line:
+        if not line or line == CSV_HEADER and lineno == 1:
             continue
-        if line == CSV_HEADER:
-            if lineno == 1:
-                continue
-            raise StreamFormatError("header row after data", line=lineno)
         parts = line.split(",")
-        if len(parts) != 4:
-            raise StreamFormatError(f"expected 4 fields, got {len(parts)}",
-                                    line=lineno)
-        try:
-            t, x, y, p = (int(part) for part in parts)
-        except ValueError:
-            raise StreamFormatError(f"non-integer field in {line!r}",
-                                    line=lineno) from None
-        if not 0 <= t < TIMESTAMP_LIMIT:
-            raise StreamFormatError(f"timestamp {t} outside [0, 2**62)",
-                                    line=lineno)
-        if p not in (0, 1):
-            raise StreamFormatError(f"polarity {p} not in {{0,1}}", line=lineno)
-        if not (0 <= x < geometry.width and 0 <= y < geometry.height):
-            raise StreamFormatError(
-                f"coordinate ({x},{y}) outside "
-                f"{geometry.width}x{geometry.height}", line=lineno)
-        if t < prev_t:
-            raise StreamFormatError("decreasing timestamp", line=lineno)
-        prev_t = t
-        rows.append((t, x, y, 2 * p - 1))
+        if line == CSV_HEADER:
+            syntax = StreamFormatError("header row after data", line=lineno)
+        elif len(parts) != 4:
+            syntax = StreamFormatError(f"expected 4 fields, got {len(parts)}",
+                                       line=lineno)
+        else:
+            try:
+                rows.append([lineno, *map(int, parts)])
+                continue
+            except ValueError:
+                syntax = StreamFormatError(f"non-integer field in {line!r}",
+                                           line=lineno)
+        break
 
-    return _trusted_batch(np.array(rows, dtype=EVENT_DTYPE), geometry)
+    lines, t, x, y, p = np.array(rows, dtype=object).reshape(-1, 5).T
+    fault = _first_bad_record(t, x, y, p, (0, 1), geometry)
+    if fault is not None:
+        i, what = fault
+        raise StreamFormatError(what, line=lines[i])
+    if syntax is not None:
+        raise syntax
+    return _trusted_batch(_records(t, x, y, p * 2 - 1), geometry)
 
 
 def _write_binary(batch: EventBatch) -> bytes:

@@ -265,7 +265,10 @@ class _WriterLoop:
     Events arrive in stream order, and the watermark holds back only the
     newest of them, so the pending events are always one contiguous run
     of the source, ``applied:cursor``: a view, never a copy. A tick
-    costs O(events it passes), not O(stream length).
+    costs O(events it passes), not O(stream length). Every stamp at or
+    below the watermark has arrived, and the watermark never decreases,
+    so each version applies stamps above every earlier one and advances
+    latest_time.
     """
 
     def __init__(self, source: ReplaySource, state: SharedSurfaceState,
@@ -312,10 +315,14 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     ``mode="serial"`` interleaves ticks and frontend steps in one thread,
     snapshotting at each version in ``snapshot_schedule`` (every version
     when None); with a schedule recorded from a threaded run it
-    reproduces that run's results exactly, timings excluded.
+    reproduces that run's results exactly, timings excluded. A schedule
+    must ascend strictly from 1, as a threaded run's versions do.
     """
     if mode not in ("threaded", "serial"):
         raise ValueError(f"unknown mode {mode!r}")
+    if snapshot_schedule is not None and any(
+            a >= b for a, b in zip([0, *snapshot_schedule], snapshot_schedule)):
+        raise ValueError("snapshot schedule must ascend strictly from 1")
     _keep_freed_memory()
     capacity = stream_ring_capacity(config.window_spec, source.batch)
     state = SharedSurfaceState(source.batch.geometry, capacity)
@@ -355,8 +362,8 @@ def _run_serial(source, config, state, schedule):
     queue = list(schedule) if schedule is not None else None
 
     def tick_until_due(last_snapped):
-        # ticks bump the version by at most 1, so >= hits each scheduled
-        # version exactly once
+        # ticks bump the version by at most 1, so each scheduled version
+        # is hit exactly
         while not writer.exhausted:
             writer.one_tick()
             if queue is None:
@@ -426,14 +433,11 @@ def _run_threaded(source, config, state):
 def _frontend_loop(state, config, wait, snapshot, started):
     """Snapshot and step on each version ``wait`` finds due, then collect
     the metrics. ``wait(last_version)`` returns False when no version
-    will come; ``snapshot(state)`` takes the snapshot.
-
-    A snapshot makes no frame while it holds no event (a serial schedule
-    may name version 0), nor when its latest_time does not pass the last
-    frame's tau: batches of identical timestamps can bump the version
-    without moving latest_time, and skipping them keeps tau strictly
-    increasing. A frame's staleness is taken when it is emitted: how far
-    the writer's newest ingested event is then ahead of its tau.
+    will come; ``snapshot(state)`` takes the snapshot. A version makes
+    no frame only when a newer one supersedes it: each holds an event and
+    advances tau (see ``_WriterLoop``). A frame's staleness is taken when
+    it is emitted: how far the writer's newest ingested event is then
+    ahead of its tau.
     """
     results: list[FrameResult] = []
     staleness: list[int] = []
@@ -444,9 +448,6 @@ def _frontend_loop(state, config, wait, snapshot, started):
         snap = snapshot(state)
         copy_times.append(_now_us() - copy_from)
         last_version = snap.version
-        tau = snap.grid.latest_time
-        if tau is None or (results and tau <= results[-1].tau):
-            continue
         results.append(frontend_step(snap, results[-1] if results else None,
                                      config))
         # never None here: the writer sets it in the same hold of the gate

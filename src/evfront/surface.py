@@ -83,17 +83,15 @@ class WindowSpec:
     def default_constant_count(cls) -> "WindowSpec":
         return cls("constant-count", normalized_counts=DEFAULT_NORMALIZED_COUNTS)
 
-    def ring_capacity(self, geometry: SensorGeometry) -> int:
-        """Minimum ring size for the largest window, plus the newest slot."""
-        if self.mode != "constant-count":
-            return 1
-        top = max(normalized_counts_to_absolute(self, geometry))
-        return top + 1
-
 
 def stream_ring_capacity(spec: WindowSpec, batch: EventBatch) -> int:
-    """``spec.ring_capacity``, capped at ``len(batch) + 1``: never wraps."""
-    return min(spec.ring_capacity(batch.geometry), len(batch) + 1)
+    """Ring size for the largest window, plus the newest slot, capped at
+    ``len(batch) + 1``: a ring holding the whole stream never wraps, so
+    it answers every lookup as a larger one would."""
+    if spec.mode != "constant-count":
+        return 1
+    top = max(normalized_counts_to_absolute(spec, batch.geometry))
+    return min(top, len(batch)) + 1
 
 
 @dataclass
@@ -460,7 +458,7 @@ def motion_invariance_report(
                             duration=target_col / s)
         batch = synthesize(motion, geometry)
         grid = TimestampGrid.create(geometry)
-        ring = EventCountRing(cc_spec.ring_capacity(geometry))
+        ring = EventCountRing(stream_ring_capacity(cc_spec, batch))
         apply_events(grid, ring, batch)
         tau = grid.latest_time
         tensor_cc = mcts(grid, ring, tau, cc_spec)

@@ -426,11 +426,80 @@ class TestRun:
         assert err.startswith("error: bad weights file")
         assert "truncated" in err
 
+    def test_source_failure_mid_run_is_internal_error(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # the threaded writer fails at its third version
+        src = _synth(tmp_path)
+        real_apply = pipeline.apply_events
+        calls = []
+
+        def failing_apply(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("source lost")
+            return real_apply(*args)
+
+        monkeypatch.setattr(pipeline, "apply_events", failing_apply)
+        capsys.readouterr()
+        assert cli.main(["run", "-i", str(src)]) == 1
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: source failed mid-run: "
+            "RuntimeError: source lost\n")
+
     def test_unwritable_results_path_is_internal_error(self, tmp_path):
         src = _synth(tmp_path)
         rc = cli.main(["run", "-i", str(src), "--mode", "serial",
                        "--results", str(tmp_path / "no" / "dir" / "r.jsonl")])
         assert rc == 1
+
+
+# Option and input faults no other test reaches: label -> (files to write
+# into the test's directory, argv, exit code, start of stderr). {src} is a
+# valid stream, {dir} the test's directory.
+_RUN_SERIAL = ["run", "-i", "{src}", "--mode", "serial"]
+_USAGE_CASES = {
+    "unknown run mode": (
+        {}, ["run", "-i", "{src}", "--mode", "bogus"], 2,
+        "error: unknown mode 'bogus'\n"),
+    "surface of an empty stream": (
+        {"e.bin": b"EVT1\x04\x00\x04\x00"},
+        ["surface", "-i", "{dir}/e.bin", "-o", "{dir}/s"], 2,
+        "error: input stream is empty\n"),
+    "learned stream narrower than a cell": (
+        {"n.bin": b"EVT1\x08\x00\x40\x00"},
+        ["run", "-i", "{dir}/n.bin", "--detector", "learned"], 2,
+        "error: stream 8x64 smaller than one 16px cell\n"),
+    "unreadable weights": (
+        {}, [*_RUN_SERIAL, "--detector", "learned", "--weights",
+             "{dir}/absent.slwt"], 2,
+        "error: cannot read weights: "),
+    "config boolean off": (
+        {"run.conf": b"paced = off\n"}, ["--config", "{dir}/run.conf",
+                                         *_RUN_SERIAL], 0, ""),
+    "config boolean maybe": (
+        {"run.conf": b"paced = maybe\n"}, ["--config", "{dir}/run.conf",
+                                           *_RUN_SERIAL], 2,
+        "error: config line 1: bad boolean 'maybe'\n"),
+    "binary header under 8 bytes": (
+        {"h.bin": b"EVT1\x04\x00"}, ["run", "-i", "{dir}/h.bin"], 2,
+        "error: {dir}/h.bin: header shorter than 8 bytes (byte offset 0)\n"),
+    "zero sensor side": (
+        {"z.bin": b"EVT1\x00\x00\x04\x00"}, ["run", "-i", "{dir}/z.bin"],
+        2, "error: {dir}/z.bin: zero sensor dimension in header "
+        "(byte offset 4)\n"),
+}
+
+
+@pytest.mark.parametrize("label", _USAGE_CASES)
+def test_usage_faults_exit_with_their_message(tmp_path, capsys, label):
+    files, argv, code, err = _USAGE_CASES[label]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    src = _synth(tmp_path)
+    capsys.readouterr()
+    rc = cli.main([a.format(src=src, dir=tmp_path) for a in argv])
+    assert rc == code
+    assert capsys.readouterr().err.startswith(err.format(dir=tmp_path))
 
 
 class TestVerify:
@@ -440,6 +509,14 @@ class TestVerify:
         assert rc == 0
         assert "verdict: pass" in stdout
         assert "l1_constant_count" in stdout
+
+    def test_fail_verdict_exits_four(self, capsys):
+        # at one speed the two window modes tie on every pair, so the
+        # check fails: a verdict, not an internal error
+        rc = cli.main(["verify", "--geometry", "32x32", "--factor", "1"])
+        out = capsys.readouterr()
+        assert rc == 4
+        assert "verdict: fail" in out.out and out.err == ""
 
     @pytest.mark.parametrize("option", [
         ["--geometry", "1x100"], ["--speed", "0"], ["--factor", "0"],
@@ -638,9 +715,9 @@ class TestBenchInputs:
 # Every numeric option, one at a time, each given every value of
 # _SWEEP_VALUES on top of a small valid command. Rows are (label, the
 # command before the option, the option with the value written as {}).
-# Left out: bench --iterations 99999999999999999999, which is no error,
-# only a run of that many iterations.
-_SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300",
+# Left out: bench --iterations 1000000000 and 99999999999999999999, which
+# are no error, only a run of that many iterations.
+_SWEEP_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "1000000000",
                  "99999999999999999999")
 _SYNTH = ["synth", "--pattern", "grid-of-corners", "--velocity=-56,-42",
           "--duration", "0.1", "--geometry", "32x32", "--grid-pitch", "16",
@@ -685,13 +762,14 @@ def sweep_stream(tmp_path_factory):
     ids=[f"{label} {option.split('=')[0]}" for label, _, option in _SWEEP])
 def test_no_flag_value_is_an_internal_error(tmp_path, capsys, sweep_stream,
                                             label, base, option):
-    """Each case exits 0, 2 or 3, or 1 with a ``verify`` fail verdict,
+    """Each case exits 0, 2 or 3, or 4 with a ``verify`` fail verdict,
     within a few MB of traced memory: no value reaches the last-resort
     ``internal error`` boundary or asks for a huge allocation."""
     argv = [a.format(src=sweep_stream, out=tmp_path) for a in base]
     values = [*_SWEEP_VALUES, *(v for o, v in _USAGE_ERRORS
                                 if o == option and v not in _SWEEP_VALUES)]
     if option == "--iterations={}":
+        values.remove("1000000000")
         values.remove("99999999999999999999")
     for value in values:
         capsys.readouterr()
@@ -699,7 +777,7 @@ def test_no_flag_value_is_an_internal_error(tmp_path, capsys, sweep_stream,
         err = capsys.readouterr().err
         case = (label, option, value, rc, err)
         assert "internal error" not in err, case
-        assert rc in (0, 2, 3) or (label == "verify" and rc == 1), case
+        assert rc in (0, 2, 3) or (label == "verify" and rc == 4), case
         assert peak < 8 << 20, (case, peak)
         if (option, value) in _USAGE_ERRORS:
             assert rc == 2 and err == _USAGE_ERRORS[option, value], case

@@ -50,6 +50,7 @@ from evfront.surface import (
     apply_events,
     mcts,
     merged_surface,
+    stream_ring_capacity,
 )
 
 
@@ -251,7 +252,7 @@ def corner_tensor(geo, spec, velocity=(40.0, 30.0), duration=1.0,
                         grid_pitch=pitch, square_side=side)
     batch = synthesize(motion, geo)
     grid = TimestampGrid.create(geo)
-    ring = EventCountRing(spec.ring_capacity(geo))
+    ring = EventCountRing(stream_ring_capacity(spec, batch))
     apply_events(grid, ring, batch)
     return motion, mcts(grid, ring, grid.latest_time, spec)
 
@@ -1166,10 +1167,11 @@ class TestClassicalDetect:
         # is built, not read from another window
         geo = SensorGeometry(32, 32)
         spec = WindowSpec.default_constant_count()
+        batch = synthesize(MotionSpec("grid-of-corners", (40.0, 30.0), 0.2),
+                           geo)
         grid = TimestampGrid.create(geo)
-        ring = EventCountRing(spec.ring_capacity(geo))
-        apply_events(grid, ring, synthesize(
-            MotionSpec("grid-of-corners", (40.0, 30.0), 0.2), geo))
+        ring = EventCountRing(stream_ring_capacity(spec, batch))
+        apply_events(grid, ring, batch)
         for pair in (-1, spec.K):
             with pytest.raises(ValueError, match="channel pair"):
                 merged_surface(grid, ring, grid.latest_time, spec, pair)

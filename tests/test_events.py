@@ -91,6 +91,23 @@ class TestEventBatch:
                                np.array([0], np.uint16),
                                np.array([2], np.int8), geo)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("x", 4, "event 1: coordinate (4,0) outside 4x4"),
+        ("y", 9, "event 1: coordinate (0,9) outside 4x4"),
+        ("p", 0, "event 1: polarity 0 not in {-1,1}"),
+        ("t", 2, "event 1: timestamps must be non-decreasing"),
+    ])
+    def test_fault_names_its_record(self, column, value, message):
+        geo = SensorGeometry(4, 4)
+        columns = {"t": np.array([5, 6, 7], np.uint64),
+                   "x": np.zeros(3, np.uint16), "y": np.zeros(3, np.uint16),
+                   "p": np.ones(3, np.int8)}
+        columns[column][1] = value
+        columns[column][2] = value
+        with pytest.raises(ValueError) as err:
+            batch_from_columns(*columns.values(), geo)
+        assert str(err.value) == message
+
     def test_slicing_and_iteration(self):
         rng = np.random.default_rng(3)
         geo = SensorGeometry(8, 8)
@@ -243,8 +260,8 @@ class TestBinaryFormat:
         assert str(off) in str(err.value)
 
     @pytest.mark.parametrize("field, at, value, what", [
-        ("p", 0, 2, "polarity byte 2"),
-        ("p", 6, 255, "polarity byte 255"),
+        ("p", 0, 2, "polarity 2 not in {0,1}"),
+        ("p", 6, 255, "polarity 255 not in {0,1}"),
         ("x", 3, 9, "coordinate (9,"),
         ("y", 6, 5, "coordinate ("),
         ("t", 4, 0, "non-decreasing"),
@@ -262,14 +279,38 @@ class TestBinaryFormat:
         assert err.value.offset == _record_offset(at)
         assert what in str(err.value)
 
+    @pytest.mark.parametrize("faults, bad", [
+        ({0: ("x", 9), 1: ("p", 7)}, 0),     # coordinate, then polarity
+        ({1: ("t", 0), 2: ("x", 9)}, 1),     # decrease, then coordinate
+        ({2: ("p", 7), 3: ("t", 2**62)}, 2),  # polarity, then stamp range
+        ({3: ("y", 4), 4: ("t", 0)}, 3),     # coordinate, then decrease
+    ])
+    def test_earliest_of_different_faults_is_reported(self, faults, bad):
+        # every rule is checked over every record, so a later fault of
+        # one kind never hides an earlier fault of another
+        geo = SensorGeometry(4, 4)
+        raw = np.zeros(6, dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"),
+                                 ("p", "u1")])
+        raw["t"] = np.arange(100, 106)
+        for i, (field, value) in faults.items():
+            raw[field][i] = value
+        blob = _binary_stream([0])[:BINARY_HEADER_SIZE] + raw.tobytes()
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(blob, "binary-v1")
+        assert err.value.offset == _record_offset(bad)
+        rows = "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in raw.tolist())
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(rows.encode(), "csv", geometry=geo)
+        assert err.value.line == bad + 1
+
     def test_records_validated_once(self, monkeypatch):
         # the parser checks everything EventBatch checks, each record at
         # its offset, and builds the batch without a second pass
         calls = []
-        first_bad_stamp = events._first_bad_stamp
-        monkeypatch.setattr(events, "_first_bad_stamp",
-                            lambda t: calls.append(len(t))
-                            or first_bad_stamp(t))
+        first_bad_record = events._first_bad_record
+        monkeypatch.setattr(events, "_first_bad_record",
+                            lambda t, *rest: calls.append(len(t))
+                            or first_bad_record(t, *rest))
         b = _random_batch(np.random.default_rng(9), 300, SensorGeometry(9, 5))
         calls.clear()
         back = parse_events(write_events(b, "binary-v1"), "binary-v1")
@@ -315,6 +356,21 @@ class TestCsvFormat:
         with pytest.raises(StreamFormatError) as err:
             parse_events(b"100,1,2,1\n90,0,0,0\n", "csv", geometry=geo)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("text, line, what", [
+        (b"5,0,0,1\n6,9,0,1\n7,0,0\n", 2, "coordinate (9,0) outside"),
+        (b"5,0,0,1\n3,0,0,1\nseven,0,0,1\n", 2, "non-decreasing"),
+        (b"18446744073709551616,0,0,1\nt,x,y,p\n", 1, "outside [0, 2**62)"),
+        (b"5,0,0,1\n6,0,0,1\n7,0,0\n", 3, "expected 4 fields, got 3"),
+        (b"5,0,0,1\nt,x,y,p\n4,0,0,1\n", 2, "header row after data"),
+    ])
+    def test_bad_record_before_a_syntax_fault_is_reported(self, text, line,
+                                                           what):
+        # a syntax fault ends the rows; it is the error only when no row
+        # before it breaks a rule
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(text, "csv", geometry=SensorGeometry(4, 4))
+        assert err.value.line == line and what in str(err.value)
 
     def test_line_numbers_count_the_header(self):
         geo = SensorGeometry(4, 4)

@@ -37,7 +37,7 @@ from evfront.pipeline import (
     result_to_json,
     run_pipeline,
 )
-from evfront.surface import WindowSpec, mcts
+from evfront.surface import WindowSpec, mcts, stream_ring_capacity
 from test_detect import force_bands
 
 
@@ -181,8 +181,9 @@ class WriterLoopReference:
 def serial_run_reference(source, config):
     # the serial loop over snapshot copies: tick until the version moves,
     # copy the state, step unless tau cannot advance
-    geo = source.batch.geometry
-    state = SharedSurfaceState(geo, config.window_spec.ring_capacity(geo))
+    state = SharedSurfaceState(
+        source.batch.geometry,
+        stream_ring_capacity(config.window_spec, source.batch))
     writer = _WriterLoop(source, state, config)
     results = []
     while not writer.exhausted:
@@ -349,6 +350,35 @@ class TestWriterLoop:
                              SharedSurfaceState(self.GEO, 4), PipelineConfig())
         assert writer.exhausted
 
+    def test_every_version_advances_latest_time(self):
+        # the frame loop relies on it to keep tau strictly increasing:
+        # bursts of one stamp, gaps, ticks shorter and longer than a
+        # burst's spread, lags shorter and longer than the stream
+        rng = np.random.default_rng(41)
+        bumps = 0
+        for _ in range(3):
+            starts = np.cumsum(rng.integers(0, 200, 40))
+            t = np.sort(np.repeat(starts + rng.integers(0, 3, 40),
+                                  rng.integers(1, 30, 40)))
+            batch = _stream(rng, self.GEO, t)
+            for tick in (1, 7, 60, 300):
+                for lag in (0, 1, 150, 30_000):
+                    state = SharedSurfaceState(self.GEO, 64)
+                    writer = _WriterLoop(
+                        ReplaySource(batch), state,
+                        PipelineConfig(tick=tick, watermark_lag=lag))
+                    latest = -1
+                    while not writer.exhausted:
+                        version = state.version
+                        writer.one_tick()
+                        if state.version != version:
+                            assert state.version == version + 1
+                            assert state.grid.latest_time > latest
+                            latest = state.grid.latest_time
+                            bumps += 1
+                    assert state.grid.applied_count == len(batch)
+        assert bumps > 500
+
     def test_final_drain_ignores_lag(self):
         # a lag longer than the stream holds everything back until the
         # tick that drains the source
@@ -441,9 +471,8 @@ class TestFrontendStep:
 
     def test_first_result_has_no_matches(self):
         source = _grid_source(duration=0.3)
-        state = SharedSurfaceState(source.batch.geometry,
-                                   PipelineConfig().window_spec
-                                   .ring_capacity(source.batch.geometry))
+        state = SharedSurfaceState(source.batch.geometry, stream_ring_capacity(
+            PipelineConfig().window_spec, source.batch))
         preprocess_tick(state, source.batch, int(source.batch.events["t"][-1]))
         snap = freeze_snapshot(state)
         result = frontend_step(snap, None, PipelineConfig())
@@ -568,6 +597,14 @@ class TestSerialRun:
             assert got.tau == ref.tau
             assert np.array_equal(got.keypoints.xy, ref.keypoints.xy)
 
+    @pytest.mark.parametrize("schedule", [[0], [5, 3], [3, 3, 4], [1, 0]])
+    def test_schedule_must_ascend_strictly_from_one(self, schedule):
+        # a threaded run records only such schedules; any other would
+        # snapshot versions it does not name
+        with pytest.raises(ValueError, match="ascend strictly from 1"):
+            run_pipeline(_grid_source(duration=0.2), PipelineConfig(),
+                         mode="serial", snapshot_schedule=schedule)
+
     @pytest.mark.parametrize("detector", ["classical", "learned"])
     def test_live_state_steps_as_frozen_copies(self, detector):
         # the serial loop steps on the live grid and ring; the loop over
@@ -676,6 +713,36 @@ class TestThreadedRun:
         assert len(calls) == 2
         assert not [t for t in threading.enumerate()
                     if t.name == "preprocess-writer" and t.is_alive()]
+
+    def test_writer_failure_returns_the_frames_so_far(self, monkeypatch):
+        # the writer's third version fails; the frontend stops, and the
+        # run returns what it made of versions 1 and 2 with the error
+        source = ReplaySource(_grid_source(duration=1.0).batch, paced=True)
+        real_apply = pipeline.apply_events
+        calls = []
+
+        def failing_apply(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("source lost")
+            return real_apply(*args)
+
+        monkeypatch.setattr(pipeline, "apply_events", failing_apply)
+        results, metrics = run_pipeline(source, PipelineConfig(),
+                                        mode="threaded")
+        assert metrics.error == "RuntimeError: source lost"
+        assert len(calls) == 3 and metrics.versions_applied == 2
+        assert not [t for t in threading.enumerate()
+                    if t.name == "preprocess-writer" and t.is_alive()]
+        monkeypatch.undo()
+        versions = [r.version for r in results]
+        assert versions and set(versions) <= {1, 2}
+        replay, _ = run_pipeline(source, PipelineConfig(), mode="serial",
+                                 snapshot_schedule=versions)
+        assert len(replay) == len(results)
+        for a, b in zip(results, replay):
+            assert (a.version, a.tau) == (b.version, b.tau)
+            _assert_same_frame(a, b)
 
     def test_staleness_metrics_populated(self):
         source = _grid_source(duration=0.5)

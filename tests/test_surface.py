@@ -33,6 +33,7 @@ from evfront.surface import (
     motion_invariance_report,
     normalized_counts_to_absolute,
     read_mcts,
+    stream_ring_capacity,
     time_surface,
     write_mcts,
     write_pgm,
@@ -488,9 +489,19 @@ class TestWindowSpec:
             normalized_counts_to_absolute(fixed, SensorGeometry(4, 4))
 
     def test_ring_capacity_covers_largest_count(self):
+        # the largest window plus the newest slot, capped at a ring that
+        # holds the whole stream; a fixed-duration window needs no ring
         geo = SensorGeometry(100, 100)
+        rng = np.random.default_rng(2)
         spec = WindowSpec.default_constant_count()
-        assert spec.ring_capacity(geo) == 10_001
+        huge = WindowSpec("constant-count", normalized_counts=(1e9,))
+        fixed = WindowSpec("fixed-duration", durations=(10, 20))
+        for n, want in ((20_000, 10_001), (10_000, 10_001), (9_999, 10_000),
+                        (0, 1)):
+            b = _random_batch(rng, n, geo, 100_000)
+            assert stream_ring_capacity(spec, b) == want
+            assert stream_ring_capacity(huge, b) == n + 1
+            assert stream_ring_capacity(fixed, b) == 1
 
 
 class TestMcts:
@@ -520,7 +531,7 @@ class TestMcts:
         for span in (1_000_000, 100_000):
             b = _random_batch(rng, 4_000, geo, span)
             grid = TimestampGrid.create(geo)
-            ring = EventCountRing(spec.ring_capacity(geo))
+            ring = EventCountRing(stream_ring_capacity(spec, b))
             apply_events(grid, ring, b)
             tensor = mcts(grid, ring, grid.latest_time, spec)
             durs.append(tensor.window_durations)
@@ -550,7 +561,7 @@ class TestMcts:
         grid = TimestampGrid.create(geo)
         specs = (WindowSpec.default_constant_count(),
                  WindowSpec("fixed-duration", durations=(7, 3_000, 90_000)))
-        ring = EventCountRing(specs[0].ring_capacity(geo))
+        ring = EventCountRing(stream_ring_capacity(specs[0], b))
         apply_events(grid, ring, b)
         for spec in specs:
             for tau in (grid.latest_time, grid.latest_time - 50_000):
@@ -578,7 +589,7 @@ class TestMcts:
         seen = set()
         for spec in specs:
             grid = TimestampGrid.create(geo)
-            ring = EventCountRing(spec.ring_capacity(geo))
+            ring = EventCountRing(stream_ring_capacity(spec, b))
             for lo in range(0, len(b), 300):
                 apply_events(grid, ring, b.slice(lo, lo + 300))
                 for tau in (grid.latest_time, grid.latest_time - 20_000,
@@ -617,7 +628,7 @@ class TestMcts:
                             durations=(7, 3_000, 90_000, 2**62 + 1_000)))
         for spec in specs:
             grid = TimestampGrid.create(geo)
-            ring = EventCountRing(spec.ring_capacity(geo))
+            ring = EventCountRing(stream_ring_capacity(spec, b))
             ref = _ReferenceGrid(geo)
             lit = 0
             for lo in range(0, len(b), 150):
@@ -661,7 +672,7 @@ class TestMcts:
                  WindowSpec("fixed-duration", durations=(5_000,)))
         for spec in specs:
             grid = TimestampGrid.create(geo)
-            ring = EventCountRing(spec.ring_capacity(geo))
+            ring = EventCountRing(stream_ring_capacity(spec, b))
             for lo in range(0, len(b), 500):
                 apply_events(grid, ring, b.slice(lo, lo + 500))
                 for tau in (grid.latest_time, grid.latest_time - 20_000,
@@ -701,7 +712,7 @@ class TestMctsDump:
         b = _random_batch(rng, 500, geo, 30_000)
         grid = TimestampGrid.create(geo)
         spec = WindowSpec.default_constant_count()
-        ring = EventCountRing(spec.ring_capacity(geo))
+        ring = EventCountRing(stream_ring_capacity(spec, b))
         apply_events(grid, ring, b)
         tensor = mcts(grid, ring, grid.latest_time, spec)
         back = read_mcts(write_mcts(tensor))
