@@ -128,10 +128,8 @@ def _build_parser():
     _opt(s, "weights-seed", int, 0,
          "random weights seed instead of a file (learned)")
     _opt(s, "tick", int, c.tick, "preprocessing period, us")
-    _opt(s, "watermark-lag", int, c.watermark_lag,
-         "event-time lag held back, us")
     _opt(s, "mode", str, "threaded", "threaded or serial")
-    _opt(s, "paced", _bool, False, "pace replay by wall clock")
+    _opt(s, "paced", _bool, False, "pace replay by wall clock (threaded)")
     _opt(s, "counts", _float_list, c.window_spec.normalized_counts,
          "normalized per-pixel counts")
     _opt(s, "channel-pair", int, c.channel_pair,
@@ -322,13 +320,11 @@ def cmd_run(args) -> int:
             nms_threshold=args.nms_threshold,
             nms_max_k=args.nms_max_k,
             match_max_distance=args.max_distance,
-            watermark_lag=args.watermark_lag,
             metrics_interval=args.metrics_interval,
         )
+        pipeline._check_mode(args.mode, args.paced)
     except ValueError as exc:
         raise UsageError(str(exc))
-    if args.mode not in ("threaded", "serial"):
-        raise UsageError(f"unknown mode {args.mode!r}")
 
     source = pipeline.ReplaySource(batch, paced=args.paced)
     results, metrics = pipeline.run_pipeline(source, config, mode=args.mode)
@@ -407,11 +403,13 @@ def _ingest_streams(rng, args):
 
 
 def _bench_ingest(rng, args):
-    # apply_events in 10k-event batches
+    # apply_events in 10k-event batches, the ring sized as the pipeline's
+    spec = pipeline.PipelineConfig().window_spec
     for batch in _ingest_streams(rng, args):
+        capacity = surface.stream_ring_capacity(spec, batch)
         def ingest():
             grid = surface.TimestampGrid.create(batch.geometry)
-            ring = surface.EventCountRing(1024)
+            ring = surface.EventCountRing(capacity)
             for lo in range(0, len(batch), 10_000):
                 surface.apply_events(grid, ring, batch.slice(lo, lo + 10_000))
         yield len(batch), ingest

@@ -53,7 +53,6 @@ class PipelineConfig:
     nms_threshold: float = 1e-4
     nms_max_k: int = 256
     match_max_distance: float = DEFAULT_MAX_DISTANCE
-    watermark_lag: int = 0
     metrics_interval: int = 60 * US_PER_S      # event-time bucket for the CSV
 
     def __post_init__(self) -> None:
@@ -69,8 +68,6 @@ class PipelineConfig:
             if 2 * k != want:
                 raise ValueError(f"{k} channel pairs feed {2 * k} channels, "
                                  f"weights expect {want}")
-        if self.watermark_lag < 0:
-            raise ValueError("watermark lag cannot be negative")
         if not 0 <= self.channel_pair < k:
             raise ValueError(f"channel pair {self.channel_pair} outside "
                              f"0..{k - 1}")
@@ -91,7 +88,6 @@ class SharedSurfaceState:
         self.grid = TimestampGrid.create(geometry)
         self.ring = EventCountRing(ring_capacity)
         self.version = 0
-        self.newest_ingested: int | None = None
         self.gate = threading.Lock()
         self.writer_stall_us = 0  # cumulative gate wait on the writer side
 
@@ -146,23 +142,17 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
     """Apply the pending events at or below the watermark.
 
     Returns (applied count, retained batch). The version advances once
-    iff anything was applied; ``newest_ingested`` moves up to the newest
-    pending event in the same hold of the gate. Blocks while a snapshot
-    holds the gate.
+    iff anything was applied; with nothing to apply the gate is not
+    taken. Blocks while a snapshot holds the gate.
     """
-    if len(pending) == 0:
+    cut = _count_through(pending.events["t"], watermark)
+    if cut == 0:
         return 0, pending
-    t = pending.events["t"]
-    cut = _count_through(t, watermark)
-    newest = int(t[-1])
     waited_from = _now_us()
     with state.gate:
         state.writer_stall_us += _now_us() - waited_from
-        if cut:
-            apply_events(state.grid, state.ring, pending.slice(0, cut))
-            state.version += 1
-        if state.newest_ingested is None or newest > state.newest_ingested:
-            state.newest_ingested = newest
+        apply_events(state.grid, state.ring, pending.slice(0, cut))
+        state.version += 1
     return cut, pending.slice(cut, len(pending))
 
 
@@ -179,7 +169,7 @@ def _count_through(t: np.ndarray, value: int, lo: int = 0) -> int:
         return lo
     needle = np.uint64(value)
     n = len(t)
-    if n == lo or t[n - 1] <= needle:  # the usual cut with no lag
+    if n == lo or t[n - 1] <= needle:  # the writer's cut: all of it
         return n
     base, step, end = lo, 1, lo
     while end < n:
@@ -252,7 +242,8 @@ class ReplaySource:
 
     ``paced=False`` replays as fast as possible: virtual time advances by
     one tick per preprocessing call. ``paced=True`` anchors event
-    timestamps to the wall clock for latency-style runs.
+    timestamps to the wall clock for latency-style runs, in threaded
+    mode only.
     """
 
     batch: EventBatch
@@ -262,13 +253,12 @@ class ReplaySource:
 class _WriterLoop:
     """Fixed-tick ingestion shared by the threaded and serial modes.
 
-    Events arrive in stream order, and the watermark holds back only the
-    newest of them, so the pending events are always one contiguous run
-    of the source, ``applied:cursor``: a view, never a copy. A tick
-    costs O(events it passes), not O(stream length). Every stamp at or
-    below the watermark has arrived, and the watermark never decreases,
-    so each version applies stamps above every earlier one and advances
-    latest_time.
+    Each tick applies every event that arrived in it: the run of the
+    source up to the advanced clock, a view, never a copy, with its
+    newest stamp as the watermark. A tick costs O(events it passes), not
+    O(stream length). A tick takes every stamp up to its clock, so equal
+    stamps never split across ticks, and each version applies stamps
+    above every earlier one and advances latest_time.
     """
 
     def __init__(self, source: ReplaySource, state: SharedSurfaceState,
@@ -277,31 +267,21 @@ class _WriterLoop:
         self.state = state
         self.config = config
         self.t_stream = self.batch.events["t"]  # a view of the packed field
-        self.cursor = 0   # events arrived
-        self.applied = 0  # events applied; the rest of 0:cursor is pending
-        n = len(self.batch)
-        self.virtual_now = int(self.t_stream[0]) if n else 0
-        self.exhausted = n == 0
+        self.cursor = 0  # events arrived, and applied
+        self.exhausted = len(self.batch) == 0
+        self.virtual_now = 0 if self.exhausted else int(self.t_stream[0])
 
     def one_tick(self) -> int:
         """Ingest arrivals for one tick; returns events applied."""
-        n = len(self.batch)
+        start = self.cursor
         self.virtual_now += self.config.tick
-        self.cursor = _count_through(self.t_stream, self.virtual_now,
-                                     self.cursor)
-        drained = self.cursor >= n
-        if self.applied == self.cursor:
-            self.exhausted = drained
+        self.cursor = _count_through(self.t_stream, self.virtual_now, start)
+        self.exhausted = self.cursor == len(self.batch)
+        if self.cursor == start:
             return 0
-        watermark = int(self.t_stream[self.cursor - 1])
-        if not drained:  # the final drain ignores the lag
-            watermark -= self.config.watermark_lag
-        applied, _ = preprocess_tick(
-            self.state, self.batch.slice(self.applied, self.cursor),
-            watermark)
-        self.applied += applied
-        self.exhausted = self.applied == n
-        return applied
+        end = self.cursor
+        return preprocess_tick(self.state, self.batch.slice(start, end),
+                               int(self.t_stream[end - 1]))[0]
 
 
 def run_pipeline(source: ReplaySource, config: PipelineConfig,
@@ -316,10 +296,10 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     snapshotting at each version in ``snapshot_schedule`` (every version
     when None); with a schedule recorded from a threaded run it
     reproduces that run's results exactly, timings excluded. A schedule
-    must ascend strictly from 1, as a threaded run's versions do.
+    must ascend strictly from 1, as a threaded run's versions do. Only
+    the threaded mode paces a source.
     """
-    if mode not in ("threaded", "serial"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(mode, source.paced)
     if snapshot_schedule is not None and any(
             a >= b for a, b in zip([0, *snapshot_schedule], snapshot_schedule)):
         raise ValueError("snapshot schedule must ascend strictly from 1")
@@ -329,6 +309,13 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     if mode == "serial":
         return _run_serial(source, config, state, snapshot_schedule)
     return _run_threaded(source, config, state)
+
+
+def _check_mode(mode: str, paced: bool) -> None:
+    if mode not in ("threaded", "serial"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if paced and mode == "serial":
+        raise ValueError("paced replay needs threaded mode")
 
 
 @functools.cache
@@ -409,10 +396,10 @@ def _run_threaded(source, config, state):
                 progress.notify_all()
 
     def newer_version(last_version):
-        # the version only grows, and stops once the writer is done
+        # the version only grows; the writer notifies each tick and when done
         with progress:
-            while state.version == last_version and not done.is_set():
-                progress.wait(timeout=0.05)
+            progress.wait_for(lambda: state.version != last_version
+                              or done.is_set())
         return state.version != last_version
 
     thread = threading.Thread(target=writer_main, name="preprocess-writer",
@@ -436,8 +423,8 @@ def _frontend_loop(state, config, wait, snapshot, started):
     will come; ``snapshot(state)`` takes the snapshot. A version makes
     no frame only when a newer one supersedes it: each holds an event and
     advances tau (see ``_WriterLoop``). A frame's staleness is taken when
-    it is emitted: how far the writer's newest ingested event is then
-    ahead of its tau.
+    it is emitted: how far the newest applied event is then ahead of its
+    tau. Only a snapshot that copies the state has its copy timed.
     """
     results: list[FrameResult] = []
     staleness: list[int] = []
@@ -446,13 +433,12 @@ def _frontend_loop(state, config, wait, snapshot, started):
     while wait(last_version):
         copy_from = _now_us()
         snap = snapshot(state)
-        copy_times.append(_now_us() - copy_from)
+        if snap.grid is not state.grid:
+            copy_times.append(_now_us() - copy_from)
         last_version = snap.version
         results.append(frontend_step(snap, results[-1] if results else None,
                                      config))
-        # never None here: the writer sets it in the same hold of the gate
-        # as it applies the events this frame saw
-        staleness.append(state.newest_ingested - results[-1].tau)
+        staleness.append(state.grid.latest_time - results[-1].tau)
     return results, _collect_metrics(results, staleness, copy_times, state,
                                      started, _now_us(), config)
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evfront import cli, pipeline
+from evfront import cli, pipeline, surface
 from evfront.events import SensorGeometry, parse_events
 from evfront.surface import read_mcts
 
@@ -321,6 +321,15 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_watermark_lag_is_no_option(self, tmp_path, capsys):
+        # the writer applies every arrival; _USAGE_CASES has the config key
+        src = _synth(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "-i", str(src), "--watermark-lag", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --watermark-lag 5" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [
         ["--counts", "nan,1"], ["--counts", "1,inf"],
         ["--tick", "99999999999999999999"]])
@@ -476,6 +485,13 @@ _USAGE_CASES = {
     "config boolean off": (
         {"run.conf": b"paced = off\n"}, ["--config", "{dir}/run.conf",
                                          *_RUN_SERIAL], 0, ""),
+    "paced serial run": (
+        {}, [*_RUN_SERIAL, "--paced"], 2,
+        "error: paced replay needs threaded mode\n"),
+    "config watermark lag": (
+        {"run.conf": b"watermark-lag = 5\n"}, ["--config", "{dir}/run.conf",
+                                               *_RUN_SERIAL], 2,
+        "error: config line 1: unknown option 'watermark-lag' for run\n"),
     "config boolean maybe": (
         {"run.conf": b"paced = maybe\n"}, ["--config", "{dir}/run.conf",
                                            *_RUN_SERIAL], 2,
@@ -566,6 +582,24 @@ class TestBench:
         assert [line.split(",")[:2] for line in lines[1:]] == \
             [["ingest", "3000"], ["ingest", "6000"],
              ["writer", "3000"], ["writer", "6000"]]
+
+    def test_ingest_rings_sized_as_the_pipeline_sizes_them(
+            self, monkeypatch, capsys):
+        # both rows of each size build the ring stream_ring_capacity
+        # gives: the stream plus one, capped at the largest window plus
+        # one (43201 at 240x180); one untimed and one timed call a row
+        capacities = []
+        real_ring = surface.EventCountRing
+
+        def recording_ring(capacity):
+            capacities.append(capacity)
+            return real_ring(capacity)
+
+        for module in (surface, pipeline):
+            monkeypatch.setattr(module, "EventCountRing", recording_ring)
+        assert cli.main(["bench", "--workload", "ingest", "--events-n",
+                         "30000", "--iterations", "1"]) == 0
+        assert capacities == [30_001, 30_001, 43_201, 43_201] * 2
 
     def test_snapshot_workload_rows(self, capsys):
         rc = cli.main(["bench", "--workload", "snapshot",
@@ -726,17 +760,20 @@ _RUN = ["run", "-i", "{src}", "--mode", "serial"]
 _LEARNED = [*_RUN, "--detector", "learned"]
 _BENCH = ["bench", "--workload", "ingest", "--events-n", "1000",
           "--iterations", "1"]
+_CONVERT = ["convert", "-i", "{csv}", "-o", "{out}/c.bin", "--from-format",
+            "csv", "--to-format", "binary-v1"]
 _SWEEP = [
     *(("synth", _SYNTH, option) for option in (
         "--velocity={},30", "--duration={}", "--geometry={}x{}",
         "--start-time={}", "--grid-pitch={}", "--square-side={}")),
+    ("convert", _CONVERT, "--geometry={}x{}"),
     *(("surface", ["surface", "-i", "{src}", "-o", "{out}/s", *mode], option)
       for mode, option in (([], "--tau={}"), ([], "--counts={}"),
                            (["--mode", "fixed-duration"], "--durations={}"))),
     *((label, base, option)
       for label, base in (("run classical", _RUN), ("run learned", _LEARNED))
       for option in (
-          "--tick={}", "--watermark-lag={}", "--counts=0.03,0.1,0.3,{}",
+          "--tick={}", "--counts=0.03,0.1,0.3,{}",
           "--channel-pair={}", "--nms-radius={}", "--nms-threshold={}",
           "--nms-max-k={}", "--max-distance={}", "--metrics-interval={}")),
     ("run learned", _LEARNED, "--weights-seed={}"),
@@ -752,9 +789,30 @@ _USAGE_ERRORS = {("--events-n={}", v): "error: events-n must be at most "
 
 @pytest.fixture(scope="module")
 def sweep_stream(tmp_path_factory):
+    """The sweep's stream, binary-v1 and CSV."""
     out = tmp_path_factory.mktemp("sweep")
     assert cli.main([a.format(out=out) for a in _SYNTH]) == 0
-    return out / "s.bin"
+    assert cli.main(["convert", "-i", str(out / "s.bin"), "-o",
+                     str(out / "s.csv"), "--from-format", "binary-v1",
+                     "--to-format", "csv"]) == 0
+    return out / "s.bin", out / "s.csv"
+
+
+def test_sweep_covers_exactly_the_numeric_options():
+    """Each swept option is registered for its subcommand, and each
+    registered option that takes a number is swept, so the hand list
+    cannot drift from the parser."""
+    cli._build_parser()
+    swept = {(label.split()[0], option.split("=")[0][2:])
+             for label, _, option in _SWEEP}
+    for command, name in swept:
+        assert name in cli._CONVERTERS[command], (command, name)
+    numeric = (int, float, cli._float_list, cli._int_list, cli._velocity,
+               cli._geometry)
+    registered = {(command, name)
+                  for command, table in cli._CONVERTERS.items()
+                  for name, conv in table.items() if conv in numeric}
+    assert swept == registered
 
 
 @pytest.mark.parametrize(
@@ -765,7 +823,8 @@ def test_no_flag_value_is_an_internal_error(tmp_path, capsys, sweep_stream,
     """Each case exits 0, 2 or 3, or 4 with a ``verify`` fail verdict,
     within a few MB of traced memory: no value reaches the last-resort
     ``internal error`` boundary or asks for a huge allocation."""
-    argv = [a.format(src=sweep_stream, out=tmp_path) for a in base]
+    src, csv = sweep_stream
+    argv = [a.format(src=src, csv=csv, out=tmp_path) for a in base]
     values = [*_SWEEP_VALUES, *(v for o, v in _USAGE_ERRORS
                                 if o == option and v not in _SWEEP_VALUES)]
     if option == "--iterations={}":
@@ -855,7 +914,7 @@ class TestConfigFile:
         results = tmp_path / "r.jsonl"
         conf = tmp_path / "run.conf"
         conf.write_text("paced = yes\nno-descriptors = true\n"
-                        "mode = serial\n")
+                        "mode = threaded\n")
         rc = cli.main(["--config", str(conf), "run", "-i", str(src),
                        "--results", str(results)])
         assert rc == 0

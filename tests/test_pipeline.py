@@ -1,9 +1,8 @@
-"""Shared state, watermark ticks, snapshots, and the run loops."""
+"""Shared state, writer ticks, snapshots, and the run loops."""
 
 import json
 import platform
 import resource
-import sys
 import threading
 import time
 import tracemalloc
@@ -98,10 +97,8 @@ def frontend_step_reference(snapshot, previous, config):
 
 
 # The writer the linear-time one replaced, kept as an oracle. Every tick
-# it searched the whole stream's stamps, concatenated the retained events
-# with the arrivals, validated every slice, wrote the grid by fancy
-# assignment (last write wins) and took the gate a second time to set
-# newest_ingested.
+# it searched the whole stream's stamps, copied and validated the
+# arrivals, and wrote the grid by fancy assignment (last write wins).
 
 
 def _apply_events_reference(grid, ring, batch):
@@ -138,43 +135,22 @@ class WriterLoopReference:
         ev = source.batch.events
         self.t_stream = ev["t"]
         self.cursor = 0
-        self.retained = _empty_batch(source.batch.geometry)
         self.virtual_now = int(ev["t"][0]) if len(ev) else 0
         self.exhausted = len(ev) == 0
 
     def one_tick(self):
         batch = self.source.batch
-        n = len(batch)
         self.virtual_now += self.config.tick
         new_cursor = int(np.searchsorted(self.t_stream, self.virtual_now,
                                          side="right"))
         arrivals = EventBatch(batch.events[self.cursor:new_cursor],
                               batch.geometry)
         self.cursor = new_cursor
-        if len(self.retained) and len(arrivals):
-            pending = EventBatch(
-                np.concatenate([self.retained.events, arrivals.events]),
-                batch.geometry)
-        elif len(arrivals):
-            pending = arrivals
-        else:
-            pending = self.retained
-        drained = self.cursor >= n
-        if len(pending) == 0:
-            self.exhausted = drained
+        self.exhausted = self.cursor >= len(batch)
+        if len(arrivals) == 0:
             return 0
-        if drained:
-            watermark = int(pending.events["t"][-1])
-        else:
-            watermark = int(pending.events["t"][-1]) - self.config.watermark_lag
-        applied, self.retained = _preprocess_tick_reference(
-            self.state, pending, watermark)
-        with self.state.gate:
-            newest = int(pending.events["t"][-1])
-            if self.state.newest_ingested is None \
-                    or newest > self.state.newest_ingested:
-                self.state.newest_ingested = newest
-        self.exhausted = drained and len(self.retained) == 0
+        applied, _ = _preprocess_tick_reference(
+            self.state, arrivals, int(arrivals.events["t"][-1]))
         return applied
 
 
@@ -216,7 +192,6 @@ def _assert_writers_agree(batch, config, capacity):
         ticks += 1
         idle += applied == 0
         assert got.version == want.version
-        assert got.newest_ingested == want.newest_ingested
         assert got.grid.last_t.tobytes() == want.grid.last_t.tobytes()
         assert got.grid.valid.tobytes() == want.grid.valid.tobytes()
         assert (got.grid.latest_time, got.grid.first_time,
@@ -265,16 +240,22 @@ class TestPreprocessTick:
         assert state.version == 1
         assert state.grid.applied_count == 4
 
-
-    def test_newest_ingested_moves_with_nothing_ready(self):
+    @pytest.mark.parametrize("watermark", [-1, 0, 99])
+    def test_nothing_ready_applies_nothing_and_skips_the_gate(
+            self, watermark):
         geo = SensorGeometry(8, 8)
         state = SharedSurfaceState(geo, 16)
+        preprocess_tick(state, _batch(geo, [50], [2], [2], [1]), 60)
+        state.gate = _CountingGate()
+        grid = state.grid.copy()
         pending = _batch(geo, [100, 120], [0, 1], [0, 0], [1, 1])
-        applied, retained = preprocess_tick(state, pending, watermark=50)
-        assert (applied, len(retained), state.version) == (0, 2, 0)
-        assert state.newest_ingested == 120
-        preprocess_tick(state, pending.slice(0, 1), watermark=100)
-        assert state.newest_ingested == 120  # never moves back
+        for batch in (pending, _empty_batch(geo)):
+            applied, retained = preprocess_tick(state, batch, watermark)
+            assert applied == 0 and retained is batch
+        assert (state.version, state.gate.holds) == (1, 0)
+        assert state.grid.last_t.tobytes() == grid.last_t.tobytes()
+        assert (state.grid.latest_time, state.grid.applied_count) == (50, 1)
+        assert len(state.ring) == 1
 
 
 class _CountingGate:
@@ -303,14 +284,13 @@ class TestWriterLoop:
     # a small sensor, so pixels repeat within one tick
     GEO = SensorGeometry(12, 9)
 
-    def test_matches_reference_with_and_without_lag(self):
+    def test_matches_reference(self):
         rng = np.random.default_rng(23)
         batch = _stream(rng, self.GEO,
                         np.sort(rng.integers(1_000, 400_000, 6_000)))
-        for lag in (0, 1, 3_000, 10_000, 25_000):
-            for capacity in (1, 37, 4_096, 10_000):
-                config = PipelineConfig(tick=10_000, watermark_lag=lag)
-                _assert_writers_agree(batch, config, capacity)
+        for capacity in (1, 37, 4_096, 10_000):
+            _assert_writers_agree(batch, PipelineConfig(tick=10_000),
+                                  capacity)
 
     def test_matches_reference_across_gaps(self):
         # bursts 35 to 120 ms apart: most 10 ms ticks see no arrivals
@@ -319,10 +299,9 @@ class TestWriterLoop:
         t = np.sort(np.concatenate(
             [s + rng.integers(0, 3_000, 200) for s in starts]))
         batch = _stream(rng, self.GEO, t)
-        for lag in (0, 5_000, 50_000):
-            config = PipelineConfig(tick=10_000, watermark_lag=lag)
-            ticks, idle = _assert_writers_agree(batch, config, 64)
-            assert idle > ticks // 2
+        config = PipelineConfig(tick=10_000)
+        ticks, idle = _assert_writers_agree(batch, config, 64)
+        assert idle > ticks // 2
 
     def test_matches_reference_on_equal_stamp_bursts(self):
         # bursts of one stamp on, one before and one after the tick
@@ -335,16 +314,12 @@ class TestWriterLoop:
             t += [stamp] * int(rng.integers(1, 400))
         batch = _stream(rng, self.GEO, t)
         for tick in (10_000, 2_500):
-            for lag in (0, 1, 10_000):
-                config = PipelineConfig(tick=tick, watermark_lag=lag)
-                _assert_writers_agree(batch, config, 128)
+            _assert_writers_agree(batch, PipelineConfig(tick=tick), 128)
 
     def test_one_event_and_empty_streams(self):
         rng = np.random.default_rng(31)
         one = _stream(rng, self.GEO, [7_777])
-        for lag in (0, 10_000):
-            config = PipelineConfig(watermark_lag=lag)
-            assert _assert_writers_agree(one, config, 4) == (1, 0)
+        assert _assert_writers_agree(one, PipelineConfig(), 4) == (1, 0)
         empty = _empty_batch(self.GEO)
         writer = _WriterLoop(ReplaySource(empty),
                              SharedSurfaceState(self.GEO, 4), PipelineConfig())
@@ -353,7 +328,7 @@ class TestWriterLoop:
     def test_every_version_advances_latest_time(self):
         # the frame loop relies on it to keep tau strictly increasing:
         # bursts of one stamp, gaps, ticks shorter and longer than a
-        # burst's spread, lags shorter and longer than the stream
+        # burst's spread
         rng = np.random.default_rng(41)
         bumps = 0
         for _ in range(3):
@@ -362,31 +337,20 @@ class TestWriterLoop:
                                   rng.integers(1, 30, 40)))
             batch = _stream(rng, self.GEO, t)
             for tick in (1, 7, 60, 300):
-                for lag in (0, 1, 150, 30_000):
-                    state = SharedSurfaceState(self.GEO, 64)
-                    writer = _WriterLoop(
-                        ReplaySource(batch), state,
-                        PipelineConfig(tick=tick, watermark_lag=lag))
-                    latest = -1
-                    while not writer.exhausted:
-                        version = state.version
-                        writer.one_tick()
-                        if state.version != version:
-                            assert state.version == version + 1
-                            assert state.grid.latest_time > latest
-                            latest = state.grid.latest_time
-                            bumps += 1
-                    assert state.grid.applied_count == len(batch)
-        assert bumps > 500
-
-    def test_final_drain_ignores_lag(self):
-        # a lag longer than the stream holds everything back until the
-        # tick that drains the source
-        rng = np.random.default_rng(37)
-        batch = _stream(rng, self.GEO, np.arange(0, 50_000, 100))
-        config = PipelineConfig(tick=10_000, watermark_lag=1_000_000)
-        ticks, idle = _assert_writers_agree(batch, config, 64)
-        assert idle == ticks - 1
+                state = SharedSurfaceState(self.GEO, 64)
+                writer = _WriterLoop(ReplaySource(batch), state,
+                                     PipelineConfig(tick=tick))
+                latest = -1
+                while not writer.exhausted:
+                    version = state.version
+                    writer.one_tick()
+                    if state.version != version:
+                        assert state.version == version + 1
+                        assert state.grid.latest_time > latest
+                        latest = state.grid.latest_time
+                        bumps += 1
+                assert state.grid.applied_count == len(batch)
+        assert bumps > 300
 
     def test_pending_is_a_view_of_the_source(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -399,27 +363,23 @@ class TestWriterLoop:
             return real_tick(state, pending, watermark)
 
         monkeypatch.setattr(pipeline, "preprocess_tick", spy)
-        run_pipeline(ReplaySource(batch), PipelineConfig(watermark_lag=3_000),
-                     mode="serial")
+        run_pipeline(ReplaySource(batch), PipelineConfig(), mode="serial")
         assert len(views) > 10 and all(views)
 
     def test_one_gate_hold_per_tick(self):
         rng = np.random.default_rng(43)
         batch = _stream(rng, self.GEO, np.sort(np.concatenate(
             [rng.integers(0, 30_000, 500), rng.integers(80_000, 99_000, 500)])))
-        for lag in (0, 2_000):
-            state = SharedSurfaceState(self.GEO, 64)
-            state.gate = _CountingGate()
-            writer = _WriterLoop(ReplaySource(batch), state,
-                                 PipelineConfig(watermark_lag=lag))
-            holds = []
-            while not writer.exhausted:
-                before = state.gate.holds
-                writer.one_tick()
-                holds.append(state.gate.holds - before)
-            # with no lag the gap's ticks have nothing pending; with one,
-            # the held-back events stay pending through the gap
-            assert set(holds) == ({0, 1} if lag == 0 else {1})
+        state = SharedSurfaceState(self.GEO, 64)
+        state.gate = _CountingGate()
+        writer = _WriterLoop(ReplaySource(batch), state, PipelineConfig())
+        holds = []
+        while not writer.exhausted:
+            before = state.gate.holds
+            writer.one_tick()
+            holds.append(state.gate.holds - before)
+        # the gap's ticks have nothing to apply and take no gate
+        assert set(holds) == {0, 1}
 
     def test_tick_memory_independent_of_stream_length(self):
         # 2M events one microsecond apart, so a 10 ms tick passes 10k of
@@ -605,6 +565,23 @@ class TestSerialRun:
             run_pipeline(_grid_source(duration=0.2), PipelineConfig(),
                          mode="serial", snapshot_schedule=schedule)
 
+    def test_paced_source_rejected(self):
+        # the serial loop never reads the wall clock, so it would replay
+        # unpaced without a word
+        source = ReplaySource(_grid_source(duration=0.2).batch, paced=True)
+        with pytest.raises(ValueError,
+                           match="^paced replay needs threaded mode$"):
+            run_pipeline(source, PipelineConfig(), mode="serial")
+
+    def test_copy_metrics_read_zero(self):
+        # the serial loop steps on the live state: nothing is copied, so
+        # no copy time is recorded
+        results, metrics = run_pipeline(_grid_source(duration=0.3),
+                                        PipelineConfig(), mode="serial")
+        assert len(results) > 2
+        copies = (metrics.snapshot_copy_mean_us, metrics.snapshot_copy_max_us)
+        assert json.dumps(copies) == "[0.0, 0]"
+
     @pytest.mark.parametrize("detector", ["classical", "learned"])
     def test_live_state_steps_as_frozen_copies(self, detector):
         # the serial loop steps on the live grid and ring; the loop over
@@ -638,23 +615,6 @@ class TestSerialRun:
         assert len(results) > 20
         assert faults < 16 * len(results)
 
-    def test_watermark_lag_holds_back_recent_events(self):
-        geo = SensorGeometry(16, 16)
-        t = np.arange(0, 100_000, 500, dtype=np.uint64)
-        rng = np.random.default_rng(11)
-        batch = batch_from_columns(
-            t, rng.integers(0, 16, len(t)).astype(np.uint16),
-            rng.integers(0, 16, len(t)).astype(np.uint16),
-            rng.choice(np.array([-1, 1], np.int8), len(t)), geo)
-        lagged = PipelineConfig(tick=10_000, watermark_lag=5_000)
-        results, metrics = run_pipeline(ReplaySource(batch), lagged,
-                                        mode="serial")
-        # the final drain ignores the lag so every event still lands
-        assert metrics.events_applied == len(batch)
-        # mid-stream results must trail the ingested frontier by the lag
-        mid = [r for r in results if r.tau < int(t[-1]) - 10_000]
-        assert mid, "expected mid-stream results"
-
 
 class TestThreadedRun:
     @pytest.mark.parametrize("detector", ["classical", "learned"])
@@ -678,8 +638,8 @@ class TestThreadedRun:
         # a serial replay of the observed snapshot versions reproduces
         # every threaded result exactly
         schedule = [r.version for r in threaded]
-        replay, _ = run_pipeline(source, config, mode="serial",
-                                 snapshot_schedule=schedule)
+        replay, _ = run_pipeline(ReplaySource(source.batch), config,
+                                 mode="serial", snapshot_schedule=schedule)
         assert len(replay) == len(threaded)
         for a, b in zip(threaded, replay):
             assert (a.version, a.tau) == (b.version, b.tau)
@@ -737,8 +697,8 @@ class TestThreadedRun:
         monkeypatch.undo()
         versions = [r.version for r in results]
         assert versions and set(versions) <= {1, 2}
-        replay, _ = run_pipeline(source, PipelineConfig(), mode="serial",
-                                 snapshot_schedule=versions)
+        replay, _ = run_pipeline(ReplaySource(source.batch), PipelineConfig(),
+                                 mode="serial", snapshot_schedule=versions)
         assert len(replay) == len(results)
         for a, b in zip(results, replay):
             assert (a.version, a.tau) == (b.version, b.tau)
@@ -754,12 +714,11 @@ class TestThreadedRun:
 
 
     def test_staleness_taken_at_emission(self, monkeypatch):
-        # no watermark lag, so every snapshot holds all it ingested; a
-        # slow frontend still emits results the writer has moved past
+        # every snapshot holds all its writer ingested; a slow frontend
+        # still emits results the writer has moved past
         _slow_detector(monkeypatch)
         source = ReplaySource(_grid_source(duration=0.3).batch, paced=True)
         config = PipelineConfig()
-        assert config.watermark_lag == 0
         results, metrics = run_pipeline(source, config, mode="threaded")
         assert metrics.error is None
         assert len(results) > 1
@@ -952,38 +911,3 @@ class TestSnapshotConsistencyUnderRaces:
             assert np.array_equal(snap.grid.valid, ref_state.grid.valid)
             assert snap.grid.applied_count == ref_state.grid.applied_count
             assert snap.ring.state_bytes() == ref_state.ring.state_bytes()
-
-    def test_snapshot_never_ahead_of_newest_ingested(self):
-        # a tick applies its events and moves newest_ingested in one hold
-        # of the gate, so no reader holding the gate sees an applied event
-        # newer than it
-        geo = SensorGeometry(16, 16)
-        rng = np.random.default_rng(7)
-        batch = _stream(rng, geo, np.sort(rng.integers(0, 2_000_000, 40_000)))
-        state = SharedSurfaceState(geo, 64)
-        writer = _WriterLoop(ReplaySource(batch), state,
-                             PipelineConfig(tick=1_000))
-
-        def drain():
-            while not writer.exhausted:
-                writer.one_tick()
-
-        seen = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            thread = threading.Thread(target=drain)
-            thread.start()
-            while thread.is_alive():
-                with state.gate:
-                    seen.append((state.version, state.grid.latest_time,
-                                 state.newest_ingested))
-            thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not thread.is_alive()
-        assert state.grid.applied_count == len(batch)
-        held = [(latest, newest) for version, latest, newest in seen
-                if version]
-        assert len(held) > 10
-        assert all(newest >= latest for latest, newest in held)
