@@ -13,7 +13,7 @@ from .surface import (EventCountRing, MctsTensor, MotionInvarianceReport,
                       apply_events, mcts, motion_invariance_report,
                       normalized_counts_to_absolute, read_mcts, time_surface,
                       write_mcts, write_pgm)
-from .detect import (Descriptors, KeypointSet, NetworkSpec, WeightBundle,
+from .detect import (KeypointSet, NetworkSpec, WeightBundle,
                      classical_detect, detector_probabilities, forward,
                      interpolate_descriptors, load_weights, nms,
                      random_weights, save_weights)
@@ -33,7 +33,7 @@ __all__ = [
     "WindowSpec", "adaptive_windows", "apply_events", "mcts",
     "motion_invariance_report", "normalized_counts_to_absolute", "read_mcts",
     "time_surface", "write_mcts", "write_pgm",
-    "Descriptors", "KeypointSet", "NetworkSpec", "WeightBundle",
+    "KeypointSet", "NetworkSpec", "WeightBundle",
     "classical_detect", "detector_probabilities", "forward",
     "interpolate_descriptors", "load_weights", "nms", "random_weights",
     "save_weights",

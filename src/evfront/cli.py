@@ -210,6 +210,14 @@ def _read_batch(path: str, format: str = "binary-v1",
         raise UsageError(f"{path}: {exc}")
 
 
+def _write(path: str, data: bytes | str) -> None:
+    try:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+
+
 def cmd_synth(args) -> int:
     try:
         spec = events.MotionSpec(args.pattern, args.velocity, args.duration,
@@ -218,7 +226,7 @@ def cmd_synth(args) -> int:
         batch = events.synthesize(spec, args.geometry, args.start_time)
     except ValueError as exc:  # also a start time outside the stamp range
         raise UsageError(str(exc))
-    Path(args.output).write_bytes(events.write_events(batch, "binary-v1"))
+    _write(args.output, events.write_events(batch, "binary-v1"))
     t = batch.events["t"]
     span = int(t[-1]) - int(t[0]) if len(batch) else 0
     print(f"wrote {len(batch)} events spanning {span} us to {args.output}")
@@ -232,7 +240,7 @@ def cmd_convert(args) -> int:
     if src not in ("binary-v1", "csv") or dst not in ("binary-v1", "csv"):
         raise UsageError("from-format and to-format must be binary-v1 or csv")
     batch = _read_batch(args.input, src, args.geometry)
-    Path(args.output).write_bytes(events.write_events(batch, dst))
+    _write(args.output, events.write_events(batch, dst))
     print(f"converted {len(batch)} events to {dst} at {args.output}")
     return 0
 
@@ -265,8 +273,8 @@ def cmd_surface(args) -> int:
 
     prefix = args.output_prefix
     for idx, channel in enumerate(tensor.channels):
-        Path(f"{prefix}_ch{idx:02d}.pgm").write_bytes(surface.write_pgm(channel))
-    Path(prefix + ".mcts").write_bytes(surface.write_mcts(tensor))
+        _write(f"{prefix}_ch{idx:02d}.pgm", surface.write_pgm(channel))
+    _write(prefix + ".mcts", surface.write_mcts(tensor))
     durs = ",".join(str(d) for d in tensor.window_durations)
     print(f"tau={tau} realized_durations_us={durs} "
           f"channels={tensor.channels.shape[0]} prefix={prefix}")
@@ -326,19 +334,21 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
+    for path in (args.results, args.metrics, args.timings_csv):
+        if path:  # an unwritable path fails before the run, not after
+            _write(path, b"")
     source = pipeline.ReplaySource(batch, paced=args.paced)
     results, metrics = pipeline.run_pipeline(source, config, mode=args.mode)
 
     if args.results:
-        with open(args.results, "w") as fh:
-            for r in results:
-                fh.write(pipeline.result_to_json(
-                    r, include_descriptors=not args.no_descriptors) + "\n")
+        _write(args.results, "".join(
+            pipeline.result_to_json(
+                r, include_descriptors=not args.no_descriptors) + "\n"
+            for r in results))
     if args.metrics:
-        Path(args.metrics).write_text(
-            json.dumps(asdict(metrics), indent=2) + "\n")
+        _write(args.metrics, json.dumps(asdict(metrics), indent=2) + "\n")
     if args.timings_csv:
-        Path(args.timings_csv).write_bytes(pipeline.metrics_to_csv(metrics))
+        _write(args.timings_csv, pipeline.metrics_to_csv(metrics))
     total_matches = sum(len(r.matches_to_previous) for r in results)
     print(f"results={len(results)} versions={metrics.versions_applied} "
           f"events={metrics.events_applied} matches={total_matches}")
@@ -513,8 +523,7 @@ def _bench_quantize(rng, args):
     for n in (100, 500, 1000):
         vectors = rng.standard_normal((n, 64)).astype(np.float32)
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        desc = detect.Descriptors(vectors, np.ones(n, dtype=bool))
-        yield n, lambda: matching.quantize(desc)
+        yield n, lambda: matching.quantize(vectors)
 
 
 def _bench_match(rng, args):
@@ -580,6 +589,9 @@ def cmd_bench(args) -> int:
             raise UsageError(f"{name} must be at least {least}")
     if args.events_n > 10 ** 7:  # 2n events, stamps below 20n: about 0.5 GB
         raise UsageError("events-n must be at most 10**7")
+    for path in (args.output, args.json):
+        if path:  # an unwritable path fails before the rows are timed
+            _write(path, b"")
     names = list(_WORKLOADS) if wanted == "all" else [wanted]
     if wanted == "ingest":
         names.append("writer")
@@ -599,7 +611,7 @@ def cmd_bench(args) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
     if args.json:
         environment = {"cpu_count": os.cpu_count(),
                        "python": platform.python_version(),
@@ -608,7 +620,7 @@ def cmd_bench(args) -> int:
                        "encoder_bands": detect.encoder_bands()}
         table = [{"workload": w, "n": n, "mean_us": m, "p99_us": p,
                   "iterations": args.iterations} for w, n, m, p in rows]
-        Path(args.json).write_text(json.dumps(
+        _write(args.json, json.dumps(
             {"environment": environment, "rows": table}, indent=2) + "\n")
     return 0
 

@@ -1,11 +1,12 @@
 """Keypoint detection and description on multi-channel time surfaces.
 
-Two detector paths share the keypoint/descriptor types: a small learned
-network (4-layer conv encoder, cell-softmax detector head, 64-dim
-descriptor head) run as a pure numpy forward pass over the whole surface
-tensor, and a deterministic Harris-style fallback that needs no weights
-and reads one (h, w) plane, a channel pair's surfaces merged by maximum
-(``surface.merged_surface``).
+Two detector paths share the keypoint type and hand matching their
+descriptors as one (N, D) float32 array of L2-normalized rows: a small
+learned network (4-layer conv encoder, cell-softmax detector head,
+64-dim descriptor head) run as a pure numpy forward pass over the whole
+surface tensor, and a deterministic Harris-style fallback that needs no
+weights and reads one (h, w) plane, a channel pair's surfaces merged by
+maximum (``surface.merged_surface``).
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ class WeightBundle:
         for name in _LAYER_FIELDS:
             if len(getattr(self, name)) != layers:
                 raise ValueError(f"{name}: one per encoder layer required")
-        if not self.bn_epsilon > 0:
-            raise ValueError("bn epsilon must be positive")
-        # every tensor against the spec's shapes, in SLWT order
+        if not (self.bn_epsilon > 0 and math.isfinite(self.bn_epsilon)):
+            raise ValueError("bn epsilon must be positive and finite")
+        # every tensor against the spec's shapes, in SLWT order. A NaN or
+        # inf would flow through every frame as NaN scores and descriptors
         names = [f"layer {i} {name}" for i in range(layers)
                  for name in _LAYER_FIELDS] + list(_HEAD_FIELDS)
         for name, got, want in zip(names, _tensor_sequence(self),
@@ -93,6 +95,8 @@ class WeightBundle:
             if got.shape != want:
                 raise ValueError(f"{name} shape {got.shape}, expected "
                                  f"{want}")
+            if not np.isfinite(got).all():
+                raise ValueError(f"{name} holds a NaN or infinite value")
         for i, var in enumerate(self.bn_var):  # summed as _stage does
             if np.any(var + np.float32(self.bn_epsilon) <= 0):
                 raise ValueError(f"layer {i} bn variance plus epsilon must "
@@ -108,18 +112,6 @@ class KeypointSet:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-
-@dataclass(frozen=True)
-class Descriptors:
-    """Row-normalized descriptors; rows that were zero stay zero and are
-    marked invalid in ``valid``."""
-
-    vectors: np.ndarray  # (N, D) float32, unit rows where valid
-    valid: np.ndarray    # (N,) bool
-
-    def __len__(self) -> int:
-        return len(self.valid)
 
 
 def random_weights(spec: NetworkSpec, seed: int) -> WeightBundle:
@@ -523,13 +515,14 @@ def _window_max(flat: np.ndarray, size: int, stride: int) -> np.ndarray:
 
 
 def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
-                            cell: int) -> Descriptors:
-    """Bilinear descriptor lookup at sub-cell precision.
+                            cell: int) -> np.ndarray:
+    """Bilinear descriptor lookup at sub-cell precision: one (N, D)
+    float32 row per keypoint.
 
     Image coordinates map to cell-map coordinates via
     ((x + 0.5)/cell - 0.5); the four surrounding cells are blended with
-    edge clamping, then each row is L2-normalized. Rows with zero norm
-    are kept at zero and flagged invalid.
+    edge clamping, then each row is L2-normalized. A row of zero norm
+    stays zero.
     """
     d, mh, mw = desc_map.shape
     n = len(keypoints)
@@ -554,16 +547,16 @@ def interpolate_descriptors(desc_map: np.ndarray, keypoints: KeypointSet,
     return _normalize_rows(v00.astype(np.float32))
 
 
-def _normalize_rows(vectors: np.ndarray) -> Descriptors:
-    """Divides each float32 row by its norm, in place; a row of norm zero
-    or NaN is divided by 1 instead, so it stays as it is, and is invalid."""
+def _normalize_rows(vectors: np.ndarray) -> np.ndarray:
+    """Divides each float32 row by its norm, in place, and returns
+    ``vectors``; a row of norm zero or NaN is divided by 1 instead, so it
+    stays as it is."""
     wide = vectors.astype(np.float64)
     norms = np.sqrt(np.add.reduce(wide * wide, axis=1))  # as np.linalg.norm
-    valid = norms > 0
-    norms[~valid] = 1.0
+    norms[~(norms > 0)] = 1.0
     # the float64 quotient, rounded to float32 as it is stored
     np.divide(vectors, norms[:, None], out=vectors, casting="same_kind")
-    return Descriptors(vectors, valid)
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +564,17 @@ def _normalize_rows(vectors: np.ndarray) -> Descriptors:
 
 
 def classical_detect(merged: np.ndarray, radius: int, threshold: float,
-                     max_k: int) -> tuple[KeypointSet, Descriptors]:
+                     max_k: int) -> tuple[KeypointSet, np.ndarray]:
     """Harris corners plus patch descriptors of the (h, w) plane
     ``merged``, no weights involved.
 
     The pipeline passes the channel pair's two surfaces merged by maximum
     (``surface.merged_surface``). The corner response is
     det - 0.04*trace^2 of the 3x3-summed structure tensor of
-    finite-difference gradients. Descriptors are the flattened 8x8 patch
-    around each keypoint, mean-subtracted and L2-normalized, making them
-    64-dim like the learned path.
+    finite-difference gradients. The descriptors are one (N, 64) float32
+    array: the flattened 8x8 patch around each keypoint, mean-subtracted
+    and L2-normalized, 64-dim like the learned path. A flat patch's row
+    stays zero.
     """
     keypoints = nms(_harris(merged), radius, threshold, max_k)
 

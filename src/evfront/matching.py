@@ -14,10 +14,12 @@ real division produces each distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detect import Descriptors, KeypointSet
+if TYPE_CHECKING:
+    from .detect import KeypointSet
 
 QMAX = 127
 DEFAULT_MAX_DISTANCE = 0.7
@@ -47,11 +49,12 @@ class Match:
     distance: float
 
 
-def quantize(desc: Descriptors) -> QuantizedDescriptors:
-    """clamp(round(d * 127), -127, 127), rounding half away from zero."""
+def quantize(vectors: np.ndarray) -> QuantizedDescriptors:
+    """clamp(round(d * 127), -127, 127), rounding half away from zero, of
+    each component d of the (N, D) float descriptor rows ``vectors``."""
     # in float64, as a float64 scalar makes it; x + copysign(0.5, x)
     # rounds symmetrically, so trunc rounds as floor(|x| + 0.5) with sign
-    x = np.multiply(desc.vectors, np.float64(QMAX))
+    x = np.multiply(vectors, np.float64(QMAX))
     x += np.copysign(0.5, x)
     np.trunc(x, out=x)
     np.clip(x, -QMAX, QMAX, out=x)

@@ -101,6 +101,16 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class StageTimings:
+    """One frame's stage times in microseconds, as ``frontend_step``
+    stamps them; the field names are the JSONL and CSV keys.
+
+    ``mcts_preparation`` times the detector's input: ``mcts``, the whole
+    tensor, on learned frames, and ``merged_surface``, one merged plane,
+    on classical frames, which build no tensor. ``keypoint_detection``
+    runs from there through ``quantize``, ``matching`` is
+    ``match_mutual_nn``, and ``total`` spans all three.
+    """
+
     mcts_preparation: int
     keypoint_detection: int
     matching: int

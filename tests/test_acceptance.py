@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from evfront.detect import (
-    Descriptors,
     NetworkSpec,
     detector_probabilities,
     forward,
@@ -138,7 +137,7 @@ def test_network_output_contract():
 
     kps = nms(heatmap, 4, 0.0, 300)
     descs = interpolate_descriptors(desc_map, kps, c)
-    norms = np.linalg.norm(descs.vectors, axis=1)
+    norms = np.linalg.norm(descs, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-4
 
     # interior translation equivariance at exactly one cell
@@ -160,8 +159,8 @@ def test_quantized_cosine_fidelity():
 
     # absolute distance error against float64 cosine, s = 127
     a, b = unit(1000), unit(1000)
-    qa = quantize(Descriptors(a, np.ones(1000, bool)))
-    qb = quantize(Descriptors(b, np.ones(1000, bool)))
+    qa = quantize(a)
+    qb = quantize(b)
     q_dist = np.diagonal(distance_matrix(qa.vectors, qb.vectors))
     f_dist = 1.0 - np.sum(a.astype(np.float64) * b.astype(np.float64),
                           axis=1) / (np.linalg.norm(a, axis=1)
@@ -185,8 +184,8 @@ def test_quantized_cosine_fidelity():
     keep = margins >= 0.05
     assert keep.sum() >= 1000, int(keep.sum())
 
-    q_queries = quantize(Descriptors(queries, np.ones(len(queries), bool)))
-    q_database = quantize(Descriptors(database, np.ones(100, bool)))
+    q_queries = quantize(queries)
+    q_database = quantize(database)
     q_matrix = distance_matrix(q_queries.vectors, q_database.vectors)
     agree = np.argmin(q_matrix, axis=1) == np.argmin(f_matrix, axis=1)
     rate = agree[keep].mean()

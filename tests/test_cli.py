@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evfront import cli, pipeline, surface
+from evfront import cli, detect, pipeline, surface
 from evfront.events import SensorGeometry, parse_events
 from evfront.surface import read_mcts
 
@@ -435,6 +435,26 @@ class TestRun:
         assert err.startswith("error: bad weights file")
         assert "truncated" in err
 
+    @pytest.mark.parametrize("name, value", [
+        ("descriptor_kernel", np.nan), ("layer 0 conv_kernels", np.inf)])
+    def test_non_finite_weights_are_usage_errors(self, tmp_path, capsys,
+                                                 name, value):
+        # layer 0's kernel opens the tensors after the 44-byte header; the
+        # descriptor kernel's last value precedes the 64 descriptor biases
+        blob = bytearray(detect.save_weights(
+            detect.random_weights(detect.NetworkSpec(), 0)))
+        at = 44 if name.startswith("layer") else len(blob) - 4 * 65
+        blob[at:at + 4] = np.float32(value).astype("<f4").tobytes()
+        weights = tmp_path / "bad.slwt"
+        weights.write_bytes(bytes(blob))
+        rc = cli.main(["run", "-i", str(_synth(tmp_path)), "--mode",
+                       "serial", "--detector", "learned", "--weights",
+                       str(weights)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: bad weights file: {name} holds a NaN or infinite "
+            "value\n")
+
     def test_source_failure_mid_run_is_internal_error(self, tmp_path,
                                                       capsys, monkeypatch):
         # the threaded writer fails at its third version
@@ -455,11 +475,19 @@ class TestRun:
             "internal error: RuntimeError: source failed mid-run: "
             "RuntimeError: source lost\n")
 
-    def test_unwritable_results_path_is_internal_error(self, tmp_path):
+    @pytest.mark.parametrize("option", ["--results", "--metrics",
+                                        "--timings-csv"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys,
+                                                    monkeypatch, option):
         src = _synth(tmp_path)
-        rc = cli.main(["run", "-i", str(src), "--mode", "serial",
-                       "--results", str(tmp_path / "no" / "dir" / "r.jsonl")])
-        assert rc == 1
+        monkeypatch.setattr(pipeline, "run_pipeline", None)  # never called
+        out = tmp_path / "no" / "dir" / "out"
+        capsys.readouterr()
+        rc = cli.main(["run", "-i", str(src), "--mode", "serial", option,
+                       str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {out}: ")
 
 
 # Option and input faults no other test reaches: label -> (files to write
@@ -499,6 +527,22 @@ _USAGE_CASES = {
     "binary header under 8 bytes": (
         {"h.bin": b"EVT1\x04\x00"}, ["run", "-i", "{dir}/h.bin"], 2,
         "error: {dir}/h.bin: header shorter than 8 bytes (byte offset 0)\n"),
+    "unwritable synth output": (
+        {}, ["synth", "-o", "{dir}/no/ev.bin"], 2,
+        "error: cannot write {dir}/no/ev.bin: "),
+    "unwritable convert output": (
+        {}, ["convert", "-i", "{src}", "-o", "{dir}/no/ev.csv",
+             "--from-format", "binary-v1", "--to-format", "csv"], 2,
+        "error: cannot write {dir}/no/ev.csv: "),
+    "unwritable surface output": (
+        {}, ["surface", "-i", "{src}", "-o", "{dir}/no/s"], 2,
+        "error: cannot write {dir}/no/s_ch00.pgm: "),
+    "unwritable bench csv": (
+        {}, ["bench", "--workload", "quantize", "-o", "{dir}/no/b.csv"], 2,
+        "error: cannot write {dir}/no/b.csv: "),
+    "unwritable bench json": (
+        {}, ["bench", "--workload", "quantize", "--json", "{dir}/no/b.json"],
+        2, "error: cannot write {dir}/no/b.json: "),
     "zero sensor side": (
         {"z.bin": b"EVT1\x00\x00\x04\x00"}, ["run", "-i", "{dir}/z.bin"],
         2, "error: {dir}/z.bin: zero sensor dimension in header "
@@ -712,8 +756,7 @@ class TestBenchInputs:
             assert len(kps_a) > 0
             assert np.array_equal(kps_a.xy, kps_b.xy)
             assert np.array_equal(kps_a.scores, kps_b.scores)
-            assert np.array_equal(desc_a.vectors, desc_b.vectors)
-            assert np.array_equal(desc_a.valid, desc_b.valid)
+            assert np.array_equal(desc_a, desc_b)
 
     def test_each_row_calls_once_untimed_first(self, monkeypatch):
         calls = []

@@ -21,7 +21,6 @@ from evfront import detect
 from evfront.detect import (
     HARRIS_K,
     PATCH,
-    Descriptors,
     KeypointSet,
     NetworkSpec,
     _RING,
@@ -152,7 +151,7 @@ def normalize_rows_reference(vectors):
     valid = norms > 0
     out = vectors.copy()
     out[valid] = (vectors[valid] / norms[valid, None]).astype(np.float32)
-    return Descriptors(out, valid)
+    return out
 
 
 def boxsum3_reference(x):
@@ -815,7 +814,7 @@ class TestInterpolateDescriptors:
         kps = KeypointSet(np.array([[39.5, 23.5]]), np.array([1.0]))
         d = interpolate_descriptors(dmap, kps, 16)
         want = dmap[:, 1, 2] / np.linalg.norm(dmap[:, 1, 2])
-        assert np.allclose(d.vectors[0], want, atol=1e-6)
+        assert np.allclose(d[0], want, atol=1e-6)
 
     def test_midpoint_blends_equally(self):
         dmap = np.zeros((64, 1, 2), dtype=np.float32)
@@ -827,7 +826,7 @@ class TestInterpolateDescriptors:
         kps = KeypointSet(np.array([[15.5, 7.5]]), np.array([1.0]))
         d = interpolate_descriptors(dmap, kps, 16)
         want = (u + v) / np.linalg.norm(u + v)
-        assert np.allclose(d.vectors[0], want, atol=1e-6)
+        assert np.allclose(d[0], want, atol=1e-6)
 
     def test_unit_norm_outputs(self):
         rng = np.random.default_rng(11)
@@ -835,15 +834,14 @@ class TestInterpolateDescriptors:
         xy = np.column_stack([rng.uniform(0, 80, 50), rng.uniform(0, 48, 50)])
         kps = KeypointSet(xy, np.ones(50))
         d = interpolate_descriptors(dmap, kps, 16)
-        norms = np.linalg.norm(d.vectors, axis=1)
-        assert np.allclose(norms[d.valid], 1.0, atol=1e-4)
+        norms = np.linalg.norm(d, axis=1)
+        assert np.allclose(norms[d.any(axis=1)], 1.0, atol=1e-4)
 
     def test_no_keypoints(self):
         dmap = np.ones((32, 3, 5), dtype=np.float32)
         kps = KeypointSet(np.zeros((0, 2)), np.zeros(0))
         d = interpolate_descriptors(dmap, kps, 16)
-        assert d.vectors.shape == (0, 32) and d.vectors.dtype == np.float32
-        assert d.valid.shape == (0,) and d.valid.dtype == bool
+        assert d.shape == (0, 32) and d.dtype == np.float32
 
     def test_edge_keypoints_clamp(self):
         rng = np.random.default_rng(12)
@@ -853,15 +851,15 @@ class TestInterpolateDescriptors:
         d = interpolate_descriptors(dmap, kps, 16)
         w0 = dmap[:, 0, 0] / np.linalg.norm(dmap[:, 0, 0])
         w1 = dmap[:, 1, 1] / np.linalg.norm(dmap[:, 1, 1])
-        assert np.allclose(d.vectors[0], w0, atol=1e-6)
-        assert np.allclose(d.vectors[1], w1, atol=1e-6)
+        assert np.allclose(d[0], w0, atol=1e-6)
+        assert np.allclose(d[1], w1, atol=1e-6)
 
 
     def test_matches_reference_bytes(self):
         # sub-pixel and integer keypoints over the whole map and its
         # edges, cells whose descriptor is zero, and an all-zero map
         rng = np.random.default_rng(24)
-        invalid = 0
+        zero_rows = 0
         for d, mh, mw in ((64, 8, 8), (64, 11, 15), (16, 1, 1), (3, 2, 5)):
             dmap = rng.standard_normal((d, mh, mw)).astype(np.float32)
             dmap[:, rng.random((mh, mw)) < 0.3] = 0
@@ -873,10 +871,9 @@ class TestInterpolateDescriptors:
             for m in (dmap, np.zeros_like(dmap)):
                 got = interpolate_descriptors(m, kps, 16)
                 want = interpolate_descriptors_reference(m, kps, 16)
-                assert_same_bytes((got.vectors, got.valid),
-                                  (want.vectors, want.valid))
-                invalid += int((~got.valid).sum())
-        assert invalid > 4 * 300  # the zero maps, and some zero cells
+                assert_same_bytes((got,), (want,))
+                zero_rows += int((~got.any(axis=1)).sum())
+        assert zero_rows > 4 * 300  # the zero maps, and some zero cells
 
     def test_normalize_rows_matches_reference_bytes(self):
         # rows of widely spread norms, zero rows of either sign, NaN rows,
@@ -891,9 +888,10 @@ class TestInterpolateDescriptors:
                     v[1::7] = -0.0
                     v[2::5, -1] = np.nan
                 want = normalize_rows_reference(v)
-                got = _normalize_rows(v.copy())
-                assert_same_bytes((got.vectors, got.valid),
-                                  (want.vectors, want.valid))
+                rows = v.copy()
+                got = _normalize_rows(rows)
+                assert got is rows  # normalized in place
+                assert_same_bytes((got,), (want,))
 
     def test_normalize_rows_takes_the_linalg_norm(self):
         # the norm np.linalg.norm takes, on rows of zero, NaN and infinite
@@ -911,10 +909,11 @@ class TestInterpolateDescriptors:
         with np.errstate(invalid="ignore"):  # inf / inf
             want = normalize_rows_reference(v)
             got = _normalize_rows(v.copy())
-        assert_same_bytes((got.vectors, got.valid),
-                          (want.vectors, want.valid))
-        # zero norms, then NaN norms
-        assert np.flatnonzero(~got.valid).tolist() == [0, 1, 2, 5]
+        assert_same_bytes((got,), (want,))
+        # zero norms, then NaN norms: those rows are divided by 1, so
+        # they keep every bit
+        kept = (got.view(np.uint32) == v.view(np.uint32)).all(axis=1)
+        assert np.flatnonzero(kept).tolist() == [0, 1, 2, 5]
 
 
 class TestWeights:
@@ -952,6 +951,33 @@ class TestWeights:
                 load_weights(bytes(blob))
         var[layer][1] = -eps / 2  # the sum is still positive
         assert replace(w, bn_var=tuple(var)).bn_var[layer][1] == -eps / 2
+
+    @pytest.mark.parametrize("k, value, name", [
+        (22, np.nan, "descriptor_kernel"),
+        (10, np.inf, "layer 2 conv_kernels"),
+        (9, np.nan, "layer 1 bn_var"),  # NaN + eps <= 0 is False
+        (None, np.inf, "bn epsilon"),
+        (None, np.nan, "bn epsilon"),
+    ])
+    def test_non_finite_values_rejected(self, k, value, name):
+        # k indexes the tensor in SLWT order (layer i's fields at 5i to
+        # 5i + 4, then the heads); None is the epsilon
+        w = random_weights(SPEC, 0)
+        seq = [t.copy() for t in detect._tensor_sequence(w)]
+        eps = w.bn_epsilon
+        if k is None:
+            eps = value
+        else:
+            seq[k].flat[1] = value
+        with pytest.raises(ValueError, match=name):
+            detect._from_sequence(SPEC, seq, eps)
+        # the same value in an SLWT file is refused on load: the epsilon
+        # ends the 44-byte header, tensors follow it
+        at = 40 if k is None else 44 + 4 * (sum(t.size for t in seq[:k]) + 1)
+        blob = bytearray(save_weights(w))
+        blob[at:at + 4] = np.float32(value).astype("<f4").tobytes()
+        with pytest.raises(ValueError, match=name):
+            load_weights(bytes(blob))
 
     def test_round_trip_random_bundles(self):
         rng = np.random.default_rng(13)
@@ -1044,9 +1070,8 @@ class TestClassicalDetect:
         kps, desc = classical_detect(np.zeros((32, 32), dtype=np.float32),
                                      4, 1e-4, 100)
         assert len(kps.xy) == 0
-        assert desc.vectors.shape == (0, 64)
-        assert desc.vectors.dtype == np.float32
-        assert desc.valid.shape == (0,) and desc.valid.dtype == bool
+        assert desc.shape == (0, 64)
+        assert desc.dtype == np.float32
 
     def test_recovers_ground_truth_corners(self):
         # at least 90% of true corner positions have a detection within
@@ -1068,8 +1093,8 @@ class TestClassicalDetect:
         wspec = WindowSpec.default_constant_count()
         _, tensor = corner_tensor(geo, wspec)
         _, desc = classical_detect(pair_plane(tensor, 1), 4, 1e-4, 256)
-        assert desc.vectors.shape[1] == 64
-        norms = np.linalg.norm(desc.vectors[desc.valid], axis=1)
+        assert desc.shape[1] == 64
+        norms = np.linalg.norm(desc[desc.any(axis=1)], axis=1)
         assert np.allclose(norms, 1.0, atol=1e-5)
 
     def test_translation_symmetry_duplicates(self):
@@ -1078,8 +1103,8 @@ class TestClassicalDetect:
         wspec = WindowSpec.default_constant_count()
         _, tensor = corner_tensor(geo, wspec)
         _, desc = classical_detect(pair_plane(tensor, 1), 4, 1e-4, 256)
-        distinct = np.unique(np.round(desc.vectors, 5), axis=0)
-        assert len(distinct) < len(desc.vectors)
+        distinct = np.unique(np.round(desc, 5), axis=0)
+        assert len(distinct) < len(desc)
 
     def test_matches_reference_on_corner_grids(self):
         rng = np.random.default_rng(23)
@@ -1094,8 +1119,7 @@ class TestClassicalDetect:
                     kps, desc = classical_detect(merged, *params)
                     want_kps, want_desc = classical_reference(merged, *params)
                     assert_same_keypoints(kps, want_kps)
-                    assert np.array_equal(desc.vectors, want_desc.vectors)
-                    assert np.array_equal(desc.valid, want_desc.valid)
+                    assert np.array_equal(desc, want_desc)
 
     def test_patch_tail_matches_clip_and_mean_form(self):
         # small random planes with threshold -inf put patches past all
@@ -1110,8 +1134,7 @@ class TestClassicalDetect:
             merged = merged.astype(np.float32)
             kps, desc = classical_detect(merged, 1, -np.inf, 500)
             want = patch_tail_reference(merged, kps.xy)
-            assert_same_bytes((desc.vectors, desc.valid),
-                              (want.vectors, want.valid))
+            assert_same_bytes((desc,), (want,))
             x, y = kps.xy.T  # a patch spans x - 3 .. x + 4
             borders |= {name for name, past in (
                 ("left", x < 3), ("right", x + 4 >= w),
@@ -1152,7 +1175,7 @@ class TestClassicalDetect:
                     kps, desc = classical_detect(merged, *params)
                     want_kps, want_desc = classical_reference(merged, *params)
                     assert_same_keypoints(kps, want_kps)
-                    assert np.array_equal(desc.vectors, want_desc.vectors)
+                    assert np.array_equal(desc, want_desc)
 
     def test_one_pixel_side_rejected_like_np_gradient(self):
         for h, w in ((1, 5), (6, 1), (1, 1)):

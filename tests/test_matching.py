@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evfront.detect import Descriptors, KeypointSet
+from evfront.detect import KeypointSet
 from evfront.matching import (
     DEFAULT_MAX_DISTANCE,
     QMAX,
@@ -19,7 +19,7 @@ from evfront.matching import (
 def _unit_rows(rng, n, d=64):
     v = rng.standard_normal((n, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return Descriptors(v.astype(np.float32), np.ones(n, dtype=bool))
+    return v.astype(np.float32)
 
 
 def float_cosine(a, b):
@@ -64,9 +64,9 @@ def distance_matrix_previous(a, b):
     return dist
 
 
-def quantize_previous(desc):
+def quantize_previous(vectors):
     # floor(|x| + 0.5) with x's sign, through temporaries
-    scaled = desc.vectors.astype(np.float64) * 127.0
+    scaled = vectors.astype(np.float64) * 127.0
     rounded = np.copysign(np.floor(np.abs(scaled) + 0.5), scaled)
     return np.clip(rounded, -QMAX, QMAX).astype(np.int8)
 
@@ -123,9 +123,8 @@ class TestQuantize:
         half = np.float32(0.5)
         below = np.nextafter(half, np.float32(0))
         above = np.nextafter(half, np.float32(1))
-        d = Descriptors(np.array([[half, -half, below, -below, above,
-                                   -above]], dtype=np.float32),
-                        np.array([True]))
+        d = np.array([[half, -half, below, -below, above, -above]],
+                     dtype=np.float32)
         q = quantize(d)
         assert list(q.vectors[0]) == [64, -64, 63, -63, 64, -64]
 
@@ -141,17 +140,15 @@ class TestQuantize:
         rows = np.resize(columns, (len(columns) // 8 + 1, 8))
         rng = np.random.default_rng(3)
         for vectors in (rows, rows * np.float32(1 / 127),
-                        _unit_rows(rng, 300).vectors):
-            desc = Descriptors(vectors, np.ones(len(vectors), dtype=bool))
-            got = quantize(desc).vectors
-            want = quantize_previous(desc)
+                        _unit_rows(rng, 300)):
+            got = quantize(vectors).vectors
+            want = quantize_previous(vectors)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
     def test_default_scale_is_qmax(self):
         # a unit component maps to QMAX, a quarter to round(31.75)
-        d = Descriptors(np.array([[1.0, -1.0, 0.25, 0.0]], np.float32),
-                        np.array([True]))
+        d = np.array([[1.0, -1.0, 0.25, 0.0]], np.float32)
         assert list(quantize(d).vectors[0]) == [QMAX, -QMAX, 32, 0]
 
     def test_unit_vector_error_bound(self):
@@ -159,7 +156,7 @@ class TestQuantize:
         rng = np.random.default_rng(2)
         d = _unit_rows(rng, 500)
         q = quantize(d)
-        err = np.abs(q.vectors / 127.0 - d.vectors)
+        err = np.abs(q.vectors / 127.0 - d)
         assert err.max() <= 0.5 / 127 + 1e-9
 
 
@@ -378,6 +375,6 @@ class TestQuantizedFidelity:
         for i in range(0, 400, 2):
             qd = distance_matrix(q.vectors[i:i + 1],
                                  q.vectors[i + 1:i + 2])[0, 0]
-            fd = float_cosine(d.vectors[i].astype(np.float64),
-                              d.vectors[i + 1].astype(np.float64))
+            fd = float_cosine(d[i].astype(np.float64),
+                              d[i + 1].astype(np.float64))
             assert abs(qd - fd) <= 0.02
