@@ -27,9 +27,11 @@ WEIGHTS_VERSION = 1
 # a conv stage is split into row bands only where every band's gemm does
 # at least this many multiply-adds (about 0.5 ms on one core). Smaller
 # bands saved nothing on 2 cores: each pays for a hand-off and packs the
-# whole kernel again. And below about 10**6, OpenBLAS moves some CPUs to
-# a small-matrix sgemm kernel that rounds differently, so the bands
-# would no longer match the whole stage bit for bit
+# whole kernel again. Bands match the whole stage bit for bit only while
+# OpenBLAS picks the same kernel and accumulation order for every column
+# split, which BLAS does not promise: below about 10**6, some CPUs move to
+# a small-matrix sgemm kernel that rounds differently. The force_bands
+# tests guard it, and only on the host that runs them
 _MIN_BAND_MACS = 1 << 24
 
 HARRIS_K = 0.04
@@ -334,7 +336,8 @@ def encoder_bands() -> int:
     """Row bands per conv stage: the usable cores over the BLAS threads,
     at least 1 and at most 2, one for the caller and one for the helper.
     A BLAS whose thread count is unknown counts as using every core, so
-    it gets one band."""
+    it gets one band. Bitwise equality with one band rests on OpenBLAS's
+    unpromised kernel choice; see ``_MIN_BAND_MACS``."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

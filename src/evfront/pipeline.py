@@ -4,10 +4,11 @@ Two roles share one ``SharedSurfaceState``: a preprocessing writer that
 folds event batches into the timestamp grid at a fixed tick, and a
 frontend consumer that snapshots the newest state, builds the surface
 tensor, detects, describes, quantizes, and matches against its previous
-iteration. The only synchronization is the state's gate: updates and
-snapshot copies exclude each other, nothing else does. Snapshots are
-copy-then-release, so the writer stalls for the copy duration only, not
-for the whole inference.
+iteration. The only synchronization is the state's gate, a condition:
+updates and snapshot copies exclude each other, nothing else does, and
+the frontend waits on it for each new version or the writer's end.
+Snapshots are copy-then-release, so the writer stalls for the copy
+duration only, not for the whole inference.
 
 A deterministic single-threaded mode replays the same tick structure and
 a scripted snapshot schedule; given the snapshot versions observed in a
@@ -20,6 +21,7 @@ copying it.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import threading
@@ -82,13 +84,13 @@ class PipelineConfig:
 
 
 class SharedSurfaceState:
-    """Grid + ring + version counter behind a single gate."""
+    """Grid + ring + version counter behind one gate, a condition."""
 
     def __init__(self, geometry: SensorGeometry, ring_capacity: int):
         self.grid = TimestampGrid.create(geometry)
         self.ring = EventCountRing(ring_capacity)
         self.version = 0
-        self.gate = threading.Lock()
+        self.gate = threading.Condition(threading.Lock())
         self.writer_stall_us = 0  # cumulative gate wait on the writer side
 
 
@@ -151,9 +153,9 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
                     watermark: int) -> tuple[int, EventBatch]:
     """Apply the pending events at or below the watermark.
 
-    Returns (applied count, retained batch). The version advances once
-    iff anything was applied; with nothing to apply the gate is not
-    taken. Blocks while a snapshot holds the gate.
+    Returns (applied count, retained batch). Iff anything was applied,
+    one gate hold advances the version once and notifies the gate; else
+    the gate is not taken. Blocks while a snapshot holds the gate.
     """
     cut = _count_through(pending.events["t"], watermark)
     if cut == 0:
@@ -163,6 +165,7 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
         state.writer_stall_us += _now_us() - waited_from
         apply_events(state.grid, state.ring, pending.slice(0, cut))
         state.version += 1
+        state.gate.notify_all()
     return cut, pending.slice(cut, len(pending))
 
 
@@ -356,18 +359,15 @@ def _keep_freed_memory() -> None:
 
 def _run_serial(source, config, state, schedule):
     writer = _WriterLoop(source, state, config)
-    queue = list(schedule) if schedule is not None else None
+    due = iter(schedule) if schedule is not None else itertools.count(1)
 
     def tick_until_due(last_snapped):
-        # ticks bump the version by at most 1, so each scheduled version
-        # is hit exactly
+        # ticks bump the version by at most 1, so each due version is hit
+        # exactly; with none left, the writer drains
+        version = next(due, None)
         while not writer.exhausted:
             writer.one_tick()
-            if queue is None:
-                if state.version > last_snapped:
-                    return True
-            elif queue and state.version >= queue[0]:
-                queue.pop(0)
+            if state.version == version:
                 return True
         return False
 
@@ -381,12 +381,12 @@ def _run_serial(source, config, state, schedule):
 
 def _run_threaded(source, config, state):
     writer = _WriterLoop(source, state, config)
-    progress = threading.Condition()
-    done = threading.Event()
     stop = threading.Event()  # set when the frontend loop leaves, even on error
-    failure: list[str] = []
+    end = None  # under the gate: "" once the writer is done, or its failure
 
     def writer_main():
+        nonlocal end
+        outcome = ""
         try:
             next_deadline = time.perf_counter()
             while not writer.exhausted and not stop.is_set():
@@ -396,20 +396,20 @@ def _run_threaded(source, config, state):
                     if lag > 0:
                         time.sleep(lag)
                 writer.one_tick()
-                with progress:
-                    progress.notify_all()
         except Exception as exc:  # propagate source failures with partials
-            failure.append(f"{type(exc).__name__}: {exc}")
+            outcome = f"{type(exc).__name__}: {exc}"
         finally:
-            done.set()
-            with progress:
-                progress.notify_all()
+            with state.gate:
+                end = outcome
+                state.gate.notify_all()
 
     def newer_version(last_version):
-        # the version only grows; the writer notifies each tick and when done
-        with progress:
-            progress.wait_for(lambda: state.version != last_version
-                              or done.is_set())
+        # the version only grows, so a moved one needs no gate; each new
+        # version and the writer's end notify the gate while holding it
+        if state.version == last_version:
+            with state.gate:
+                state.gate.wait_for(lambda: state.version != last_version
+                                    or end is not None)
         return state.version != last_version
 
     thread = threading.Thread(target=writer_main, name="preprocess-writer",
@@ -422,8 +422,7 @@ def _run_threaded(source, config, state):
     finally:
         stop.set()
         thread.join()
-    if failure:
-        metrics.error = failure[0]
+    metrics.error = end or None
     return results, metrics
 
 

@@ -212,9 +212,7 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
     flat *= width
     flat += ev["x"]
     _write_newest(grid.last_t.reshape(-1), flat, t)
-    last = int(t[-1])
-    grid.latest_time = last if grid.latest_time is None \
-        else max(grid.latest_time, last)
+    grid.latest_time = int(t[-1])  # sorted, so >= t[0] >= latest_time
     if grid.first_time is None:
         grid.first_time = int(t[0])
     grid.applied_count += n

@@ -3,6 +3,7 @@
 import json
 import platform
 import resource
+import sys
 import threading
 import time
 import tracemalloc
@@ -257,18 +258,48 @@ class TestPreprocessTick:
         assert (state.grid.latest_time, state.grid.applied_count) == (50, 1)
         assert len(state.ring) == 1
 
+    def test_applied_version_wakes_gate_waiters(self):
+        # the frontend waits on the gate itself: the hold that applies a
+        # version must wake it
+        geo = SensorGeometry(8, 8)
+        state = SharedSurfaceState(geo, 16)
+        waiting = threading.Event()
+
+        def waiter():
+            with state.gate:
+                waiting.set()  # the tick below cannot hold the gate yet
+                state.gate.wait_for(lambda: state.version == 1)
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        assert waiting.wait(10)
+        preprocess_tick(state, _batch(geo, [5], [1], [1], [1]), 10)
+        thread.join(10)
+        woken = not thread.is_alive()
+        with state.gate:  # free a waiter the tick did not wake
+            state.gate.notify_all()
+        assert woken
+
 
 class _CountingGate:
+    """A real gate that counts its holds and records, for each notify,
+    the hold it came in; a notify outside a hold raises."""
+
     def __init__(self):
-        self._lock = threading.Lock()
+        self._gate = threading.Condition(threading.Lock())
         self.holds = 0
+        self.notified_in = []
 
     def __enter__(self):
-        self._lock.acquire()
+        self._gate.__enter__()
         self.holds += 1
 
     def __exit__(self, *exc):
-        self._lock.release()
+        return self._gate.__exit__(*exc)
+
+    def notify_all(self):
+        self._gate.notify_all()
+        self.notified_in.append(self.holds)
 
 
 def _stream(rng, geo, t):
@@ -378,8 +409,11 @@ class TestWriterLoop:
             before = state.gate.holds
             writer.one_tick()
             holds.append(state.gate.holds - before)
-        # the gap's ticks have nothing to apply and take no gate
+        # the gap's ticks have nothing to apply and take no gate; each
+        # applying tick notifies once, inside its one hold
         assert set(holds) == {0, 1}
+        assert state.gate.notified_in == list(range(1, sum(holds) + 1))
+        assert state.version == sum(holds)
 
     def test_tick_memory_independent_of_stream_length(self):
         # 2M events one microsecond apart, so a 10 ms tick passes 10k of
@@ -557,6 +591,15 @@ class TestSerialRun:
             assert got.tau == ref.tau
             assert np.array_equal(got.keypoints.xy, ref.keypoints.xy)
 
+    def test_schedule_ending_early_drains_the_writer(self):
+        source = _grid_source(duration=0.3)
+        _, every = run_pipeline(source, PipelineConfig(), mode="serial")
+        some, metrics = run_pipeline(source, PipelineConfig(), mode="serial",
+                                     snapshot_schedule=[1, 2])
+        assert [r.version for r in some] == [1, 2]
+        assert metrics.events_applied == len(source.batch)
+        assert metrics.versions_applied == every.versions_applied > 2
+
     @pytest.mark.parametrize("schedule", [[0], [5, 3], [3, 3, 4], [1, 0]])
     def test_schedule_must_ascend_strictly_from_one(self, schedule):
         # a threaded run records only such schedules; any other would
@@ -641,6 +684,41 @@ class TestThreadedRun:
         replay, _ = run_pipeline(ReplaySource(source.batch), config,
                                  mode="serial", snapshot_schedule=schedule)
         assert len(replay) == len(threaded)
+        for a, b in zip(threaded, replay):
+            assert (a.version, a.tau) == (b.version, b.tau)
+            _assert_same_frame(a, b)
+
+    @pytest.mark.parametrize("paced", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fast_thread_switching_replays_serially(self, seed, paced):
+        # a GIL hand-off every 10 us interleaves the writer's versions and
+        # end with the frontend's checks in many orders; unpaced, the
+        # writer runs ahead, paced, the frontend waits for each version.
+        # A lost wake-up hangs the run, which the join's timeout turns
+        # into a failure
+        rng = np.random.default_rng(seed)
+        geo = SensorGeometry(32, 32)
+        source = ReplaySource(_stream(rng, geo, np.sort(
+            rng.integers(0, 100_000, 3_000))), paced=paced)
+        config = PipelineConfig(tick=2_000)
+        runs = []
+        thread = threading.Thread(target=lambda: runs.append(run_pipeline(
+            source, config, mode="threaded")), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive(), "threaded run did not finish"
+        (threaded, metrics), = runs
+        assert metrics.error is None
+        assert metrics.events_applied == len(source.batch)
+        replay, _ = run_pipeline(
+            ReplaySource(source.batch), config, mode="serial",
+            snapshot_schedule=[r.version for r in threaded])
+        assert len(replay) == len(threaded) >= 1
         for a, b in zip(threaded, replay):
             assert (a.version, a.tau) == (b.version, b.tau)
             _assert_same_frame(a, b)
