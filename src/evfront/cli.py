@@ -402,7 +402,7 @@ def _random_stream(rng, n: int, geometry: events.SensorGeometry
         t,
         rng.integers(0, geometry.width, n).astype(np.uint16),
         rng.integers(0, geometry.height, n).astype(np.uint16),
-        rng.choice(np.array([-1, 1], dtype=np.int8), n),
+        rng.choice(np.array([0, 1], dtype=np.uint8), n),
         geometry)
 
 

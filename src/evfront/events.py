@@ -1,7 +1,7 @@
 """Event stream data model, serialization and synthesis.
 
 An event is ``(t, x, y, p)``: an integer microsecond timestamp, a pixel
-coordinate, and a polarity of -1 (brightness decrease) or +1 (increase).
+coordinate, and a polarity of 0 (brightness decrease) or 1 (increase).
 Batches keep timestamps non-decreasing; equal timestamps are legal because
 real sensors emit bursts sharing a stamp.
 
@@ -13,10 +13,10 @@ int64 without overflow. The wire formats still carry stamps as u64.
 Wire formats
 ------------
 binary-v1   magic ``EVT1``, width and height as u16 little-endian, then
-            packed 13-byte records: t u64 | x u16 | y u16 | p u8, with
-            polarity encoded 0 -> -1 and 1 -> +1. No padding, no footer.
+            packed 13-byte records, ``EVENT_DTYPE`` as it lies in memory:
+            t u64 | x u16 | y u16 | p u8. No padding, no footer.
 csv         header line ``t,x,y,p`` (optional on input), one event per
-            row, polarity in {0, 1}. Geometry travels out of band.
+            row. Geometry travels out of band.
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ TIMESTAMP_LIMIT = 1 << 62  # accepted stamps: [0, TIMESTAMP_LIMIT)
 
 BINARY_MAGIC = b"EVT1"
 BINARY_HEADER_SIZE = 8
-BINARY_RECORD_SIZE = 13
 
-# Packed wire record; numpy keeps this at 13 bytes because no alignment
-# is requested.
-_RECORD_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
-
-# In-memory layout with signed polarity.
-EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
+# The binary-v1 record, in memory as on the wire; numpy keeps it at 13
+# bytes because no alignment is requested.
+EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
+BINARY_RECORD_SIZE = EVENT_DTYPE.itemsize
 
 CSV_HEADER = "t,x,y,p"
 
@@ -100,7 +97,7 @@ class EventBatch:
             raise TypeError(f"expected event dtype {EVENT_DTYPE}, got {ev.dtype}")
         if ev.ndim != 1:
             raise ValueError("event array must be one-dimensional")
-        fault = _first_bad_record(ev["t"], ev["x"], ev["y"], ev["p"], (-1, 1),
+        fault = _first_bad_record(ev["t"], ev["x"], ev["y"], ev["p"],
                                   self.geometry)
         if fault is not None:
             i, what = fault
@@ -125,19 +122,19 @@ def _trusted_batch(events: np.ndarray,
     return batch
 
 
-def _first_bad_record(t, x, y, p, polarities: tuple[int, int],
-                      geometry: SensorGeometry) -> tuple[int, str] | None:
+def _first_bad_record(t, x, y, p, geometry: SensorGeometry
+                      ) -> tuple[int, str] | None:
     """Index and fault of the first record that breaks a rule, or None.
     A record breaking several rules reports the first of: a stamp outside
     ``[0, TIMESTAMP_LIMIT)``, a stamp below its predecessor, a coordinate
-    off ``geometry``, a polarity not in ``polarities``. The columns are
+    off ``geometry``, a polarity other than 0 or 1. The columns are
     numpy arrays; a parser passes Python ints (``dtype=object``), which
     cannot overflow before they are checked."""
-    (w, h), (lo, hi) = (geometry.width, geometry.height), polarities
+    w, h = geometry.width, geometry.height
     down = np.zeros(len(t), dtype=bool)
     down[1:] = t[1:] < t[:-1]
     rules = ((t < 0) | (t >= TIMESTAMP_LIMIT), down,
-             (x < 0) | (x >= w) | (y < 0) | (y >= h), (p != lo) & (p != hi))
+             (x < 0) | (x >= w) | (y < 0) | (y >= h), (p != 0) & (p != 1))
     bad = np.logical_or.reduce(rules)
     if not bad.any():
         return None
@@ -145,7 +142,7 @@ def _first_bad_record(t, x, y, p, polarities: tuple[int, int],
     faults = (f"timestamp {t[i]} outside [0, 2**62)",
               "timestamps must be non-decreasing",
               f"coordinate ({x[i]},{y[i]}) outside {w}x{h}",
-              f"polarity {p[i]} not in {{{lo},{hi}}}")
+              f"polarity {p[i]} not in {{0,1}}")
     return i, next(f for f, rule in zip(faults, rules) if rule[i])
 
 
@@ -168,8 +165,8 @@ def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:
 class MotionSpec:
     """Synthetic scene description.
 
-    The contrast rule is fixed: a leading edge emits +1, a trailing edge
-    -1. ``velocity`` is in pixels per second. For ``grid-of-corners`` the
+    The contrast rule is fixed: a leading edge emits 1, a trailing edge
+    0. ``velocity`` is in pixels per second. For ``grid-of-corners`` the
     pattern is a lattice of bright squares of side ``square_side`` on a
     ``grid_pitch`` spacing, translating rigidly at ``velocity``.
     """
@@ -205,7 +202,8 @@ def parse_events(data: bytes, format: str,
     """Decode a byte stream into an EventBatch.
 
     ``geometry`` is required for csv input (the format does not carry it)
-    and ignored for binary-v1 (the header does).
+    and ignored for binary-v1 (the header does). A binary-v1 batch is a
+    view of ``data``'s records, not a copy, and read-only for ``bytes``.
     """
     if format == "binary-v1":
         return _parse_binary(data)
@@ -217,10 +215,13 @@ def parse_events(data: bytes, format: str,
 
 
 def write_events(batch: EventBatch, format: str) -> bytes:
-    if format == "binary-v1":
-        return _write_binary(batch)
+    if format == "binary-v1":  # the header, then the records as they lie
+        g = batch.geometry
+        return (BINARY_MAGIC + g.width.to_bytes(2, "little")
+                + g.height.to_bytes(2, "little") + batch.events.tobytes())
     if format == "csv":
-        return _write_csv(batch)
+        rows = (f"{t},{x},{y},{p}\n" for t, x, y, p in batch.events.tolist())
+        return (CSV_HEADER + "\n" + "".join(rows)).encode("ascii")
     raise ValueError(f"unknown event format {format!r}")
 
 
@@ -235,21 +236,18 @@ def _parse_binary(data: bytes) -> EventBatch:
         raise StreamFormatError("zero sensor dimension in header", offset=4)
     geometry = SensorGeometry(width, height)
 
-    body = data[BINARY_HEADER_SIZE:]
-    n, leftover = divmod(len(body), BINARY_RECORD_SIZE)
+    n, leftover = divmod(len(data) - BINARY_HEADER_SIZE, BINARY_RECORD_SIZE)
     if leftover:
         raise StreamFormatError(
             "truncated record",
             offset=BINARY_HEADER_SIZE + n * BINARY_RECORD_SIZE)
-    raw = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    fault = _first_bad_record(raw["t"], raw["x"], raw["y"], raw["p"], (0, 1),
-                              geometry)
+    ev = np.frombuffer(data, EVENT_DTYPE, offset=BINARY_HEADER_SIZE)
+    fault = _first_bad_record(ev["t"], ev["x"], ev["y"], ev["p"], geometry)
     if fault is not None:
         i, what = fault
         raise StreamFormatError(
             what, offset=BINARY_HEADER_SIZE + i * BINARY_RECORD_SIZE)
-    return _trusted_batch(_records(raw["t"], raw["x"], raw["y"],
-                                   raw["p"].astype(np.int8) * 2 - 1), geometry)
+    return _trusted_batch(ev, geometry)
 
 
 def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
@@ -279,33 +277,13 @@ def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
         break
 
     lines, t, x, y, p = np.array(rows, dtype=object).reshape(-1, 5).T
-    fault = _first_bad_record(t, x, y, p, (0, 1), geometry)
+    fault = _first_bad_record(t, x, y, p, geometry)
     if fault is not None:
         i, what = fault
         raise StreamFormatError(what, line=lines[i])
     if syntax is not None:
         raise syntax
-    return _trusted_batch(_records(t, x, y, p * 2 - 1), geometry)
-
-
-def _write_binary(batch: EventBatch) -> bytes:
-    header = (BINARY_MAGIC
-              + batch.geometry.width.to_bytes(2, "little")
-              + batch.geometry.height.to_bytes(2, "little"))
-    raw = np.empty(len(batch), dtype=_RECORD_DTYPE)
-    raw["t"] = batch.events["t"]
-    raw["x"] = batch.events["x"]
-    raw["y"] = batch.events["y"]
-    raw["p"] = (batch.events["p"] > 0).astype(np.uint8)
-    return header + raw.tobytes()
-
-
-def _write_csv(batch: EventBatch) -> bytes:
-    lines = [CSV_HEADER]
-    for rec in batch.events:
-        p01 = 1 if rec["p"] > 0 else 0
-        lines.append(f"{rec['t']},{rec['x']},{rec['y']},{p01}")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return _trusted_batch(_records(t, x, y, p), geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +297,7 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
     Crossing times come from exact linear motion, truncated to integer
     microseconds and sorted with a canonical (t, x, y, p) tie order.
 
-    Each event is one int64 key ``t_us * 2*W*H + (x*H + y)*2 + (p > 0)``,
+    Each event is one int64 key ``t_us * 2*W*H + (x*H + y)*2 + p``,
     which orders as (t, x, y, p) do and decodes back to the record, so
     one in-place sort by value orders the stream; equal keys are equal
     records, so no stable sort, permutation or gather is needed. The keys
@@ -355,7 +333,7 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
             f"sensor may hold more than 2**31 events")
     if spec.pattern == "vertical-edge":
         t, x, y, p = _edge_events(spec, geometry)
-        keys = _stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + (p > 0), span)
+        keys = _stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + p, span)
     else:
         keys = _grid_keys(spec, geometry, span)
     keys.sort()
@@ -368,7 +346,7 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
     ev = np.empty(len(keys), dtype=EVENT_DTYPE)
     for i in range(0, len(keys), _DECODE_RUN):
         key, rec = keys[i:i + _DECODE_RUN], ev[i:i + _DECODE_RUN]
-        rec["p"] = (key & 1) * 2 - 1
+        rec["p"] = key & 1
         key >>= 1
         t = key // (w * h)
         rec["t"] = t + start_time
@@ -400,17 +378,17 @@ def _edge_events(spec: MotionSpec, geometry: SensorGeometry):
     if vx == 0:
         empty = np.empty(0)
         return empty, empty.astype(np.uint16), empty.astype(np.uint16), \
-            empty.astype(np.int8)
+            empty.astype(np.uint8)
     c0 = 0.0 if vx > 0 else float(w - 1)
     t_lead = (cols - c0) / vx
     t_trail = (cols + math.copysign(1.0, vx) - c0) / vx
 
     ts, xs, ps = [], [], []
-    for t_cross, pol in ((t_lead, 1), (t_trail, -1)):
+    for t_cross, pol in ((t_lead, 1), (t_trail, 0)):
         hit = (t_cross >= 0) & (t_cross <= spec.duration)
         ts.append(np.repeat(t_cross[hit], h))
         xs.append(np.repeat(cols[hit].astype(np.uint16), h))
-        ps.append(np.full(hit.sum() * h, pol, dtype=np.int8))
+        ps.append(np.full(hit.sum() * h, pol, dtype=np.uint8))
     t = np.concatenate(ts)
     x = np.concatenate(xs)
     y = np.tile(np.arange(h, dtype=np.uint16), len(t) // h if h else 0)
@@ -473,7 +451,7 @@ def _grid_keys(spec: MotionSpec, geometry: SensorGeometry,
     """Sort keys (see ``synthesize``) of the squares' crossings, unsorted.
 
     A pixel tracks q(t) = p - v*t through the static lattice; entering a
-    square emits +1, leaving emits -1. Squares never overlap (pitch >
+    square emits 1, leaving emits 0. Squares never overlap (pitch >
     side), so per-square intervals are disjoint per pixel. A crossing
     depends only on the pixel's offset (e, d) = (x - ax, y - ay) from the
     square's anchor: ``x - ax`` is exact in float64, so the interval of

@@ -309,10 +309,12 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     snapshotting at each version in ``snapshot_schedule`` (every version
     when None); with a schedule recorded from a threaded run it
     reproduces that run's results exactly, timings excluded. A schedule
-    must ascend strictly from 1, as a threaded run's versions do. Only
-    the threaded mode paces a source.
+    must ascend strictly from 1, as a threaded run's versions do, and
+    needs serial mode; a paced source needs threaded mode.
     """
     _check_mode(mode, source.paced)
+    if snapshot_schedule is not None and mode == "threaded":
+        raise ValueError("a snapshot schedule needs serial mode")
     if snapshot_schedule is not None and any(
             a >= b for a, b in zip([0, *snapshot_schedule], snapshot_schedule)):
         raise ValueError("snapshot schedule must ascend strictly from 1")

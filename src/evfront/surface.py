@@ -98,10 +98,10 @@ def stream_ring_capacity(spec: WindowSpec, batch: EventBatch) -> int:
 class TimestampGrid:
     """Most recent event timestamp per pixel and polarity.
 
-    ``last_t`` is a (2, height, width) int64 array; channel 0 holds
-    polarity -1, channel 1 polarity +1. A cell that has seen no event
-    holds ``NEVER``, so ``valid``, where an event landed, is derived from
-    ``last_t`` and stored nowhere. ``latest_time`` / ``first_time`` are
+    ``last_t`` is a (2, height, width) int64 array; channel p holds
+    polarity p, 0 (decrease) or 1 (increase). A cell that has seen no
+    event holds ``NEVER``, so ``valid``, where an event landed, is derived
+    from ``last_t`` and stored nowhere. ``latest_time`` / ``first_time`` are
     None until an event arrives.
     """
 
@@ -186,11 +186,15 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
                  batch: EventBatch) -> int:
     """Fold a batch into the grid and ring; returns the number applied.
 
-    The feed must be monotone: the batch may not start before
-    ``grid.latest_time``. Where the batch hits one pixel and polarity
-    more than once, its largest stamp, which is its newest, wins, in
-    whatever order numpy writes. Cost is O(1) per event.
+    The batch must be of the grid's sensor and may not start before
+    ``grid.latest_time``. Where it hits one pixel and polarity more
+    than once, its largest stamp, which is its newest, wins, in whatever
+    order numpy writes. Cost is O(1) per event.
     """
+    if batch.geometry != grid.geometry:
+        g, b = grid.geometry, batch.geometry
+        raise ValueError(f"batch geometry {b.width}x{b.height} differs "
+                         f"from the grid's {g.width}x{g.height}")
     n = len(batch)
     if n == 0:
         return 0
@@ -206,7 +210,7 @@ def apply_events(grid: TimestampGrid, ring: EventCountRing,
             f"{grid.latest_time}")
 
     height, width = grid.last_t.shape[1:]
-    flat = (ev["p"] > 0).astype(np.intp)  # (channel, y, x) -> flat offset
+    flat = ev["p"].astype(np.intp)  # (polarity, y, x) -> flat offset
     flat *= height
     flat += ev["y"]
     flat *= width
@@ -245,7 +249,7 @@ def time_surface(grid: TimestampGrid, tau: int, dt: int,
         Reference time in microseconds, in [-2**62, 2**62).
     dt : int
         Window length in microseconds, positive.
-    polarity : {-1, +1}
+    polarity : {0, 1}
 
     Returns
     -------
@@ -256,9 +260,9 @@ def time_surface(grid: TimestampGrid, tau: int, dt: int,
     _check_tau(tau)
     if dt <= 0:
         raise ValueError("window duration must be positive")
-    if polarity not in (-1, 1):
-        raise ValueError("polarity must be -1 or +1")
-    age = tau - grid.last_t[1 if polarity > 0 else 0]
+    if polarity not in (0, 1):
+        raise ValueError("polarity must be 0 or 1")
+    age = tau - grid.last_t[polarity]
     out = np.zeros(age.shape, dtype=np.float32)
     _decay_nested(out[None], age[None], tau, (dt,))
     return out
@@ -314,8 +318,8 @@ def adaptive_windows(ring: EventCountRing, tau: int, counts: tuple[int, ...],
 class MctsTensor:
     """Stack of 2K time surfaces at a common reference time.
 
-    Channels 0..K-1 hold polarity -1 for the K windows in order, channels
-    K..2K-1 hold polarity +1. ``window_durations`` records the realized
+    Channels 0..K-1 hold polarity 0 for the K windows in order, channels
+    K..2K-1 hold polarity 1. ``window_durations`` records the realized
     durations; it is None for tensors re-read from a dump, which does not
     carry them.
     """
@@ -347,7 +351,7 @@ def mcts(grid: TimestampGrid, ring: EventCountRing, tau: int,
     durations = _durations(grid, ring, tau, spec)
     k = len(durations)
     channels = np.zeros((2 * k, *grid.last_t.shape[1:]), dtype=np.float32)
-    # polarity -1 fills 0..K-1, +1 fills K..2K-1; one age plane each,
+    # polarity 0 fills 0..K-1, 1 fills K..2K-1; one age plane each,
     # shared by the K windows
     _decay_nested(channels, tau - grid.last_t, tau, durations)
     return MctsTensor(channels, tau, tuple(durations))
@@ -392,7 +396,7 @@ def _decay_nested(channels: np.ndarray, age: np.ndarray, tau: int,
     ages = age.reshape(-1)
     at = np.flatnonzero(ages.view(np.uint64) <= widest)
     ages = ages[at]  # in 0..widest
-    # at + i*plane is plane i of polarity -1; polarity +1 sits K planes on
+    # at + i*plane is plane i of polarity 0; polarity 1 sits K planes on
     at[np.searchsorted(at, plane):] += (k - 1) * plane
     flat = channels.reshape(-1)
     for i in sorted(range(k), key=lambda i: -durations[i]):

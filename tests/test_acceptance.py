@@ -64,7 +64,7 @@ def _random_batch(rng, geometry, n, t_span=50_000):
     return batch_from_columns(
         t, rng.integers(0, geometry.width, n).astype(np.uint16),
         rng.integers(0, geometry.height, n).astype(np.uint16),
-        rng.choice(np.array([-1, 1], np.int8), n), geometry)
+        rng.choice(np.array([0, 1], np.uint8), n), geometry)
 
 
 def test_time_surface_equals_exhaustive_reference():
@@ -85,7 +85,7 @@ def test_time_surface_equals_exhaustive_reference():
         ring = EventCountRing(4)
         apply_events(grid, ring, batch.slice(0, cut))
         dt = int(rng.integers(1, 30_000))
-        for polarity in (-1, 1):
+        for polarity in (0, 1):
             ours = time_surface(grid, tau, dt, polarity)
             ref = brute_force_surface(batch, geo, tau, dt, polarity)
             assert ours.dtype == np.float32

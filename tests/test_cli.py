@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via in-process main() calls."""
 
+import argparse
 import dataclasses
 import json
 import tracemalloc
@@ -988,3 +989,10 @@ def _capture_runs(monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_pipeline", recording_run)
     return runs
+
+
+@pytest.mark.parametrize("text", ["5", "1,2,3", ""])
+def test_velocity_needs_exactly_two_parts(text):
+    with pytest.raises(argparse.ArgumentTypeError) as err:
+        cli._velocity(text)
+    assert str(err.value) == f"velocity must be vx,vy, got {text!r}"

@@ -1198,3 +1198,28 @@ class TestClassicalDetect:
         for pair in (-1, spec.K):
             with pytest.raises(ValueError, match="channel pair"):
                 merged_surface(grid, ring, grid.latest_time, spec, pair)
+
+
+# checks no other test reaches: label -> (call, exception type, message)
+_WEIGHTS = save_weights(random_weights(NetworkSpec(2, (2, 3, 2, 2), 4), 0))
+_CHECKS = {
+    "nms radius 0": (lambda: nms(np.zeros((5, 5), np.float32), 0, 0.0, 4),
+                     ValueError, "radius must be at least 1"),
+    "nms radius -2": (lambda: nms(np.zeros((5, 5), np.float32), -2, 0.0, 4),
+                      ValueError, "radius must be at least 1"),
+    # past the fixed 16 bytes, short of the widths, dim, cell and epsilon
+    "weights cut after the layer count": (
+        lambda: load_weights(_WEIGHTS[:16]), ValueError,
+        "weights header truncated"),
+    "weights cut before epsilon ends": (
+        lambda: load_weights(_WEIGHTS[:43]), ValueError,
+        "weights header truncated"),
+}
+
+
+@pytest.mark.parametrize("label", _CHECKS)
+def test_check_raises_its_message(label):
+    call, kind, message = _CHECKS[label]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

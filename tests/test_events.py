@@ -38,7 +38,7 @@ def _random_batch(rng, n, geometry, t_span=100_000):
     t = np.sort(rng.integers(0, t_span, n).astype(np.uint64))
     x = rng.integers(0, geometry.width, n).astype(np.uint16)
     y = rng.integers(0, geometry.height, n).astype(np.uint16)
-    p = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    p = rng.choice(np.array([0, 1], dtype=np.uint8), n)
     return batch_from_columns(t, x, y, p, geometry)
 
 
@@ -65,14 +65,14 @@ class TestEventBatch:
         with pytest.raises(ValueError):
             batch_from_columns(t, np.zeros(2, np.uint16),
                                np.zeros(2, np.uint16),
-                               np.ones(2, np.int8), geo)
+                               np.ones(2, np.uint8), geo)
 
     def test_equal_timestamps_allowed(self):
         geo = SensorGeometry(4, 4)
         t = np.array([7, 7, 7], dtype=np.uint64)
         b = batch_from_columns(t, np.zeros(3, np.uint16),
                                np.zeros(3, np.uint16),
-                               np.ones(3, np.int8), geo)
+                               np.ones(3, np.uint8), geo)
         assert len(b) == 3
 
     def test_rejects_out_of_bounds(self):
@@ -81,7 +81,7 @@ class TestEventBatch:
             batch_from_columns(np.array([1], np.uint64),
                                np.array([4], np.uint16),
                                np.array([0], np.uint16),
-                               np.array([1], np.int8), geo)
+                               np.array([1], np.uint8), geo)
 
     def test_rejects_bad_polarity(self):
         geo = SensorGeometry(4, 4)
@@ -89,19 +89,19 @@ class TestEventBatch:
             batch_from_columns(np.array([1], np.uint64),
                                np.array([0], np.uint16),
                                np.array([0], np.uint16),
-                               np.array([2], np.int8), geo)
+                               np.array([2], np.uint8), geo)
 
     @pytest.mark.parametrize("column, value, message", [
         ("x", 4, "event 1: coordinate (4,0) outside 4x4"),
         ("y", 9, "event 1: coordinate (0,9) outside 4x4"),
-        ("p", 0, "event 1: polarity 0 not in {-1,1}"),
+        ("p", 2, "event 1: polarity 2 not in {0,1}"),
         ("t", 2, "event 1: timestamps must be non-decreasing"),
     ])
     def test_fault_names_its_record(self, column, value, message):
         geo = SensorGeometry(4, 4)
         columns = {"t": np.array([5, 6, 7], np.uint64),
                    "x": np.zeros(3, np.uint16), "y": np.zeros(3, np.uint16),
-                   "p": np.ones(3, np.int8)}
+                   "p": np.ones(3, np.uint8)}
         columns[column][1] = value
         columns[column][2] = value
         with pytest.raises(ValueError) as err:
@@ -165,7 +165,7 @@ def _record_offset(i):
 def _columns(stamps):
     n = len(stamps)
     return (stamps, np.zeros(n, np.uint16), np.zeros(n, np.uint16),
-            np.ones(n, np.int8), SensorGeometry(4, 4))
+            np.ones(n, np.uint8), SensorGeometry(4, 4))
 
 
 class TestTimestampRange:
@@ -235,6 +235,21 @@ class TestBinaryFormat:
             back = parse_events(write_events(b, "binary-v1"), "binary-v1")
             assert back.geometry == geo
             assert np.array_equal(back.events, b.events)
+
+    def test_parsed_batch_is_a_read_only_view_of_the_bytes(self):
+        # the file record is the memory record: parsing copies nothing,
+        # and writing the batch back gives the input, byte for byte
+        b = _random_batch(np.random.default_rng(4), 400, SensorGeometry(9, 5))
+        data = write_events(b, "binary-v1")
+        back = parse_events(data, "binary-v1")
+        raw = np.frombuffer(data, np.uint8)
+        assert np.shares_memory(back.events, raw)
+        assert back.events.dtype == EVENT_DTYPE
+        assert not back.events.flags.writeable
+        assert write_events(back, "binary-v1") == data
+        assert write_events(back.slice(7, 300), "binary-v1") == \
+            data[:BINARY_HEADER_SIZE] + data[_record_offset(7):
+                                             _record_offset(300)]
 
     def test_header_magic_checked(self):
         with pytest.raises(StreamFormatError):
@@ -330,7 +345,7 @@ class TestBinaryFormat:
         b = batch_from_columns(np.array([100], np.uint64),
                                np.array([1], np.uint16),
                                np.array([2], np.uint16),
-                               np.array([1], np.int8), geo)
+                               np.array([1], np.uint8), geo)
         back = parse_events(write_events(b, "binary-v1"), "binary-v1")
         assert back.events.tolist() == [(100, 1, 2, 1)]
 
@@ -382,7 +397,7 @@ class TestCsvFormat:
     def test_polarity_on_wire_is_zero_or_one(self):
         geo = SensorGeometry(4, 4)
         b = parse_events(b"5,0,0,0\n6,1,1,1\n", "csv", geometry=geo)
-        assert list(b.events["p"]) == [-1, 1]
+        assert list(b.events["p"]) == [0, 1]
         text = write_events(b, "csv").decode()
         assert text.splitlines()[1].endswith(",0")
         with pytest.raises(StreamFormatError):
@@ -420,8 +435,8 @@ class TestVerticalEdge:
         spec = MotionSpec("vertical-edge", (100.0, 0.0), 1.0)
         b = synthesize(spec, geo)
         p = b.events["p"]
-        assert int((p > 0).sum()) == 10_000
-        assert int((p < 0).sum()) == 10_000
+        assert int((p == 1).sum()) == 10_000
+        assert int((p == 0).sum()) == 10_000
 
     def test_leading_positive_trailing_negative(self):
         geo = SensorGeometry(10, 2)
@@ -431,8 +446,8 @@ class TestVerticalEdge:
         # at any column, the positive crossing precedes the negative one
         for c in np.unique(ev["x"]):
             col = ev[ev["x"] == c]
-            tp = col["t"][col["p"] > 0]
-            tn = col["t"][col["p"] < 0]
+            tp = col["t"][col["p"] == 1]
+            tn = col["t"][col["p"] == 0]
             if len(tp) and len(tn):
                 assert tp.max() < tn.min()
 
@@ -487,8 +502,8 @@ class TestGridOfCorners:
         b = synthesize(spec, geo)
         ev = b.events
         flat = ev["y"].astype(np.int64) * geo.width + ev["x"]
-        pos = np.bincount(flat[ev["p"] > 0], minlength=geo.pixel_count)
-        neg = np.bincount(flat[ev["p"] < 0], minlength=geo.pixel_count)
+        pos = np.bincount(flat[ev["p"] == 1], minlength=geo.pixel_count)
+        neg = np.bincount(flat[ev["p"] == 0], minlength=geo.pixel_count)
         assert np.abs(pos - neg).max() <= 1
 
     def test_corner_positions_move_with_velocity(self):
@@ -545,15 +560,15 @@ def _grid_events_reference(spec, geometry):
         enter = valid & (t_in > 0) & (t_in <= spec.duration)
         leave = valid & (t_out > 0) & (t_out <= spec.duration) & \
             (np.maximum(t_in, 0.0) < t_out)
-        for mask, times, pol in ((enter, t_in, 1), (leave, t_out, -1)):
+        for mask, times, pol in ((enter, t_in, 1), (leave, t_out, 0)):
             if mask.any():
                 ts.append(times[mask])
                 xs.append(pix_x[mask])
                 ys.append(pix_y[mask])
-                ps.append(np.full(mask.sum(), pol, dtype=np.int8))
+                ps.append(np.full(mask.sum(), pol, dtype=np.uint8))
     if not ts:
         z = np.empty(0)
-        return z, z.astype(np.uint16), z.astype(np.uint16), z.astype(np.int8)
+        return z, z.astype(np.uint16), z.astype(np.uint16), z.astype(np.uint8)
     return (np.concatenate(ts), np.concatenate(xs), np.concatenate(ys),
             np.concatenate(ps))
 
@@ -854,3 +869,37 @@ def test_mutated_inputs_parse_or_raise_value_error(name):
             tracemalloc.stop()
         assert peak < 4 * len(blob) + (1 << 16), (name, kind, peak)
     assert "ValueError" in outcomes, name
+
+
+# checks no other test reaches: label -> (call, exception type, message)
+_SIGNED = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+_CHECKS = {
+    "int64 array as events": (
+        lambda: EventBatch(np.zeros(2, np.int64), SensorGeometry(4, 4)),
+        TypeError, f"expected event dtype {EVENT_DTYPE}, got int64"),
+    "record with a signed polarity": (
+        lambda: EventBatch(np.zeros(2, _SIGNED), SensorGeometry(4, 4)),
+        TypeError, f"expected event dtype {EVENT_DTYPE}, got {_SIGNED}"),
+    "two-dimensional events": (
+        lambda: EventBatch(np.zeros((2, 3), EVENT_DTYPE),
+                           SensorGeometry(4, 4)),
+        ValueError, "event array must be one-dimensional"),
+    "parse an unknown format": (
+        lambda: parse_events(b"t,x,y,p\n", "json"),
+        ValueError, "unknown event format 'json'"),
+    "write an unknown format": (
+        lambda: write_events(_empty_batch(SensorGeometry(4, 4)), "binary-v2"),
+        ValueError, "unknown event format 'binary-v2'"),
+    "corners of a vertical edge": (
+        lambda: corner_positions(MotionSpec("vertical-edge", (10.0, 0.0), 1.0),
+                                 SensorGeometry(8, 8), 0),
+        ValueError, "corner ground truth exists only for grid-of-corners"),
+}
+
+
+@pytest.mark.parametrize("label", _CHECKS)
+def test_check_raises_its_message(label):
+    call, kind, message = _CHECKS[label]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

@@ -378,3 +378,27 @@ class TestQuantizedFidelity:
             fd = float_cosine(d[i].astype(np.float64),
                               d[i + 1].astype(np.float64))
             assert abs(qd - fd) <= 0.02
+
+
+# checks no other test reaches: label -> (call, exception type, message)
+_CHECKS = {
+    "int16 descriptors": (
+        lambda: QuantizedDescriptors(np.zeros((2, 4), np.int16)),
+        TypeError, "quantized descriptors must be int8"),
+    "float descriptors": (
+        lambda: QuantizedDescriptors(np.zeros((2, 4), np.float32)),
+        TypeError, "quantized descriptors must be int8"),
+    "4 against 8 components": (
+        lambda: match_mutual_nn(
+            QuantizedDescriptors(np.ones((2, 4), np.int8)),
+            QuantizedDescriptors(np.ones((3, 8), np.int8))),
+        ValueError, "descriptor dimensionality differs"),
+}
+
+
+@pytest.mark.parametrize("label", _CHECKS)
+def test_check_raises_its_message(label):
+    call, kind, message = _CHECKS[label]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message

@@ -44,7 +44,7 @@ from test_detect import force_bands
 def _batch(geo, t, x, y, p):
     return batch_from_columns(
         np.asarray(t, np.uint64), np.asarray(x, np.uint16),
-        np.asarray(y, np.uint16), np.asarray(p, np.int8), geo)
+        np.asarray(y, np.uint16), np.asarray(p, np.uint8), geo)
 
 
 def _empty_batch(geometry):
@@ -81,6 +81,39 @@ def _assert_same_frame(a, b):
         assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
+def _threaded_run(source, config, timeout=30):
+    """``run_pipeline`` in threaded mode on a daemon thread, joined with a
+    timeout: a lost wake-up that hangs the run fails the test instead of
+    the whole suite. The run's exception is re-raised here."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(run_pipeline(source, config, mode="threaded"))
+        except Exception as exc:  # raised again on the test's thread
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "threaded run did not finish"
+    (result,) = outcome
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _assert_replays_serially(batch, config, threaded):
+    """A serial run over the versions a threaded run snapshotted
+    reproduces each of its frames, byte for byte."""
+    replay, _ = run_pipeline(ReplaySource(batch), config, mode="serial",
+                             snapshot_schedule=[r.version for r in threaded])
+    assert len(replay) == len(threaded)
+    for a, b in zip(threaded, replay):
+        assert (a.version, a.tau) == (b.version, b.tau)
+        _assert_same_frame(a, b)
+
+
 def frontend_step_reference(snapshot, previous, config):
     # the classical frontend this one replaced: build every plane of the
     # tensor, then let the detector pick the configured pair
@@ -105,7 +138,7 @@ def frontend_step_reference(snapshot, previous, config):
 def _apply_events_reference(grid, ring, batch):
     ev = batch.events
     t = ev["t"]
-    ch = (ev["p"] > 0).astype(np.intp)
+    ch = ev["p"].astype(np.intp)
     grid.last_t[ch, ev["y"].astype(np.intp), ev["x"].astype(np.intp)] = t
     last = int(t[-1])
     grid.latest_time = last if grid.latest_time is None \
@@ -308,7 +341,7 @@ def _stream(rng, geo, t):
         np.asarray(t, np.uint64),
         rng.integers(0, geo.width, n).astype(np.uint16),
         rng.integers(0, geo.height, n).astype(np.uint16),
-        rng.choice(np.array([-1, 1], np.int8), n), geo)
+        rng.choice(np.array([0, 1], np.uint8), n), geo)
 
 
 class TestWriterLoop:
@@ -426,7 +459,7 @@ class TestWriterLoop:
             np.arange(n, dtype=np.uint64),
             rng.integers(0, 64, n, dtype=np.uint16),
             rng.integers(0, 64, n, dtype=np.uint16),
-            rng.integers(0, 2, n, dtype=np.int8) * 2 - 1, geo)
+            rng.integers(0, 2, n, dtype=np.uint8), geo)
         writer = _WriterLoop(ReplaySource(batch), SharedSurfaceState(geo, 1024),
                              PipelineConfig(tick=10_000))
         writer.one_tick()
@@ -447,7 +480,7 @@ class TestFreezeSnapshot:
         state = SharedSurfaceState(geo, 16)
         preprocess_tick(state, _batch(geo, [5], [1], [1], [1]), 10)
         snap = freeze_snapshot(state)
-        preprocess_tick(state, _batch(geo, [20], [2], [2], [-1]), 30)
+        preprocess_tick(state, _batch(geo, [20], [2], [2], [0]), 30)
         assert snap.version == 1
         assert snap.grid.latest_time == 5
         assert state.grid.latest_time == 20
@@ -608,6 +641,14 @@ class TestSerialRun:
             run_pipeline(_grid_source(duration=0.2), PipelineConfig(),
                          mode="serial", snapshot_schedule=schedule)
 
+    def test_schedule_in_threaded_mode_rejected(self):
+        # a threaded run snapshots whatever version is newest, so it
+        # would ignore the schedule without a word
+        with pytest.raises(ValueError,
+                           match="^a snapshot schedule needs serial mode$"):
+            run_pipeline(_grid_source(duration=0.2), PipelineConfig(),
+                         mode="threaded", snapshot_schedule=[1, 2])
+
     def test_paced_source_rejected(self):
         # the serial loop never reads the wall clock, so it would replay
         # unpaced without a word
@@ -674,19 +715,13 @@ class TestThreadedRun:
                 side=16).batch, paced=True)
             config = PipelineConfig(detector="learned", channel_pair=3,
                                     weights=random_weights(NetworkSpec(), 5))
-        threaded, metrics = run_pipeline(source, config, mode="threaded")
+        threaded, metrics = _threaded_run(source, config)
         assert metrics.error is None
         assert len(threaded) >= 1
         assert metrics.events_applied == len(source.batch)
         # a serial replay of the observed snapshot versions reproduces
         # every threaded result exactly
-        schedule = [r.version for r in threaded]
-        replay, _ = run_pipeline(ReplaySource(source.batch), config,
-                                 mode="serial", snapshot_schedule=schedule)
-        assert len(replay) == len(threaded)
-        for a, b in zip(threaded, replay):
-            assert (a.version, a.tau) == (b.version, b.tau)
-            _assert_same_frame(a, b)
+        _assert_replays_serially(source.batch, config, threaded)
 
     @pytest.mark.parametrize("paced", [False, True])
     @pytest.mark.parametrize("seed", range(3))
@@ -701,33 +736,22 @@ class TestThreadedRun:
         source = ReplaySource(_stream(rng, geo, np.sort(
             rng.integers(0, 100_000, 3_000))), paced=paced)
         config = PipelineConfig(tick=2_000)
-        runs = []
-        thread = threading.Thread(target=lambda: runs.append(run_pipeline(
-            source, config, mode="threaded")), daemon=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            thread.start()
-            thread.join(30)
+            threaded, metrics = _threaded_run(source, config)
         finally:
             sys.setswitchinterval(interval)
-        assert not thread.is_alive(), "threaded run did not finish"
-        (threaded, metrics), = runs
         assert metrics.error is None
         assert metrics.events_applied == len(source.batch)
-        replay, _ = run_pipeline(
-            ReplaySource(source.batch), config, mode="serial",
-            snapshot_schedule=[r.version for r in threaded])
-        assert len(replay) == len(threaded) >= 1
-        for a, b in zip(threaded, replay):
-            assert (a.version, a.tau) == (b.version, b.tau)
-            _assert_same_frame(a, b)
+        assert len(threaded) >= 1
+        _assert_replays_serially(source.batch, config, threaded)
 
     def test_slow_frontend_skips_but_stays_fresh(self, monkeypatch):
         _slow_detector(monkeypatch)
         source = _grid_source(duration=0.5)
         config = PipelineConfig(channel_pair=2)
-        results, metrics = run_pipeline(source, config, mode="threaded")
+        results, metrics = _threaded_run(source, config)
         assert metrics.error is None
         taus = [r.tau for r in results]
         assert all(b > a for a, b in zip(taus, taus[1:]))
@@ -747,7 +771,7 @@ class TestThreadedRun:
 
         monkeypatch.setattr(pipeline, "frontend_step", failing_step)
         with pytest.raises(RuntimeError, match="detector failed"):
-            run_pipeline(source, PipelineConfig(), mode="threaded")
+            _threaded_run(source, PipelineConfig())
         assert len(calls) == 2
         assert not [t for t in threading.enumerate()
                     if t.name == "preprocess-writer" and t.is_alive()]
@@ -766,8 +790,7 @@ class TestThreadedRun:
             return real_apply(*args)
 
         monkeypatch.setattr(pipeline, "apply_events", failing_apply)
-        results, metrics = run_pipeline(source, PipelineConfig(),
-                                        mode="threaded")
+        results, metrics = _threaded_run(source, PipelineConfig())
         assert metrics.error == "RuntimeError: source lost"
         assert len(calls) == 3 and metrics.versions_applied == 2
         assert not [t for t in threading.enumerate()
@@ -775,17 +798,11 @@ class TestThreadedRun:
         monkeypatch.undo()
         versions = [r.version for r in results]
         assert versions and set(versions) <= {1, 2}
-        replay, _ = run_pipeline(ReplaySource(source.batch), PipelineConfig(),
-                                 mode="serial", snapshot_schedule=versions)
-        assert len(replay) == len(results)
-        for a, b in zip(results, replay):
-            assert (a.version, a.tau) == (b.version, b.tau)
-            _assert_same_frame(a, b)
+        _assert_replays_serially(source.batch, PipelineConfig(), results)
 
     def test_staleness_metrics_populated(self):
         source = _grid_source(duration=0.5)
-        results, metrics = run_pipeline(source, PipelineConfig(),
-                                        mode="threaded")
+        results, metrics = _threaded_run(source, PipelineConfig())
         if len(results) > 1:
             assert metrics.max_staleness_us >= 0
         assert metrics.snapshot_copy_max_us >= 0
@@ -797,7 +814,7 @@ class TestThreadedRun:
         _slow_detector(monkeypatch)
         source = ReplaySource(_grid_source(duration=0.3).batch, paced=True)
         config = PipelineConfig()
-        results, metrics = run_pipeline(source, config, mode="threaded")
+        results, metrics = _threaded_run(source, config)
         assert metrics.error is None
         assert len(results) > 1
         assert metrics.max_staleness_us > 0
@@ -961,7 +978,7 @@ class TestSnapshotConsistencyUnderRaces:
         batch = batch_from_columns(
             t, rng.integers(0, 32, n).astype(np.uint16),
             rng.integers(0, 32, n).astype(np.uint16),
-            rng.choice(np.array([-1, 1], np.int8), n), geo)
+            rng.choice(np.array([0, 1], np.uint8), n), geo)
         chunks = [batch.slice(i, i + 400) for i in range(0, n, 400)]
 
         state = SharedSurfaceState(geo, 64)

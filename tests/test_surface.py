@@ -14,6 +14,7 @@ import pytest
 
 from evfront import surface
 from evfront.events import (
+    EVENT_DTYPE,
     EventBatch,
     MotionSpec,
     SensorGeometry,
@@ -57,7 +58,7 @@ def _random_batch(rng, n, geometry, t_span):
     t = np.sort(rng.integers(0, t_span, n).astype(np.uint64))
     x = rng.integers(0, geometry.width, n).astype(np.uint16)
     y = rng.integers(0, geometry.height, n).astype(np.uint16)
-    p = rng.choice(np.array([-1, 1], dtype=np.int8), n)
+    p = rng.choice(np.array([0, 1], dtype=np.uint8), n)
     return batch_from_columns(t, x, y, p, geometry)
 
 
@@ -75,8 +76,8 @@ class _ReferenceGrid:
 
     def apply(self, batch):
         for t, x, y, p in batch.events.tolist():
-            self.last_t[int(p > 0), y, x] = t
-            self.valid[int(p > 0), y, x] = True
+            self.last_t[p, y, x] = t
+            self.valid[p, y, x] = True
             self.stamps.append(t)
 
     def durations(self, spec, tau):
@@ -134,10 +135,10 @@ class TestTimestampGrid:
             np.array([5, 9, 9], np.uint64),
             np.array([1, 1, 2], np.uint16),
             np.array([0, 0, 1], np.uint16),
-            np.array([1, 1, -1], np.int8), geo)
+            np.array([1, 1, 0], np.uint8), geo)
         applied = apply_events(grid, ring, b)
         assert applied == 3
-        assert grid.last_t[1, 0, 1] == 9  # positive plane keeps the newer
+        assert grid.last_t[1, 0, 1] == 9  # polarity 1 keeps the newer
         assert grid.valid[1, 0, 1] and grid.valid[0, 1, 2]
         assert not grid.valid[0, 0, 1]
         assert grid.latest_time == 9 and grid.first_time == 5
@@ -148,11 +149,11 @@ class TestTimestampGrid:
         ring = EventCountRing(4)
         apply_events(grid, ring, batch_from_columns(
             np.array([10], np.uint64), np.array([0], np.uint16),
-            np.array([0], np.uint16), np.array([1], np.int8), geo))
+            np.array([0], np.uint16), np.array([1], np.uint8), geo))
         with pytest.raises(ValueError) as err:
             apply_events(grid, ring, batch_from_columns(
                 np.array([9], np.uint64), np.array([0], np.uint16),
-                np.array([0], np.uint16), np.array([1], np.int8), geo))
+                np.array([0], np.uint16), np.array([1], np.uint8), geo))
         assert "stream position" in str(err.value)
 
     def test_equal_timestamp_append_allowed(self):
@@ -161,7 +162,7 @@ class TestTimestampGrid:
         ring = EventCountRing(4)
         one = batch_from_columns(
             np.array([10], np.uint64), np.array([0], np.uint16),
-            np.array([0], np.uint16), np.array([1], np.int8), geo)
+            np.array([0], np.uint16), np.array([1], np.uint8), geo)
         apply_events(grid, ring, one)
         apply_events(grid, ring, one)
         assert grid.applied_count == 2
@@ -172,13 +173,13 @@ class TestTimestampGrid:
         ring = EventCountRing(16)
         apply_events(grid, ring, batch_from_columns(
             np.array([3], np.uint64), np.array([2], np.uint16),
-            np.array([1], np.uint16), np.array([1], np.int8), geo))
+            np.array([1], np.uint16), np.array([1], np.uint8), geo))
         apply_events(grid, ring, batch_from_columns(
             np.array([4, 6, 6, 7, 7, 8, 9, 9], np.uint64),
             np.array([2, 0, 2, 0, 2, 0, 2, 3], np.uint16),
             np.array([1, 2, 1, 2, 1, 2, 1, 0], np.uint16),
-            np.array([1, -1, 1, -1, -1, -1, 1, 1], np.int8), geo))
-        # -1 events: (0, 2) at 6, 7, 8; (2, 1) at 7. +1 events: (2, 1) at
+            np.array([1, 0, 1, 0, 0, 0, 1, 1], np.uint8), geo))
+        # polarity 0: (0, 2) at 6, 7, 8; (2, 1) at 7. Polarity 1: (2, 1) at
         # 3 (the batch before), 4, 6, 9; (3, 0) at 9
         assert grid.last_t[1, 1, 2] == 9
         assert grid.last_t[0, 2, 0] == 8
@@ -191,7 +192,7 @@ class TestTimestampGrid:
         assert np.array_equal(~grid.valid, ~want)
         equal = batch_from_columns(  # one pixel five times, one stamp
             np.full(5, 12, np.uint64), np.full(5, 1, np.uint16),
-            np.zeros(5, np.uint16), np.ones(5, np.int8), geo)
+            np.zeros(5, np.uint16), np.ones(5, np.uint8), geo)
         apply_events(grid, ring, equal)
         assert grid.last_t[1, 0, 1] == 12 and grid.valid[1, 0, 1]
         assert grid.applied_count == 1 + 8 + 5
@@ -208,8 +209,8 @@ class TestTimestampGrid:
             part = batch.slice(lo, lo + 2_000)
             apply_events(grid, ring, part)
             for t, x, y, p in part.events.tolist():
-                want_t[int(p > 0), y, x] = t
-                want_valid[int(p > 0), y, x] = True
+                want_t[p, y, x] = t
+                want_valid[p, y, x] = True
         assert np.array_equal(grid.last_t, want_t)
         assert np.array_equal(grid.valid, want_valid)
 
@@ -234,12 +235,12 @@ class TestTimestampGrid:
         apply_events(grid, ring, batch_from_columns(
             np.array([10, 11, 12, 12, 15], np.uint64),
             np.arange(5, dtype=np.uint16) % 4, np.zeros(5, np.uint16),
-            np.ones(5, np.int8), geo))
+            np.ones(5, np.uint8), geo))
         before = (grid.last_t.copy(), grid.valid.copy(), ring.state_bytes())
         with pytest.raises(ValueError) as err:
             apply_events(grid, ring, batch_from_columns(
                 np.array([14, 15, 16], np.uint64), np.ones(3, np.uint16),
-                np.ones(3, np.uint16), np.ones(3, np.int8), geo))
+                np.ones(3, np.uint16), np.ones(3, np.uint8), geo))
         assert str(err.value) == ("event at stream position 5 (t=14) is "
                                   "older than latest applied time 15")
         assert np.array_equal(grid.last_t, before[0])
@@ -253,11 +254,11 @@ class TestTimestampGrid:
         ring = EventCountRing(4)
         apply_events(grid, ring, batch_from_columns(
             np.array([1], np.uint64), np.array([0], np.uint16),
-            np.array([0], np.uint16), np.array([1], np.int8), geo))
+            np.array([0], np.uint16), np.array([1], np.uint8), geo))
         snap = grid.copy()
         apply_events(grid, ring, batch_from_columns(
             np.array([2], np.uint64), np.array([1], np.uint16),
-            np.array([1], np.uint16), np.array([-1], np.int8), geo))
+            np.array([1], np.uint16), np.array([0], np.uint8), geo))
         assert snap.applied_count == 1
         assert snap.latest_time == 1
         assert not snap.valid[0, 1, 1]
@@ -269,11 +270,29 @@ class TestTimestampGrid:
         assert np.all(grid.last_t == NEVER) and not grid.valid.any()
         apply_events(grid, EventCountRing(4), batch_from_columns(
             np.array([0, 7], np.uint64), np.array([2, 0], np.uint16),
-            np.array([1, 0], np.uint16), np.array([-1, 1], np.int8), geo))
+            np.array([1, 0], np.uint16), np.array([0, 1], np.uint8), geo))
         assert np.array_equal(np.argwhere(grid.valid), [[0, 1, 2], [1, 0, 0]])
         assert grid.last_t[0, 1, 2] == 0  # a stamp of 0 is an event
         with pytest.raises(ValueError, match="read-only"):
             grid.valid[0, 0, 0] = True
+
+
+    def test_batch_of_another_sensor_rejected_before_writing(self):
+        # (x=5, y=0) of an 8x2 sensor once landed on pixel (1, 1) of a 4x4
+        # grid: the flat offsets agree, so nothing else caught it
+        grid = TimestampGrid.create(SensorGeometry(4, 4))
+        ring = EventCountRing(4)
+        other = SensorGeometry(8, 2)
+        for batch in (batch_from_columns(
+                np.array([7], np.uint64), np.array([5], np.uint16),
+                np.array([0], np.uint16), np.array([1], np.uint8), other),
+                EventBatch(np.empty(0, EVENT_DTYPE), other)):
+            with pytest.raises(ValueError) as err:
+                apply_events(grid, ring, batch)
+            assert str(err.value) == ("batch geometry 8x2 differs from "
+                                      "the grid's 4x4")
+        assert np.all(grid.last_t == NEVER) and len(ring) == 0
+        assert (grid.latest_time, grid.applied_count) == (None, 0)
 
 
 class TestTimeSurface:
@@ -288,7 +307,7 @@ class TestTimeSurface:
             apply_events(grid, ring, b)
             tau = int(b.events["t"][-1]) + int(rng.integers(0, 100))
             dt = int(rng.integers(1, 6_000))
-            for pol in (-1, 1):
+            for pol in (0, 1):
                 got = time_surface(grid, tau, dt, pol)
                 want = brute_force_surface(b, geo, tau, dt, pol)
                 assert got.dtype == np.float32
@@ -302,7 +321,7 @@ class TestTimeSurface:
             np.array([100, 150, 200], np.uint64),
             np.array([0, 1, 2], np.uint16),
             np.array([0, 0, 0], np.uint16),
-            np.array([1, 1, 1], np.int8), geo)
+            np.array([1, 1, 1], np.uint8), geo)
         apply_events(grid, ring, b)
         s = time_surface(grid, tau=200, dt=100, polarity=1)
         assert s[0, 0] == np.float32(0.0)   # age == dt sits on the boundary
@@ -315,7 +334,7 @@ class TestTimeSurface:
         ring = EventCountRing(4)
         apply_events(grid, ring, batch_from_columns(
             np.array([10], np.uint64), np.array([0], np.uint16),
-            np.array([0], np.uint16), np.array([1], np.int8), geo))
+            np.array([0], np.uint16), np.array([1], np.uint8), geo))
         s = time_surface(grid, tau=1_000, dt=100, polarity=1)
         assert not s.any()
 
@@ -326,7 +345,7 @@ class TestTimeSurface:
         ring = EventCountRing(4)
         apply_events(grid, ring, batch_from_columns(
             np.array([100, 300], np.uint64), np.array([0, 1], np.uint16),
-            np.array([0, 0], np.uint16), np.array([1, 1], np.int8), geo))
+            np.array([0, 0], np.uint16), np.array([1, 1], np.uint8), geo))
         s = time_surface(grid, tau=200, dt=150, polarity=1)
         assert s[0, 1] == np.float32(0.0)
         assert s[0, 0] > 0
@@ -511,7 +530,7 @@ class TestMcts:
         ring = EventCountRing(8)
         b = batch_from_columns(
             np.array([10, 20], np.uint64), np.array([1, 2], np.uint16),
-            np.array([1, 2], np.uint16), np.array([-1, 1], np.int8), geo)
+            np.array([1, 2], np.uint16), np.array([0, 1], np.uint8), geo)
         apply_events(grid, ring, b)
         spec = WindowSpec("fixed-duration", durations=(50, 100))
         tensor = mcts(grid, ring, 20, spec)
@@ -548,7 +567,7 @@ class TestMcts:
         tau = grid.latest_time
         tensor = mcts(grid, ring, tau, spec)
         assert np.array_equal(tensor.channels[0],
-                              time_surface(grid, tau, 1_000, -1))
+                              time_surface(grid, tau, 1_000, 0))
         assert np.array_equal(tensor.channels[3],
                               time_surface(grid, tau, 40_000, 1))
 
@@ -568,7 +587,7 @@ class TestMcts:
                 tensor = mcts(grid, ring, tau, spec)
                 want = np.stack(
                     [time_surface(grid, tau, dt, p)
-                     for p in (-1, 1) for dt in tensor.window_durations])
+                     for p in (0, 1) for dt in tensor.window_durations])
                 assert tensor.channels.dtype == want.dtype
                 assert np.array_equal(tensor.channels, want)
 
@@ -652,8 +671,7 @@ class TestMcts:
                         assert merged.tobytes() == np.maximum(
                             want[p], want[spec.K + p]).tobytes()
                         for chan in (0, 1):
-                            got = time_surface(grid, tau, durations[p],
-                                               2 * chan - 1)
+                            got = time_surface(grid, tau, durations[p], chan)
                             assert got.tobytes() == \
                                 want[chan * spec.K + p].tobytes()
             assert lit >= 8  # of 16 taus; the 4 before the stream are dark
@@ -685,7 +703,7 @@ class TestMcts:
         geo = SensorGeometry(3, 2)
         batch = batch_from_columns(
             np.array([5, 2**62 - 9], np.uint64), np.array([1, 2], np.uint16),
-            np.array([1, 0], np.uint16), np.array([1, 1], np.int8), geo)
+            np.array([1, 0], np.uint16), np.array([1, 1], np.uint8), geo)
         grid = TimestampGrid.create(geo)
         ring = EventCountRing(4)
         apply_events(grid, ring, batch)
@@ -772,3 +790,44 @@ class TestMotionInvariance:
         # calibration nudges at most +1 us per slot to keep them distinct
         for fixed, realized in zip(report.fixed_durations, base):
             assert 0 <= fixed - realized <= len(report.fixed_durations)
+
+
+# checks no other test reaches: label -> (call, exception type, message)
+_GRID = TimestampGrid.create(SensorGeometry(3, 2))
+_CHECKS = {
+    "ring of capacity 0": (lambda: EventCountRing(0), ValueError,
+                           "ring capacity must be at least 1"),
+    "ring of capacity -3": (lambda: EventCountRing(-3), ValueError,
+                            "ring capacity must be at least 1"),
+    "surface window 0": (lambda: time_surface(_GRID, 10, 0, 1), ValueError,
+                         "window duration must be positive"),
+    "surface window -5": (lambda: time_surface(_GRID, 10, -5, 0), ValueError,
+                          "window duration must be positive"),
+    "surface polarity -1": (lambda: time_surface(_GRID, 10, 5, -1),
+                            ValueError, "polarity must be 0 or 1"),
+    "surface polarity 2": (lambda: time_surface(_GRID, 10, 5, 2), ValueError,
+                           "polarity must be 0 or 1"),
+    "tensor of one plane": (
+        lambda: surface.MctsTensor(np.zeros((4, 4), np.float32), 0, None),
+        ValueError, "channels must be a (2K, H, W) float32 array"),
+    "float64 tensor": (
+        lambda: surface.MctsTensor(np.zeros((2, 3, 3)), 0, None),
+        ValueError, "channels must be a (2K, H, W) float32 array"),
+    "three channels": (
+        lambda: surface.MctsTensor(np.zeros((3, 2, 2), np.float32), 0, None),
+        ValueError, "channel count must be a positive even number"),
+    "no channels": (
+        lambda: surface.MctsTensor(np.zeros((0, 2, 2), np.float32), 0, None),
+        ValueError, "channel count must be a positive even number"),
+    "one duration for two pairs": (
+        lambda: surface.MctsTensor(np.zeros((4, 2, 2), np.float32), 0, (10,)),
+        ValueError, "one duration per channel pair required"),
+}
+
+
+@pytest.mark.parametrize("label", _CHECKS)
+def test_check_raises_its_message(label):
+    call, kind, message = _CHECKS[label]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
