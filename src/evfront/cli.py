@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import mmap
 import os
 import platform
+import stat
 import sys
 import time
 from dataclasses import asdict
@@ -201,7 +203,15 @@ def _read_batch(path: str, format: str = "binary-v1",
                 geometry: events.SensorGeometry | None = None
                 ) -> events.EventBatch:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            # a binary-v1 batch is a read-only view of the map, which it
+            # keeps open; an empty file cannot be mapped
+            if (format == "binary-v1" and stat.S_ISREG(info.st_mode)
+                    and info.st_size):
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            else:
+                data = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     try:

@@ -97,11 +97,7 @@ class EventBatch:
             raise TypeError(f"expected event dtype {EVENT_DTYPE}, got {ev.dtype}")
         if ev.ndim != 1:
             raise ValueError("event array must be one-dimensional")
-        fault = _first_bad_record(ev["t"], ev["x"], ev["y"], ev["p"],
-                                  self.geometry)
-        if fault is not None:
-            i, what = fault
-            raise ValueError(f"event {i}: {what}")
+        _check_records(ev["t"], ev["x"], ev["y"], ev["p"], self.geometry)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -146,6 +142,28 @@ def _first_bad_record(t, x, y, p, geometry: SensorGeometry
     return i, next(f for f, rule in zip(faults, rules) if rule[i])
 
 
+def _check_records(t, x, y, p, geometry: SensorGeometry) -> None:
+    """Raise ValueError naming the first record that breaks a rule."""
+    fault = _first_bad_record(t, x, y, p, geometry)
+    if fault is not None:
+        raise ValueError("event {}: {}".format(*fault))
+
+
+def _integer_column(name: str, values) -> np.ndarray:
+    """``values`` as an array of the same integers: an integer array as
+    it is, else Python ints as objects, which hold any value exactly
+    (numpy turns ints past int64 into floats). Anything else raises
+    TypeError, so no cast changes a value before it is checked."""
+    given = np.asarray(values)
+    if given.dtype.kind in "iu":
+        return given
+    column = np.asarray(values, dtype=object)
+    if all(isinstance(v, (int, np.integer)) for v in column.flat):
+        return column
+    raise TypeError(f"event column {name} must hold integers, "
+                    f"got {given.dtype}")
+
+
 def _records(t, x, y, p) -> np.ndarray:
     """Parallel columns packed as ``EVENT_DTYPE`` records."""
     ev = np.empty(len(t), dtype=EVENT_DTYPE)
@@ -157,8 +175,12 @@ def _records(t, x, y, p) -> np.ndarray:
 
 
 def batch_from_columns(t, x, y, p, geometry: SensorGeometry) -> EventBatch:
-    """Assemble a batch from parallel coordinate arrays."""
-    return EventBatch(_records(t, x, y, p), geometry)
+    """Assemble a batch from parallel integer columns. Their values are
+    checked as given, then packed: a value no record field holds is
+    reported, never wrapped or truncated into one."""
+    columns = [_integer_column(*c) for c in zip("txyp", (t, x, y, p))]
+    _check_records(*columns, geometry)
+    return _trusted_batch(_records(*columns), geometry)
 
 
 @dataclass(frozen=True)
@@ -217,8 +239,10 @@ def parse_events(data: bytes, format: str,
 def write_events(batch: EventBatch, format: str) -> bytes:
     if format == "binary-v1":  # the header, then the records as they lie
         g = batch.geometry
-        return (BINARY_MAGIC + g.width.to_bytes(2, "little")
-                + g.height.to_bytes(2, "little") + batch.events.tobytes())
+        header = (BINARY_MAGIC + g.width.to_bytes(2, "little")
+                  + g.height.to_bytes(2, "little"))
+        # one copy: join reads the records' buffer into the result
+        return b"".join((header, np.ascontiguousarray(batch.events)))
     if format == "csv":
         rows = (f"{t},{x},{y},{p}\n" for t, x, y, p in batch.events.tolist())
         return (CSV_HEADER + "\n" + "".join(rows)).encode("ascii")

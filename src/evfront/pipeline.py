@@ -1,7 +1,7 @@
 """Asynchronous frontend pipeline.
 
 Two roles share one ``SharedSurfaceState``: a preprocessing writer that
-folds event batches into the timestamp grid at a fixed tick, and a
+folds each tick's arrivals into the timestamp grid, and a
 frontend consumer that snapshots the newest state, builds the surface
 tensor, detects, describes, quantizes, and matches against its previous
 iteration. The only synchronization is the state's gate, a condition:
@@ -253,10 +253,9 @@ def frontend_step(snapshot: Snapshot, previous: FrameResult | None,
 class ReplaySource:
     """Bounded event source for the pipeline.
 
-    ``paced=False`` replays as fast as possible: virtual time advances by
-    one tick per preprocessing call. ``paced=True`` anchors event
-    timestamps to the wall clock for latency-style runs, in threaded
-    mode only.
+    ``paced=False`` replays as fast as possible. ``paced=True`` runs each
+    writer tick when its clock comes due on the wall clock, for
+    latency-style runs, in threaded mode only.
     """
 
     batch: EventBatch
@@ -264,15 +263,14 @@ class ReplaySource:
 
 
 class _WriterLoop:
-    """Fixed-tick ingestion shared by the threaded and serial modes.
+    """Ingestion shared by the threaded and serial modes.
 
-    Each tick applies every event that arrived in it: the run of the
-    source up to the advanced clock, a view, never a copy, with its
-    newest stamp as the watermark. A tick costs O(events it passes), not
-    O(stream length). A tick takes every stamp up to its clock, so equal
+    Ticks are ``tick``-long spans of stream time from the first stamp;
+    only those that hold an arrival run, so quiet time costs nothing.
+    Each applies, in one gate hold and one version, the source's run from
+    the cursor up to its end, ``clock``: a view, never a copy. Equal
     stamps never split across ticks, and each version applies stamps
-    above every earlier one and advances latest_time.
-    """
+    above every earlier one and advances latest_time."""
 
     def __init__(self, source: ReplaySource, state: SharedSurfaceState,
                  config: PipelineConfig):
@@ -280,19 +278,23 @@ class _WriterLoop:
         self.state = state
         self.config = config
         self.t_stream = self.batch.events["t"]  # a view of the packed field
-        self.cursor = 0  # events arrived, and applied
-        self.exhausted = len(self.batch) == 0
-        self.virtual_now = 0 if self.exhausted else int(self.t_stream[0])
+        self.cursor = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.cursor == len(self.t_stream)
+
+    @property
+    def clock(self) -> int:
+        """End of the first tick that holds the next arrival."""
+        first, tick = int(self.t_stream[0]), self.config.tick
+        lead = int(self.t_stream[self.cursor]) - first
+        return first + max(1, -(-lead // tick)) * tick
 
     def one_tick(self) -> int:
-        """Ingest arrivals for one tick; returns events applied."""
+        """Ingest the next tick's arrivals; returns events applied."""
         start = self.cursor
-        self.virtual_now += self.config.tick
-        self.cursor = _count_through(self.t_stream, self.virtual_now, start)
-        self.exhausted = self.cursor == len(self.batch)
-        if self.cursor == start:
-            return 0
-        end = self.cursor
+        self.cursor = end = _count_through(self.t_stream, self.clock, start)
         return preprocess_tick(self.state, self.batch.slice(start, end),
                                int(self.t_stream[end - 1]))[0]
 
@@ -364,8 +366,7 @@ def _run_serial(source, config, state, schedule):
     due = iter(schedule) if schedule is not None else itertools.count(1)
 
     def tick_until_due(last_snapped):
-        # ticks bump the version by at most 1, so each due version is hit
-        # exactly; with none left, the writer drains
+        # each tick makes one version; with none due, the writer drains
         version = next(due, None)
         while not writer.exhausted:
             writer.one_tick()
@@ -390,13 +391,12 @@ def _run_threaded(source, config, state):
         nonlocal end
         outcome = ""
         try:
-            next_deadline = time.perf_counter()
+            began = time.perf_counter()
             while not writer.exhausted and not stop.is_set():
-                if source.paced:
-                    next_deadline += config.tick / US_PER_S
-                    lag = next_deadline - time.perf_counter()
-                    if lag > 0:
-                        time.sleep(lag)
+                if source.paced:  # a tick is due when its clock is
+                    lead = (writer.clock - int(writer.t_stream[0])) / US_PER_S
+                    if stop.wait(began + lead - time.perf_counter()):
+                        break
                 writer.one_tick()
         except Exception as exc:  # propagate source failures with partials
             outcome = f"{type(exc).__name__}: {exc}"

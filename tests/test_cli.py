@@ -160,6 +160,25 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith(
             f"error: cannot read {tmp_path / 'absent.bin'}: ")
 
+    def test_binary_input_is_mapped_not_read(self, tmp_path):
+        # the batch is a read-only view of the mapped file: the heap holds
+        # only the record check's temporaries, not the file's bytes
+        src = _synth(tmp_path, extra=[
+            "--duration", "0.5", "--geometry", "240x180",
+            "--velocity=-300,-225", "--grid-pitch", "12",
+            "--square-side", "5"])
+        tracemalloc.start()
+        try:
+            batch = cli._read_batch(str(src))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = src.stat().st_size
+        assert size > 1_000_000
+        assert peak < 0.9 * size, (peak, size)
+        assert not batch.events.flags.writeable
+        assert batch.events.tobytes() == src.read_bytes()[8:]
+
 
 class TestSurface:
     def test_writes_channel_images_and_dump(self, tmp_path, capsys):
@@ -528,6 +547,10 @@ _USAGE_CASES = {
     "binary header under 8 bytes": (
         {"h.bin": b"EVT1\x04\x00"}, ["run", "-i", "{dir}/h.bin"], 2,
         "error: {dir}/h.bin: header shorter than 8 bytes (byte offset 0)\n"),
+    # an empty file cannot be mapped: it is read, and reported the same
+    "empty binary file": (
+        {"e0.bin": b""}, ["run", "-i", "{dir}/e0.bin"], 2,
+        "error: {dir}/e0.bin: header shorter than 8 bytes (byte offset 0)\n"),
     "unwritable synth output": (
         {}, ["synth", "-o", "{dir}/no/ev.bin"], 2,
         "error: cannot write {dir}/no/ev.bin: "),

@@ -1207,6 +1207,10 @@ _CHECKS = {
                      ValueError, "radius must be at least 1"),
     "nms radius -2": (lambda: nms(np.zeros((5, 5), np.float32), -2, 0.0, 4),
                       ValueError, "radius must be at least 1"),
+    # good magic, short of the fixed 16 bytes
+    "weights cut inside the fixed header": (
+        lambda: load_weights(_WEIGHTS[:10]), ValueError,
+        "weights header truncated"),
     # past the fixed 16 bytes, short of the widths, dim, cell and epsilon
     "weights cut after the layer count": (
         lambda: load_weights(_WEIGHTS[:16]), ValueError,

@@ -108,6 +108,45 @@ class TestEventBatch:
             batch_from_columns(*columns.values(), geo)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("column, values, message", [
+        # each value fits the caller's dtype but not the record field,
+        # which would have stored it as 1 or 255
+        ("x", np.array([0, 65537], np.int64),
+         "event 1: coordinate (65537,0) outside 4x4"),
+        ("y", np.array([0, -1], np.int32),
+         "event 1: coordinate (0,-1) outside 4x4"),
+        ("p", np.array([1, -1], np.int8), "event 1: polarity -1 not in {0,1}"),
+        ("t", np.array([5, 2**64 + 6], object),
+         "event 1: timestamp 18446744073709551622 outside [0, 2**62)"),
+    ])
+    def test_columns_checked_before_packing(self, column, values, message):
+        columns = {"t": np.array([5, 6], np.uint64),
+                   "x": np.zeros(2, np.uint16), "y": np.zeros(2, np.uint16),
+                   "p": np.ones(2, np.uint8), column: values}
+        with pytest.raises(ValueError) as err:
+            batch_from_columns(*columns.values(), SensorGeometry(4, 4))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("column", ["t", "x", "y", "p"])
+    def test_non_integer_column_rejected(self, column):
+        # a float stamp 1.7 would be stored as 1
+        columns = {"t": np.array([1.7, 2.0]) if column == "t" else [1, 2],
+                   "x": [0, 0], "y": [0, 0], "p": [1, 1]}
+        if column != "t":
+            columns[column] = np.array([0.0, 1.5])
+        with pytest.raises(TypeError, match=f"^event column {column} must "
+                           "hold integers, got float64$"):
+            batch_from_columns(*columns.values(), SensorGeometry(4, 4))
+
+    def test_integer_lists_packed_exactly(self):
+        # numpy would read a list past int64 as floats; Python ints and
+        # numpy integers are taken as they are
+        b = batch_from_columns([3, 2**62 - 1], [np.uint16(1), 3], [0, 2],
+                               [True, 0], SensorGeometry(4, 4))
+        assert b.events.tolist() == [(3, 1, 0, 1), (2**62 - 1, 3, 2, 0)]
+        empty = batch_from_columns([], [], [], [], SensorGeometry(4, 4))
+        assert len(empty) == 0 and empty.events.dtype == EVENT_DTYPE
+
     def test_slicing_and_iteration(self):
         rng = np.random.default_rng(3)
         geo = SensorGeometry(8, 8)
@@ -250,6 +289,24 @@ class TestBinaryFormat:
         assert write_events(back.slice(7, 300), "binary-v1") == \
             data[:BINARY_HEADER_SIZE] + data[_record_offset(7):
                                              _record_offset(300)]
+
+    def test_write_copies_the_records_once(self):
+        # 400k records, 5.2 MB: the result is the one buffer written
+        geo = SensorGeometry(240, 180)
+        b = _random_batch(np.random.default_rng(8), 400_000, geo)
+        want = b"EVT1\xf0\x00\xb4\x00" + b.events.tobytes()
+        tracemalloc.start()
+        try:
+            data = write_events(b, "binary-v1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(data) is bytes and data == want
+        assert peak < 1.1 * len(data), (peak, len(data))
+        # a strided batch is packed first, and written as the same records
+        strided = EventBatch(b.events[::7], geo)
+        assert write_events(strided, "binary-v1") == \
+            want[:BINARY_HEADER_SIZE] + b.events[::7].tobytes()
 
     def test_header_magic_checked(self):
         with pytest.raises(StreamFormatError):

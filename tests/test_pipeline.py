@@ -211,20 +211,25 @@ def serial_run_reference(source, config):
 
 
 def _assert_writers_agree(batch, config, capacity):
-    """Tick the writer and the oracle side by side over ``batch``; after
-    every tick their states must be equal byte for byte. Returns the
-    number of ticks and of ticks that applied nothing."""
+    """Tick the fixed-clock oracle over ``batch``, and the writer beside
+    each oracle tick that applied events: the writer must run exactly
+    those ticks, at the same clocks, and no idle one, and after each the
+    two states must be equal byte for byte. Returns the oracle's number
+    of ticks and of ticks that applied nothing."""
     got = SharedSurfaceState(batch.geometry, capacity)
     want = SharedSurfaceState(batch.geometry, capacity)
     writer = _WriterLoop(ReplaySource(batch), got, config)
     oracle = WriterLoopReference(ReplaySource(batch), want, config)
     ticks = idle = 0
     while not oracle.exhausted:
-        assert not writer.exhausted
-        applied = writer.one_tick()
-        assert applied == oracle.one_tick()
+        applied = oracle.one_tick()
         ticks += 1
-        idle += applied == 0
+        if applied == 0:
+            idle += 1
+            continue
+        assert not writer.exhausted
+        assert writer.clock == oracle.virtual_now
+        assert writer.one_tick() == applied
         assert got.version == want.version
         assert got.grid.last_t.tobytes() == want.grid.last_t.tobytes()
         assert got.grid.valid.tobytes() == want.grid.valid.tobytes()
@@ -234,6 +239,7 @@ def _assert_writers_agree(batch, config, capacity):
              want.grid.applied_count)
         assert got.ring.state_bytes() == want.ring.state_bytes()
     assert writer.exhausted
+    assert got.version == ticks - idle
     assert got.grid.applied_count == len(batch)
     return ticks, idle
 
@@ -385,9 +391,7 @@ class TestWriterLoop:
         one = _stream(rng, self.GEO, [7_777])
         assert _assert_writers_agree(one, PipelineConfig(), 4) == (1, 0)
         empty = _empty_batch(self.GEO)
-        writer = _WriterLoop(ReplaySource(empty),
-                             SharedSurfaceState(self.GEO, 4), PipelineConfig())
-        assert writer.exhausted
+        assert _assert_writers_agree(empty, PipelineConfig(), 4) == (0, 0)
 
     def test_every_version_advances_latest_time(self):
         # the frame loop relies on it to keep tau strictly increasing:
@@ -442,11 +446,31 @@ class TestWriterLoop:
             before = state.gate.holds
             writer.one_tick()
             holds.append(state.gate.holds - before)
-        # the gap's ticks have nothing to apply and take no gate; each
-        # applying tick notifies once, inside its one hold
-        assert set(holds) == {0, 1}
+        # the gap runs no tick; each tick applies, and notifies once,
+        # inside its one hold
+        assert set(holds) == {1}
         assert state.gate.notified_in == list(range(1, sum(holds) + 1))
         assert state.version == sum(holds)
+
+    def test_quiet_stream_time_runs_no_ticks(self, monkeypatch):
+        # two events 100 ms apart at a 1 us tick: the two ticks that hold
+        # them run, not one per microsecond of the gap between
+        ticks = []
+        real_tick = _WriterLoop.one_tick
+
+        def counting_tick(writer):
+            ticks.append(writer.cursor)
+            return real_tick(writer)
+
+        monkeypatch.setattr(_WriterLoop, "one_tick", counting_tick)
+        batch = _stream(np.random.default_rng(53), self.GEO,
+                        [1_000, 101_000])
+        results, metrics = run_pipeline(ReplaySource(batch),
+                                        PipelineConfig(tick=1), mode="serial")
+        assert ticks == [0, 1]
+        assert [(r.version, r.tau) for r in results] == \
+            [(1, 1_000), (2, 101_000)]
+        assert metrics.versions_applied == 2
 
     def test_tick_memory_independent_of_stream_length(self):
         # 2M events one microsecond apart, so a 10 ms tick passes 10k of
@@ -773,6 +797,24 @@ class TestThreadedRun:
         with pytest.raises(RuntimeError, match="detector failed"):
             _threaded_run(source, PipelineConfig())
         assert len(calls) == 2
+        assert not [t for t in threading.enumerate()
+                    if t.name == "preprocess-writer" and t.is_alive()]
+
+    def test_failed_frontend_ends_a_long_paced_wait(self, monkeypatch):
+        # the paced writer's next tick is a minute of stream time away
+        # when the first frame fails; its wait ends with the frontend
+        batch = _stream(np.random.default_rng(59), SensorGeometry(8, 8),
+                        [0, 10, 60 * 1_000_000])
+
+        def failing_step(*args):
+            raise RuntimeError("detector failed")
+
+        monkeypatch.setattr(pipeline, "frontend_step", failing_step)
+        began = time.perf_counter()
+        with pytest.raises(RuntimeError, match="detector failed"):
+            _threaded_run(ReplaySource(batch, paced=True), PipelineConfig(),
+                          timeout=20)
+        assert time.perf_counter() - began < 5
         assert not [t for t in threading.enumerate()
                     if t.name == "preprocess-writer" and t.is_alive()]
 
