@@ -20,6 +20,7 @@ copying it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -92,6 +93,7 @@ class SharedSurfaceState:
         self.version = 0
         self.gate = threading.Condition(threading.Lock())
         self.writer_stall_us = 0  # cumulative gate wait on the writer side
+        self.writer_cpu_ns = 0  # the writer thread's CPU time, or its ticks'
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,9 @@ class Metrics:
     mean_staleness_us: float = 0.0
     max_staleness_us: int = 0
     writer_stall_us: int = 0
+    writer_cpu_us: int = 0
+    frontend_cpu_us: int = 0
+    cpu_over_wall: float = 0.0
     snapshot_copy_mean_us: float = 0.0
     snapshot_copy_max_us: int = 0
     intervals: list = field(default_factory=list)
@@ -172,11 +177,9 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
 def _count_through(t: np.ndarray, value: int, lo: int = 0) -> int:
     """How many of the sorted stamps ``t`` are at or below ``value``.
 
-    The first ``lo`` are known to be. Gallops from ``lo``, probing
-    ``t[lo + step - 1]`` with the step doubling, then binary-searches a
-    contiguous copy of the one window left: O(log k) probes and a copy of
-    at most k + 1 stamps, k the answer minus ``lo``, however long ``t``
-    is. Searching the packed field itself would copy all of it.
+    The first ``lo`` are known to be. One C bisection over ``t[lo:]``,
+    the packed field as it stands: O(log n) probes, no copy and no Python
+    loop, so the writer's cut holds the GIL for microseconds.
     """
     if value < 0:
         return lo
@@ -184,15 +187,7 @@ def _count_through(t: np.ndarray, value: int, lo: int = 0) -> int:
     n = len(t)
     if n == lo or t[n - 1] <= needle:  # the writer's cut: all of it
         return n
-    base, step, end = lo, 1, lo
-    while end < n:
-        end = min(base + step, n)
-        if t[end - 1] > needle:
-            break
-        lo = end
-        step *= 2
-    window = np.ascontiguousarray(t[lo:end])
-    return lo + int(np.searchsorted(window, needle, side="right"))
+    return bisect.bisect_right(t, needle, lo, n)
 
 
 def freeze_snapshot(state: SharedSurfaceState) -> Snapshot:
@@ -366,13 +361,14 @@ def _run_serial(source, config, state, schedule):
     due = iter(schedule) if schedule is not None else itertools.count(1)
 
     def tick_until_due(last_snapped):
-        # each tick makes one version; with none due, the writer drains
+        # each tick makes one version; with none due, the writer drains.
+        # The ticks are the writer's CPU time, the rest the frontend's
         version = next(due, None)
-        while not writer.exhausted:
+        cpu_from = time.thread_time_ns()
+        while not writer.exhausted and state.version != version:
             writer.one_tick()
-            if state.version == version:
-                return True
-        return False
+        state.writer_cpu_ns += time.thread_time_ns() - cpu_from
+        return state.version == version
 
     def live_snapshot(state):
         # no writer runs between ticks: step on the live grid and ring
@@ -390,6 +386,7 @@ def _run_threaded(source, config, state):
     def writer_main():
         nonlocal end
         outcome = ""
+        cpu_from = time.thread_time_ns()
         try:
             began = time.perf_counter()
             while not writer.exhausted and not stop.is_set():
@@ -402,6 +399,7 @@ def _run_threaded(source, config, state):
             outcome = f"{type(exc).__name__}: {exc}"
         finally:
             with state.gate:
+                state.writer_cpu_ns = time.thread_time_ns() - cpu_from
                 end = outcome
                 state.gate.notify_all()
 
@@ -435,13 +433,17 @@ def _frontend_loop(state, config, wait, snapshot, started):
     no frame only when a newer one supersedes it: each holds an event and
     advances tau (see ``_WriterLoop``). A frame's staleness is taken when
     it is emitted: how far the newest applied event is then ahead of its
-    tau. Only a snapshot that copies the state has its copy timed.
+    tau. Only a snapshot that copies the state has its copy timed. The
+    frontend's CPU time is its thread's from each snapshot to each
+    emission, so a serial run's ticks, inside ``wait``, stay out of it.
     """
     results: list[FrameResult] = []
     staleness: list[int] = []
     copy_times: list[int] = []
+    frontend_cpu_ns = 0
     last_version = 0
     while wait(last_version):
+        cpu_from = time.thread_time_ns()
         copy_from = _now_us()
         snap = snapshot(state)
         if snap.grid is not state.grid:
@@ -450,8 +452,10 @@ def _frontend_loop(state, config, wait, snapshot, started):
         results.append(frontend_step(snap, results[-1] if results else None,
                                      config))
         staleness.append(state.grid.latest_time - results[-1].tau)
-    return results, _collect_metrics(results, staleness, copy_times, state,
-                                     started, _now_us(), config)
+        frontend_cpu_ns += time.thread_time_ns() - cpu_from
+    return results, _collect_metrics(results, staleness, copy_times,
+                                     frontend_cpu_ns, state, started,
+                                     _now_us(), config)
 
 
 def _stage_means(results) -> dict[str, float]:
@@ -459,8 +463,8 @@ def _stage_means(results) -> dict[str, float]:
             for name in STAGE_NAMES}
 
 
-def _collect_metrics(results, staleness, copy_times, state, started_us,
-                     ended_us, config: PipelineConfig) -> Metrics:
+def _collect_metrics(results, staleness, copy_times, frontend_cpu_ns, state,
+                     started_us, ended_us, config: PipelineConfig) -> Metrics:
     m = Metrics()
     m.results_emitted = len(results)
     m.versions_applied = state.version
@@ -468,6 +472,9 @@ def _collect_metrics(results, staleness, copy_times, state, started_us,
     m.writer_stall_us = state.writer_stall_us
     wall = max(ended_us - started_us, 1)
     m.iteration_rate_hz = len(results) * US_PER_S / wall
+    m.writer_cpu_us = state.writer_cpu_ns // 1_000
+    m.frontend_cpu_us = frontend_cpu_ns // 1_000
+    m.cpu_over_wall = (state.writer_cpu_ns + frontend_cpu_ns) / 1_000 / wall
     if results:
         m.mean_stage_us = _stage_means(results)
         m.max_stage_us = {

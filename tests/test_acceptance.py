@@ -318,25 +318,32 @@ def test_ingest_scales_linearly():
     # processes hold the core
     geometry = SensorGeometry(240, 180)
     rng = np.random.default_rng(3)
-    n = 1_000_000
+    n, step = 1_000_000, 10_000
     streams = {m: _random_batch(rng, geometry, m, t_span=10 * m)
                for m in (n, 2 * n)}
 
-    def ingest_time(batch):
-        start = time.thread_time_ns()
-        grid = TimestampGrid.create(geometry)
-        ring = EventCountRing(1024)
-        for lo in range(0, len(batch), 10_000):
-            apply_events(grid, ring, batch.slice(lo, lo + 10_000))
-        return time.thread_time_ns() - start
+    def ingest_times():
+        # both streams ingest at once, each into its own grid and ring,
+        # batch by batch: one batch of the single stream per two of the
+        # double, so both pass the same point of their streams together
+        # and a slow spell of the host lands on both alike
+        states = {m: (TimestampGrid.create(geometry), EventCountRing(1024))
+                  for m in streams}
+        times = dict.fromkeys(streams, 0)
+        for k in range(2 * n // step):
+            due = {2 * n: k * step}
+            if k % 2 == 0:
+                due[n] = k // 2 * step
+            for m, lo in due.items():
+                start = time.thread_time_ns()
+                apply_events(*states[m], streams[m].slice(lo, lo + step))
+                times[m] += time.thread_time_ns() - start
+        return times
 
-    # the two sizes alternate, so host load hits both alike; the fastest
-    # repeat of each is the one least disturbed
-    times = {m: [] for m in streams}
-    for _ in range(5):
-        for m, batch in streams.items():
-            times[m].append(ingest_time(batch))
-    single, double = min(times[n]), min(times[2 * n])
+    # the fastest of the repeats on each side is the one least disturbed
+    times = [ingest_times() for _ in range(5)]
+    single = min(t[n] for t in times)
+    double = min(t[2 * n] for t in times)
     assert double <= 2.5 * single, (single, double)
 
 

@@ -383,6 +383,7 @@ class TestRun:
             "results_emitted", "versions_applied", "events_applied",
             "mean_stage_us", "max_stage_us", "iteration_rate_hz",
             "mean_staleness_us", "max_staleness_us", "writer_stall_us",
+            "writer_cpu_us", "frontend_cpu_us", "cpu_over_wall",
             "snapshot_copy_mean_us", "snapshot_copy_max_us", "intervals",
             "error")}
         assert m.intervals and m.mean_stage_us

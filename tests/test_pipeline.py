@@ -161,6 +161,27 @@ def _preprocess_tick_reference(state, pending, watermark):
     return cut, EventBatch(pending.events[cut:], pending.geometry)
 
 
+def _count_through_gallop(t, value, lo=0):
+    # the writer's cut before the C bisection, kept as an oracle: gallop
+    # from lo with the step doubling, then binary-search a contiguous copy
+    # of the one window left
+    if value < 0:
+        return lo
+    needle = np.uint64(value)
+    n = len(t)
+    if n == lo or t[n - 1] <= needle:
+        return n
+    base, step, end = lo, 1, lo
+    while end < n:
+        end = min(base + step, n)
+        if t[end - 1] > needle:
+            break
+        lo = end
+        step *= 2
+    window = np.ascontiguousarray(t[lo:end])
+    return lo + int(np.searchsorted(window, needle, side="right"))
+
+
 class WriterLoopReference:
     def __init__(self, source, state, config):
         self.source = source
@@ -213,9 +234,10 @@ def serial_run_reference(source, config):
 def _assert_writers_agree(batch, config, capacity):
     """Tick the fixed-clock oracle over ``batch``, and the writer beside
     each oracle tick that applied events: the writer must run exactly
-    those ticks, at the same clocks, and no idle one, and after each the
-    two states must be equal byte for byte. Returns the oracle's number
-    of ticks and of ticks that applied nothing."""
+    those ticks, at the same clocks, and no idle one; after each its
+    cursor must be the oracle's and the gallop's cut, and the two states
+    equal byte for byte. Returns the oracle's number of ticks and of
+    ticks that applied nothing."""
     got = SharedSurfaceState(batch.geometry, capacity)
     want = SharedSurfaceState(batch.geometry, capacity)
     writer = _WriterLoop(ReplaySource(batch), got, config)
@@ -229,7 +251,10 @@ def _assert_writers_agree(batch, config, capacity):
             continue
         assert not writer.exhausted
         assert writer.clock == oracle.virtual_now
+        start = writer.cursor
         assert writer.one_tick() == applied
+        assert writer.cursor == oracle.cursor == _count_through_gallop(
+            writer.t_stream, oracle.virtual_now, start)
         assert got.version == want.version
         assert got.grid.last_t.tobytes() == want.grid.last_t.tobytes()
         assert got.grid.valid.tobytes() == want.grid.valid.tobytes()
@@ -348,6 +373,30 @@ def _stream(rng, geo, t):
         rng.integers(0, geo.width, n).astype(np.uint16),
         rng.integers(0, geo.height, n).astype(np.uint16),
         rng.choice(np.array([0, 1], np.uint8), n), geo)
+
+
+class TestCountThrough:
+    @pytest.mark.parametrize("packed", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, 90])
+    def test_matches_the_gallop(self, packed, n):
+        # sorted stamps with runs of equal ones, as the packed field of
+        # the event record (strided) and as a contiguous uint64 array;
+        # every lo, against values at and around every stamp
+        rng = np.random.default_rng(27 + n)
+        steps = rng.choice(np.array([0, 0, 0, 1, 2, 1_000]), size=n)
+        t = (10 + np.cumsum(steps)).astype(np.uint64)
+        if packed:
+            records = np.zeros(n, EVENT_DTYPE)
+            records["t"] = t
+            t = records["t"]
+        assert t.flags.c_contiguous != packed or n <= 1
+        stamps = sorted({int(v) for v in t})
+        values = {-1, -2**62, 0, 9, 2**62 - 1,  # 9: below the first stamp
+                  *stamps, *(v - 1 for v in stamps), *(v + 1 for v in stamps)}
+        for lo in range(n + 1):
+            for value in values:
+                assert pipeline._count_through(t, value, lo) == \
+                    _count_through_gallop(t, value, lo), (lo, value)
 
 
 class TestWriterLoop:
@@ -974,10 +1023,13 @@ class TestMetricValues:
                    for v, (tau, t) in enumerate(frames, 1)]
         state = SharedSurfaceState(SensorGeometry(4, 4), 4)
         state.version, state.writer_stall_us = 9, 123
+        state.writer_cpu_ns = 1_500_000_999  # 1.5 s of CPU, and 999 ns
         state.grid.applied_count = 500
+        # 2 s of wall, over which the frontend took 1 s of CPU: 2.5 s of
+        # CPU in all, from two threads
         m = pipeline._collect_metrics(
-            results, [0, 50, 10, 20], [3, 5, 1, 7, 4], state, 0, 2_000_000,
-            PipelineConfig(metrics_interval=300))
+            results, [0, 50, 10, 20], [3, 5, 1, 7, 4], 999_999_001, state,
+            0, 2_000_000, PipelineConfig(metrics_interval=300))
         want = {
             "results_emitted": 4, "versions_applied": 9,
             "events_applied": 500,
@@ -990,6 +1042,8 @@ class TestMetricValues:
             "iteration_rate_hz": 2.0,
             "mean_staleness_us": 20.0, "max_staleness_us": 50,
             "writer_stall_us": 123,
+            "writer_cpu_us": 1_500_000, "frontend_cpu_us": 999_999,
+            "cpu_over_wall": 1.25,
             "snapshot_copy_mean_us": 4.0, "snapshot_copy_max_us": 7,
             "intervals": [
                 {"interval_start_us": 1_000, "mcts_preparation": 20.0,
@@ -1002,9 +1056,24 @@ class TestMetricValues:
         # the JSON pins key order and int against float as well
         assert json.dumps(asdict(m)) == json.dumps(want)
 
+    @pytest.mark.parametrize("mode", ["serial", "threaded"])
+    def test_cpu_time_per_thread(self, mode):
+        # the caller's thread runs the frontend, and in serial mode the
+        # ticks too: the CPU it spent bounds the share measured on it, and
+        # each thread's share is at most the run's wall
+        source = _grid_source(duration=0.3)
+        cpu_from = time.thread_time_ns()
+        _, m = run_pipeline(source, PipelineConfig(), mode=mode)
+        caller_us = (time.thread_time_ns() - cpu_from) / 1_000
+        assert m.writer_cpu_us > 0 and m.frontend_cpu_us > 0
+        on_caller = m.frontend_cpu_us + (m.writer_cpu_us if mode == "serial"
+                                         else 0)
+        assert on_caller <= caller_us
+        assert 0 < m.cpu_over_wall <= (1.01 if mode == "serial" else 2.01)
+
     def test_no_frames_leaves_the_defaults(self):
         state = SharedSurfaceState(SensorGeometry(4, 4), 4)
-        m = pipeline._collect_metrics([], [], [], state, 0, 0,
+        m = pipeline._collect_metrics([], [], [], 0, state, 0, 0,
                                       PipelineConfig())
         assert asdict(m) == asdict(pipeline.Metrics())
 
