@@ -20,8 +20,9 @@ from .detect import (KeypointSet, NetworkSpec, WeightBundle,
 from .matching import (Match, QuantizedDescriptors, distance_matrix,
                        match_mutual_nn, quantize, verify_matches)
 from .pipeline import (FrameResult, Metrics, PipelineConfig, ReplaySource,
-                       SharedSurfaceState, Snapshot, freeze_snapshot,
-                       frontend_step, preprocess_tick, run_pipeline)
+                       SharedSurfaceState, Snapshot, drain, freeze_snapshot,
+                       frontend_step, preprocess_tick, run_frames,
+                       run_pipeline)
 
 __version__ = "0.1.0"
 
@@ -40,6 +41,6 @@ __all__ = [
     "Match", "QuantizedDescriptors", "distance_matrix", "match_mutual_nn",
     "quantize", "verify_matches",
     "FrameResult", "Metrics", "PipelineConfig", "ReplaySource",
-    "SharedSurfaceState", "Snapshot", "freeze_snapshot", "frontend_step",
-    "preprocess_tick", "run_pipeline",
+    "SharedSurfaceState", "Snapshot", "drain", "freeze_snapshot",
+    "frontend_step", "preprocess_tick", "run_frames", "run_pipeline",
 ]

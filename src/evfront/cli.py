@@ -9,6 +9,7 @@ nothing, 4 the ``verify`` check failed, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import mmap
 import os
@@ -220,10 +221,13 @@ def _read_batch(path: str, format: str = "binary-v1",
         raise UsageError(f"{path}: {exc}")
 
 
-def _write(path: str, data: bytes | str) -> None:
+def _write(path: str, *parts) -> None:
+    """Write ``parts`` to ``path`` in turn: strings as text, else bytes or
+    any buffer, which is written as it lies, without a copy."""
     try:
-        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with open(path, "w" if isinstance(parts[0], str) else "wb") as fh:
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}")
 
@@ -236,7 +240,8 @@ def cmd_synth(args) -> int:
         batch = events.synthesize(spec, args.geometry, args.start_time)
     except ValueError as exc:  # also a start time outside the stamp range
         raise UsageError(str(exc))
-    _write(args.output, events.write_events(batch, "binary-v1"))
+    # the header, then the records' own buffer: no copy of the file is made
+    _write(args.output, events.binary_header(batch.geometry), batch.events)
     t = batch.events["t"]
     span = int(t[-1]) - int(t[0]) if len(batch) else 0
     print(f"wrote {len(batch)} events spanning {span} us to {args.output}")
@@ -344,27 +349,37 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
 
-    for path in (args.results, args.metrics, args.timings_csv):
+    for path in (args.metrics, args.timings_csv):
         if path:  # an unwritable path fails before the run, not after
             _write(path, b"")
-    source = pipeline.ReplaySource(batch, paced=args.paced)
-    results, metrics = pipeline.run_pipeline(source, config, mode=args.mode)
+    emitted = total_matches = 0
 
-    if args.results:
-        _write(args.results, "".join(
-            pipeline.result_to_json(
-                r, include_descriptors=not args.no_descriptors) + "\n"
-            for r in results))
+    def emit(frame):
+        nonlocal emitted, total_matches
+        emitted += 1
+        total_matches += len(frame.matches_to_previous)
+        if out is not None:
+            out.write(pipeline.result_to_json(
+                frame, include_descriptors=not args.no_descriptors) + "\n")
+
+    try:  # each result is written as its frame is emitted
+        with (open(args.results, "w") if args.results
+              else contextlib.nullcontext()) as out:
+            metrics = pipeline.drain(pipeline.run_frames(
+                pipeline.ReplaySource(batch, paced=args.paced), config,
+                mode=args.mode), emit)
+    except OSError as exc:  # an unwritable path fails before the run
+        raise UsageError(f"cannot write {args.results}: {exc}")
+
     if args.metrics:
         _write(args.metrics, json.dumps(asdict(metrics), indent=2) + "\n")
     if args.timings_csv:
         _write(args.timings_csv, pipeline.metrics_to_csv(metrics))
-    total_matches = sum(len(r.matches_to_previous) for r in results)
-    print(f"results={len(results)} versions={metrics.versions_applied} "
+    print(f"results={emitted} versions={metrics.versions_applied} "
           f"events={metrics.events_applied} matches={total_matches}")
     if metrics.error:
         raise RuntimeError(f"source failed mid-run: {metrics.error}")
-    if not results:
+    if not emitted:
         raise EmptyResult("pipeline emitted no results")
     return 0
 

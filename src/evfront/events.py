@@ -41,6 +41,7 @@ BINARY_RECORD_SIZE = EVENT_DTYPE.itemsize
 CSV_HEADER = "t,x,y,p"
 
 _DECODE_RUN = 1 << 14  # sort keys decoded at a time by synthesize
+_CHECK_RUN = 1 << 16  # records checked at a time by _first_bad_record
 # synthesize's bound on a scene's events (28 GB of binary-v1 records) and
 # on its lattice offsets per axis
 _MAX_SYNTH_EVENTS = 1 << 31
@@ -125,21 +126,29 @@ def _first_bad_record(t, x, y, p, geometry: SensorGeometry
     ``[0, TIMESTAMP_LIMIT)``, a stamp below its predecessor, a coordinate
     off ``geometry``, a polarity other than 0 or 1. The columns are
     numpy arrays; a parser passes Python ints (``dtype=object``), which
-    cannot overflow before they are checked."""
+    cannot overflow before they are checked. The rules run over
+    ``_CHECK_RUN`` records at a time, each run's first stamp against the
+    previous run's last, so the temporaries stay the same size however
+    long the columns."""
     w, h = geometry.width, geometry.height
-    down = np.zeros(len(t), dtype=bool)
-    down[1:] = t[1:] < t[:-1]
-    rules = ((t < 0) | (t >= TIMESTAMP_LIMIT), down,
-             (x < 0) | (x >= w) | (y < 0) | (y >= h), (p != 0) & (p != 1))
-    bad = np.logical_or.reduce(rules)
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    faults = (f"timestamp {t[i]} outside [0, 2**62)",
-              "timestamps must be non-decreasing",
-              f"coordinate ({x[i]},{y[i]}) outside {w}x{h}",
-              f"polarity {p[i]} not in {{0,1}}")
-    return i, next(f for f, rule in zip(faults, rules) if rule[i])
+    for lo in range(0, len(t), _CHECK_RUN):
+        ts, xs, ys, ps = (c[lo:lo + _CHECK_RUN] for c in (t, x, y, p))
+        down = np.empty(len(ts), dtype=bool)
+        down[0] = lo > 0 and ts[0] < t[lo - 1]
+        down[1:] = ts[1:] < ts[:-1]
+        rules = ((ts < 0) | (ts >= TIMESTAMP_LIMIT), down,
+                 (xs < 0) | (xs >= w) | (ys < 0) | (ys >= h),
+                 (ps != 0) & (ps != 1))
+        bad = np.logical_or.reduce(rules)
+        if bad.any():
+            i = int(np.argmax(bad))
+            faults = (f"timestamp {ts[i]} outside [0, 2**62)",
+                      "timestamps must be non-decreasing",
+                      f"coordinate ({xs[i]},{ys[i]}) outside {w}x{h}",
+                      f"polarity {ps[i]} not in {{0,1}}")
+            return lo + i, next(f for f, rule in zip(faults, rules)
+                                if rule[i])
+    return None
 
 
 def _check_records(t, x, y, p, geometry: SensorGeometry) -> None:
@@ -236,13 +245,17 @@ def parse_events(data: bytes, format: str,
     raise ValueError(f"unknown event format {format!r}")
 
 
+def binary_header(geometry: SensorGeometry) -> bytes:
+    """The binary-v1 header; the records follow it as they lie."""
+    return (BINARY_MAGIC + geometry.width.to_bytes(2, "little")
+            + geometry.height.to_bytes(2, "little"))
+
+
 def write_events(batch: EventBatch, format: str) -> bytes:
-    if format == "binary-v1":  # the header, then the records as they lie
-        g = batch.geometry
-        header = (BINARY_MAGIC + g.width.to_bytes(2, "little")
-                  + g.height.to_bytes(2, "little"))
+    if format == "binary-v1":
         # one copy: join reads the records' buffer into the result
-        return b"".join((header, np.ascontiguousarray(batch.events)))
+        return b"".join((binary_header(batch.geometry),
+                         np.ascontiguousarray(batch.events)))
     if format == "csv":
         rows = (f"{t},{x},{y},{p}\n" for t, x, y, p in batch.events.tolist())
         return (CSV_HEADER + "\n" + "".join(rows)).encode("ascii")
@@ -357,19 +370,32 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
             f"sensor may hold more than 2**31 events")
     if spec.pattern == "vertical-edge":
         t, x, y, p = _edge_events(spec, geometry)
-        keys = _stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + p, span)
+        pieces = [(_stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + p, span),
+                   0)]
     else:
-        keys = _grid_keys(spec, geometry, span)
+        pieces = _grid_keys(spec, geometry, span)
+    # the keys are sorted in the first 8n bytes of the 13n-byte record
+    # buffer returned, each piece shifted straight into its place
+    n = sum(len(piece) for piece, _ in pieces)
+    ev = np.empty(n, dtype=EVENT_DTYPE)
+    keys = ev.view(np.uint8)[:8 * n].view(np.int64)
+    at = 0
+    for piece, shift in pieces:
+        np.add(piece, shift, out=keys[at:at + len(piece)])
+        at += len(piece)
+    del pieces  # freed before the decode's temporaries are made
     keys.sort()
-    last = int(keys[-1]) // span + start_time if len(keys) else 0
+    last = int(keys[-1]) // span + start_time if n else 0
     if last >= TIMESTAMP_LIMIT:
         raise ValueError(f"timestamp {last} outside [0, 2**62)")
-    # decode a cache-sized run at a time (remainders as products: numpy
-    # divides by a scalar fast but takes its remainder slowly); the
-    # records are sorted and in range by construction
-    ev = np.empty(len(keys), dtype=EVENT_DTYPE)
-    for i in range(0, len(keys), _DECODE_RUN):
-        key, rec = keys[i:i + _DECODE_RUN], ev[i:i + _DECODE_RUN]
+    # decode a cache-sized run at a time, back to front, each run's keys
+    # copied out before its records are written: record k starts at byte
+    # 13k >= 8k, so it overwrites no key still to be read. Remainders are
+    # taken as products (numpy divides by a scalar fast but takes its
+    # remainder slowly); the records are sorted and in range by
+    # construction
+    for i in reversed(range(0, n, _DECODE_RUN)):
+        key, rec = keys[i:i + _DECODE_RUN].copy(), ev[i:i + _DECODE_RUN]
         rec["p"] = key & 1
         key >>= 1
         t = key // (w * h)
@@ -471,8 +497,9 @@ def _crossings(offsets: np.ndarray, v: float, spec: MotionSpec):
 
 
 def _grid_keys(spec: MotionSpec, geometry: SensorGeometry,
-               span: int) -> np.ndarray:
-    """Sort keys (see ``synthesize``) of the squares' crossings, unsorted.
+               span: int) -> list[tuple[np.ndarray, int]]:
+    """Sort keys (see ``synthesize``) of the squares' crossings, unsorted,
+    as ``(piece, shift)`` pairs: the keys are ``piece + shift``.
 
     A pixel tracks q(t) = p - v*t through the static lattice; entering a
     square emits 1, leaving emits 0. Squares never overlap (pitch >
@@ -513,7 +540,7 @@ def _grid_keys(spec: MotionSpec, geometry: SensorGeometry,
     d = np.concatenate([d[enter], d[leave]])
     order = np.argsort(d)
     base, e, d = base[order], e[order], d[order]
-    keys = []
+    pieces = []
     for ax in xs:
         inside = (e >= -ax) & (e < w - ax)
         b, dy = base[inside], d[inside]
@@ -522,8 +549,8 @@ def _grid_keys(spec: MotionSpec, geometry: SensorGeometry,
         lo = np.searchsorted(dy, -ys).tolist()
         hi = np.searchsorted(dy, h - ys).tolist()
         shift = (((ax - x0) * h + ys - y0) * 2).tolist()
-        keys += [b[i:j] + s for i, j, s in zip(lo, hi, shift)]
-    return np.concatenate(keys)
+        pieces += [(b[i:j], s) for i, j, s in zip(lo, hi, shift)]
+    return pieces
 
 
 def corner_positions(spec: MotionSpec, geometry: SensorGeometry,

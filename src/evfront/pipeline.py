@@ -21,12 +21,14 @@ copying it.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import json
 import os
 import threading
 import time
+from collections.abc import Callable, Generator
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -308,6 +310,25 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     reproduces that run's results exactly, timings excluded. A schedule
     must ascend strictly from 1, as a threaded run's versions do, and
     needs serial mode; a paced source needs threaded mode.
+
+    Returns every frame of ``run_frames`` in a list, and the run's metrics.
+    """
+    results: list[FrameResult] = []
+    metrics = drain(run_frames(source, config, mode, snapshot_schedule),
+                    results.append)
+    return results, metrics
+
+
+def run_frames(source: ReplaySource, config: PipelineConfig,
+               mode: str = "threaded",
+               snapshot_schedule: list[int] | None = None
+               ) -> Generator[FrameResult, None, Metrics]:
+    """The run of ``run_pipeline`` as a generator: it yields each frame
+    when it is emitted and returns the run's metrics (see ``drain``). It
+    holds only the frame before, so its memory does not grow with the
+    stream. The arguments are checked at the call; the run starts at the
+    first ``next``. Closing the generator early stops the run, and in
+    threaded mode joins the writer.
     """
     _check_mode(mode, source.paced)
     if snapshot_schedule is not None and mode == "threaded":
@@ -321,6 +342,20 @@ def run_pipeline(source: ReplaySource, config: PipelineConfig,
     if mode == "serial":
         return _run_serial(source, config, state, snapshot_schedule)
     return _run_threaded(source, config, state)
+
+
+def drain(frames: Generator[FrameResult, None, Metrics],
+          emit: Callable[[FrameResult], object]) -> Metrics:
+    """Hand each frame of ``frames`` (from ``run_frames``) to ``emit`` as
+    it is made; returns the run's metrics. ``frames`` is closed however
+    this ends, so an ``emit`` that raises still stops the run."""
+    with contextlib.closing(frames):
+        while True:
+            try:
+                frame = next(frames)
+            except StopIteration as done:
+                return done.value
+            emit(frame)
 
 
 def _check_mode(mode: str, paced: bool) -> None:
@@ -374,8 +409,8 @@ def _run_serial(source, config, state, schedule):
         # no writer runs between ticks: step on the live grid and ring
         return Snapshot(state.grid, state.ring, state.version)
 
-    return _frontend_loop(state, config, tick_until_due, live_snapshot,
-                          _now_us())
+    return (yield from _frontend_loop(state, config, tick_until_due,
+                                      live_snapshot, _now_us()))
 
 
 def _run_threaded(source, config, state):
@@ -417,83 +452,111 @@ def _run_threaded(source, config, state):
     started = _now_us()
     thread.start()
     try:
-        results, metrics = _frontend_loop(state, config, newer_version,
-                                          freeze_snapshot, started)
+        metrics = yield from _frontend_loop(state, config, newer_version,
+                                            freeze_snapshot, started)
     finally:
         stop.set()
         thread.join()
     metrics.error = end or None
-    return results, metrics
+    return metrics
 
 
 def _frontend_loop(state, config, wait, snapshot, started):
-    """Snapshot and step on each version ``wait`` finds due, then collect
-    the metrics. ``wait(last_version)`` returns False when no version
-    will come; ``snapshot(state)`` takes the snapshot. A version makes
-    no frame only when a newer one supersedes it: each holds an event and
-    advances tau (see ``_WriterLoop``). A frame's staleness is taken when
-    it is emitted: how far the newest applied event is then ahead of its
-    tau. Only a snapshot that copies the state has its copy timed. The
-    frontend's CPU time is its thread's from each snapshot to each
-    emission, so a serial run's ticks, inside ``wait``, stay out of it.
+    """Snapshot and step on each version ``wait`` finds due, yielding each
+    frame, then return the metrics. ``wait(last_version)`` returns False
+    when no version will come; ``snapshot(state)`` takes the snapshot. A
+    version makes no frame only when a newer one supersedes it: each
+    holds an event and advances tau (see ``_WriterLoop``). A frame's
+    staleness is taken when it is emitted: how far the newest applied
+    event is then ahead of its tau. Only a snapshot that copies the state
+    has its copy timed. The frontend's CPU time is its thread's from each
+    snapshot to each emission, so a serial run's ticks, inside ``wait``,
+    and the consumer's work stay out of it.
     """
-    results: list[FrameResult] = []
-    staleness: list[int] = []
-    copy_times: list[int] = []
-    frontend_cpu_ns = 0
+    tally = _Tally(config.metrics_interval)
+    frame = None
     last_version = 0
     while wait(last_version):
         cpu_from = time.thread_time_ns()
         copy_from = _now_us()
         snap = snapshot(state)
         if snap.grid is not state.grid:
-            copy_times.append(_now_us() - copy_from)
+            tally.copy(_now_us() - copy_from)
         last_version = snap.version
-        results.append(frontend_step(snap, results[-1] if results else None,
-                                     config))
-        staleness.append(state.grid.latest_time - results[-1].tau)
-        frontend_cpu_ns += time.thread_time_ns() - cpu_from
-    return results, _collect_metrics(results, staleness, copy_times,
-                                     frontend_cpu_ns, state, started,
-                                     _now_us(), config)
+        frame = frontend_step(snap, frame, config)
+        tally.frame(frame, state.grid.latest_time - frame.tau)
+        tally.frontend_cpu_ns += time.thread_time_ns() - cpu_from
+        yield frame
+    return tally.metrics(state, started, _now_us())
 
 
-def _stage_means(results) -> dict[str, float]:
-    return {name: float(np.mean([getattr(r.timings, name) for r in results]))
-            for name in STAGE_NAMES}
+class _Tally:
+    """What ``Metrics`` reads of a run's frames, as running sums and
+    maxima, so it keeps no list over the frames. A row sums the stage
+    times of the frames whose tau falls in one interval of event time,
+    counted from the first frame's tau; taus ascend, so the rows fill in
+    order, and an interval without a frame makes no row. Every value is a
+    non-negative integer duration, so the maxima start at 0 and each mean
+    is an exact sum over its count: the bits ``np.mean`` gives."""
+
+    def __init__(self, interval: int):
+        self.interval = interval
+        self.first_tau = None
+        self.rows: dict[int, list[int]] = {}  # interval -> [frames, *sums]
+        self.stage_max = [0] * len(STAGE_NAMES)
+        self.staleness_sum = self.staleness_max = 0
+        self.copies = self.copy_sum = self.copy_max = 0
+        self.frontend_cpu_ns = 0
+
+    def frame(self, result: FrameResult, staleness: int) -> None:
+        times = [getattr(result.timings, name) for name in STAGE_NAMES]
+        if self.first_tau is None:
+            self.first_tau = result.tau
+        row = self.rows.setdefault(
+            (result.tau - self.first_tau) // self.interval,
+            [0] * (1 + len(times)))
+        for k, value in enumerate([1, *times]):
+            row[k] += value
+        self.stage_max = list(map(max, self.stage_max, times))
+        self.staleness_sum += staleness
+        self.staleness_max = max(self.staleness_max, staleness)
+
+    def copy(self, us: int) -> None:
+        self.copies += 1
+        self.copy_sum += us
+        self.copy_max = max(self.copy_max, us)
+
+    def metrics(self, state: SharedSurfaceState, started_us: int,
+                ended_us: int) -> Metrics:
+        m = Metrics()
+        frames = m.results_emitted = sum(r[0] for r in self.rows.values())
+        m.versions_applied = state.version
+        m.events_applied = state.grid.applied_count
+        m.writer_stall_us = state.writer_stall_us
+        wall = max(ended_us - started_us, 1)
+        m.iteration_rate_hz = frames * US_PER_S / wall
+        m.writer_cpu_us = state.writer_cpu_ns // 1_000
+        m.frontend_cpu_us = self.frontend_cpu_ns // 1_000
+        m.cpu_over_wall = ((state.writer_cpu_ns + self.frontend_cpu_ns)
+                           / 1_000 / wall)
+        if frames:
+            m.mean_stage_us = _means(
+                [sum(column) for column in zip(*self.rows.values())])
+            m.max_stage_us = dict(zip(STAGE_NAMES, self.stage_max))
+            m.mean_staleness_us = self.staleness_sum / frames
+            m.max_staleness_us = self.staleness_max
+            m.intervals = [{"interval_start_us":
+                            self.first_tau + i * self.interval, **_means(row)}
+                           for i, row in self.rows.items()]
+        if self.copies:
+            m.snapshot_copy_mean_us = self.copy_sum / self.copies
+            m.snapshot_copy_max_us = self.copy_max
+        return m
 
 
-def _collect_metrics(results, staleness, copy_times, frontend_cpu_ns, state,
-                     started_us, ended_us, config: PipelineConfig) -> Metrics:
-    m = Metrics()
-    m.results_emitted = len(results)
-    m.versions_applied = state.version
-    m.events_applied = state.grid.applied_count
-    m.writer_stall_us = state.writer_stall_us
-    wall = max(ended_us - started_us, 1)
-    m.iteration_rate_hz = len(results) * US_PER_S / wall
-    m.writer_cpu_us = state.writer_cpu_ns // 1_000
-    m.frontend_cpu_us = frontend_cpu_ns // 1_000
-    m.cpu_over_wall = (state.writer_cpu_ns + frontend_cpu_ns) / 1_000 / wall
-    if results:
-        m.mean_stage_us = _stage_means(results)
-        m.max_stage_us = {
-            name: int(max(getattr(r.timings, name) for r in results))
-            for name in STAGE_NAMES}
-        m.mean_staleness_us = float(np.mean(staleness))
-        m.max_staleness_us = int(max(staleness))
-        # per-interval means, bucketed by tau (event time); taus ascend,
-        # so the buckets fill in order
-        base, width = results[0].tau, config.metrics_interval
-        buckets: dict[int, list[FrameResult]] = {}
-        for r in results:
-            buckets.setdefault((r.tau - base) // width, []).append(r)
-        m.intervals = [{"interval_start_us": base + i * width,
-                        **_stage_means(rs)} for i, rs in buckets.items()]
-    if copy_times:
-        m.snapshot_copy_mean_us = float(np.mean(copy_times))
-        m.snapshot_copy_max_us = int(max(copy_times))
-    return m
+def _means(row: list[int]) -> dict[str, float]:
+    """Each stage's mean over a ``[frames, *sums]`` row."""
+    return {name: total / row[0] for name, total in zip(STAGE_NAMES, row[1:])}
 
 
 # ---------------------------------------------------------------------------

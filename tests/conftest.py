@@ -1,4 +1,20 @@
-"""Terminal summary: one PASS/FAIL line per end-to-end guarantee."""
+"""Terminal summary: one PASS/FAIL line per end-to-end guarantee, and the
+memory tests' tracemalloc helper."""
+
+import gc
+import tracemalloc
+
+
+def traced_peak(call) -> int:
+    """Collect garbage, then run ``call()`` under tracemalloc; returns the
+    most bytes it held at once. ``call`` must not raise."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 _GUARANTEES = [
     ("test_time_surface_equals_exhaustive_reference",

@@ -7,7 +7,6 @@ import os
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 from concurrent.futures import Future
 from dataclasses import replace
@@ -51,6 +50,8 @@ from evfront.surface import (
     merged_surface,
     stream_ring_capacity,
 )
+
+from conftest import traced_peak
 
 
 SPEC = NetworkSpec()
@@ -1013,13 +1014,11 @@ class TestWeights:
             [1, 8, 4, 2**20, 2**20, 2**20, 2**20, 64, 16], "<u4").tobytes()
         blob = header + np.float32(1e-5).astype("<f4").tobytes()
         assert len(blob) == 44
-        tracemalloc.start()
-        try:
+        def load():
             with pytest.raises(ValueError, match="truncated"):
                 load_weights(blob)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(load)
         assert peak < 1 << 20, peak
 
     def test_bundle_shapes_checked_without_a_zero_model(self):

@@ -33,6 +33,8 @@ from evfront.surface import (MCTS_HEADER_SIZE, EventCountRing, TimestampGrid,
                              WindowSpec, apply_events, mcts, read_mcts,
                              write_mcts)
 
+from conftest import traced_peak
+
 
 def _random_batch(rng, n, geometry, t_span=100_000):
     t = np.sort(rng.integers(0, t_span, n).astype(np.uint64))
@@ -295,12 +297,8 @@ class TestBinaryFormat:
         geo = SensorGeometry(240, 180)
         b = _random_batch(np.random.default_rng(8), 400_000, geo)
         want = b"EVT1\xf0\x00\xb4\x00" + b.events.tobytes()
-        tracemalloc.start()
-        try:
-            data = write_events(b, "binary-v1")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: write_events(b, "binary-v1"))
+        data = write_events(b, "binary-v1")
         assert type(data) is bytes and data == want
         assert peak < 1.1 * len(data), (peak, len(data))
         # a strided batch is packed first, and written as the same records
@@ -350,6 +348,39 @@ class TestBinaryFormat:
             parse_events(bytes(blob), "binary-v1")
         assert err.value.offset == _record_offset(at)
         assert what in str(err.value)
+
+    # the rules run over runs of _CHECK_RUN records: a fault in the
+    # second run, in the last, and a run's first stamp against the
+    # previous run's last, below it or equal to it
+    @pytest.mark.parametrize("at, field, value, what", [
+        (events._CHECK_RUN + 5, "p", 3, "polarity 3 not in {0,1}"),
+        (2 * events._CHECK_RUN + 99, "x", 9, "coordinate (9,1) outside 9x5"),
+        (events._CHECK_RUN, "t", events._CHECK_RUN - 2,
+         "timestamps must be non-decreasing"),
+        (events._CHECK_RUN, "t", events._CHECK_RUN - 1, None),
+    ])
+    def test_fault_in_a_later_check_run_reports_its_offset(self, at, field,
+                                                           value, what):
+        raw = np.zeros(2 * events._CHECK_RUN + 100, EVENT_DTYPE)
+        raw["t"] = np.arange(len(raw))
+        raw["y"] = 1
+        raw[field][at] = value
+        blob = _binary_stream([0], SensorGeometry(9, 5))[:BINARY_HEADER_SIZE]
+        blob += raw.tobytes()
+        if what is None:
+            assert parse_events(blob, "binary-v1").events.tobytes() == \
+                raw.tobytes()
+            return
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(blob, "binary-v1")
+        assert err.value.offset == _record_offset(at)
+        assert str(err.value) == f"{what} (byte offset {_record_offset(at)})"
+        with pytest.raises(ValueError, match=re.escape(f"event {at}: {what}")):
+            EventBatch(raw, SensorGeometry(9, 5))
+        rows = "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in raw.tolist())
+        with pytest.raises(StreamFormatError) as err:
+            parse_events(rows.encode(), "csv", geometry=SensorGeometry(9, 5))
+        assert err.value.line == at + 1
 
     @pytest.mark.parametrize("faults, bad", [
         ({0: ("x", 9), 1: ("p", 7)}, 0),     # coordinate, then polarity
@@ -771,13 +802,12 @@ class TestSortKeyLimit:
         for velocity in ((1e20, 30.0), (-30.0, 1e20), (1e300, 1e300),
                          (3e5, 3e5)):
             spec = MotionSpec("grid-of-corners", velocity, 0.1)
-            tracemalloc.start()
-            try:
+
+            def rejected():
                 with pytest.raises(ValueError, match="more than 2\\*\\*31"):
                     synthesize(spec, SensorGeometry(2048, 2048))
-                assert tracemalloc.get_traced_memory()[1] < 1 << 20
-            finally:
-                tracemalloc.stop()
+
+            assert traced_peak(rejected) < 1 << 20
         with pytest.raises(ValueError, match="more than 2\\*\\*31"):
             synthesize(MotionSpec("vertical-edge", (1.0, 0.0), 1.0),
                        SensorGeometry(65535, 32769))
@@ -834,17 +864,16 @@ class TestSortKeyLimit:
 
 def test_flood_scene_peaks_no_higher_than_the_lexsort_path():
     # the previous synthesizer, a two-key lexsort with its gathers, peaked
-    # at 24,925,552 bytes of traced allocations on this scene
+    # at 24,925,552 bytes of traced allocations on this scene, and one
+    # that sorted a separate key array at 1.67x its output; the keys are
+    # sorted inside the records' own buffer now
     spec = MotionSpec("grid-of-corners", (-300.0, -225.0), 0.5,
                       grid_pitch=12, square_side=5)
-    tracemalloc.start()
-    try:
-        batch = synthesize(spec, SensorGeometry(240, 180))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: synthesize(spec, SensorGeometry(240, 180)))
+    batch = synthesize(spec, SensorGeometry(240, 180))
     assert len(batch) == 763_800
     assert peak <= 24_925_552
+    assert peak <= 1.15 * batch.events.nbytes, (peak, batch.events.nbytes)
 
 
 class TestMotionSpecValidation:

@@ -6,7 +6,6 @@ import resource
 import sys
 import threading
 import time
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -34,10 +33,14 @@ from evfront.pipeline import (
     frontend_step,
     metrics_to_csv,
     preprocess_tick,
+    drain,
     result_to_json,
+    run_frames,
     run_pipeline,
 )
 from evfront.surface import WindowSpec, mcts, stream_ring_capacity
+
+from conftest import traced_peak
 from test_detect import force_bands
 
 
@@ -536,14 +539,10 @@ class TestWriterLoop:
         writer = _WriterLoop(ReplaySource(batch), SharedSurfaceState(geo, 1024),
                              PipelineConfig(tick=10_000))
         writer.one_tick()
-        tracemalloc.start()
-        try:
-            applied = writer.one_tick()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        applied = []
+        peak = traced_peak(lambda: applied.append(writer.one_tick()))
         column = 8 * n
-        assert applied == 10_000
+        assert applied == [10_000]
         assert peak < column // 16, peak
 
 
@@ -867,6 +866,36 @@ class TestThreadedRun:
         assert not [t for t in threading.enumerate()
                     if t.name == "preprocess-writer" and t.is_alive()]
 
+    @pytest.mark.parametrize("how", ["close", "emit raises"])
+    def test_consumer_stopping_early_stops_the_writer(self, how):
+        # the paced writer's next tick is a minute of stream time away
+        # when the consumer stops after the first frame; closing the frame
+        # generator, or a failing emit inside drain, stops and joins it
+        batch = _stream(np.random.default_rng(61), SensorGeometry(8, 8),
+                        [0, 10, 60 * 1_000_000])
+        frames = run_frames(ReplaySource(batch, paced=True), PipelineConfig())
+        writers, seen = [], []
+
+        def emit(frame):
+            seen.append(frame.version)
+            writers.extend(t for t in threading.enumerate()
+                           if t.name == "preprocess-writer")
+            raise RuntimeError("consumer failed")
+
+        began = time.perf_counter()
+        if how == "close":
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                emit(next(frames))
+            frames.close()
+        else:
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                drain(frames, emit)
+        for thread in writers:
+            thread.join(5)
+        assert time.perf_counter() - began < 5
+        assert seen == [1] and writers
+        assert not [t for t in writers if t.is_alive()]
+
     def test_writer_failure_returns_the_frames_so_far(self, monkeypatch):
         # the writer's third version fails; the frontend stops, and the
         # run returns what it made of versions 1 and 2 with the error
@@ -1025,11 +1054,15 @@ class TestMetricValues:
         state.version, state.writer_stall_us = 9, 123
         state.writer_cpu_ns = 1_500_000_999  # 1.5 s of CPU, and 999 ns
         state.grid.applied_count = 500
+        tally = pipeline._Tally(300)
+        for result, staleness in zip(results, [0, 50, 10, 20]):
+            tally.frame(result, staleness)
+        for us in [3, 5, 1, 7, 4]:
+            tally.copy(us)
         # 2 s of wall, over which the frontend took 1 s of CPU: 2.5 s of
         # CPU in all, from two threads
-        m = pipeline._collect_metrics(
-            results, [0, 50, 10, 20], [3, 5, 1, 7, 4], 999_999_001, state,
-            0, 2_000_000, PipelineConfig(metrics_interval=300))
+        tally.frontend_cpu_ns = 999_999_001
+        m = tally.metrics(state, 0, 2_000_000)
         want = {
             "results_emitted": 4, "versions_applied": 9,
             "events_applied": 500,
@@ -1073,8 +1106,8 @@ class TestMetricValues:
 
     def test_no_frames_leaves_the_defaults(self):
         state = SharedSurfaceState(SensorGeometry(4, 4), 4)
-        m = pipeline._collect_metrics([], [], [], 0, state, 0, 0,
-                                      PipelineConfig())
+        m = pipeline._Tally(PipelineConfig().metrics_interval).metrics(
+            state, 0, 0)
         assert asdict(m) == asdict(pipeline.Metrics())
 
 
