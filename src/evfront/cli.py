@@ -345,7 +345,10 @@ def cmd_run(args) -> int:
             match_max_distance=args.max_distance,
             metrics_interval=args.metrics_interval,
         )
-        pipeline._check_mode(args.mode, args.paced)
+        # checks its arguments now; the run starts at the first frame
+        frames = pipeline.run_frames(
+            pipeline.ReplaySource(batch, paced=args.paced), config,
+            mode=args.mode)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -365,9 +368,7 @@ def cmd_run(args) -> int:
     try:  # each result is written as its frame is emitted
         with (open(args.results, "w") if args.results
               else contextlib.nullcontext()) as out:
-            metrics = pipeline.drain(pipeline.run_frames(
-                pipeline.ReplaySource(batch, paced=args.paced), config,
-                mode=args.mode), emit)
+            metrics = pipeline.drain(frames, emit)
     except OSError as exc:  # an unwritable path fails before the run
         raise UsageError(f"cannot write {args.results}: {exc}")
 

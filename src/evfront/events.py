@@ -41,7 +41,7 @@ BINARY_RECORD_SIZE = EVENT_DTYPE.itemsize
 CSV_HEADER = "t,x,y,p"
 
 _DECODE_RUN = 1 << 14  # sort keys decoded at a time by synthesize
-_CHECK_RUN = 1 << 16  # records checked at a time by _first_bad_record
+_CHECK_RUN = 1 << 16  # records at a time: _first_bad_record, csv output
 # synthesize's bound on a scene's events (28 GB of binary-v1 records) and
 # on its lattice offsets per axis
 _MAX_SYNTH_EVENTS = 1 << 31
@@ -256,9 +256,12 @@ def write_events(batch: EventBatch, format: str) -> bytes:
         # one copy: join reads the records' buffer into the result
         return b"".join((binary_header(batch.geometry),
                          np.ascontiguousarray(batch.events)))
-    if format == "csv":
-        rows = (f"{t},{x},{y},{p}\n" for t, x, y, p in batch.events.tolist())
-        return (CSV_HEADER + "\n" + "".join(rows)).encode("ascii")
+    if format == "csv":  # a run of records at a time, as Python rows
+        ev = batch.events
+        runs = ("".join(f"{t},{x},{y},{p}\n" for t, x, y, p
+                        in ev[lo:lo + _CHECK_RUN].tolist()).encode("ascii")
+                for lo in range(0, len(ev), _CHECK_RUN))
+        return b"".join([f"{CSV_HEADER}\n".encode("ascii"), *runs])
     raise ValueError(f"unknown event format {format!r}")
 
 

@@ -160,9 +160,10 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
                     watermark: int) -> tuple[int, EventBatch]:
     """Apply the pending events at or below the watermark.
 
-    Returns (applied count, retained batch). Iff anything was applied,
-    one gate hold advances the version once and notifies the gate; else
-    the gate is not taken. Blocks while a snapshot holds the gate.
+    Returns (applied count, retained batch), the retained batch a view of
+    the events above the watermark. Iff anything was applied, one gate
+    hold advances the version once and notifies the gate; else the gate
+    is not taken. Blocks while a snapshot holds the gate.
     """
     cut = _count_through(pending.events["t"], watermark)
     if cut == 0:
@@ -176,20 +177,16 @@ def preprocess_tick(state: SharedSurfaceState, pending: EventBatch,
     return cut, pending.slice(cut, len(pending))
 
 
-def _count_through(t: np.ndarray, value: int, lo: int = 0) -> int:
+def _count_through(t: np.ndarray, value: int) -> int:
     """How many of the sorted stamps ``t`` are at or below ``value``.
 
-    The first ``lo`` are known to be. One C bisection over ``t[lo:]``,
-    the packed field as it stands: O(log n) probes, no copy and no Python
-    loop, so the writer's cut holds the GIL for microseconds.
+    One C bisection over the packed field as it stands: O(log n) probes,
+    no copy and no Python loop, so the writer's cut holds the GIL for
+    microseconds.
     """
     if value < 0:
-        return lo
-    needle = np.uint64(value)
-    n = len(t)
-    if n == lo or t[n - 1] <= needle:  # the writer's cut: all of it
-        return n
-    return bisect.bisect_right(t, needle, lo, n)
+        return 0
+    return bisect.bisect_right(t, np.uint64(value))
 
 
 def freeze_snapshot(state: SharedSurfaceState) -> Snapshot:
@@ -264,36 +261,37 @@ class _WriterLoop:
 
     Ticks are ``tick``-long spans of stream time from the first stamp;
     only those that hold an arrival run, so quiet time costs nothing.
-    Each applies, in one gate hold and one version, the source's run from
-    the cursor up to its end, ``clock``: a view, never a copy. Equal
-    stamps never split across ticks, and each version applies stamps
-    above every earlier one and advances latest_time."""
+    ``pending`` is the part of the source not applied yet, a view, never
+    a copy. Each tick hands it to ``preprocess_tick`` with the tick's
+    end, ``clock``, as the watermark: the one cut, which applies the run
+    up to it in one gate hold and one version and returns the rest, the
+    new ``pending``. Equal stamps never split across ticks, and each
+    version applies stamps above every earlier one and advances
+    latest_time."""
 
     def __init__(self, source: ReplaySource, state: SharedSurfaceState,
                  config: PipelineConfig):
-        self.batch = source.batch
+        self.pending = source.batch
         self.state = state
-        self.config = config
-        self.t_stream = self.batch.events["t"]  # a view of the packed field
-        self.cursor = 0
+        self.tick = config.tick
+        t = self.pending.events["t"]
+        self.first = int(t[0]) if len(t) else 0
 
     @property
     def exhausted(self) -> bool:
-        return self.cursor == len(self.t_stream)
+        return len(self.pending) == 0
 
     @property
     def clock(self) -> int:
         """End of the first tick that holds the next arrival."""
-        first, tick = int(self.t_stream[0]), self.config.tick
-        lead = int(self.t_stream[self.cursor]) - first
-        return first + max(1, -(-lead // tick)) * tick
+        lead = int(self.pending.events["t"][0]) - self.first
+        return self.first + max(1, -(-lead // self.tick)) * self.tick
 
     def one_tick(self) -> int:
         """Ingest the next tick's arrivals; returns events applied."""
-        start = self.cursor
-        self.cursor = end = _count_through(self.t_stream, self.clock, start)
-        return preprocess_tick(self.state, self.batch.slice(start, end),
-                               int(self.t_stream[end - 1]))[0]
+        applied, self.pending = preprocess_tick(self.state, self.pending,
+                                                self.clock)
+        return applied
 
 
 def run_pipeline(source: ReplaySource, config: PipelineConfig,
@@ -330,7 +328,10 @@ def run_frames(source: ReplaySource, config: PipelineConfig,
     first ``next``. Closing the generator early stops the run, and in
     threaded mode joins the writer.
     """
-    _check_mode(mode, source.paced)
+    if mode not in ("threaded", "serial"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if source.paced and mode == "serial":
+        raise ValueError("paced replay needs threaded mode")
     if snapshot_schedule is not None and mode == "threaded":
         raise ValueError("a snapshot schedule needs serial mode")
     if snapshot_schedule is not None and any(
@@ -356,13 +357,6 @@ def drain(frames: Generator[FrameResult, None, Metrics],
             except StopIteration as done:
                 return done.value
             emit(frame)
-
-
-def _check_mode(mode: str, paced: bool) -> None:
-    if mode not in ("threaded", "serial"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if paced and mode == "serial":
-        raise ValueError("paced replay needs threaded mode")
 
 
 @functools.cache
@@ -426,7 +420,7 @@ def _run_threaded(source, config, state):
             began = time.perf_counter()
             while not writer.exhausted and not stop.is_set():
                 if source.paced:  # a tick is due when its clock is
-                    lead = (writer.clock - int(writer.t_stream[0])) / US_PER_S
+                    lead = (writer.clock - writer.first) / US_PER_S
                     if stop.wait(began + lead - time.perf_counter()):
                         break
                 writer.one_tick()

@@ -541,7 +541,7 @@ class TestRun:
     def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys,
                                                     monkeypatch, option):
         src = _synth(tmp_path)
-        monkeypatch.setattr(pipeline, "run_frames", None)  # never called
+        monkeypatch.setattr(pipeline, "drain", None)  # never called
         out = tmp_path / "no" / "dir" / "out"
         capsys.readouterr()
         rc = cli.main(["run", "-i", str(src), "--mode", "serial", option,
@@ -555,6 +555,22 @@ class TestRun:
                        str(tmp_path / "out")])
         assert rc == 1
         assert "'NoneType' object is not callable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, paced, err", [
+        ("bogus", False, "error: unknown mode 'bogus'\n"),
+        ("serial", True, "error: paced replay needs threaded mode\n")],
+        ids=["unknown", "paced-serial"])
+    def test_bad_mode_fails_before_any_output(self, tmp_path, capsys,
+                                              mode, paced, err):
+        src = _synth(tmp_path)
+        outputs = [tmp_path / name for name in ("r.jsonl", "m.json", "t.csv")]
+        capsys.readouterr()
+        rc = cli.main(["run", "-i", str(src), "--mode", mode,
+                       *(["--paced"] if paced else []),
+                       "--results", str(outputs[0]), "--metrics",
+                       str(outputs[1]), "--timings-csv", str(outputs[2])])
+        assert (rc, capsys.readouterr().err) == (2, err)
+        assert not any(path.exists() for path in outputs)
 
 
 # Option and input faults no other test reaches: label -> (files to write

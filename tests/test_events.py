@@ -495,6 +495,23 @@ class TestCsvFormat:
         with pytest.raises(ValueError):
             parse_events(b"1,0,0,1\n", "csv")
 
+    def test_write_formats_a_run_of_records_at_a_time(self):
+        # 200k records, 4.4 MB of text, not a whole number of runs: the
+        # rows of all of them at once held about 9 bytes for each byte
+        # written; a run at a time holds the result twice and one run's
+        # rows, about 200 bytes each
+        geo = SensorGeometry(240, 180)
+        b = _random_batch(np.random.default_rng(9), 200_000, geo,
+                          t_span=10 ** 12)
+        want = ("t,x,y,p\n" + "".join(
+            f"{t},{x},{y},{p}\n" for t, x, y, p in b.events.tolist())
+                ).encode("ascii")
+        peak = traced_peak(lambda: write_events(b, "csv"))
+        assert write_events(b, "csv") == want
+        assert peak < 2 * len(want) + 200 * events._CHECK_RUN, \
+            (peak, len(want))
+        assert write_events(_empty_batch(geo), "csv") == b"t,x,y,p\n"
+
 
 class TestMotionSpec:
     @pytest.mark.parametrize("velocity", [

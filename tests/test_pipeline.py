@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from evfront import pipeline
+from evfront import events, pipeline
 from evfront.events import (
     EVENT_DTYPE,
     EventBatch,
@@ -237,10 +237,11 @@ def serial_run_reference(source, config):
 def _assert_writers_agree(batch, config, capacity):
     """Tick the fixed-clock oracle over ``batch``, and the writer beside
     each oracle tick that applied events: the writer must run exactly
-    those ticks, at the same clocks, and no idle one; after each its
-    cursor must be the oracle's and the gallop's cut, and the two states
-    equal byte for byte. Returns the oracle's number of ticks and of
-    ticks that applied nothing."""
+    those ticks, at the same clocks, and no idle one; after each the
+    events it has applied, all but its pending remainder, must be the
+    oracle's and the gallop's cut, and the two states equal byte for
+    byte. Returns the oracle's number of ticks and of ticks that applied
+    nothing."""
     got = SharedSurfaceState(batch.geometry, capacity)
     want = SharedSurfaceState(batch.geometry, capacity)
     writer = _WriterLoop(ReplaySource(batch), got, config)
@@ -254,10 +255,11 @@ def _assert_writers_agree(batch, config, capacity):
             continue
         assert not writer.exhausted
         assert writer.clock == oracle.virtual_now
-        start = writer.cursor
+        start = len(batch) - len(writer.pending)
         assert writer.one_tick() == applied
-        assert writer.cursor == oracle.cursor == _count_through_gallop(
-            writer.t_stream, oracle.virtual_now, start)
+        cut = len(batch) - len(writer.pending)
+        assert cut == oracle.cursor == _count_through_gallop(
+            batch.events["t"], oracle.virtual_now, start)
         assert got.version == want.version
         assert got.grid.last_t.tobytes() == want.grid.last_t.tobytes()
         assert got.grid.valid.tobytes() == want.grid.valid.tobytes()
@@ -384,7 +386,8 @@ class TestCountThrough:
     def test_matches_the_gallop(self, packed, n):
         # sorted stamps with runs of equal ones, as the packed field of
         # the event record (strided) and as a contiguous uint64 array;
-        # every lo, against values at and around every stamp
+        # every suffix, as the writer's remainder is one, against values
+        # at and around every stamp
         rng = np.random.default_rng(27 + n)
         steps = rng.choice(np.array([0, 0, 0, 1, 2, 1_000]), size=n)
         t = (10 + np.cumsum(steps)).astype(np.uint64)
@@ -398,8 +401,8 @@ class TestCountThrough:
                   *stamps, *(v - 1 for v in stamps), *(v + 1 for v in stamps)}
         for lo in range(n + 1):
             for value in values:
-                assert pipeline._count_through(t, value, lo) == \
-                    _count_through_gallop(t, value, lo), (lo, value)
+                assert pipeline._count_through(t[lo:], value) == \
+                    _count_through_gallop(t, value, lo) - lo, (lo, value)
 
 
 class TestWriterLoop:
@@ -504,6 +507,33 @@ class TestWriterLoop:
         assert state.gate.notified_in == list(range(1, sum(holds) + 1))
         assert state.version == sum(holds)
 
+    def test_one_cut_and_two_views_per_tick(self, monkeypatch):
+        # the writer hands its remainder to preprocess_tick, which cuts it
+        # once into the applied run and the new remainder
+        rng = np.random.default_rng(59)
+        batch = _stream(rng, self.GEO, np.sort(rng.integers(0, 90_000, 900)))
+        writer = _WriterLoop(ReplaySource(batch),
+                             SharedSurfaceState(self.GEO, 64),
+                             PipelineConfig())
+        calls = {"cut": 0, "view": 0}
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(pipeline, "_count_through",
+                            counted("cut", pipeline._count_through))
+        monkeypatch.setattr(events, "_trusted_batch",
+                            counted("view", events._trusted_batch))
+        ticks = 0
+        while not writer.exhausted:
+            writer.one_tick()
+            ticks += 1
+        assert ticks == 9
+        assert calls == {"cut": ticks, "view": 2 * ticks}
+
     def test_quiet_stream_time_runs_no_ticks(self, monkeypatch):
         # two events 100 ms apart at a 1 us tick: the two ticks that hold
         # them run, not one per microsecond of the gap between
@@ -511,7 +541,7 @@ class TestWriterLoop:
         real_tick = _WriterLoop.one_tick
 
         def counting_tick(writer):
-            ticks.append(writer.cursor)
+            ticks.append(len(writer.pending))
             return real_tick(writer)
 
         monkeypatch.setattr(_WriterLoop, "one_tick", counting_tick)
@@ -519,7 +549,7 @@ class TestWriterLoop:
                         [1_000, 101_000])
         results, metrics = run_pipeline(ReplaySource(batch),
                                         PipelineConfig(tick=1), mode="serial")
-        assert ticks == [0, 1]
+        assert ticks == [2, 1]
         assert [(r.version, r.tau) for r in results] == \
             [(1, 1_000), (2, 101_000)]
         assert metrics.versions_applied == 2
@@ -760,16 +790,22 @@ class TestSerialRun:
     def test_repeat_run_reuses_freed_memory(self):
         """Per-frame arrays come from freed heap memory, not fresh pages,
         whatever the process freed before; unmapped and trimmed, the
-        128x128 frames below fault in 200 to 450 pages each."""
-        source = _grid_source(duration=0.5, size=128, vel=(-56.0, -42.0),
-                              pitch=48, side=16)
+        128x128 corner frames below fault in 200 to 450 pages each, and
+        the 240x180 flood frames about 600."""
+        scenes = {"corners": (128, 128, (-56.0, -42.0), 48, 16, 0.5, 20),
+                  "flood": (240, 180, (-300.0, -225.0), 12, 5, 0.2, 15)}
         config = PipelineConfig(tick=10_000, channel_pair=3)
-        run_pipeline(source, config, mode="serial")
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        results, _ = run_pipeline(source, config, mode="serial")
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        assert len(results) > 20
-        assert faults < 16 * len(results)
+        for name, (w, h, vel, pitch, side, duration, least) in scenes.items():
+            spec = MotionSpec("grid-of-corners", vel, duration,
+                              grid_pitch=pitch, square_side=side)
+            source = ReplaySource(synthesize(spec, SensorGeometry(w, h)))
+            run_pipeline(source, config, mode="serial")
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            results, _ = run_pipeline(source, config, mode="serial")
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt \
+                - before
+            assert len(results) > least, name
+            assert faults < 16 * len(results), (name, faults)
 
 
 class TestThreadedRun:
