@@ -21,6 +21,8 @@ csv         header line ``t,x,y,p`` (optional on input), one event per
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -371,6 +373,10 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
         raise ValueError(
             f"a {spec.duration} s scene at {spec.velocity} px/s on a {w}x{h} "
             f"sensor may hold more than 2**31 events")
+    # runs keep their freed arrays in the C heap (pipeline's thresholds);
+    # given back first, they leave this scene's buffers no holes to fit
+    # or miss, so it holds the same resident memory after any run
+    _c_malloc("malloc_trim", 0)
     if spec.pattern == "vertical-edge":
         t, x, y, p = _edge_events(spec, geometry)
         pieces = [(_stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + p, span),
@@ -408,6 +414,13 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
         rec["x"] = x
         rec["y"] = key - x * h
     return _trusted_batch(ev, geometry)
+
+
+def _c_malloc(name: str, *args) -> None:
+    """Call glibc's ``name`` (``mallopt``, ``malloc_trim``) with ``args``;
+    nothing where the C library has no such function."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        getattr(ctypes.CDLL(None), name)(*args)
 
 
 def _stamp_keys(t: np.ndarray, key: np.ndarray, span: int) -> np.ndarray:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .detect import (KeypointSet, WeightBundle, classical_detect, forward,
                      interpolate_descriptors, nms)
-from .events import TIMESTAMP_LIMIT, US_PER_S, EventBatch, SensorGeometry
+from .events import (TIMESTAMP_LIMIT, US_PER_S, EventBatch, SensorGeometry,
+                     _c_malloc)
 from .matching import (DEFAULT_MAX_DISTANCE, QMAX, Match,
                        QuantizedDescriptors, match_mutual_nn, quantize)
 from .surface import (EventCountRing, TimestampGrid, WindowSpec, apply_events,
@@ -376,13 +377,8 @@ def _keep_freed_memory() -> None:
     """
     if {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & set(os.environ):
         return
-    import ctypes
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD, glibc's dynamic ceiling
-    mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD, twice that, as glibc sets
+    _c_malloc("mallopt", -3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's ceiling
+    _c_malloc("mallopt", -1, 64 << 20)  # M_TRIM_THRESHOLD, twice that
 
 
 def _run_serial(source, config, state, schedule):

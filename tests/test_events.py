@@ -2,13 +2,16 @@
 byte mutation."""
 
 import math
+import os
+import platform
 import re
+import resource
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from evfront import events
+from evfront import events, pipeline
 from evfront.detect import (NetworkSpec, load_weights, random_weights,
                             save_weights)
 from evfront.events import (
@@ -891,6 +894,52 @@ def test_flood_scene_peaks_no_higher_than_the_lexsort_path():
     assert len(batch) == 763_800
     assert peak <= 24_925_552
     assert peak <= 1.15 * batch.events.nbytes, (peak, batch.events.nbytes)
+
+
+def test_synthesize_gives_free_heap_back_first(monkeypatch):
+    # once per scene, before its keys and records are allocated, so they
+    # never land in holes an earlier run left
+    calls = []
+    real_grid_keys = events._grid_keys
+    monkeypatch.setattr(events, "_c_malloc",
+                        lambda name, *args: calls.append((name, *args)))
+    monkeypatch.setattr(events, "_grid_keys", lambda *a: (
+        calls.append("keys"), real_grid_keys(*a))[1])
+    spec = MotionSpec("grid-of-corners", (50.0, 20.0), 0.05)
+    synthesize(spec, SensorGeometry(64, 64))
+    synthesize(MotionSpec("vertical-edge", (50.0, 0.0), 0.05),
+               SensorGeometry(64, 64))
+    assert calls == [("malloc_trim", 0), "keys", ("malloc_trim", 0)]
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * resource.getpagesize()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"}
+                    & set(os.environ),
+                    reason="glibc's malloc_trim, the pipeline's thresholds")
+def test_malloc_trim_releases_freed_arrays():
+    # with the pipeline's thresholds a freed 24 MB array stays resident
+    # in the heap; the trim synthesize makes gives its pages back
+    pipeline._keep_freed_memory()
+    block = np.ones(24 << 20, dtype=np.uint8)
+    del block
+    held = _resident_bytes()
+    events._c_malloc("malloc_trim", 0)
+    assert _resident_bytes() < held - (16 << 20)
+
+
+def test_synthesize_without_a_c_malloc(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library")
+
+    events._c_malloc("no_such_function", 0)
+    monkeypatch.setattr(events.ctypes, "CDLL", no_library)
+    spec = MotionSpec("vertical-edge", (50.0, 0.0), 0.05)
+    assert len(synthesize(spec, SensorGeometry(64, 64))) > 0
 
 
 class TestMotionSpecValidation:
