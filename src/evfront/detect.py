@@ -69,37 +69,36 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class WeightBundle:
+    """The network's weights: every tensor in SLWT order. Per encoder
+    layer, the (out, in, 3, 3) kernel, then batchnorm scale, shift, mean
+    and variance (``_LAYER_FIELDS``); then the (cell^2+1, last_width)
+    detector kernel and its bias, and the (D, last_width) descriptor
+    kernel and its bias (``_HEAD_FIELDS``)."""
+
     spec: NetworkSpec
-    conv_kernels: tuple[np.ndarray, ...]      # (out, in, 3, 3) per layer
-    bn_scale: tuple[np.ndarray, ...]
-    bn_shift: tuple[np.ndarray, ...]
-    bn_mean: tuple[np.ndarray, ...]
-    bn_var: tuple[np.ndarray, ...]
+    tensors: tuple[np.ndarray, ...]
     bn_epsilon: float
-    detector_kernel: np.ndarray               # (cell^2+1, last_width)
-    detector_bias: np.ndarray
-    descriptor_kernel: np.ndarray             # (D, last_width)
-    descriptor_bias: np.ndarray
 
     def __post_init__(self) -> None:
         layers = len(self.spec.encoder_widths)
-        for name in _LAYER_FIELDS:
-            if len(getattr(self, name)) != layers:
-                raise ValueError(f"{name}: one per encoder layer required")
-        if not (self.bn_epsilon > 0 and math.isfinite(self.bn_epsilon)):
-            raise ValueError("bn epsilon must be positive and finite")
-        # every tensor against the spec's shapes, in SLWT order. A NaN or
-        # inf would flow through every frame as NaN scores and descriptors
         names = [f"layer {i} {name}" for i in range(layers)
                  for name in _LAYER_FIELDS] + list(_HEAD_FIELDS)
-        for name, got, want in zip(names, _tensor_sequence(self),
-                                   _shapes(self.spec)):
+        if len(self.tensors) != len(names):
+            raise ValueError(f"{len(self.tensors)} tensors, expected "
+                             f"{len(names)}")
+        if not (self.bn_epsilon > 0 and math.isfinite(self.bn_epsilon)):
+            raise ValueError("bn epsilon must be positive and finite")
+        # every tensor against the spec's shapes. A NaN or inf would flow
+        # through every frame as NaN scores and descriptors
+        for name, got, want in zip(names, self.tensors, _shapes(self.spec)):
             if got.shape != want:
                 raise ValueError(f"{name} shape {got.shape}, expected "
                                  f"{want}")
             if not np.isfinite(got).all():
                 raise ValueError(f"{name} holds a NaN or infinite value")
-        for i, var in enumerate(self.bn_var):  # summed as _stage does
+        # each layer's variance, summed with epsilon as _stage sums them
+        step = len(_LAYER_FIELDS)
+        for i, var in enumerate(self.tensors[step - 1:step * layers:step]):
             if np.any(var + np.float32(self.bn_epsilon) <= 0):
                 raise ValueError(f"layer {i} bn variance plus epsilon must "
                                  "be positive")
@@ -124,7 +123,8 @@ def random_weights(spec: NetworkSpec, seed: int) -> WeightBundle:
         bound = 1.0 / np.sqrt(fan_in)
         return rng.uniform(-bound, bound, shape).astype(np.float32)
 
-    return _from_sequence(spec, _build_sequence(spec, uniform))
+    return WeightBundle(spec, tuple(_build_sequence(spec, uniform)),
+                        float(np.float32(1e-5)))
 
 
 def _build_sequence(spec: NetworkSpec, fill,
@@ -155,23 +155,6 @@ _HEAD_FIELDS = ("detector_kernel", "detector_bias", "descriptor_kernel",
                 "descriptor_bias")
 
 
-def _from_sequence(spec: NetworkSpec, seq: list[np.ndarray],
-                   epsilon: float = float(np.float32(1e-5))) -> WeightBundle:
-    """The bundle of a tensor sequence in SLWT order."""
-    n = len(_LAYER_FIELDS) * len(spec.encoder_widths)
-    fields = {name: tuple(seq[k:n:len(_LAYER_FIELDS)])
-              for k, name in enumerate(_LAYER_FIELDS)}
-    fields.update(zip(_HEAD_FIELDS, seq[n:]))
-    return WeightBundle(spec=spec, bn_epsilon=epsilon, **fields)
-
-
-def _tensor_sequence(weights: WeightBundle) -> list[np.ndarray]:
-    seq = [getattr(weights, name)[i]
-           for i in range(len(weights.spec.encoder_widths))
-           for name in _LAYER_FIELDS]
-    return seq + [getattr(weights, name) for name in _HEAD_FIELDS]
-
-
 # ---------------------------------------------------------------------------
 # forward pass
 
@@ -197,15 +180,15 @@ def _stage(weights: WeightBundle, i: int, x: np.ndarray,
     buffer is one slice of a stage-wide buffer, allocated here by the
     calling thread. One band is the whole stage.
     """
-    kernel = weights.conv_kernels[i]
+    step = len(_LAYER_FIELDS)
+    kernel, scale, shift, mean, var = weights.tensors[step * i:step * (i + 1)]
     cout, cin = kernel.shape[:2]
     h, w = x.shape[1:]
     # inference form only; running statistics come with the weights.
     # Applied in place; folding into the kernels would change the rounding
-    inv = 1.0 / np.sqrt(weights.bn_var[i] + np.float32(weights.bn_epsilon))
-    affine = tuple(a[:, None, None] for a in (
-        weights.bn_mean[i], inv, weights.bn_scale[i], weights.bn_shift[i]))
-    negative = np.flatnonzero(weights.bn_scale[i] < 0)
+    inv = 1.0 / np.sqrt(var + np.float32(weights.bn_epsilon))
+    affine = tuple(a[:, None, None] for a in (mean, inv, scale, shift))
+    negative = np.flatnonzero(scale < 0)
     gemm = kernel.reshape(cout, cin * 9)
     pairs = h // 2
     while bands > 1 and (cout * cin * 9 * 2 * (pairs // bands) * w
@@ -390,8 +373,8 @@ def _encode(weights: WeightBundle, x: np.ndarray) -> np.ndarray:
 
 
 def _detector_head(weights: WeightBundle, feat: np.ndarray) -> np.ndarray:
-    logits = np.tensordot(weights.detector_kernel, feat, axes=([1], [0])) \
-        + weights.detector_bias[:, None, None]
+    kernel, bias = weights.tensors[-4:-2]
+    logits = np.tensordot(kernel, feat, axes=([1], [0])) + bias[:, None, None]
     return _softmax_channels(logits)
 
 
@@ -422,8 +405,9 @@ def forward(weights: WeightBundle,
     heatmap = cells.reshape(cell, cell, hc, wc) \
         .transpose(2, 0, 3, 1).reshape(hc * cell, wc * cell)
 
-    desc_map = np.tensordot(weights.descriptor_kernel, feat, axes=([1], [0])) \
-        + weights.descriptor_bias[:, None, None]
+    kernel, bias = weights.tensors[-2:]
+    desc_map = np.tensordot(kernel, feat, axes=([1], [0])) \
+        + bias[:, None, None]
     return heatmap.astype(np.float32, copy=False), \
         desc_map.astype(np.float32, copy=False)
 
@@ -684,7 +668,7 @@ def save_weights(weights: WeightBundle) -> bytes:
     parts = [WEIGHTS_MAGIC,
              np.asarray(head, dtype="<u4").tobytes(),
              np.float32(weights.bn_epsilon).astype("<f4").tobytes()]
-    parts += [arr.astype("<f4").tobytes() for arr in _tensor_sequence(weights)]
+    parts += [arr.astype("<f4").tobytes() for arr in weights.tensors]
     return b"".join(parts)
 
 
@@ -723,10 +707,7 @@ def load_weights(data: bytes) -> WeightBundle:
                          f"{(len(data) - offset) // 4}")
     if extra:
         raise ValueError(f"{extra} trailing bytes after tensors")
-    tensors = []
-    for shape, count in zip(shapes, counts):
-        tensors.append(np.frombuffer(data, dtype="<f4", offset=offset,
-                                     count=count).reshape(shape).copy())
-        offset += 4 * count
-
-    return _from_sequence(spec, tensors, epsilon)
+    values = np.frombuffer(data, dtype="<f4", offset=offset).copy()
+    parts = np.split(values, np.cumsum(counts)[:-1])
+    tensors = tuple(part.reshape(shape) for part, shape in zip(parts, shapes))
+    return WeightBundle(spec, tensors, epsilon)

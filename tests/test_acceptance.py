@@ -377,17 +377,7 @@ def test_wire_format_round_trips():
         loaded = load_weights(save_weights(weights))
         assert loaded.spec == weights.spec
         assert loaded.bn_epsilon == weights.bn_epsilon
-        for i in range(4):
-            assert np.array_equal(loaded.conv_kernels[i],
-                                  weights.conv_kernels[i])
-            assert np.array_equal(loaded.bn_scale[i], weights.bn_scale[i])
-            assert np.array_equal(loaded.bn_shift[i], weights.bn_shift[i])
-            assert np.array_equal(loaded.bn_mean[i], weights.bn_mean[i])
-            assert np.array_equal(loaded.bn_var[i], weights.bn_var[i])
-        assert np.array_equal(loaded.detector_kernel,
-                              weights.detector_kernel)
-        assert np.array_equal(loaded.detector_bias, weights.detector_bias)
-        assert np.array_equal(loaded.descriptor_kernel,
-                              weights.descriptor_kernel)
-        assert np.array_equal(loaded.descriptor_bias,
-                              weights.descriptor_bias)
+        # every tensor in SLWT order, bit for bit
+        for got, want in zip(loaded.tensors, weights.tensors, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -3,11 +3,18 @@
 The benchmark imports evfront's public names and checks every frame it
 times. This runs its own measurement loop on small versions of the
 declared workloads, untraced and traced, so a change that breaks a name
-or an output check the benchmark relies on fails here first. Nothing
-under ``perfbench/`` is written, not even bytecode.
+or an output check the benchmark relies on fails here first. It also
+runs four of the five checks of ``perfbench/selftest.py``; the fifth,
+``test_wrappers_are_removed``, expects a ``pipeline.freeze_snapshot`` and
+a ``surface.mcts`` span from a serial classical run, which makes
+neither. Nothing under ``perfbench/`` is written, not even bytecode.
 """
 
 import dataclasses
+import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +30,23 @@ def bench(monkeypatch):
     import spans
     import workloads
     return workloads, spans
+
+
+@pytest.fixture
+def selftest(bench, monkeypatch, tmp_path):
+    """``perfbench/selftest.py``, its traced runs writing their spans
+    under ``tmp_path``. Importing it imports ``run``, which sets the BLAS
+    thread variables and puts ``src`` first on ``sys.path``: both are
+    put back after the test, the path by ``bench``'s prepend."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, os.environ.get(name, "1"))
+    import run
+    import selftest
+    (tmp_path / PERFBENCH.name).mkdir()
+    monkeypatch.setattr(run, "ROOT", tmp_path)
+    monkeypatch.setattr(run, "HERE", tmp_path / PERFBENCH.name)
+    return selftest
 
 
 def _tiny(w):
@@ -50,3 +74,25 @@ def test_workload_measures_clean_untraced_and_traced(bench, name):
     assert traced.traced and tracer.spans
     for module, attr, fn in originals:
         assert getattr(module, attr) is fn, (module.__name__, attr)
+
+
+@pytest.mark.parametrize("check", ["test_every_declared_metric_is_reported",
+                                   "test_layer_map_covers_per_layer_metrics",
+                                   "test_self_time_arithmetic"])
+def test_benchmark_selftest(selftest, check):
+    getattr(selftest, check)()
+
+
+def test_benchmark_fails_without_sources(tmp_path):
+    # selftest's test_fails_without_sources, in a copy outside perfbench/
+    shutil.copytree(PERFBENCH, tmp_path / PERFBENCH.name,
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(PERFBENCH.parent / "BENCHMARK.json", tmp_path)
+    spec = json.loads((tmp_path / "BENCHMARK.json").read_text())
+    done = subprocess.run(
+        [sys.executable] + spec["command"][1:]
+        + ["--workload", spec["workloads"][0]["name"], "--seed", "1",
+           "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=180)
+    assert done.returncode != 0
+    assert '"metrics"' not in done.stdout

@@ -22,6 +22,8 @@ from evfront.detect import (
     PATCH,
     KeypointSet,
     NetworkSpec,
+    WeightBundle,
+    _LAYER_FIELDS,
     _RING,
     _boxsum3,
     _normalize_rows,
@@ -55,6 +57,7 @@ from conftest import traced_peak
 
 
 SPEC = NetworkSpec()
+EPSILON = float(np.float32(1e-5))  # random_weights' batchnorm epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -77,35 +80,48 @@ def encode_reference(weights, x):
     # conv, batchnorm, ReLU, then a 2x2 max-pool per stage, each op on a
     # fresh array
     feat = x.astype(np.float32, copy=False)
+    step = len(_LAYER_FIELDS)
     for i in range(len(weights.spec.encoder_widths)):
-        feat = conv3x3_reference(feat, weights.conv_kernels[i])
-        inv = 1.0 / np.sqrt(weights.bn_var[i] + np.float32(weights.bn_epsilon))
-        feat = ((feat - weights.bn_mean[i][:, None, None])
-                * inv[:, None, None] * weights.bn_scale[i][:, None, None]
-                + weights.bn_shift[i][:, None, None])
+        kernel, scale, shift, mean, var = \
+            weights.tensors[step * i:step * (i + 1)]
+        feat = conv3x3_reference(feat, kernel)
+        inv = 1.0 / np.sqrt(var + np.float32(weights.bn_epsilon))
+        feat = ((feat - mean[:, None, None]) * inv[:, None, None]
+                * scale[:, None, None] + shift[:, None, None])
         feat = np.maximum(feat, np.float32(0))
         c, h, w = feat.shape
         feat = feat.reshape(c, h // 2, 2, w // 2, 2).max(axis=(2, 4))
     return feat
 
 
+def random_stats(base, rng, edit=lambda scale, shift: None):
+    """``base`` with every layer's batchnorm scale, shift, mean and
+    variance drawn uniformly, field by field: scales of both signs and
+    nonzero statistics. ``edit`` may change each layer's new scale and
+    shift in place before the bundle is built."""
+    tensors = list(base.tensors)
+    step = len(_LAYER_FIELDS)
+    end = step * len(base.spec.encoder_widths)
+    for name, lo, hi in (("bn_scale", -2.0, 2.0), ("bn_shift", -1.0, 1.0),
+                         ("bn_mean", -0.5, 0.5), ("bn_var", 0.1, 2.0)):
+        for k in range(_LAYER_FIELDS.index(name), end, step):
+            tensors[k] = rng.uniform(lo, hi, tensors[k].shape) \
+                .astype(np.float32)
+    for k in range(0, end, step):
+        edit(tensors[k + 1], tensors[k + 2])
+    return replace(base, tensors=tuple(tensors))
+
+
 def signed_zero_bundle(base, rng):
     """Batchnorm scales of 0.0, -0.0 and both signs, shifts of -0.0 and
     both signs, and nonzero statistics: channels that pool by minimum,
     and zeros of both signs inside the encoder."""
-    def draw(arrays, lo, hi):
-        return [rng.uniform(lo, hi, a.shape).astype(np.float32)
-                for a in arrays]
+    def edit(scale, shift):
+        scale[0::4] = 0.0
+        scale[1::4] = -0.0
+        shift[0::3] = -0.0
 
-    scale = draw(base.bn_scale, -2.0, 2.0)
-    shift = draw(base.bn_shift, -1.0, 1.0)
-    for s, b in zip(scale, shift):
-        s[0::4] = 0.0
-        s[1::4] = -0.0
-        b[0::3] = -0.0
-    return replace(base, bn_scale=tuple(scale), bn_shift=tuple(shift),
-                   bn_mean=tuple(draw(base.bn_mean, -0.5, 0.5)),
-                   bn_var=tuple(draw(base.bn_var, 0.1, 2.0)))
+    return random_stats(base, rng, edit)
 
 
 def head_outputs(monkeypatch, w, x, feat):
@@ -242,8 +258,8 @@ def assert_same_keypoints(got, want):
 
 def zero_bundle(spec):
     """All-zero kernels and biases, identity batchnorm."""
-    return detect._from_sequence(spec, detect._build_sequence(
-        spec, lambda fan_in, shape: np.zeros(shape, np.float32)))
+    return WeightBundle(spec, tuple(detect._build_sequence(
+        spec, lambda fan_in, shape: np.zeros(shape, np.float32))), EPSILON)
 
 
 def corner_tensor(geo, spec, velocity=(40.0, 30.0), duration=1.0,
@@ -341,16 +357,7 @@ class TestForwardNumerics:
         rng = np.random.default_rng(9)
         bundles = [random_weights(SPEC, seed) for seed in (0, 1, 2)]
         base = bundles[0]
-
-        def stats(arrays, lo, hi):
-            return tuple(rng.uniform(lo, hi, a.shape).astype(np.float32)
-                         for a in arrays)
-
-        bundles.append(replace(
-            base, bn_scale=stats(base.bn_scale, -2.0, 2.0),
-            bn_shift=stats(base.bn_shift, -1.0, 1.0),
-            bn_mean=stats(base.bn_mean, -0.5, 0.5),
-            bn_var=stats(base.bn_var, 0.1, 2.0)))
+        bundles.append(random_stats(base, rng))
         bundles.append(signed_zero_bundle(base, rng))
         inputs = []
         for h, wd in ((16, 16), (64, 64), (128, 128), (176, 240)):
@@ -413,17 +420,7 @@ class TestEncoderBands:
     def bundles():
         rng = np.random.default_rng(12)
         base = random_weights(SPEC, 4)
-
-        def stats(arrays, lo, hi):
-            return tuple(rng.uniform(lo, hi, a.shape).astype(np.float32)
-                         for a in arrays)
-
-        return [base, replace(
-            base, bn_scale=stats(base.bn_scale, -2.0, 2.0),
-            bn_shift=stats(base.bn_shift, -1.0, 1.0),
-            bn_mean=stats(base.bn_mean, -0.5, 0.5),
-            bn_var=stats(base.bn_var, 0.1, 2.0)),
-            signed_zero_bundle(base, rng)]
+        return [base, random_stats(base, rng), signed_zero_bundle(base, rng)]
 
     @pytest.mark.parametrize("cores, blas, bands", [
         (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 2, 1), (1, 1, 1), (8, None, 1),
@@ -435,6 +432,18 @@ class TestEncoderBands:
         monkeypatch.setattr(detect, "blas_threads", lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cores)), raising=False)
+        assert detect.encoder_bands() == bands
+
+    @pytest.mark.parametrize("cores, blas, bands", [
+        (2, 1, 2), (2, 2, 1), (4, None, 1), (1, 1, 1), (None, 1, 1),
+        (None, None, 1)])
+    def test_band_count_without_affinity_call(self, monkeypatch, cores, blas,
+                                              bands):
+        # a platform with no affinity call counts the machine's CPUs, and
+        # one CPU where even that count is unknown
+        monkeypatch.setattr(detect, "blas_threads", lambda: blas)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert detect.encoder_bands() == bands
 
     @pytest.mark.parametrize("bands", [1, 2, 3])
@@ -918,16 +927,23 @@ class TestInterpolateDescriptors:
 
 
 class TestWeights:
-    @pytest.mark.parametrize("field", ["conv_kernels", "bn_scale",
-                                       "bn_shift", "bn_mean", "bn_var"])
+    @pytest.mark.parametrize("field", list(_LAYER_FIELDS))
     @pytest.mark.parametrize("change", ["short", "long"])
     def test_per_layer_tuple_length_checked(self, field, change):
+        # the last layer without its ``field`` tensor, or with a second
+        # one: one tensor too few or too many of the 24, five per layer
+        # and four for the heads. It is caught before the shapes, which
+        # are checked pairwise
         w = zero_bundle(SPEC)
-        tensors = getattr(w, field)
-        bad = tensors[:-1] if change == "short" else tensors + tensors[-1:]
-        with pytest.raises(ValueError,
-                           match=f"{field}: one per encoder layer"):
-            replace(w, **{field: bad})
+        k = 15 + _LAYER_FIELDS.index(field)
+        tensors = list(w.tensors)
+        if change == "short":
+            del tensors[k]
+        else:
+            tensors.insert(k, tensors[k])
+        with pytest.raises(ValueError) as err:
+            replace(w, tensors=tuple(tensors))
+        assert str(err.value) == f"{len(tensors)} tensors, expected 24"
 
     @pytest.mark.parametrize("layer", range(4))
     def test_variance_plus_epsilon_must_be_positive(self, layer):
@@ -937,21 +953,21 @@ class TestWeights:
         eps = np.float32(w.bn_epsilon)
         # entry 1 of the layer's variance: after the 44-byte header and
         # the tensors before it in SLWT order
-        at = 44 + 4 * sum(t.size for t in
-                          detect._tensor_sequence(w)[:5 * layer + 4]) + 4
+        k = 5 * layer + 4
+        at = 44 + 4 * sum(t.size for t in w.tensors[:k]) + 4
+        tensors = [t.copy() for t in w.tensors]
         for bad in (-eps, np.float32(-1.0)):
-            var = [v.copy() for v in w.bn_var]
-            var[layer][1] = bad
+            tensors[k][1] = bad
             with pytest.raises(ValueError,
                                match=f"layer {layer} bn variance"):
-                replace(w, bn_var=tuple(var))
+                replace(w, tensors=tuple(tensors))
             blob = bytearray(save_weights(w))
             blob[at:at + 4] = bad.astype("<f4").tobytes()
             with pytest.raises(ValueError,
                                match=f"layer {layer} bn variance"):
                 load_weights(bytes(blob))
-        var[layer][1] = -eps / 2  # the sum is still positive
-        assert replace(w, bn_var=tuple(var)).bn_var[layer][1] == -eps / 2
+        tensors[k][1] = -eps / 2  # the sum is still positive
+        assert replace(w, tensors=tuple(tensors)).tensors[k][1] == -eps / 2
 
     @pytest.mark.parametrize("k, value, name", [
         (22, np.nan, "descriptor_kernel"),
@@ -964,14 +980,14 @@ class TestWeights:
         # k indexes the tensor in SLWT order (layer i's fields at 5i to
         # 5i + 4, then the heads); None is the epsilon
         w = random_weights(SPEC, 0)
-        seq = [t.copy() for t in detect._tensor_sequence(w)]
+        seq = [t.copy() for t in w.tensors]
         eps = w.bn_epsilon
         if k is None:
             eps = value
         else:
             seq[k].flat[1] = value
         with pytest.raises(ValueError, match=name):
-            detect._from_sequence(SPEC, seq, eps)
+            WeightBundle(SPEC, tuple(seq), eps)
         # the same value in an SLWT file is refused on load: the epsilon
         # ends the 44-byte header, tensors follow it
         at = 40 if k is None else 44 + 4 * (sum(t.size for t in seq[:k]) + 1)
@@ -987,15 +1003,7 @@ class TestWeights:
             back = load_weights(save_weights(w))
             assert back.spec == w.spec
             assert back.bn_epsilon == w.bn_epsilon
-            for a, b in zip(w.conv_kernels, back.conv_kernels):
-                assert np.array_equal(a, b)
-            for name in ("bn_scale", "bn_shift", "bn_mean", "bn_var"):
-                for a, b in zip(getattr(w, name), getattr(back, name)):
-                    assert np.array_equal(a, b)
-            assert np.array_equal(w.detector_kernel, back.detector_kernel)
-            assert np.array_equal(w.detector_bias, back.detector_bias)
-            assert np.array_equal(w.descriptor_kernel, back.descriptor_kernel)
-            assert np.array_equal(w.descriptor_bias, back.descriptor_bias)
+            assert_same_bytes(back.tensors, w.tensors)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -1039,12 +1047,11 @@ class TestWeights:
     def test_seeded_init_reproducible(self):
         a = random_weights(SPEC, 42)
         b = random_weights(SPEC, 42)
-        assert all(np.array_equal(x, y)
-                   for x, y in zip(a.conv_kernels, b.conv_kernels))
+        assert_same_bytes(a.tensors, b.tensors)
 
     def test_init_respects_fan_in_bound(self):
         w = random_weights(SPEC, 1)
-        k0 = w.conv_kernels[0]          # (32, 8, 3, 3), fan_in = 72
+        k0 = w.tensors[0]               # (32, 8, 3, 3), fan_in = 72
         bound = 1.0 / np.sqrt(8 * 9)
         assert np.abs(k0).max() <= bound
 

@@ -807,6 +807,27 @@ class TestSerialRun:
             assert len(results) > least, name
             assert faults < 16 * len(results), (name, faults)
 
+    @pytest.mark.parametrize("variable", [None, "MALLOC_MMAP_THRESHOLD_",
+                                          "MALLOC_TRIM_THRESHOLD_"])
+    def test_malloc_thresholds_left_to_the_environment(self, monkeypatch,
+                                                       variable):
+        # glibc reads either variable at start-up; with one of them set,
+        # the run leaves both thresholds as the environment chose them
+        calls = []
+        monkeypatch.setattr(pipeline, "_c_malloc",
+                            lambda name, *args: calls.append((name, *args)))
+        for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+            monkeypatch.delenv(name, raising=False)
+        if variable is not None:
+            monkeypatch.setenv(variable, "131072")
+        pipeline._keep_freed_memory.cache_clear()
+        try:
+            pipeline._keep_freed_memory()
+        finally:
+            pipeline._keep_freed_memory.cache_clear()
+        assert calls == ([] if variable else [("mallopt", -3, 32 << 20),
+                                              ("mallopt", -1, 64 << 20)])
+
 
 class TestThreadedRun:
     @pytest.mark.parametrize("detector", ["classical", "learned"])
