@@ -27,12 +27,22 @@ WEIGHTS_VERSION = 1
 # a conv stage is split into row bands only where every band's gemm does
 # at least this many multiply-adds (about 0.5 ms on one core). Smaller
 # bands saved nothing on 2 cores: each pays for a hand-off and packs the
-# whole kernel again. Bands match the whole stage bit for bit only while
-# OpenBLAS picks the same kernel and accumulation order for every column
-# split, which BLAS does not promise: below about 10**6, some CPUs move to
-# a small-matrix sgemm kernel that rounds differently. The force_bands
-# tests guard it, and only on the host that runs them
+# whole kernel again
 _MIN_BAND_MACS = 1 << 24
+# a band runs its rows in chunks through two buffers of about this many
+# bytes together, so a stage's working memory does not grow with the
+# sensor, and a chunk's operands stay in a core's L2 (2 MB here)
+_CHUNK_BYTES = 1 << 20
+# bands and chunks are column splits of a stage's gemm. They match the
+# whole gemm bit for bit only while OpenBLAS picks the same kernel and
+# accumulation order for every split, which BLAS does not promise: on
+# x86-64, splits of at most 10**6 multiply-adds (m*n*k) go to a
+# small-matrix sgemm kernel and can round differently. So no chunk's gemm
+# does fewer than this many, and no band's fewer than _MIN_BAND_MACS; at
+# 128x128 and 176x240 the smallest chunk does 4.4M (176x240, first stage,
+# 1920 columns). The force_bands tests guard it, and only on the host
+# that runs them
+_MIN_CHUNK_MACS = 1 << 21
 
 HARRIS_K = 0.04
 PATCH = 8  # classical descriptor patch side; 8*8 = 64 = learned D
@@ -162,7 +172,8 @@ _HEAD_FIELDS = ("detector_kernel", "detector_bias", "descriptor_kernel",
 def _stage(weights: WeightBundle, i: int, x: np.ndarray,
            bands: int) -> np.ndarray:
     """Encoder stage ``i``: 3x3 conv (stride 1, zero padding 1), inference
-    batchnorm, ReLU and 2x2 max-pool, in row bands of the output.
+    batchnorm, ReLU and 2x2 max-pool, in row bands of the output, each
+    band in row chunks.
 
     It runs conv, a 2x2 pool by the sign of the batchnorm scale,
     batchnorm on the pooled map, then ReLU, with the same values while
@@ -174,11 +185,17 @@ def _stage(weights: WeightBundle, i: int, x: np.ndarray,
     commutes with max. Only a zero's sign may differ, which the next
     gemm absorbs.
 
-    Each band covers an even number of conv rows, so its pool stays
-    inside it, and does all four steps from the shared input into its
-    rows of the output; the bands share no other memory. Every band
-    buffer is one slice of a stage-wide buffer, allocated here by the
-    calling thread. One band is the whole stage.
+    Each band covers an even number of conv rows and runs them in chunks
+    of an even number of rows, so each chunk's pool stays inside it. A
+    chunk does all four steps from the shared input into its rows of the
+    output, through its band's two buffers: the im2col scratch and the
+    conv buffer. They are sized for the band's longest chunk, about
+    ``_CHUNK_BYTES`` together, and allocated here by the calling thread;
+    the bands share no other memory. So a stage's working memory does not
+    grow with the sensor. A band's rows are split evenly into as few
+    chunks as the budget allows, so no chunk's gemm is a small tail, and
+    into fewer where a chunk would fall below ``_MIN_CHUNK_MACS``. One
+    band is the whole stage, and a band within the budget is one chunk.
     """
     step = len(_LAYER_FIELDS)
     kernel, scale, shift, mean, var = weights.tensors[step * i:step * (i + 1)]
@@ -191,65 +208,110 @@ def _stage(weights: WeightBundle, i: int, x: np.ndarray,
     negative = np.flatnonzero(scale < 0)
     gemm = kernel.reshape(cout, cin * 9)
     pairs = h // 2
-    while bands > 1 and (cout * cin * 9 * 2 * (pairs // bands) * w
-                         < _MIN_BAND_MACS):
-        bands -= 1
-    edges = [2 * (pairs * k // bands) for k in range(bands + 1)]
-    # per conv pixel, a band's scratch holds its im2col column and later
-    # half a channel column of row-pair maxima
-    unit = max(cin * 9, (cout + 1) // 2)
-    scratch = np.empty(unit * h * w, dtype=x.dtype)
-    conv = np.empty(cout * h * w, dtype=x.dtype)
+    bands = _parts(pairs, bands, 2 * w, -(-_MIN_BAND_MACS // gemm.size))
+    edges = [pairs * k // bands for k in range(bands + 1)]  # in row pairs
+    # per conv pixel of a chunk: ``unit`` values of scratch, its im2col
+    # column and later half a channel column of row-pair maxima, and
+    # ``depth`` of the conv buffer, its conv output or, before the gemm,
+    # its input pixel (plus two rows of input per chunk)
+    unit, depth = max(cin * 9, (cout + 1) // 2), max(cout, cin)
+    # the row pairs of a chunk within the budget, at least one
+    fit = max(1, _CHUNK_BYTES // max(1, 2 * w * (unit + depth) * x.itemsize))
     out = np.empty((cout, pairs, w // 2), dtype=x.dtype)
-    tasks = [functools.partial(
-        _band, x, r0, gemm, affine, negative,
-        scratch[unit * r0 * w:unit * r1 * w],
-        conv[cout * r0 * w:cout * r1 * w].reshape(cout, r1 - r0, w),
-        out[:, r0 // 2:r1 // 2])
-        for r0, r1 in zip(edges, edges[1:])]
+    tasks = []
+    for p0, p1 in zip(edges, edges[1:]):
+        chunks = _parts(p1 - p0, -(-(p1 - p0) // fit), 2 * w,
+                        -(-_MIN_CHUNK_MACS // gemm.size))
+        # the first ``extra`` chunks take one row pair more: a band's
+        # chunks have at most two sizes, the longer first
+        size, extra = divmod(p1 - p0, chunks)
+        cuts = [2 * (p0 + size * k + min(k, extra))
+                for k in range(chunks + 1)]
+        rows = 2 * (size + (extra > 0))  # the longest chunk's
+        tasks.append(functools.partial(
+            _band, x, cuts, gemm, affine, negative,
+            np.empty(unit * rows * w, dtype=x.dtype),
+            np.empty(max(cout * rows, cin * (rows + 2)) * w + 2,
+                     dtype=x.dtype), out))
     _run_bands(tasks)
     return out
 
 
-def _band(x: np.ndarray, r0: int, gemm: np.ndarray, affine: tuple,
+def _parts(pairs: int, parts: int, width: int, least: int) -> int:
+    """How many parts ``pairs`` row pairs of ``width`` gemm columns each
+    split into evenly: ``parts``, or fewer while the smallest part would
+    have under ``least`` columns, and at least 1."""
+    while parts > 1 and pairs // parts * width < least:
+        parts -= 1
+    return max(parts, 1)
+
+
+def _band(x: np.ndarray, cuts: list[int], gemm: np.ndarray, affine: tuple,
           negative: np.ndarray, scratch: np.ndarray, conv: np.ndarray,
           out: np.ndarray) -> None:
-    """One band of ``_stage``: conv rows ``r0``.. of ``x``, then the pool
-    by the sign of the scale, batchnorm and ReLU into ``out``."""
-    cout, rows, w = conv.shape
-    cin, h = x.shape[:2]
-    # the im2col buffer is channel-major (cin, 3, 3, rows, w), so one gemm
-    # yields (cout, rows*w). Tap (dy, dx) of row r reads input pixel
-    # (r0 + r + dy - 1, c + dx - 1), zero past the input's edge
-    cols = scratch[:cin * 9 * rows * w].reshape(cin, 3, 3, rows, w)
-    for dy in range(3):
-        lo, hi = max(0, 1 - dy - r0), min(rows, h + 1 - dy - r0)
-        cols[:, dy, :, :lo] = cols[:, dy, :, hi:] = 0
-        # rows lo..hi as one run per channel: a shift by one column moves
-        # a row's end cell to the next row's start, zeroed below
-        src = x[:, r0 + lo + dy - 1:r0 + hi + dy - 1].reshape(cin, -1)
-        run = cols[:, dy, :, lo:hi].reshape(cin, 3, -1)
-        run[:, 0, 1:] = src[:, :-1]
-        run[:, 1] = src
-        run[:, 2, :-1] = src[:, 1:]
-    cols[:, :, 0, :, 0] = cols[:, :, 2, :, -1] = 0
-    np.matmul(gemm, cols.reshape(cin * 9, rows * w),
-              out=conv.reshape(cout, rows * w))
-    # pool: row pairs first, as contiguous half rows, into the scratch,
-    # free once the gemm is done; then column pairs into the start of the
-    # conv buffer, contiguous for batchnorm. ``negative`` lists the
-    # channels of negative scale, pooled by minimum
-    halves = conv.reshape(cout, rows // 2, 2 * w)
-    maxima = scratch[:cout * rows // 2 * w].reshape(cout, rows // 2, w)
-    _pool_pairs(halves[:, :, :w], halves[:, :, w:], maxima, negative)
-    pooled = conv.reshape(-1)[:out.size].reshape(out.shape)
-    _pool_pairs(maxima[:, :, 0::2], maxima[:, :, 1::2], pooled, negative)
+    """One band of ``_stage``: conv rows ``cuts[0]`` to ``cuts[-1]`` of
+    ``x``, one chunk of rows ``cuts[k]`` to ``cuts[k + 1]`` after another,
+    each through the conv, the pool by the sign of the scale, batchnorm
+    and ReLU into its rows of ``out``."""
+    cout = gemm.shape[0]
+    cin, h, w = x.shape
     mean, inv, scale, shift = affine
-    pooled -= mean
-    pooled *= inv
-    pooled *= scale
-    pooled += shift
-    np.maximum(pooled, np.float32(0), out=out)
+    longest = cuts[1] - cuts[0]
+    # before its gemm, a chunk's input rows r0 - 1 to r1 sit in the conv
+    # buffer, one plane of longest + 2 rows per channel after one spare
+    # value, the rows past x's edges zero. Tap (dy, dx) of conv pixel
+    # (r, c) reads plane pixel (r + dy, c + dx - 1): one strided view of
+    # the whole buffer, whose reads one column past the plane's edge land
+    # on the row before or after, or on a spare value, and are zeroed in
+    # the im2col
+    plane = conv[1:1 + cin * (longest + 2) * w].reshape(cin, longest + 2, w)
+    s = conv.itemsize
+    taps = np.lib.stride_tricks.as_strided(
+        conv, (cin, 3, 3, longest, w),
+        ((longest + 2) * w * s, w * s, s, w * s, s), writeable=False)
+    rows = None
+    for r0, r1 in zip(cuts, cuts[1:]):
+        if r1 - r0 != rows:
+            # the views for this chunk size, made again only when it
+            # changes: each chunk then costs only its numpy calls, and the
+            # other band's thread waits less for the GIL
+            rows = r1 - r0
+            # the im2col buffer is channel-major (cin, 3, 3, rows, w), so
+            # one gemm yields (cout, rows*w)
+            cols = scratch[:cin * 9 * rows * w].reshape(cin, 3, 3, rows, w)
+            gemm_in = cols.reshape(cin * 9, rows * w)
+            chunk_taps = taps[:, :, :, :rows]
+            left, right = cols[:, :, 0, :, 0], cols[:, :, 2, :, -1]
+            gemm_out = conv[:cout * rows * w].reshape(cout, rows * w)
+            # pool: row pairs first, as contiguous half rows, into the
+            # scratch, free once the gemm is done; then column pairs into
+            # the start of the conv buffer, contiguous for batchnorm
+            halves = gemm_out.reshape(cout, rows // 2, 2 * w)
+            upper, lower = halves[:, :, :w], halves[:, :, w:]
+            maxima = scratch[:cout * rows // 2 * w] \
+                .reshape(cout, rows // 2, w)
+            even, odd = maxima[:, :, 0::2], maxima[:, :, 1::2]
+            pooled = conv[:cout * rows // 2 * (w // 2)] \
+                .reshape(cout, rows // 2, w // 2)
+        if r0 == 0:
+            plane[:, 0] = 0
+        lo, hi = max(r0 - 1, 0), min(r1 + 1, h)  # the input rows inside x
+        plane[:, lo + 1 - r0:hi + 1 - r0] = x[:, lo:hi]
+        if r1 == h:
+            plane[:, rows + 1] = 0
+        cols[...] = chunk_taps
+        left[...] = 0
+        right[...] = 0
+        np.matmul(gemm, gemm_in, out=gemm_out)
+        # ``negative`` lists the channels of negative scale, pooled by
+        # minimum
+        _pool_pairs(upper, lower, maxima, negative)
+        _pool_pairs(even, odd, pooled, negative)
+        pooled -= mean
+        pooled *= inv
+        pooled *= scale
+        pooled += shift
+        np.maximum(pooled, np.float32(0), out=out[:, r0 // 2:r1 // 2])
 
 
 def _pool_pairs(a: np.ndarray, b: np.ndarray, out: np.ndarray,

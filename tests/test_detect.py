@@ -387,6 +387,24 @@ def count_splits(monkeypatch):
     return splits
 
 
+def wrap_band_tasks(monkeypatch, wrap):
+    """Runs each band task that a stage hands to ``_run_bands`` as
+    ``wrap(task)``."""
+    run = detect._run_bands
+    monkeypatch.setattr(detect, "_run_bands", lambda tasks: run(
+        [functools.partial(wrap, task) for task in tasks]))
+
+
+def record_chunks(monkeypatch):
+    """Records each band's chunk cuts, in conv rows, as ``_band`` gets
+    them."""
+    chunks = []
+    band = detect._band
+    monkeypatch.setattr(detect, "_band", lambda x, cuts, *rest: (
+        chunks.append(cuts), band(x, cuts, *rest))[1])
+    return chunks
+
+
 class _AwayHelper:
     """Stands in for a helper thread that never gets to run: every band
     handed to it stays pending, and queued with its arguments."""
@@ -478,6 +496,38 @@ class TestEncoderBands:
         assert np.array_equal(detect._encode(w, x), encode_reference(w, x))
         assert splits == want_splits
 
+    @pytest.mark.parametrize("budget", [300_000, 600_000])
+    @pytest.mark.parametrize("bands", [1, 2, 3])
+    def test_chunked_stages_match_reference_bitwise(self, monkeypatch, bands,
+                                                    budget):
+        # a budget of a few row pairs: bands run their rows in many chunks,
+        # of two sizes where the chunk count does not divide the band's row
+        # pairs, down to the multiply-add floor
+        force_bands(monkeypatch, bands)
+        monkeypatch.setattr(detect, "_CHUNK_BYTES", budget)
+        chunks = record_chunks(monkeypatch)
+        rng = np.random.default_rng(18)
+        cases = [(w, (8, *shape)) for shape in self.SPLITS[bands]
+                 for w in self.bundles()]
+        # one input channel, so the row maxima need more scratch than the
+        # im2col columns, and later stages with more input channels than
+        # output channels
+        cases.append((random_weights(NetworkSpec(1, (32, 16, 64, 8), 16), 7),
+                      (1, 128, 192)))
+        for w, shape in cases:
+            x = rng.random(shape, dtype=np.float32)
+            x[rng.random(x.shape) < 0.5] = 0
+            feat = detect._encode(w, x)
+            want = encode_reference(w, x)
+            assert np.array_equal(feat, want)
+            assert_same_bytes(head_outputs(monkeypatch, w, x, feat),
+                              head_outputs(monkeypatch, w, x, want))
+        sizes = [{r1 - r0 for r0, r1 in zip(cuts, cuts[1:])}
+                 for cuts in chunks]
+        assert all(size % 2 == 0 for band in sizes for size in band)
+        assert max(len(cuts) - 1 for cuts in chunks) >= 10
+        assert sum(len(band) == 2 for band in sizes) >= 5
+
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_band_failure_surfaces_after_both_bands_stop(self, monkeypatch,
                                                          failing):
@@ -486,24 +536,23 @@ class TestEncoderBands:
         x = np.random.default_rng(14).random((8, 128, 128), dtype=np.float32)
         want = forward(w, x)
         caller = threading.current_thread()
-        band = detect._band
         both_running = threading.Barrier(2, timeout=30)
         finished = []
 
-        def one_fails(*args):
+        def one_fails(task):
             both_running.wait()  # one band on each thread
             on_caller = threading.current_thread() is caller
             if on_caller == (failing == "caller"):
                 raise RuntimeError(f"{failing} band failed")
             time.sleep(0.05)  # the other band fails long before this ends
-            band(*args)
+            task()
             finished.append(on_caller)
 
-        monkeypatch.setattr(detect, "_band", one_fails)
-        with pytest.raises(RuntimeError, match=f"{failing} band failed"):
-            forward(w, x)
+        with monkeypatch.context() as m:
+            wrap_band_tasks(m, one_fails)
+            with pytest.raises(RuntimeError, match=f"{failing} band failed"):
+                forward(w, x)
         assert finished == [failing == "helper"]
-        monkeypatch.setattr(detect, "_band", band)
         heat, desc = forward(w, x)
         assert np.array_equal(heat, want[0])
         assert np.array_equal(desc, want[1])
@@ -532,23 +581,23 @@ class TestEncoderBands:
         w = random_weights(SPEC, 8)
         x = np.random.default_rng(17).random((8, 128, 128), dtype=np.float32)
         want = forward(w, x)
+        splits = count_splits(monkeypatch)
         ran_on = []
-        band = detect._band
 
-        def record(*args):
+        def record(task):
             ran_on.append(threading.current_thread())
-            band(*args)
+            task()
 
-        monkeypatch.setattr(detect, "_band", record)
+        wrap_band_tasks(monkeypatch, record)
         monkeypatch.setattr(detect, "_executor", _AwayHelper)
         monkeypatch.setattr(_AwayHelper, "queued", [])
         heat, desc = forward(w, x)
         assert np.array_equal(heat, want[0])
         assert np.array_equal(desc, want[1])
         assert set(ran_on) == {threading.current_thread()}
-        assert len(ran_on) == 8  # two bands in each of four stages
+        assert len(ran_on) == sum(splits) == sum(self.SPLITS[2][(128, 128)])
         # what stays queued holds none of the stages' buffers
-        assert _AwayHelper.queued == [([],)] * 4
+        assert _AwayHelper.queued == [([],)] * (len(ran_on) - len(splits))
 
     def test_forked_child_starts_its_own_helper(self, monkeypatch):
         # a child inherits the parent's executor, not its thread
@@ -608,6 +657,23 @@ class TestEncoderBands:
             for heat1, desc1 in results:
                 assert np.array_equal(heat1, heat)
                 assert np.array_equal(desc1, desc)
+
+
+class TestForwardMemory:
+    @pytest.mark.parametrize("bands", [1, 2])
+    @pytest.mark.parametrize("shape, most", [((128, 128), 4 << 20),
+                                             ((176, 240), 9 << 19)],
+                             ids=["128x128", "176x240"])
+    def test_peak_does_not_grow_with_the_sensor(self, monkeypatch, bands,
+                                                shape, most):
+        # each band's two buffers take about _CHUNK_BYTES at any size,
+        # where a stage-wide im2col scratch alone takes 4.7 MB at 128x128
+        force_bands(monkeypatch, bands)
+        w = random_weights(SPEC, 0)
+        x = np.random.default_rng(19).random((8, *shape), dtype=np.float32)
+        forward(w, x)  # the helper thread starts outside the trace
+        peak = traced_peak(lambda: forward(w, x))
+        assert peak <= most, peak
 
 
 class TestNms:
