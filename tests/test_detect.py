@@ -396,12 +396,13 @@ def wrap_band_tasks(monkeypatch, wrap):
 
 
 def record_chunks(monkeypatch):
-    """Records each band's chunk cuts, in conv rows, as ``_band`` gets
-    them."""
+    """Records each band's chunk cuts, in conv rows, and the multiply-adds
+    of one row of its gemm, as ``_band`` gets them."""
     chunks = []
     band = detect._band
-    monkeypatch.setattr(detect, "_band", lambda x, cuts, *rest: (
-        chunks.append(cuts), band(x, cuts, *rest))[1])
+    monkeypatch.setattr(detect, "_band", lambda x, cuts, gemm, *rest: (
+        chunks.append((cuts, gemm.size * x.shape[2])),
+        band(x, cuts, gemm, *rest))[1])
     return chunks
 
 
@@ -523,10 +524,15 @@ class TestEncoderBands:
             assert_same_bytes(head_outputs(monkeypatch, w, x, feat),
                               head_outputs(monkeypatch, w, x, want))
         sizes = [{r1 - r0 for r0, r1 in zip(cuts, cuts[1:])}
-                 for cuts in chunks]
+                 for cuts, _ in chunks]
         assert all(size % 2 == 0 for band in sizes for size in band)
-        assert max(len(cuts) - 1 for cuts in chunks) >= 10
+        assert max(len(cuts) - 1 for cuts, _ in chunks) >= 10
         assert sum(len(band) == 2 for band in sizes) >= 5
+        # a band in several chunks keeps each chunk's gemm above the
+        # floor, whatever kernels this host's OpenBLAS picks
+        assert all(min(band) * row_macs >= detect._MIN_CHUNK_MACS
+                   for band, (cuts, row_macs) in zip(sizes, chunks)
+                   if len(cuts) > 2)
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_band_failure_surfaces_after_both_bands_stop(self, monkeypatch,
