@@ -175,11 +175,12 @@ def _load_config(path: str, command: str) -> dict:
     table = _CONVERTERS.get(command, {})
     values = {}
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    # physical lines: bytes break only at \n, \r\n and \r
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.decode("utf-8", "surrogateescape").strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -561,13 +562,15 @@ def _bench_match(rng, args):
 
 
 def _bench_synth(rng, args):
-    # the acceptance corner grid and the 240x180 flood scene of the
-    # benchmark; n is the sensor's pixel count
-    for size, velocity, pitch, side, duration in (
-            ((128, 128), (-56.0, -42.0), 48, 16, 1.0),
-            ((240, 180), (-300.0, -225.0), 12, 5, 0.5)):
+    # the acceptance corner grid, the 240x180 flood scene of the
+    # benchmark and a 640x480 vertical edge crossing the sensor in 2 s;
+    # n is the sensor's pixel count
+    for size, pattern, velocity, pitch, side, duration in (
+            ((128, 128), "grid-of-corners", (-56.0, -42.0), 48, 16, 1.0),
+            ((240, 180), "grid-of-corners", (-300.0, -225.0), 12, 5, 0.5),
+            ((640, 480), "vertical-edge", (320.0, 0.0), 16, 6, 2.0)):
         geometry = events.SensorGeometry(*size)
-        motion = events.MotionSpec("grid-of-corners", velocity, duration,
+        motion = events.MotionSpec(pattern, velocity, duration,
                                    grid_pitch=pitch, square_side=side)
         yield geometry.pixel_count, lambda: events.synthesize(motion, geometry)
 

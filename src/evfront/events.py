@@ -293,14 +293,13 @@ def _parse_binary(data: bytes) -> EventBatch:
 
 
 def _parse_csv(data: bytes, geometry: SensorGeometry) -> EventBatch:
-    """The line loop only splits rows into Python ints. A syntax fault
-    ends the rows, and is raised only if no record before it breaks a
-    rule."""
-    text = data.decode("ascii")
+    """The line loop only splits rows, which end at \\n, \\r\\n or \\r,
+    into Python ints. A syntax fault, a non-ASCII byte included, ends the
+    rows, and is raised only if no record before it breaks a rule."""
     rows: list[list[int]] = []  # line number, t, x, y, p
     syntax = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.decode("ascii", "surrogateescape").strip()
         if not line or line == CSV_HEADER and lineno == 1:
             continue
         parts = line.split(",")
@@ -347,11 +346,12 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
     a longer scene on the sensor is rejected before any arithmetic, as
     are a ``start_time`` outside ``[0, 2**62)`` and a scene that may hold
     more than 2**31 events or span more than 2**31 lattice offsets. The
-    corner grid costs one evaluation per pixel offset from a square's
-    anchor, on each column offset's band of rows only, plus a shifted
-    copy per square of the crossings inside the frame (see
-    ``_grid_keys``). The stream is byte for byte that of evaluating every
-    square on every pixel and sorting on four keys.
+    edge costs one evaluation per column (see ``_edge_keys``), the corner
+    grid one per pixel offset from a square's anchor, on each column
+    offset's band of rows only, plus a shifted copy per square of the
+    crossings inside the frame (see ``_grid_keys``). The stream is byte
+    for byte that of evaluating every square on every pixel and sorting
+    on four keys.
     """
     if not 0 <= start_time < TIMESTAMP_LIMIT:
         raise ValueError(f"start time {start_time} outside [0, 2**62)")
@@ -377,12 +377,8 @@ def synthesize(spec: MotionSpec, geometry: SensorGeometry,
     # given back first, they leave this scene's buffers no holes to fit
     # or miss, so it holds the same resident memory after any run
     _c_malloc("malloc_trim", 0)
-    if spec.pattern == "vertical-edge":
-        t, x, y, p = _edge_events(spec, geometry)
-        pieces = [(_stamp_keys(t, (x.astype(np.int64) * h + y) * 2 + p, span),
-                   0)]
-    else:
-        pieces = _grid_keys(spec, geometry, span)
+    keys_of = _edge_keys if spec.pattern == "vertical-edge" else _grid_keys
+    pieces = keys_of(spec, geometry, span)
     # the keys are sorted in the first 8n bytes of the 13n-byte record
     # buffer returned, each piece shifted straight into its place
     n = sum(len(piece) for piece, _ in pieces)
@@ -431,35 +427,31 @@ def _stamp_keys(t: np.ndarray, key: np.ndarray, span: int) -> np.ndarray:
     return keys
 
 
-def _edge_events(spec: MotionSpec, geometry: SensorGeometry):
-    """Crossing times of a full-height vertical edge.
+def _edge_keys(spec: MotionSpec, geometry: SensorGeometry,
+               span: int) -> list[tuple[np.ndarray, int]]:
+    """Sort keys (see ``synthesize``) of a full-height vertical edge's
+    crossings, unsorted, as ``(piece, shift)`` pairs, one per edge.
 
     The leading edge starts on the first column in its direction of travel
     and reaches column c at (c - c0)/vx; the trailing edge runs one pixel
-    behind. Crossings at exactly t = duration are included.
+    behind. Crossings at exactly t = duration are included. Every row of
+    a column is crossed at once, so a column's keys are its row-0 key
+    plus the row offsets 0, 2, ..., 2h-2.
     """
     vx = spec.velocity[0]
     w, h = geometry.width, geometry.height
-    cols = np.arange(w, dtype=np.float64)
     if vx == 0:
-        empty = np.empty(0)
-        return empty, empty.astype(np.uint16), empty.astype(np.uint16), \
-            empty.astype(np.uint8)
+        return []
+    cols = np.arange(w, dtype=np.float64)
     c0 = 0.0 if vx > 0 else float(w - 1)
-    t_lead = (cols - c0) / vx
-    t_trail = (cols + math.copysign(1.0, vx) - c0) / vx
-
-    ts, xs, ps = [], [], []
-    for t_cross, pol in ((t_lead, 1), (t_trail, 0)):
-        hit = (t_cross >= 0) & (t_cross <= spec.duration)
-        ts.append(np.repeat(t_cross[hit], h))
-        xs.append(np.repeat(cols[hit].astype(np.uint16), h))
-        ps.append(np.full(hit.sum() * h, pol, dtype=np.uint8))
-    t = np.concatenate(ts)
-    x = np.concatenate(xs)
-    y = np.tile(np.arange(h, dtype=np.uint16), len(t) // h if h else 0)
-    p = np.concatenate(ps)
-    return t, x, y, p
+    rows = np.arange(0, 2 * h, 2, dtype=np.int64)
+    pieces = []
+    for step, pol in ((0.0, 1), (math.copysign(1.0, vx), 0)):
+        t = (cols + step - c0) / vx
+        hit = (t >= 0) & (t <= spec.duration)
+        row0 = _stamp_keys(t[hit], 2 * h * np.flatnonzero(hit) + pol, span)
+        pieces.append(((row0[:, None] + rows).ravel(), 0))
+    return pieces
 
 
 def _lattice_lines(spec: MotionSpec, geometry: SensorGeometry):

@@ -31,6 +31,8 @@ MCTS_HEADER_SIZE = 32  # eight little-endian 32-bit slots
 
 DEFAULT_NORMALIZED_COUNTS = (0.03, 0.1, 0.3, 1.0)
 
+_EDGE_FRACTION = 0.8  # how far across motion_invariance_report runs its edge
+
 # last_t of a pixel that has seen no event. Its age at tau, tau + 2**62,
 # fits in int64 for every tau in [-2**62, 2**62) and exceeds tau, the age
 # of the oldest stamp there can be.
@@ -436,21 +438,22 @@ class MotionInvarianceReport:
 
 def motion_invariance_report(
         geometry: SensorGeometry, speed: float = 100.0, factor: float = 3.0,
-        normalized_counts: tuple[float, ...] = DEFAULT_NORMALIZED_COUNTS,
-        edge_fraction: float = 0.8) -> MotionInvarianceReport:
+        normalized_counts: tuple[float, ...] = DEFAULT_NORMALIZED_COUNTS
+        ) -> MotionInvarianceReport:
     """Compare the two window modes on one scene at two speeds.
 
     A vertical edge is synthesized at ``speed`` and ``speed * factor``
     and each stream is evaluated when the edge reaches the same column,
-    so both tensors depict the same scene geometry. The fixed-duration
-    list is calibrated to the constant-count windows realized at the base
-    speed, making the modes agree there by construction; the comparison
-    is how far each drifts at the changed speed.
+    ``_EDGE_FRACTION`` of the way across, so both tensors depict the same
+    scene geometry. The fixed-duration list is calibrated to the
+    constant-count windows realized at the base speed, making the modes
+    agree there by construction; the comparison is how far each drifts
+    at the changed speed.
     """
     if not (0 < speed < np.inf and 0 < factor < np.inf):
         raise ValueError(f"speed and factor must be finite and positive, "
                          f"got {speed} and {factor}")
-    target_col = int(edge_fraction * (geometry.width - 1))
+    target_col = int(_EDGE_FRACTION * (geometry.width - 1))
     if target_col < 1:
         raise ValueError("geometry too narrow for the edge experiment")
     cc_spec = WindowSpec("constant-count",

@@ -747,7 +747,7 @@ class TestBench:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "workload,n,mean_us,p99_us"
         assert [line.split(",")[:2] for line in lines[1:]] == \
-            [["synth", "16384"], ["synth", "43200"]]
+            [["synth", "16384"], ["synth", "43200"], ["synth", "307200"]]
 
     def test_quantize_workload_rows(self, capsys):
         rc = cli.main(["bench", "--workload", "quantize", "--iterations", "1"])
@@ -1001,6 +1001,20 @@ class TestConfigFile:
                        "-o", str(tmp_path / "c.bin")])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        # a form feed is no line break: the line's value is no integer
+        (b"tick = 5000\x0cbogus = 1\n", "config line 1: invalid literal"),
+        (b"tick = 5000\r\n\rbogus = 1\n", "config line 3: unknown option"),
+        (b"paced = off\ntick = 50\xff0\n", "config line 2: invalid literal"),
+    ])
+    def test_lines_are_physical_lines(self, tmp_path, capsys, text, message):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(text)
+        rc = cli.main(["--config", str(conf), "run", "-i",
+                       str(tmp_path / "absent.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_missing_config_file(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "absent.conf"), "synth",

@@ -23,7 +23,6 @@ from evfront.events import (
     MotionSpec,
     SensorGeometry,
     StreamFormatError,
-    _edge_events,
     _grid_anchors,
     batch_from_columns,
     corner_positions,
@@ -469,6 +468,13 @@ class TestCsvFormat:
         (b"18446744073709551616,0,0,1\nt,x,y,p\n", 1, "outside [0, 2**62)"),
         (b"5,0,0,1\n6,0,0,1\n7,0,0\n", 3, "expected 4 fields, got 3"),
         (b"5,0,0,1\nt,x,y,p\n4,0,0,1\n", 2, "header row after data"),
+        # lines are physical lines: form feeds and record separators are
+        # no line breaks, and a non-ASCII byte is a syntax fault
+        (b"1,1,1,0\x0c2,1,1,0\n3,9,1,0\n", 1, "expected 4 fields, got 7"),
+        (b"1,1,1,0\x1e2,1,1,0\n", 1, "expected 4 fields, got 7"),
+        (b"5,0,0,1\r\n6,0,0,1\r7,\xe9,0,1\n", 3,
+         "non-integer field in '7,\\udce9,0,1'"),
+        (b"5,0,0,1\n6,9,0,1\n7,\xff,0,1\n", 2, "coordinate (9,0) outside"),
     ])
     def test_bad_record_before_a_syntax_fault_is_reported(self, text, line,
                                                            what):
@@ -477,6 +483,11 @@ class TestCsvFormat:
         with pytest.raises(StreamFormatError) as err:
             parse_events(text, "csv", geometry=SensorGeometry(4, 4))
         assert err.value.line == line and what in str(err.value)
+
+    def test_lines_end_at_newlines_only(self):
+        text = b"5,0,0,1\r\n6,1,1,1\r7,2,2,0\x0c\n\x0b\n8,3,3,1"
+        got = parse_events(text, "csv", geometry=SensorGeometry(4, 4))
+        assert got.events["t"].tolist() == [5, 6, 7, 8]
 
     def test_line_numbers_count_the_header(self):
         geo = SensorGeometry(4, 4)
@@ -681,10 +692,41 @@ def _grid_events_reference(spec, geometry):
             np.concatenate(ps))
 
 
+def _edge_events_reference(spec, geometry):
+    """Every crossing of a full-height vertical edge as four columns.
+
+    The leading edge starts on the first column in its direction of travel
+    and reaches column c at (c - c0)/vx; the trailing edge runs one pixel
+    behind. Crossings at exactly t = duration are included.
+    """
+    vx = spec.velocity[0]
+    w, h = geometry.width, geometry.height
+    cols = np.arange(w, dtype=np.float64)
+    if vx == 0:
+        empty = np.empty(0)
+        return empty, empty.astype(np.uint16), empty.astype(np.uint16), \
+            empty.astype(np.uint8)
+    c0 = 0.0 if vx > 0 else float(w - 1)
+    t_lead = (cols - c0) / vx
+    t_trail = (cols + math.copysign(1.0, vx) - c0) / vx
+
+    ts, xs, ps = [], [], []
+    for t_cross, pol in ((t_lead, 1), (t_trail, 0)):
+        hit = (t_cross >= 0) & (t_cross <= spec.duration)
+        ts.append(np.repeat(t_cross[hit], h))
+        xs.append(np.repeat(cols[hit].astype(np.uint16), h))
+        ps.append(np.full(hit.sum() * h, pol, dtype=np.uint8))
+    t = np.concatenate(ts)
+    x = np.concatenate(xs)
+    y = np.tile(np.arange(h, dtype=np.uint16), len(t) // h)
+    p = np.concatenate(ps)
+    return t, x, y, p
+
+
 def synthesize_reference(spec, geometry, start_time=0):
     """The generator as a whole-frame sweep with a four-key sort."""
     if spec.pattern == "vertical-edge":
-        t, x, y, p = _edge_events(spec, geometry)
+        t, x, y, p = _edge_events_reference(spec, geometry)
     else:
         t, x, y, p = _grid_events_reference(spec, geometry)
     t_us = np.floor(t * events.US_PER_S).astype(np.int64) + start_time
@@ -802,6 +844,35 @@ class TestSynthesizeEquivalence:
         assert got.events.tobytes() == want.events.tobytes()
 
 
+    # the vertical edge in both directions, with no horizontal motion (an
+    # empty stream), on one-pixel, one-row and narrow sensors, from a
+    # start time, and at 3e6 px/s, where a microsecond holds crossings of
+    # several columns, so stamps tie. In 4/320 s at 320 px/s the leading
+    # edge crosses its first column at exactly t = 0 and its fifth at
+    # exactly t = duration; both are in the stream
+    @pytest.mark.parametrize("velocity", [
+        (320.0, 0.0), (-320.0, 45.0), (0.0, 80.0), (3e6, 0.0), (-3e6, -1.0)])
+    @pytest.mark.parametrize("geo", [(1, 1), (300, 1), (7, 200), (64, 48)])
+    @pytest.mark.parametrize("duration", [4 / 320, 0.25])
+    @pytest.mark.parametrize("start", [0, 1_234_567])
+    def test_vertical_edge_byte_identical(self, velocity, geo, duration,
+                                          start):
+        spec = MotionSpec("vertical-edge", velocity, duration)
+        geometry = SensorGeometry(*geo)
+        want = synthesize_reference(spec, geometry, start)
+        got = synthesize(spec, geometry, start)
+        assert got.events.tobytes() == want.events.tobytes()
+        t = got.events["t"]
+        if velocity[0] == 0:
+            assert len(got) == 0
+        else:
+            assert len(got) and t[0] == start
+        if abs(velocity[0]) == 320 and duration < 0.1 and geo[0] > 4:
+            assert t[-1] == start + 12_500
+        if abs(velocity[0]) == 3e6 and geo[0] > 3:
+            assert len(np.unique(t)) < len(t) / geo[1]
+
+
 class TestSortKeyLimit:
     # 64x64: 2*W*H = 2**13 keys per microsecond, so the last stamp a
     # scene may reach is 2**50 - 1 us, about 35.7 years
@@ -894,6 +965,19 @@ def test_flood_scene_peaks_no_higher_than_the_lexsort_path():
     assert len(batch) == 763_800
     assert peak <= 24_925_552
     assert peak <= 1.15 * batch.events.nbytes, (peak, batch.events.nbytes)
+
+
+def test_vertical_edge_peaks_under_twice_its_output():
+    # four event columns, float64 stamps among them, and the keys derived
+    # from them peaked at 2.85x the output; the keys built straight from
+    # each crossed column's row-0 key hold 8 bytes beside each 13-byte
+    # record
+    spec = MotionSpec("vertical-edge", (320.0, 0.0), 2.0)
+    geo = SensorGeometry(640, 480)
+    peak = traced_peak(lambda: synthesize(spec, geo))
+    batch = synthesize(spec, geo)
+    assert len(batch) == 614_400
+    assert peak <= 2 * batch.events.nbytes, (peak, batch.events.nbytes)
 
 
 def test_synthesize_gives_free_heap_back_first(monkeypatch):
